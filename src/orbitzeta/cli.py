@@ -27,7 +27,7 @@ import mpmath
 from mpmath import mp
 
 from . import __version__
-from .partitions import Partition, partitions_of, young_stats
+from .partitions import Partition, enumerate_classes, partitions_of, young_stats
 from .xi_algebra import h_orbit, orbit_series_log, xi_expr_equal, z_orbit
 from .xinumeric import (
     ExpansionOrderError,
@@ -108,7 +108,7 @@ def cmd_orbits(cfg):
                 "partition": str(p),
                 "cells": cells,
                 "product": str(z_orbit(p)),
-                "class_count": count_all_classes_for(p),
+                "class_count": len(enumerate_classes(p)),
             }
         )
     payload = {"command": "orbits", "version": __version__, "n": n, "orbits": rows}
@@ -130,12 +130,6 @@ def cmd_orbits(cfg):
             ]
         )
     return 0, _emit(payload, cfg.fmt, lines, csv_rows)
-
-
-def count_all_classes_for(p):
-    from .partitions import enumerate_classes
-
-    return len(enumerate_classes(p))
 
 
 def _fraction_json(x):
@@ -189,12 +183,8 @@ def cmd_residues(cfg):
             "symbolic": str(h),
             "formal": formal.to_json(),
             "pole_order": rr.pole_order,
-            "residue": mpmath.nstr(_as_mpf(rr.residue), 12)
-            if rr.residue is not None
-            else None,
-            "residue_error": "%.3e" % rr.residue_error
-            if rr.residue_error is not None
-            else None,
+            "residue": mpmath.nstr(_as_mpf(rr.residue), 12),
+            "residue_error": "%.3e" % rr.residue_error,
         }
         if n <= 3:
             if rr.pole_order != 1:
@@ -202,7 +192,7 @@ def cmd_residues(cfg):
             if not formal.all_deep_vanish:
                 gate_failures.append("%s: deep coefficient not formally zero" % (p,))
             target = anchors.get(str(p))
-            if target is not None and rr.residue is not None:
+            if target is not None:
                 diff = abs(_as_mpf(rr.residue) - target)
                 row["anchor"] = mpmath.nstr(target, 12)
                 row["anchor_diff"] = "%.3e" % diff

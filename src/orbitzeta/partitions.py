@@ -16,26 +16,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 
+@dataclass(frozen=True, slots=True, order=True)
 class Partition:
     """A weakly decreasing tuple of positive integers (possibly empty)."""
 
-    __slots__ = ("parts",)
+    parts: tuple = ()
 
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+    def __post_init__(self):
+        parts = tuple(int(p) for p in self.parts)
         if any(p < 1 for p in parts):
             raise ValueError("partition parts must be >= 1, got %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing, got %r" % (parts,))
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def parse(cls, text):
@@ -82,21 +80,6 @@ class Partition:
     def __getitem__(self, i):
         return self.parts[i]
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Partition", self.parts))
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
-
-    def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
-
     def __str__(self):
         return ",".join(str(p) for p in self.parts)
 
@@ -136,15 +119,18 @@ class Cell:
     hook: int
 
 
+@dataclass(frozen=True, slots=True)
 class YoungDiagram:
     """Young diagram of a partition, column convention.
 
     Column j (1-based) has height parts[j-1]; row i has one cell per part >= i.
     """
 
-    __slots__ = ("partition", "cells")
+    partition: Partition
+    cells: tuple = field(init=False, repr=False)
 
-    def __init__(self, partition):
+    def __post_init__(self):
+        partition = self.partition
         if not isinstance(partition, Partition):
             partition = Partition(partition)
         parts = partition.parts
@@ -158,9 +144,6 @@ class YoungDiagram:
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "cells", tuple(cells))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("YoungDiagram is immutable")
-
     def cell(self, row, col):
         for c in self.cells:
             if c.row == row and c.col == col:
@@ -172,9 +155,6 @@ class YoungDiagram:
 
     def __len__(self):
         return len(self.cells)
-
-    def __repr__(self):
-        return "YoungDiagram(%r)" % (self.partition,)
 
 
 def young_stats(partition):

@@ -14,6 +14,8 @@ orbit sum, which is the identity the two constructions must satisfy.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,19 +44,25 @@ class XiFactor:
         return "xi(%d+%ds)" % (self.a, self.b)
 
 
+def _power_product(atoms, text):
+    """'x^2*y' text of a sorted atom tuple; '' for the empty product."""
+    pieces = []
+    for atom, run in itertools.groupby(atoms):
+        count = sum(1 for _ in run)
+        pieces.append(text(atom) if count == 1 else "%s^%d" % (text(atom), count))
+    return "*".join(pieces)
+
+
+@dataclass(frozen=True, slots=True)
 class XiMonomial:
     """A sorted multiset of XiFactors; the empty monomial is the unit."""
 
-    __slots__ = ("factors",)
+    factors: tuple = ()
 
-    def __init__(self, factors=()):
-        factors = tuple(sorted(
-            f if isinstance(f, XiFactor) else XiFactor(*f) for f in factors
-        ))
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XiMonomial is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(sorted(
+            f if isinstance(f, XiFactor) else XiFactor(*f) for f in self.factors
+        )))
 
     @property
     def degree(self):
@@ -69,12 +77,6 @@ class XiMonomial:
     def __mul__(self, other):
         return XiMonomial(self.factors + other.factors)
 
-    def __eq__(self, other):
-        return isinstance(other, XiMonomial) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(("XiMonomial", self.factors))
-
     def __lt__(self, other):
         return self._key() < other._key()
 
@@ -82,132 +84,122 @@ class XiMonomial:
         return (len(self.factors), tuple((f.a, f.b) for f in self.factors))
 
     def __str__(self):
-        if not self.factors:
-            return "1"
-        pieces = []
-        i = 0
-        while i < len(self.factors):
-            j = i
-            while j < len(self.factors) and self.factors[j] == self.factors[i]:
-                j += 1
-            if j - i == 1:
-                pieces.append(str(self.factors[i]))
-            else:
-                pieces.append("%s^%d" % (self.factors[i], j - i))
-            i = j
-        return "*".join(pieces)
-
-    def __repr__(self):
-        return "XiMonomial(%r)" % (self.factors,)
+        return _power_product(self.factors, str) or "1"
 
 
-class XiExpression:
-    """Rational linear combination of XiMonomials, kept in canonical form."""
+@dataclass(frozen=True, slots=True)
+class SparsePoly:
+    """Rational linear combination of monomials, kept in canonical form.
 
-    __slots__ = ("terms",)
+    terms maps each monomial to its nonzero Fraction coefficient.  A
+    monomial is a sorted multiset of atoms; a subclass says what that is
+    through four hooks: _canonical (the monomial of a sequence of atoms),
+    _atoms (the sorted atom tuple of a monomial), _atom_text and _sort_key
+    (the term order of str and sorted_terms).
+    """
 
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
+    terms: dict = ()
+
+    def __post_init__(self):
+        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
         merged = {}
         for monomial, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                merged[monomial] = merged.get(monomial, Fraction(0)) + coeff
-        merged = {m: c for m, c in merged.items() if c}
-        object.__setattr__(self, "terms", merged)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XiExpression is immutable")
+            monomial = self._canonical(self._atoms(monomial))
+            merged[monomial] = merged.get(monomial, 0) + Fraction(coeff)
+        object.__setattr__(self, "terms", {m: c for m, c in merged.items() if c})
 
     @classmethod
-    def unit(cls):
-        return cls({XiMonomial(): Fraction(1)})
+    def _of(cls, terms):
+        """Wrap a dict of canonical monomials and Fraction coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", {m: c for m, c in terms.items() if c})
+        return out
 
     @classmethod
     def zero(cls):
         return cls()
-
-    @classmethod
-    def monomial(cls, factors, coeff=1):
-        return cls({XiMonomial(factors): Fraction(coeff)})
 
     @property
     def is_zero(self):
         return not self.terms
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0]._key())
+        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]))
 
     def coefficient(self, monomial):
         return self.terms.get(monomial, Fraction(0))
 
-    def max_polar_count(self):
-        """Largest number of polar factors over all monomials (0 if zero)."""
-        return max((m.polar_count for m in self.terms), default=0)
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return XiExpression(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return XiExpression(out)
+            out[m] = out.get(m, 0) + c
+        return self._of(out)
 
     def __neg__(self):
-        return XiExpression({m: -c for m, c in self.terms.items()})
+        return self._of({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, XiExpression):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2
-            return XiExpression(out)
-        return self.scale(other)
+        if not isinstance(other, SparsePoly):
+            return self.scale(other)
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = self._canonical(self._atoms(m1) + self._atoms(m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return self._of(out)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, q):
         q = Fraction(q)
-        return XiExpression({m: c * q for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, XiExpression) and self.terms == other.terms
+        return self._of({m: c * q for m, c in self.terms.items()})
 
     def __hash__(self):
-        return hash(("XiExpression", tuple(sorted(
-            ((tuple((f.a, f.b) for f in m.factors), (c.numerator, c.denominator))
-             for m, c in self.terms.items()),
-        ))))
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
         for monomial, coeff in self.sorted_terms():
-            if coeff == 1 and monomial.factors:
-                body = str(monomial)
-            elif coeff == -1 and monomial.factors:
-                body = "-%s" % monomial
-            elif monomial.factors:
-                body = "%s*%s" % (coeff, monomial)
+            text = _power_product(self._atoms(monomial), self._atom_text)
+            if not text:
+                pieces.append(str(coeff))
+            elif coeff == 1:
+                pieces.append(text)
+            elif coeff == -1:
+                pieces.append("-%s" % text)
             else:
-                body = str(coeff)
-            pieces.append(body)
-        text = " + ".join(pieces)
-        return text.replace("+ -", "- ")
+                pieces.append("%s*%s" % (coeff, text))
+        return " + ".join(pieces).replace("+ -", "- ") or "0"
 
     def __repr__(self):
-        return "XiExpression(%s)" % self
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class XiExpression(SparsePoly):
+    """Rational linear combination of XiMonomials, kept in canonical form."""
+
+    __slots__ = ()
+
+    _canonical = XiMonomial
+    _atoms = operator.attrgetter("factors")
+    _atom_text = str
+    _sort_key = operator.methodcaller("_key")
+
+    @classmethod
+    def unit(cls):
+        return cls._of({XiMonomial(): Fraction(1)})
+
+    @classmethod
+    def monomial(cls, factors, coeff=1):
+        return cls._of({XiMonomial(factors): Fraction(coeff)})
+
+    def max_polar_count(self):
+        """Largest number of polar factors over all monomials (0 if zero)."""
+        return max((m.polar_count for m in self.terms), default=0)
 
     def to_json(self):
         return {
@@ -252,6 +244,7 @@ def h_orbit(partition):
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class OrbitSeries:
     """Formal sum of orbits with XiExpression coefficients, truncated by size.
 
@@ -260,22 +253,19 @@ class OrbitSeries:
     partition is the unit.
     """
 
-    __slots__ = ("bound", "coeffs")
+    bound: int
+    coeffs: dict = None
 
-    def __init__(self, bound, coeffs=None):
-        if bound < 0:
+    def __post_init__(self):
+        if self.bound < 0:
             raise ValueError("bound must be >= 0")
         clean = {}
-        for p, e in (coeffs or {}).items():
+        for p, e in (self.coeffs or {}).items():
             if not isinstance(p, Partition):
                 p = Partition(p)
-            if p.n <= bound and not e.is_zero:
+            if p.n <= self.bound and not e.is_zero:
                 clean[p] = e
-        object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitSeries is immutable")
 
     @classmethod
     def unit(cls, bound):
@@ -329,13 +319,6 @@ class OrbitSeries:
     def min_size(self):
         """Smallest orbit size carrying a nonzero coefficient (None if zero)."""
         return min((p.n for p in self.coeffs), default=None)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrbitSeries)
-            and self.bound == other.bound
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         return "OrbitSeries(bound=%d, %d terms)" % (self.bound, len(self.coeffs))

@@ -4,9 +4,10 @@ The Taylor coefficients of the regular part of xi at each integer point are
 treated as independent indeterminates t[a;k] (k-th coefficient at point a).
 A factor xi(1 + b*s) expands to 1/(b*s) + sum_k t[1;k] (b*s)^k with the
 principal part exact; a factor xi(a + b*s), a >= 2, expands to
-sum_k t[a;k] (b*s)^k.  Expanding an expression with these symbolic
-coefficients and checking that every s^-k coefficient with k >= 2 is the
-zero polynomial proves the cancellation for every possible value of the
+sum_k t[a;k] (b*s)^k.  The expansion is laurent.expand, the same engine the
+numeric route uses, run over FormalPoly coefficients instead of (value,
+error) pairs.  Checking that every s^-k coefficient with k >= 2 is the zero
+polynomial proves the cancellation for every possible value of the
 underlying transcendental constants, not merely to working precision.
 """
 
@@ -15,157 +16,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..xi_algebra import SparsePoly
+from .laurent import expand
 
-class FormalPoly:
+
+class FormalPoly(SparsePoly):
     """Polynomial with rational coefficients in the indeterminates t[a;k].
 
     A monomial is a sorted tuple of (a, k) pairs, with repetition.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        merged = {}
-        for mono, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                mono = tuple(sorted(mono))
-                merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        merged = {m: c for m, c in merged.items() if c}
-        object.__setattr__(self, "terms", merged)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalPoly is immutable")
+    _canonical = staticmethod(lambda atoms: tuple(sorted(atoms)))
+    _atoms = tuple
+    _atom_text = "t[%d;%d]".__mod__
+    _sort_key = tuple  # plain tuple order
 
     @classmethod
     def constant(cls, q):
-        return cls({(): Fraction(q)})
+        return cls._of({(): Fraction(q)})
 
     @classmethod
     def variable(cls, a, k, coeff=1):
-        return cls({((a, k),): Fraction(coeff)})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return FormalPoly(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, FormalPoly):
-            return self.scale(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return FormalPoly(out)
-
-    def scale(self, q):
-        q = Fraction(q)
-        return FormalPoly({m: c * q for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, FormalPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(("FormalPoly", tuple(sorted(self.terms.items()))))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in sorted(self.terms.items()):
-            vars_text = "*".join(self._var_text(mono))
-            if not vars_text:
-                pieces.append(str(coeff))
-            elif coeff == 1:
-                pieces.append(vars_text)
-            elif coeff == -1:
-                pieces.append("-%s" % vars_text)
-            else:
-                pieces.append("%s*%s" % (coeff, vars_text))
-        return " + ".join(pieces).replace("+ -", "- ")
-
-    @staticmethod
-    def _var_text(mono):
-        out = []
-        i = 0
-        while i < len(mono):
-            j = i
-            while j < len(mono) and mono[j] == mono[i]:
-                j += 1
-            a, k = mono[i]
-            base = "t[%d;%d]" % (a, k)
-            out.append(base if j - i == 1 else "%s^%d" % (base, j - i))
-            i = j
-        return out
-
-    def __repr__(self):
-        return "FormalPoly(%s)" % self
+        return cls._of({((a, k),): Fraction(coeff)})
 
 
-class _FormalSeries:
-    """Laurent series with FormalPoly coefficients on a fixed window."""
-
-    __slots__ = ("min_degree", "coeffs")
-
-    def __init__(self, min_degree, coeffs):
-        self.min_degree = min_degree
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def unit(cls, length):
-        return cls(0, [FormalPoly.constant(1)] + [FormalPoly()] * (length - 1))
-
-    def __mul__(self, other):
-        rel = min(len(self.coeffs), len(other.coeffs))
-        out = []
-        for j in range(rel):
-            acc = FormalPoly()
-            for i in range(j + 1):
-                if self.coeffs[i].is_zero or other.coeffs[j - i].is_zero:
-                    continue
-                acc = acc + self.coeffs[i] * other.coeffs[j - i]
-            out.append(acc)
-        return _FormalSeries(self.min_degree + other.min_degree, out)
-
-    def scale(self, q):
-        return _FormalSeries(self.min_degree, [c.scale(q) for c in self.coeffs])
-
-    def coefficient(self, degree):
-        idx = degree - self.min_degree
-        if idx < 0:
-            return FormalPoly()
-        if idx >= len(self.coeffs):
-            raise IndexError("degree %d outside window" % degree)
-        return self.coeffs[idx]
-
-    @property
-    def top_degree(self):
-        return self.min_degree + len(self.coeffs) - 1
-
-
-def _formal_factor(a, b, length):
-    coeffs = []
-    min_degree = 0
-    if a == 1:
-        coeffs.append(FormalPoly.constant(Fraction(1, b)))
-        min_degree = -1
-        taylor = length - 1
-    else:
-        taylor = length
-    for k in range(taylor):
-        coeffs.append(FormalPoly.variable(a, k, Fraction(b) ** k))
-    return _FormalSeries(min_degree, coeffs)
+def _symbols(a, b, count):
+    return [FormalPoly.variable(a, k, b**k) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -221,22 +99,7 @@ def formal_cancellation_check(expression):
             formal_pole_order=0,
             all_deep_vanish=True,
         )
-    length = q_max + 2  # window reaches degree -q + length - 1 >= 1 for every term
-    acc = None
-    for monomial, coeff in expression.sorted_terms():
-        series = _FormalSeries.unit(length)
-        for factor in monomial.factors:
-            series = series * _formal_factor(factor.a, factor.b, length)
-        series = series.scale(coeff)
-        if acc is None:
-            acc = series
-        else:
-            lo = min(acc.min_degree, series.min_degree)
-            hi = min(acc.top_degree, series.top_degree)
-            merged = [
-                acc.coefficient(d) + series.coefficient(d) for d in range(lo, hi + 1)
-            ]
-            acc = _FormalSeries(lo, merged)
+    acc = expand(expression, q_max, FormalPoly, _symbols)
 
     verdicts = []
     formal_pole_order = 0

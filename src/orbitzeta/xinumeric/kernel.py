@@ -22,7 +22,6 @@ principal part 1/(z-1) is carried exactly and never enters the quadrature.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,23 +130,22 @@ class XiPointExpansion:
 
 
 _expansion_cache = {}
-_expansion_lock = threading.Lock()
 
 
 def expansion_at(point, config=None):
-    """Cached Taylor expansion of (the regular part of) xi at an integer >= 1."""
+    """Cached Taylor expansion of (the regular part of) xi at an integer >= 1.
+
+    The table cache and mpmath's working precision are process-global, so
+    the numeric layer is for single-threaded use.
+    """
     config = config or PrecisionConfig.default()
     if point < 1:
         raise ValueError("expansion point must be an integer >= 1")
     key = (config, point)
-    with _expansion_lock:
-        hit = _expansion_cache.get(key)
-    if hit is not None:
-        return hit
-    exp = _compute_expansion(point, config)
-    with _expansion_lock:
-        _expansion_cache[key] = exp
-    return exp
+    hit = _expansion_cache.get(key)
+    if hit is None:
+        hit = _expansion_cache[key] = _compute_expansion(point, config)
+    return hit
 
 
 def _compute_expansion(point, config):

@@ -1,9 +1,13 @@
 """Truncated Laurent expansion at s = 0 of symbolic xi-factor expressions.
 
-A factor xi(a + b*s) with a >= 2 contributes a plain Taylor series; a factor
-with a = 1 contributes exactly 1/(b*s) plus the Taylor series of the regular
-part at 1.  Principal-part coefficients are exact rationals; everything else
-is a big float carrying a propagated absolute-error estimate.
+One series engine serves two coefficient rings.  A factor xi(a + b*s) with
+a >= 2 contributes the Taylor series of xi at a; a factor with a = 1
+contributes exactly 1/(b*s) plus the Taylor series of the regular part at 1.
+expand() multiplies these factor series per monomial and sums the terms.
+laurent_expand runs it over (value, error) coefficients: principal-part
+coefficients are exact rationals, everything else is a big float carrying a
+propagated absolute-error estimate.  formal_cancellation_check (formal.py)
+runs it over FormalPoly, with the Taylor coefficients left symbolic.
 
 Series windows: a series stores a contiguous block of coefficients starting
 at min_degree.  Products of series with the same relative length keep that
@@ -20,8 +24,11 @@ floor is reported as indeterminate rather than silently classified.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -39,51 +46,84 @@ def _is_exact(value):
     return isinstance(value, (Fraction, int))
 
 
+class _Approx(NamedTuple):
+    """Numeric series coefficient: exact Fraction or mpf value, absolute error.
+
+    A pair, so LaurentSeries.coefficient still unpacks as (value, error); +
+    and * are coefficient arithmetic with error propagation, not tuple
+    concatenation and repetition.
+    """
+
+    value: object
+    error: float
+
+    @classmethod
+    def constant(cls, q):
+        return cls(q, 0.0)
+
+    @classmethod
+    def zero(cls):
+        return cls(Fraction(0), 0.0)
+
+    def __add__(self, other):
+        return _Approx(self.value + other.value, self.error + other.error)
+
+    def __mul__(self, other):
+        x, ex = self
+        y, ey = other
+        return _Approx(x * y, abs(float(x)) * ey + abs(float(y)) * ex + ex * ey)
+
+    def scale(self, q):
+        return _Approx(self.value * q, self.error * (abs(float(q)) * (1 + 1e-12)))
+
+
+@dataclass(frozen=True, slots=True)
 class LaurentSeries:
-    """Finite block of Laurent coefficients with per-coefficient error bounds."""
+    """Finite block of Laurent coefficients over one coefficient ring.
 
-    __slots__ = ("min_degree", "values", "errors")
+    coeffs[i] is the coefficient of s^(min_degree + i).  The numeric ring's
+    coefficients are (value, error) pairs; classify, noise_floor,
+    is_zero_to_precision and to_json apply to that ring only.
+    """
 
-    def __init__(self, min_degree, values, errors):
-        values = tuple(values)
-        errors = tuple(float(e) for e in errors)
-        if len(values) != len(errors):
-            raise ValueError("values and errors must align")
-        if not values:
-            raise ValueError("series needs at least one stored coefficient")
-        object.__setattr__(self, "min_degree", int(min_degree))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "errors", errors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
-
-    @classmethod
-    def zero(cls, length=1, min_degree=0):
-        return cls(min_degree, (Fraction(0),) * length, (0.0,) * length)
-
-    @classmethod
-    def unit(cls, length):
-        values = (Fraction(1),) + (Fraction(0),) * (length - 1)
-        return cls(0, values, (0.0,) * length)
+    min_degree: int
+    coeffs: tuple
 
     @property
     def top_degree(self):
-        return self.min_degree + len(self.values) - 1
+        return self.min_degree + len(self.coeffs) - 1
 
     def degrees(self):
         return range(self.min_degree, self.top_degree + 1)
 
     def coefficient(self, degree):
-        """(value, error) at a degree; degrees below the window are exact zero."""
+        """Coefficient at a degree; degrees below the window are exact zero."""
         if degree < self.min_degree:
-            return Fraction(0), 0.0
+            return type(self.coeffs[0]).zero()
         if degree > self.top_degree:
             raise IndexError(
                 "degree %d above certified window (top %d)" % (degree, self.top_degree)
             )
-        idx = degree - self.min_degree
-        return self.values[idx], self.errors[idx]
+        return self.coeffs[degree - self.min_degree]
+
+    def __add__(self, other):
+        lo = min(self.min_degree, other.min_degree)
+        hi = min(self.top_degree, other.top_degree)
+        return LaurentSeries(
+            lo, tuple(self.coefficient(d) + other.coefficient(d) for d in range(lo, hi + 1))
+        )
+
+    def __mul__(self, other):
+        rel = min(len(self.coeffs), len(other.coeffs))
+        zero = type(self.coeffs[0]).zero()
+        return LaurentSeries(self.min_degree + other.min_degree, tuple(
+            sum((self.coeffs[i] * other.coeffs[j - i] for i in range(j + 1)), zero)
+            for j in range(rel)
+        ))
+
+    def scale(self, q):
+        q = Fraction(q)
+        return LaurentSeries(self.min_degree, tuple(c.scale(q) for c in self.coeffs))
 
     def noise_floor(self, degree):
         return NOISE_FLOOR_FACTOR * self.coefficient(degree)[1]
@@ -105,52 +145,8 @@ class LaurentSeries:
     def is_zero_to_precision(self):
         return all(self.classify(d) == "zero" for d in self.degrees())
 
-    def __add__(self, other):
-        lo = min(self.min_degree, other.min_degree)
-        hi = min(self.top_degree, other.top_degree)
-        if hi < lo:
-            raise ValueError("windows do not overlap")
-        values = []
-        errors = []
-        for d in range(lo, hi + 1):
-            v1, e1 = self.coefficient(d)
-            v2, e2 = other.coefficient(d)
-            values.append(v1 + v2)
-            errors.append(e1 + e2)
-        return LaurentSeries(lo, values, errors)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return self.scale(other)
-        rel = min(len(self.values), len(other.values))
-        lo = self.min_degree + other.min_degree
-        values = []
-        errors = []
-        for j in range(rel):
-            acc = Fraction(0)
-            err = 0.0
-            for i in range(j + 1):
-                x = self.values[i]
-                ex = self.errors[i]
-                y = other.values[j - i]
-                ey = other.errors[j - i]
-                acc = acc + x * y
-                err += abs(float(x)) * ey + abs(float(y)) * ex + ex * ey
-            values.append(acc)
-            errors.append(err)
-        return LaurentSeries(lo, values, errors)
-
-    def scale(self, q):
-        q = Fraction(q)
-        mag = abs(float(q)) * (1 + 1e-12)
-        return LaurentSeries(
-            self.min_degree,
-            tuple(v * q for v in self.values),
-            tuple(e * mag for e in self.errors),
-        )
-
     def __repr__(self):
-        return "LaurentSeries(min_degree=%d, %d coeffs)" % (self.min_degree, len(self.values))
+        return "LaurentSeries(min_degree=%d, %d coeffs)" % (self.min_degree, len(self.coeffs))
 
     def to_json(self, digits=30):
         report = residue_at_zero(self)
@@ -161,7 +157,7 @@ class LaurentSeries:
                     "value": _format_value(v, digits),
                     "error": "%.3e" % e,
                 }
-                for v, e in zip(self.values, self.errors)
+                for v, e in self.coeffs
             ],
             "pole_order": report.pole_order,
             "residue": _format_value(report.residue, digits),
@@ -252,50 +248,59 @@ def residue_at_zero(series):
     )
 
 
-def _factor_series(a, b, config, length):
-    """Laurent series of xi(a + b*s) with `length` stored coefficients."""
-    table = expansion_at(a, config)
-    values = []
-    errors = []
+def factor_series(a, b, length, ring, taylor):
+    """Series of xi(a + b*s) with `length` stored coefficients in `ring`.
+
+    taylor(a, b, count) returns the first count coefficients of the regular
+    part of xi(a + b*s) in powers of s; at a = 1 the principal part 1/(b*s)
+    is prepended exactly.
+    """
     if a == 1:
-        values.append(Fraction(1, b))
-        errors.append(0.0)
-        min_degree = -1
-        taylor_needed = length - 1
-    else:
-        min_degree = 0
-        taylor_needed = length
-    bpow = mpf(1)
-    for k in range(taylor_needed):
-        values.append(table.coefficients[k] * bpow)
-        errors.append(table.errors[k] * float(bpow))
-        bpow *= b
-    return LaurentSeries(min_degree, values, errors)
+        return LaurentSeries(-1, (ring.constant(Fraction(1, b)), *taylor(1, b, length - 1)))
+    return LaurentSeries(0, tuple(taylor(a, b, length)))
+
+
+def expand(expression, length, ring, taylor):
+    """Laurent series of a nonzero XiExpression over one coefficient ring.
+
+    Each monomial's factor series, stored to `length` orders, are multiplied,
+    scaled by the monomial's coefficient and summed.  ring is the coefficient
+    type: ring.constant(q) lifts an exact rational and ring.zero() is its
+    zero.  taylor is as in factor_series.
+    """
+    unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
+    acc = None
+    for monomial, coeff in expression.sorted_terms():
+        factors = [factor_series(f.a, f.b, length, ring, taylor) for f in monomial.factors]
+        series = reduce(operator.mul, factors or [unit]).scale(coeff)
+        acc = series if acc is None else acc + series
+    return acc
 
 
 def laurent_expand(expression, config=None):
-    """Expand a XiExpression at s = 0 into a LaurentSeries.
+    """Expand a XiExpression at s = 0 into a LaurentSeries of (value, error) pairs.
 
     The certified window is [-q, K - q] where q is the largest polar-factor
     count of any monomial and K the configured expansion order; the order
     must exceed q by at least 2 or the expansion is refused outright.
     """
     config = config or PrecisionConfig.default()
+    length = config.expansion_order + 1
     if expression.is_zero:
-        return LaurentSeries.zero(length=config.expansion_order + 1, min_degree=0)
+        return LaurentSeries(0, (_Approx.zero(),) * length)
     q_max = expression.max_polar_count()
     if config.expansion_order < q_max + 2:
         raise ExpansionOrderError(
             "expansion_order %d cannot cover pole order bound %d plus margin"
             % (config.expansion_order, q_max)
         )
-    length = config.expansion_order + 1
+
+    def taylor(a, b, count):
+        table = expansion_at(a, config)
+        return [
+            _Approx(table.coefficients[k] * b**k, table.errors[k] * b**k)
+            for k in range(count)
+        ]
+
     with mp.workdps(config.internal_dps):
-        acc = None
-        for monomial, coeff in expression.sorted_terms():
-            series = LaurentSeries.unit(length)
-            for factor in monomial.factors:
-                series = series * _factor_series(factor.a, factor.b, config, length)
-            series = series.scale(coeff)
-            acc = series if acc is None else acc + series
-        return acc
+        return expand(expression, length, _Approx, taylor)

@@ -10,6 +10,7 @@ from orbitzeta.partitions import Partition
 from orbitzeta.xi_algebra import XiExpression, XiFactor, h_orbit, z_orbit
 from orbitzeta.xinumeric import (
     ExpansionOrderError,
+    FormalPoly,
     LaurentSeries,
     PrecisionConfig,
     formal_cancellation_check,
@@ -174,6 +175,16 @@ def test_formal_zero_orbit_has_simple_pole_formally():
     assert report.formal_pole_order == 1
 
 
+def test_formal_poly_canonical_form_and_text():
+    t = FormalPoly.variable
+    p = FormalPoly({((2, 1), (1, 0)): 3, ((1, 0), (2, 1)): -1, (): Fraction(-1, 2)})
+    assert p == FormalPoly({((1, 0), (2, 1)): 2, (): Fraction(-1, 2)})
+    assert hash(p) == hash(FormalPoly(dict(p.terms)))
+    assert str(p) == "-1/2 + 2*t[1;0]*t[2;1]"
+    assert str(t(1, 0) * t(1, 0) - t(3, 2, 2)) == "t[1;0]^2 - 2*t[3;2]"
+    assert (p - p).is_zero and str(p - p) == "0"
+
+
 def test_formal_all_orbits_through_three_deep_vanish():
     from orbitzeta.partitions import partitions_of
 
@@ -184,41 +195,55 @@ def test_formal_all_orbits_through_three_deep_vanish():
 
 
 def test_formal_matches_numeric_on_random_substitution():
-    """A formally-zero polynomial must evaluate to zero under any assignment;
-    substitute small rationals for the symbolic Taylor coefficients and
-    compare against an independent direct expansion."""
-    import itertools
+    """A formally-zero polynomial must evaluate to zero under any assignment,
+    and a surviving one should not vanish at a random point.  Substitute
+    seeded random rationals for the symbolic Taylor coefficients, expand
+    every h and z with n <= 5 by an independent direct expansion, and
+    compare with the formal verdict at every degree from -q_max to -1."""
     import random
     from fractions import Fraction as F
 
+    from orbitzeta.partitions import partitions_of
+
     rng = random.Random(7)
-    expr = h_orbit(Partition((2, 1)))
     table = {}
 
     def coeff(a, k):
+        # nonzero and drawn from a wide range, so a surviving polynomial is
+        # unlikely to vanish at the point (Schwartz-Zippel)
         if (a, k) not in table:
-            table[(a, k)] = F(rng.randint(-20, 20), rng.randint(1, 9))
+            table[(a, k)] = F(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 999))
         return table[(a, k)]
 
-    length = 5
-    total = {}
-    for monomial, c in expr.sorted_terms():
-        acc = {0: F(1)}
-        for factor in monomial.factors:
-            fac = {}
-            if factor.a == 1:
-                fac[-1] = F(1, factor.b)
-                for k in range(length):
-                    fac[k] = coeff(1, k) * F(factor.b) ** k
-            else:
-                for k in range(length):
-                    fac[k] = coeff(factor.a, k) * F(factor.b) ** k
-            nxt = {}
-            for d1, v1 in acc.items():
-                for d2, v2 in fac.items():
-                    if d1 + d2 <= 2:
-                        nxt[d1 + d2] = nxt.get(d1 + d2, F(0)) + v1 * v2
-            acc = nxt
-        for d, v in acc.items():
-            total[d] = total.get(d, F(0)) + c * v
-    assert total.get(-2, F(0)) == 0  # matches the formal verdict exactly
+    def substituted(expr, q_max):
+        # a degree-d coefficient, d <= -1, uses Taylor orders below q_max only
+        total = {}
+        for monomial, c in expr.sorted_terms():
+            acc = {0: F(1)}
+            for factor in monomial.factors:
+                fac = {k: coeff(factor.a, k) * F(factor.b) ** k for k in range(q_max)}
+                if factor.a == 1:
+                    fac[-1] = F(1, factor.b)
+                nxt = {}
+                for d1, v1 in acc.items():
+                    for d2, v2 in fac.items():
+                        if d1 + d2 <= -1 + q_max:
+                            nxt[d1 + d2] = nxt.get(d1 + d2, F(0)) + v1 * v2
+                acc = nxt
+            for d, v in acc.items():
+                total[d] = total.get(d, F(0)) + c * v
+        return total
+
+    checked = 0
+    for n in range(1, 6):
+        for p in partitions_of(n):
+            for expr in (h_orbit(p), z_orbit(p)):
+                q_max = expr.max_polar_count()
+                report = formal_cancellation_check(expr)
+                assert report.pole_bound == q_max
+                total = substituted(expr, q_max)
+                for d in range(-q_max, 0):
+                    ok, text = report.verdict(d)
+                    assert ok == (total.get(d, F(0)) == 0), (p, d, text)
+                    checked += 1
+    assert checked > 50
