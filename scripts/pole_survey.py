@@ -19,12 +19,13 @@ import mpmath
 from mpmath import mp
 
 from orbitzeta import __version__
-from orbitzeta.partitions import Partition, enumerate_classes, partitions_of
+from orbitzeta.partitions import enumerate_classes, partitions_of
 from orbitzeta.xi_algebra import h_orbit
 from orbitzeta.xinumeric import (
     PrecisionConfig,
     formal_cancellation_check,
     laurent_expand,
+    residue_anchor,
     residue_at_zero,
 )
 
@@ -33,32 +34,6 @@ def as_mpf(x):
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.re(mpmath.mpc(x))
-
-
-def library_xi(k):
-    return (
-        mpmath.power(mpmath.pi, -mpmath.mpf(k) / 2)
-        * mpmath.gamma(mpmath.mpf(k) / 2)
-        * mpmath.zeta(k)
-    )
-
-
-def anchor_for(p):
-    """Independent target residue where one is known in closed form."""
-    n = p.n
-    if p == Partition((1,) * n):
-        prod = mpmath.mpf(1)
-        for k in range(2, n + 1):
-            prod *= library_xi(k)
-        return prod
-    if p == Partition((2, 1)):
-        ratio = (
-            -mpmath.log(mpmath.pi) / 2
-            + mpmath.digamma(1) / 2
-            + mpmath.zeta(2, derivative=1) / mpmath.zeta(2)
-        )
-        return (mpmath.pi / 6) * ratio
-    return None
 
 
 def survey(max_n, digits):
@@ -90,7 +65,7 @@ def survey(max_n, digits):
                         for d, m, f in rr.audit
                     ],
                 }
-                target = anchor_for(p)
+                target = residue_anchor(p.parts, digits)
                 if target is not None:
                     row["anchor"] = mpmath.nstr(target, 15)
                     row["anchor_diff"] = "%.3e" % abs(as_mpf(rr.residue) - target)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 
 from . import __version__
 from .partitions import Partition, enumerate_classes, partitions_of, young_stats
@@ -35,9 +34,8 @@ from .xinumeric import (
     PrecisionError,
     formal_cancellation_check,
     laurent_expand,
+    residue_anchor,
     residue_at_zero,
-    xi_point,
-    xi_value_fd,
 )
 from .truncation import cone_accepts, cone_membership, semistandard_all
 from .truncation.sampling import verify_cones
@@ -132,45 +130,17 @@ def cmd_orbits(cfg):
     return 0, _emit(payload, cfg.fmt, lines, csv_rows)
 
 
-def _fraction_json(x):
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def _anchors(n, pcfg):
-    """Independently computed target residues for the gated sizes.
-
-    The zero-orbit values multiply direct point evaluations of the
-    completed zeta function; the subregular value is the finite-difference
-    derivative, a route disjoint from the contour tables the report
-    itself uses.
-    """
-    out = {}
-    if n == 1:
-        out[str(Partition((1,)))] = mpmath.mpf(1)
-    if n >= 2:
-        with mp.workdps(pcfg.working_digits + 10):
-            prod = mpmath.mpf(1)
-            for k in range(2, n + 1):
-                val, _ = xi_point(mpmath.mpf(k), pcfg.working_digits)
-                prod *= val
-            out[str(Partition((1,) * n))] = mpmath.re(prod)
-    if n == 3:
-        out[str(Partition((2, 1)))] = xi_value_fd(2, 1, pcfg).value
-    return out
-
-
 def cmd_residues(cfg):
     """Per-orbit pole data for one size: symbolic sum, formal cancellation
     verdicts, numeric pole order, residue with propagated error.
 
-    Sizes up to 3 are gated against independently computed targets; the
+    Sizes up to 3 are gated against the closed-form residue anchors; the
     command exits 1 when any gated value or pole order deviates.
     """
     n = cfg.n
     if n is None or not 1 <= n <= 6:
         raise UsageError("residues needs --n between 1 and 6")
     pcfg = cfg.precision().for_orbit_size(n)
-    anchors = _anchors(n, pcfg) if n <= 3 else {}
     gate_failures = []
     rows = []
     for p in partitions_of(n):
@@ -191,7 +161,7 @@ def cmd_residues(cfg):
                 gate_failures.append("%s: pole order %r" % (p, rr.pole_order))
             if not formal.all_deep_vanish:
                 gate_failures.append("%s: deep coefficient not formally zero" % (p,))
-            target = anchors.get(str(p))
+            target = residue_anchor(p.parts, pcfg.working_digits)
             if target is not None:
                 diff = abs(_as_mpf(rr.residue) - target)
                 row["anchor"] = mpmath.nstr(target, 12)
@@ -306,6 +276,7 @@ def cmd_expand(cfg):
     expr = h_orbit(p) if cfg.what == "h" else z_orbit(p)
     series = laurent_expand(expr, pcfg)
     rr = residue_at_zero(series)
+    residue = rr.to_json()
     payload = {
         "command": "expand",
         "version": __version__,
@@ -313,8 +284,10 @@ def cmd_expand(cfg):
         "what": cfg.what,
         "precision": pcfg.to_json(),
         "symbolic": str(expr),
-        "series": series.to_json(),
-        "residue": rr.to_json(),
+        "series": dict(
+            series.to_json(), pole_order=rr.pole_order, residue=residue["residue"]
+        ),
+        "residue": residue,
     }
     lines = ["%s for %s" % ("sum" if cfg.what == "h" else "product", p)]
     for d in series.degrees():

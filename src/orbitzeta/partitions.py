@@ -52,10 +52,6 @@ class Partition:
         """The integer being partitioned (sum of parts)."""
         return sum(self.parts)
 
-    @property
-    def num_parts(self):
-        return len(self.parts)
-
     def multiplicity(self, i):
         """Number of parts equal to i."""
         return sum(1 for p in self.parts if p == i)

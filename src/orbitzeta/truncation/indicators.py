@@ -7,24 +7,22 @@ so all decisions are exact integer sign tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .instability import arranged_semistable, indicator_F
+from .instability import arranged_semistable, indicator_F, subset_sums
 from .roots import (
     StandardParabolic,
     WallError,
-    arrangements,
+    arranged_pairs,
     as_fractions,
+    coarsenings_of,
     consecutive_root_gaps,
     epsilon_between,
     group,
-    refinements_within,
-    coarsenings_of,
+    leading_sums,
     relative_weight_gaps,
 )
-from .instability import MAX_SUBSET_BLOCK
-
-import itertools
 
 __all__ = [
     "indicator_tau",
@@ -68,23 +66,13 @@ def indicator_tau_hat(P, Q, H):
     return 1 if all(g > 0 for g in relative_weight_gaps(P, Q, sums)) else 0
 
 
-def _leading_sums(P, Q, sums):
-    """First sub-block sum inside each ambient block."""
-    out = []
-    idx = 0
-    for sub in P.split_by(Q):
-        out.append(sums[idx])
-        idx += len(sub)
-    return out
-
-
 def indicator_chi(P, Q, H):
     """1 iff the leading sub-block coordinate sum in each ambient block
     is <= 0 (the scaled leading-weight pairing)."""
     H = as_fractions(H)
     _validate(P, Q, H)
     sums = P.block_sums(H)
-    return 1 if all(s <= 0 for s in _leading_sums(P, Q, sums)) else 0
+    return 1 if all(s <= 0 for s in leading_sums(P, Q, sums)) else 0
 
 
 def e_sum_terms(Q, H):
@@ -99,63 +87,40 @@ def e_sum_terms(Q, H):
     H = as_fractions(H)
     if len(H) != Q.n:
         raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
-    terms = []
-    for P in refinements_within(Q):
-        for arr in arrangements(P, Q):
-            sums = tuple(sum(H[i] for i in S) for S in arr)
-            if any(g <= 0 for g in consecutive_root_gaps(P, Q, sums)):
-                continue
-            if any(s > 0 for s in _leading_sums(P, Q, sums)):
-                continue
-            if not arranged_semistable(arr, H):
-                continue
-            terms.append((P, arr))
-    return terms
+    return [
+        (P, arr)
+        for P, arr, sums in arranged_pairs(Q, H)
+        if all(g > 0 for g in consecutive_root_gaps(P, Q, sums))
+        and all(s <= 0 for s in leading_sums(P, Q, sums))
+        and arranged_semistable(arr, H)
+    ]
 
 
 def _e_subsets(Q, H):
     """Literal closure criterion: inside each block of Q every nonempty
     index subset must have coordinate sum <= 0."""
     H = as_fractions(H)
-    for a, b in Q.intervals:
-        m = b - a
-        if m > MAX_SUBSET_BLOCK:
-            raise ValueError("block too large for literal subset scan")
-        vals = H[a:b]
-        for size in range(1, m + 1):
-            for T in itertools.combinations(vals, size):
-                if sum(T) > 0:
-                    return False
-    return True
+    return all(s <= 0 for a, b in Q.intervals for _, s in subset_sums(H[a:b]))
 
 
-def indicator_E(Q, H, method="checked"):
-    """Slope truncation indicator, computed one of three ways.
+def indicator_E(Q, H):
+    """Slope truncation indicator, computed two ways and cross-checked.
 
-    method="sum": the structured sum over (refinement, arrangement) pairs,
-    raising if more than one term contributes.  method="subsets": the
-    literal subset-closure criterion per block.  method="checked"
-    (default): run both and raise if they disagree; the agreement is a
-    theorem, so a mismatch signals an implementation bug.
+    The structured sum over (refinement, arrangement) pairs must have at
+    most one contributing term, and its count must equal the literal
+    subset-closure criterion per block; the agreement is a theorem, so
+    either failure raises ArithmeticError as an implementation bug.
     """
-    if method == "sum":
-        terms = e_sum_terms(Q, H)
-        if len(terms) > 1:
-            raise ArithmeticError(
-                "structured sum produced %d overlapping terms" % len(terms)
-            )
-        return len(terms)
-    if method == "subsets":
-        return 1 if _e_subsets(Q, H) else 0
-    if method == "checked":
-        by_sum = indicator_E(Q, H, method="sum")
-        by_subsets = indicator_E(Q, H, method="subsets")
-        if by_sum != by_subsets:
-            raise ArithmeticError(
-                "the two routes disagree: sum=%d subsets=%d" % (by_sum, by_subsets)
-            )
-        return by_sum
-    raise ValueError("unknown method %r" % (method,))
+    terms = e_sum_terms(Q, H)
+    if len(terms) > 1:
+        raise ArithmeticError("structured sum produced %d overlapping terms" % len(terms))
+    by_sum = len(terms)
+    by_subsets = 1 if _e_subsets(Q, H) else 0
+    if by_sum != by_subsets:
+        raise ArithmeticError(
+            "the two routes disagree: sum=%d subsets=%d" % (by_sum, by_subsets)
+        )
+    return by_sum
 
 
 def indicator_sigma(P1, P2, H):
@@ -206,25 +171,15 @@ def levi_sum_tau_hat(M, H):
     for a, b in M.intervals:
         if any(H[i] != H[a] for i in range(a, b)):
             raise ValueError("point is not block-constant on %s" % (M,))
-    n = M.n
-    sizes = M.blocks
+    G = group(M.n)
     sums = M.block_sums(H)
-    total = sum(sums)
     count = 0
     for order in itertools.permutations(range(M.r)):
-        fired = True
-        psum = 0
-        psize = 0
-        for u in order[:-1]:
-            psum += sums[u]
-            psize += sizes[u]
-            gap = n * psum - psize * total
-            if gap == 0:
-                raise WallError("ordering %r pairs to zero" % (order,))
-            if gap < 0:
-                fired = False
-        if fired:
-            count += 1
+        P = StandardParabolic(tuple(M.blocks[u] for u in order))
+        gaps = relative_weight_gaps(P, G, tuple(sums[u] for u in order))
+        if 0 in gaps:
+            raise WallError("ordering %r pairs to zero" % (order,))
+        count += all(g > 0 for g in gaps)
     return count
 
 
@@ -259,15 +214,11 @@ def arthur_partition_report(Q, H):
         raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
     partition_sum = 0
     alternating = 0
-    for P in refinements_within(Q):
-        sign = epsilon_between(P, Q)
-        for arr in arrangements(P, Q):
-            sums = tuple(sum(H[i] for i in S) for S in arr)
-            if all(g > 0 for g in consecutive_root_gaps(P, Q, sums)):
-                if arranged_semistable(arr, H):
-                    partition_sum += 1
-            if all(g > 0 for g in relative_weight_gaps(P, Q, sums)):
-                alternating += sign
+    for P, arr, sums in arranged_pairs(Q, H):
+        if all(g > 0 for g in consecutive_root_gaps(P, Q, sums)) and arranged_semistable(arr, H):
+            partition_sum += 1
+        if all(g > 0 for g in relative_weight_gaps(P, Q, sums)):
+            alternating += epsilon_between(P, Q)
     return ArthurReport(
         partition_sum=partition_sum,
         semistable_direct=indicator_F(Q, H),

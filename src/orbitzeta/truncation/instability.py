@@ -4,8 +4,7 @@ The degree of a point relative to a block decomposition is the largest
 half-sum pairing over refinements and rearrangements.  Sorting a block in
 descending order and grouping equal values realizes the maximum, which is
 what the fast paths below exploit; the brute-force enumerations stay
-available as oracles and as the honest implementation of the exclusive
-reading (see degree_instability).
+available as the oracles they are tested against.
 """
 
 from __future__ import annotations
@@ -18,16 +17,40 @@ from .roots import (
     SemiStandardParabolic,
     StandardParabolic,
     WallTie,
-    arrangements,
+    arranged_pairs,
     as_fractions,
+    compositions,
+    consecutive_root_gaps,
     group,
-    ordered_set_partitions,
+    half_sums,
     refinements_within,
     relative_rho_values,
     relative_weight_gaps,
+    runs,
 )
 
 MAX_SUBSET_BLOCK = 22  # 2^22 subset scans are the ceiling for literal routes
+
+
+def subset_sums(values):
+    """(index subset, coordinate sum) for every nonempty subset of values,
+    smaller subsets first, each size in lexicographic order.
+
+    A literal 2^m scan, refused beyond MAX_SUBSET_BLOCK values.
+    """
+    m = len(values)
+    if m > MAX_SUBSET_BLOCK:
+        raise ValueError("block too large for literal subset scan")
+    for size in range(1, m + 1):
+        for T in itertools.combinations(range(m), size):
+            yield T, sum(values[i] for i in T)
+
+
+def _value_classes(values):
+    """Index sets of equal coordinates, largest value first, each ascending."""
+    # a stable sort keeps ascending indices among equal values
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    return tuple(tuple(c) for _, c in itertools.groupby(order, key=values.__getitem__))
 
 
 def block_degree(values):
@@ -39,70 +62,42 @@ def block_degree(values):
     (after - before)/2 * m * v.  Always >= 0; zero iff the block is
     constant.
     """
-    vals = sorted(as_fractions(values), reverse=True)
-    b = len(vals)
-    deg = Fraction(0)
-    before = 0
-    i = 0
-    while i < b:
-        j = i
-        while j < b and vals[j] == vals[i]:
-            j += 1
-        m = j - i
-        after = b - before - m
-        deg += Fraction(after - before, 2) * m * vals[i]
-        before += m
-        i = j
-    return deg
+    vals = as_fractions(values)
+    classes = _value_classes(vals)
+    rho = half_sums(tuple(len(c) for c in classes))
+    return sum((r * len(c) * vals[c[0]] for r, c in zip(rho, classes)), Fraction(0))
+
+
+def _rho_pairing(rho, sums):
+    """Half-sum values against block sums: sum of rho_j * s_j."""
+    return sum((r * s for r, s in zip(rho, sums)), Fraction(0))
 
 
 def pair_pairing(P, Q, arrangement, H):
     """Half-sum pairing <rho_P^Q, sums of the rearranged point>."""
-    rho = relative_rho_values(P, Q)
-    return sum(
-        (r * sum(H[i] for i in S) for r, S in zip(rho, arrangement)),
-        Fraction(0),
-    )
+    return _rho_pairing(relative_rho_values(P, Q), (sum(H[i] for i in S) for S in arrangement))
 
 
-def degree_pairs(Q, H, include_trivial_pair=True):
+def degree_pairs(Q, H):
     """All (refinement, arrangement, pairing) triples below Q.
 
-    The trivial pair is (Q, identity) with pairing exactly 0; excluding it
-    leaves an empty collection only when Q has no block of size >= 2.
+    The trivial pair (Q, identity) is among them, with pairing exactly 0.
     """
     H = as_fractions(H)
-    out = []
-    for P in refinements_within(Q):
-        if not include_trivial_pair and P.blocks == Q.blocks:
-            continue
-        for arr in arrangements(P, Q):
-            out.append((P, arr, pair_pairing(P, Q, arr, H)))
-    return out
+    rho = {P: relative_rho_values(P, Q) for P in refinements_within(Q)}
+    return [(P, arr, _rho_pairing(rho[P], sums)) for P, arr, sums in arranged_pairs(Q, H)]
 
 
-def degree_instability(Q, H, include_trivial_pair=True):
+def degree_instability(Q, H):
     """Largest half-sum pairing over refinements of Q and rearrangements.
 
-    Inclusive mode admits the trivial pair (pairing 0), so the degree is
-    >= 0 and vanishes exactly on the Q-semistable points (each Q-block
-    constant).  Exclusive mode drops that single pair; it returns None for
-    the minimal decomposition, where no other pair exists, and agrees with
-    the inclusive value everywhere else (the pair set is closed under the
-    blockwise order reversal that negates pairings).
+    The trivial pair (pairing 0) is admitted, so the degree is >= 0 and
+    vanishes exactly on the Q-semistable points (each Q-block constant).
     """
     H = as_fractions(H)
     if len(H) != Q.n:
         raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
-    if include_trivial_pair:
-        total = Fraction(0)
-        for a, b in Q.intervals:
-            total += block_degree(H[a:b])
-        return total
-    pairs = degree_pairs(Q, H, include_trivial_pair=False)
-    if not pairs:
-        return None
-    return max(p for _, _, p in pairs)
+    return sum((block_degree(H[a:b]) for a, b in Q.intervals), Fraction(0))
 
 
 def indicator_F(P, H):
@@ -114,10 +109,7 @@ def indicator_F(P, H):
 def arranged_semistable(arrangement, H):
     """Semistability of the rearranged point for the blocks it is sorted
     into: every assigned index set carries a single value."""
-    for S in arrangement:
-        if block_degree([H[i] for i in S]) > 0:
-            return False
-    return True
+    return all(block_degree([H[i] for i in S]) <= 0 for S in arrangement)
 
 
 def semistable_three_ways(Q, H):
@@ -126,34 +118,18 @@ def semistable_three_ways(Q, H):
     Returns (by_degree, by_all_weights, by_corank_one_weights):
     degree <= 0; every relative fundamental-weight pairing over every
     refinement and rearrangement <= 0; the same restricted to refinements
-    splitting a single block once.
+    splitting a single block once (one block more than Q).
     """
     H = as_fractions(H)
     by_degree = degree_instability(Q, H) <= 0
 
-    by_all = True
-    for P in refinements_within(Q):
-        for arr in arrangements(P, Q):
-            sums = tuple(sum(H[i] for i in S) for S in arr)
-            if any(g > 0 for g in relative_weight_gaps(P, Q, sums)):
-                by_all = False
-                break
-        if not by_all:
-            break
+    def destabilized(pairs):
+        return any(g > 0 for P, _, sums in pairs for g in relative_weight_gaps(P, Q, sums))
 
-    by_maximal = True
-    for P in refinements_within(Q):
-        split_blocks = sum(1 for sub in P.split_by(Q) if len(sub) > 1)
-        if split_blocks != 1 or P.r != Q.r + 1:
-            continue
-        for arr in arrangements(P, Q):
-            sums = tuple(sum(H[i] for i in S) for S in arr)
-            if any(g > 0 for g in relative_weight_gaps(P, Q, sums)):
-                by_maximal = False
-                break
-        if not by_maximal:
-            break
-
+    by_all = not destabilized(arranged_pairs(Q, H))
+    by_maximal = not destabilized(
+        (P, arr, sums) for P, arr, sums in arranged_pairs(Q, H) if P.r == Q.r + 1
+    )
     return by_degree, by_all, by_maximal
 
 
@@ -172,12 +148,7 @@ class CanonicalPair:
 
     @property
     def blocks(self):
-        out = []
-        pos = 0
-        for b in self.parabolic.blocks:
-            out.append(tuple(self.weyl[pos : pos + b]))
-            pos += b
-        return tuple(out)
+        return tuple(runs(self.weyl, self.parabolic.blocks))
 
     def to_json(self):
         return {
@@ -187,14 +158,15 @@ class CanonicalPair:
         }
 
 
-def _verify_canonical_conditions(blocks, H):
+def _verify_canonical_conditions(pair, H):
     """The two characterizing conditions: each assigned block constant
     (rearranged point semistable for the block type) and assigned block
     averages strictly decreasing."""
-    if not arranged_semistable(blocks, H):
-        return False
-    avgs = [Fraction(sum(H[i] for i in S), len(S)) for S in blocks]
-    return all(a > b for a, b in zip(avgs, avgs[1:]))
+    blocks = pair.blocks
+    sums = tuple(sum(H[i] for i in S) for S in blocks)
+    return arranged_semistable(blocks, H) and all(
+        g > 0 for g in consecutive_root_gaps(pair.parabolic, group(len(H)), sums)
+    )
 
 
 def canonical_pair(H):
@@ -209,24 +181,14 @@ def canonical_pair(H):
     H = as_fractions(H)
     if not H:
         raise ValueError("empty point")
-    order = sorted(range(len(H)), key=lambda i: (-H[i], i))
-    blocks = []
-    sizes = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and H[order[j]] == H[order[i]]:
-            j += 1
-        blocks.append(tuple(order[i:j]))
-        sizes.append(j - i)
-        i = j
-    P = StandardParabolic(tuple(sizes))
+    blocks = _value_classes(H)
+    P = StandardParabolic(tuple(len(S) for S in blocks))
     pair = CanonicalPair(
         parabolic=P,
         weyl=tuple(itertools.chain.from_iterable(blocks)),
-        degree=pair_pairing(P, group(len(H)), tuple(blocks), H),
+        degree=pair_pairing(P, group(len(H)), blocks, H),
     )
-    if not _verify_canonical_conditions(pair.blocks, H):
+    if not _verify_canonical_conditions(pair, H):
         raise AssertionError("value-class pair failed its defining conditions")
     return pair
 
@@ -240,34 +202,24 @@ def canonical_pair_brute(H):
     against.
     """
     H = as_fractions(H)
-    n = len(H)
-    G = group(n)
-    pairs = degree_pairs(G, H, include_trivial_pair=True)
+    G = group(len(H))
+    pairs = degree_pairs(G, H)
     best = max(p for _, _, p in pairs)
-    maximizers = [(P, arr) for P, arr, p in pairs if p == best]
 
-    survivors = []
-    for P, arr in maximizers:
-        dominated = False
-        r = P.r
-        for cuts in range(1 << (r - 1)):
-            if cuts == (1 << (r - 1)) - 1:
-                continue  # all cuts kept: the pair itself
-            merged_sets = []
-            acc = list(arr[0])
-            for pos in range(r - 1):
-                if cuts & (1 << pos):
-                    merged_sets.append(tuple(sorted(acc)))
-                    acc = list(arr[pos + 1])
-                else:
-                    acc.extend(arr[pos + 1])
-            merged_sets.append(tuple(sorted(acc)))
-            merged_P = StandardParabolic(tuple(len(S) for S in merged_sets))
-            if pair_pairing(merged_P, G, tuple(merged_sets), H) == best:
-                dominated = True
-                break
-        if not dominated:
-            survivors.append((P, arr))
+    def attains_best(arr, lengths):
+        merged = tuple(
+            tuple(sorted(itertools.chain.from_iterable(run))) for run in runs(arr, lengths)
+        )
+        P = StandardParabolic(tuple(len(S) for S in merged))
+        return pair_pairing(P, G, merged, H) == best
+
+    # the last composition keeps every cut: the pair itself, not a merge
+    survivors = [
+        (P, arr)
+        for P, arr, p in pairs
+        if p == best
+        and not any(attains_best(arr, lengths) for lengths in compositions(P.r)[:-1])
+    ]
 
     if len(survivors) != 1:
         raise WallTie("%d maximal maximizers at degree %s" % (len(survivors), best))
@@ -289,21 +241,15 @@ def cone_accepts(prime, H):
     """
     H = as_fractions(H)
     sums = prime.block_sums(H)
-    sizes = prime.composition
-    for u in range(len(sizes) - 1):
-        if sums[u] * sizes[u + 1] - sums[u + 1] * sizes[u] <= 0:
-            return False
-    for S, total in zip(prime.blocks, sums):
-        m = len(S)
-        if m > MAX_SUBSET_BLOCK:
-            raise ValueError("block too large for literal subset scan")
-        if m == 1:
-            continue
-        for size in range(1, m):
-            for T in itertools.combinations(S, size):
-                if sum(H[i] for i in T) * m > total * size:
-                    return False
-    return True
+    P = StandardParabolic(prime.composition)
+    if any(g <= 0 for g in consecutive_root_gaps(P, group(P.n), sums)):
+        return False
+    # the full block passes trivially (sum * m == total * m)
+    return not any(
+        s * len(S) > total * len(T)
+        for S, total in zip(prime.blocks, sums)
+        for T, s in subset_sums([H[i] for i in S])
+    )
 
 
 def cone_membership(H):
@@ -344,18 +290,15 @@ def extremal_max_pair(H):
     """
     H = as_fractions(H)
     n = len(H)
-    if n > MAX_SUBSET_BLOCK:
-        raise ValueError("point too long for literal subset scan")
     best = None
     best_sets = []
-    for size in range(1, n + 1):
-        for T in itertools.combinations(range(n), size):
-            avg = Fraction(sum(H[i] for i in T), size)
-            if best is None or avg > best:
-                best = avg
-                best_sets = [T]
-            elif avg == best:
-                best_sets.append(T)
+    for T, s in subset_sums(H):
+        avg = Fraction(s, len(T))
+        if best is None or avg > best:
+            best = avg
+            best_sets = [T]
+        elif avg == best:
+            best_sets.append(T)
     top_size = max(len(T) for T in best_sets)
     winners = [T for T in best_sets if len(T) == top_size]
     if len(winners) != 1:

@@ -83,19 +83,9 @@ class StandardParabolic:
         return tuple(out)
 
     @property
-    def index_blocks(self):
-        return tuple(tuple(range(a, b)) for a, b in self.intervals)
-
-    @property
     def rho_values(self):
         """Per-block value of the half-sum of radical roots (block-constant)."""
-        out = []
-        before = 0
-        for b in self.blocks:
-            after = self.n - before - b
-            out.append(Fraction(after - before, 2))
-            before += b
-        return tuple(out)
+        return half_sums(self.blocks)
 
     def refines(self, other):
         """True when this composition splits each block of the other."""
@@ -133,19 +123,6 @@ class StandardParabolic:
         """Per-block coordinate sums of a point in Q^n."""
         return tuple(sum(point[i] for i in range(a, b)) for a, b in self.intervals)
 
-    def block_averages(self, point):
-        return tuple(
-            Fraction(s) / b if not isinstance(s, Fraction) else s / b
-            for s, b in zip(self.block_sums(point), self.blocks)
-        )
-
-    def project(self, point):
-        """Orthogonal projection onto block-constant vectors (block averaging)."""
-        out = []
-        for (a, b), avg in zip(self.intervals, self.block_averages(point)):
-            out.extend([avg] * (b - a))
-        return tuple(out)
-
     def __str__(self):
         return "(" + ",".join(str(b) for b in self.blocks) + ")"
 
@@ -177,25 +154,26 @@ def refinements_within(coarser):
     return out
 
 
+def runs(items, lengths):
+    """Split a sequence into consecutive runs of the given lengths."""
+    out = []
+    start = 0
+    for m in lengths:
+        out.append(items[start : start + m])
+        start += m
+    return out
+
+
 def coarsenings_of(finer):
     """All standard parabolics the given one refines (itself included).
 
-    A coarsening merges runs of adjacent blocks.
+    A coarsening merges runs of adjacent blocks; the run lengths range over
+    compositions(finer.r), in that order.
     """
-    r = finer.r
-    out = []
-    for cuts in range(1 << (r - 1)):
-        merged = []
-        acc = finer.blocks[0]
-        for pos in range(r - 1):
-            if cuts & (1 << pos):
-                merged.append(acc)
-                acc = finer.blocks[pos + 1]
-            else:
-                acc += finer.blocks[pos + 1]
-        merged.append(acc)
-        out.append(StandardParabolic(tuple(merged)))
-    return out
+    return [
+        StandardParabolic(tuple(sum(run) for run in runs(finer.blocks, lengths)))
+        for lengths in compositions(finer.r)
+    ]
 
 
 @dataclass(frozen=True)
@@ -287,6 +265,39 @@ def as_fractions(point):
     return tuple(Fraction(h) for h in point)
 
 
+def arranged_pairs(Q, H):
+    """Every pair below Q with its arranged block sums.
+
+    Yields (refinement P, arrangement, sums) for P over refinements_within(Q)
+    and the arrangement over arrangements(P, Q), in that order; sums[j] is
+    the coordinate sum of H over the index set assigned to P's j-th block.
+    """
+    for P in refinements_within(Q):
+        for arr in arrangements(P, Q):
+            yield P, arr, tuple(sum(H[i] for i in S) for S in arr)
+
+
+def half_sums(sizes):
+    """Half-sum of radical roots per block of a composition: a block with
+    `before` earlier and `after` later coordinates gets (after - before)/2."""
+    total = sum(sizes)
+    out = []
+    before = 0
+    for m in sizes:
+        after = total - before - m
+        out.append(Fraction(after - before, 2))
+        before += m
+    return tuple(out)
+
+
+def _within_blocks(P, Q, sums):
+    """P's sub-block sizes inside each Q-block, with their entries of sums."""
+    start = 0
+    for sub in P.split_by(Q):
+        yield sub, sums[start : start + len(sub)]
+        start += len(sub)
+
+
 def relative_rho_values(P, Q):
     """Half-sum values of P relative to Q, aligned with P's blocks.
 
@@ -294,15 +305,7 @@ def relative_rho_values(P, Q):
     vector; across Q-blocks the contributions are independent.  For Q the
     full group this reduces to P.rho_values.
     """
-    out = []
-    for sub in P.split_by(Q):
-        b = sum(sub)
-        before = 0
-        for m in sub:
-            after = b - before - m
-            out.append(Fraction(after - before, 2))
-            before += m
-    return tuple(out)
+    return tuple(itertools.chain.from_iterable(half_sums(sub) for sub in P.split_by(Q)))
 
 
 def relative_weight_gaps(P, Q, sums):
@@ -315,18 +318,13 @@ def relative_weight_gaps(P, Q, sums):
     by L > 0, so signs are preserved and arithmetic stays in integers
     whenever the sums are integers.
     """
-    subs = P.split_by(Q)
     out = []
-    idx = 0
-    for sub in subs:
-        t = len(sub)
-        block_sums = sums[idx : idx + t]
-        idx += t
+    for sub, block_sums in _within_blocks(P, Q, sums):
         L = sum(sub)
         total = sum(block_sums)
         psum = 0
         psize = 0
-        for u in range(t - 1):
+        for u in range(len(sub) - 1):
             psum += block_sums[u]
             psize += sub[u]
             out.append(L * psum - psize * total)
@@ -336,16 +334,16 @@ def relative_weight_gaps(P, Q, sums):
 def consecutive_root_gaps(P, Q, sums):
     """Simple-root pairings: consecutive block-average differences within
     each Q-block, scaled by the (positive) product of the two block sizes."""
-    subs = P.split_by(Q)
-    out = []
-    idx = 0
-    for sub in subs:
-        t = len(sub)
-        block_sums = sums[idx : idx + t]
-        idx += t
-        for u in range(t - 1):
-            out.append(block_sums[u] * sub[u + 1] - block_sums[u + 1] * sub[u])
-    return tuple(out)
+    return tuple(
+        block_sums[u] * sub[u + 1] - block_sums[u + 1] * sub[u]
+        for sub, block_sums in _within_blocks(P, Q, sums)
+        for u in range(len(sub) - 1)
+    )
+
+
+def leading_sums(P, Q, sums):
+    """First sub-block sum inside each ambient block."""
+    return [block_sums[0] for _, block_sums in _within_blocks(P, Q, sums)]
 
 
 def epsilon_between(P, Q):

@@ -4,15 +4,16 @@ Sampling convention: coordinates are fractions with integer numerators in
 [-100, 100] and denominators in [1, 20], drawn from a seeded generator so
 every run is reproducible.  Each identity is homogeneous of degree one in
 the point, so samples are cleared to integer vectors (multiply by the lcm
-of the denominators, at most lcm(1..20) = 232792560) before evaluation;
-all sign tests are then plain integer comparisons.  With 64-bit integers
-the largest intermediate is bounded by n^2 * 100 * lcm(1..20) < 2^63 for
-every n used here, which the vectorized path asserts.
+of the denominators, at most lcm(1..20) = 232792560) before evaluation.
 
-The scalar verifiers call the public operations unchanged.  The Levi-sum
-sweep has its own vectorized evaluation (720 orderings x 10^4 samples is
-out of reach for per-sample Python); its agreement with the scalar
-operation is pinned by tests.
+The scalar verifiers call the public operations unchanged, which turn the
+cleared integers back into Fractions (as_fractions), so their sign tests
+are exact rational comparisons.  The Levi-sum and slope-indicator sweeps
+have their own vectorized evaluation (720 orderings x 10^4 samples is out
+of reach for per-sample Python) whose sign tests are int64 comparisons:
+the largest intermediate is bounded by n^2 * 100 * lcm(1..20) < 2^63 for
+every n used here, which those paths assert.  Their agreement with the
+scalar operations is pinned by tests.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .indicators import (
     arthur_partition_report,
-    e_sum_terms,
     indicator_E,
     indicator_sigma,
     langlands_sum,
@@ -100,6 +100,17 @@ def sample_integer_point(rng, n):
 
 def _point_json(H):
     return [str(h) for h in H]
+
+
+def _draw_cleared(rng, shape):
+    """Rows of sampled rationals, each cleared to integers by its lcm.
+
+    Draws every numerator, then every denominator, from the numpy generator.
+    """
+    nums = rng.integers(-NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=shape)
+    dens = rng.integers(1, DENOMINATOR_BOUND + 1, size=shape)
+    lcms = np.apply_along_axis(lambda row: math.lcm(*row), 1, dens)
+    return nums * (lcms[:, None] // dens)
 
 
 def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
@@ -183,15 +194,9 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
         rep = VerifyReport(identity="levi-ordering-count", n=n, samples=0)
         walls_total = 0
         for M in standard_parabolics(n):
-            r = M.r
-            nums = rng.integers(
-                -NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=(samples, r)
-            )
-            dens = rng.integers(1, DENOMINATOR_BOUND + 1, size=(samples, r))
-            lcms = np.apply_along_axis(lambda row: math.lcm(*row), 1, dens)
-            values = nums * (lcms[:, None] // dens)
+            values = _draw_cleared(rng, (samples, M.r))
             counts, wall = _levi_counts_vectorized(M.blocks, values)
-            expected = math.factorial(r - 1)
+            expected = math.factorial(M.r - 1)
             bad = (~wall) & (counts != expected)
             walls_total += int(wall.sum())
             rep.samples += samples
@@ -348,10 +353,7 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
     reports = []
     for n in range(1, max_n + 1):
         rep = VerifyReport(identity="slope-indicator", n=n, samples=samples)
-        nums = rng.integers(-NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=(samples, n))
-        dens = rng.integers(1, DENOMINATOR_BOUND + 1, size=(samples, n))
-        lcms = np.apply_along_axis(lambda row: math.lcm(*row), 1, dens)
-        points = nums * (lcms[:, None] // dens)
+        points = _draw_cleared(rng, (samples, n))
         counts, subset_ok = _e_terms_vectorized(n, points)
         for i in np.flatnonzero(counts > 1)[:5]:
             rep.failures.append(

@@ -12,6 +12,7 @@ from .kernel import (
     ValueWithError,
     XiPointExpansion,
     expansion_at,
+    residue_anchor,
     xi_expansion_at_one,
     xi_one_correction_limit,
     xi_point,
@@ -40,6 +41,7 @@ __all__ = [
     "ValueWithError",
     "XiPointExpansion",
     "expansion_at",
+    "residue_anchor",
     "xi_expansion_at_one",
     "xi_one_correction_limit",
     "xi_point",

@@ -14,7 +14,9 @@ Routes kept deliberately independent:
 - derivative values can be cross-checked through central finite differences
   with Richardson extrapolation, which shares no code with the contour route;
 - the finite part at the pole z = 1 can be cross-checked through a direct
-  Richardson limit of xi(1+u) - 1/u.
+  Richardson limit of xi(1+u) - 1/u;
+- residue anchors for the orbit sums are closed forms built from mpmath's
+  own zeta, gamma and digamma.
 
 At z = 1 the object expanded is the regular part xi(z) - 1/(z-1); the
 principal part 1/(z-1) is carried exactly and never enters the quadrature.
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .config import ExpansionOrderError, PrecisionConfig, PrecisionError
+from .config import GUARD_DIGITS, ExpansionOrderError, PrecisionConfig, PrecisionError
 
 
 class ValueWithError(NamedTuple):
@@ -123,10 +125,6 @@ class XiPointExpansion:
     @property
     def has_principal_part(self):
         return self.point == 1
-
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
 
 
 _expansion_cache = {}
@@ -314,3 +312,33 @@ def xi_one_correction_limit(config=None, levels=12):
         value = mpmath.re(table[-1])
         err = float(increment) + 10.0 ** (-(digits - 5))
         return ValueWithError(value=value, error=err)
+
+
+def residue_anchor(parts, digits):
+    """Closed-form residue at s = 0 of the alternating orbit sum, if known.
+
+    Zero orbit 1^n: the product of xi(k) for k = 2..n.  Orbit (2,1):
+    xi(2) * (-log(pi)/2 + psi(1)/2 + zeta'(2)/zeta(2)).  None for every other
+    orbit.  Built from mpmath's own zeta, gamma and digamma at digits plus
+    GUARD_DIGITS, so it shares no code with the Euler-Maclaurin sum behind
+    the contour tables.
+    """
+    parts = tuple(parts)
+    with mp.workdps(digits + GUARD_DIGITS):
+
+        def xi(k):
+            return mpmath.power(mp.pi, -mpf(k) / 2) * mpmath.gamma(mpf(k) / 2) * mpmath.zeta(k)
+
+        if set(parts) == {1}:
+            prod = mpf(1)
+            for k in range(2, len(parts) + 1):
+                prod *= xi(k)
+            return prod
+        if parts == (2, 1):
+            ratio = (
+                -mpmath.log(mp.pi) / 2
+                + mpmath.digamma(1) / 2
+                + mpmath.zeta(2, derivative=1) / mpmath.zeta(2)
+            )
+            return xi(2) * ratio
+    return None

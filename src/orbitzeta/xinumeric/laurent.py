@@ -149,7 +149,6 @@ class LaurentSeries:
         return "LaurentSeries(min_degree=%d, %d coeffs)" % (self.min_degree, len(self.coeffs))
 
     def to_json(self, digits=30):
-        report = residue_at_zero(self)
         return {
             "min_degree": self.min_degree,
             "coefficients": [
@@ -159,8 +158,6 @@ class LaurentSeries:
                 }
                 for v, e in self.coeffs
             ],
-            "pole_order": report.pole_order,
-            "residue": _format_value(report.residue, digits),
         }
 
 
@@ -186,10 +183,6 @@ class ResidueReport:
     is_zero: bool
     indeterminate_degrees: tuple
     audit: tuple
-
-    @property
-    def is_simple_pole(self):
-        return self.pole_order == 1
 
     def to_json(self, digits=30):
         return {

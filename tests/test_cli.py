@@ -150,6 +150,24 @@ def test_expand_json_includes_symbolic_form(capsys):
     assert payload["residue"]["pole_order"] == 1
 
 
+def test_expand_computes_the_residue_report_once(capsys, monkeypatch):
+    from orbitzeta import cli
+    from orbitzeta.xinumeric import laurent
+
+    calls = []
+    real = laurent.residue_at_zero
+
+    def counted(series):
+        calls.append(series)
+        return real(series)
+
+    monkeypatch.setattr(cli, "residue_at_zero", counted)
+    monkeypatch.setattr(laurent, "residue_at_zero", counted)
+    code, _, _ = run(capsys, "expand", "--partition", "2,1", "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_expand_requires_partition(capsys):
     code, _, err = run(capsys, "expand")
     assert code == 2

@@ -1,0 +1,29 @@
+"""Smoke runs of the survey scripts, loaded by path from scripts/."""
+
+import importlib.util
+import json
+import pathlib
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pole_survey_small_sizes(tmp_path, capsys):
+    out = tmp_path / "survey.json"
+    assert load_script("pole_survey").main(["--max-n", "3", "--out", str(out)]) == 0
+    rows = {
+        row["partition"]: row
+        for size in json.loads(out.read_text())["sizes"].values()
+        for row in size["orbits"]
+    }
+    assert all(row["pole_order"] == 1 and row["formal_deep_vanish"] for row in rows.values())
+    anchored = {name for name, row in rows.items() if "anchor" in row}
+    assert anchored == {"1", "1,1", "1,1,1", "2,1"}
+    for name in anchored:
+        assert float(rows[name]["anchor_diff"]) <= 1e-8

@@ -22,6 +22,7 @@ from orbitzeta.truncation import (
     arthur_partition_report,
     canonical_pair,
     canonical_pair_brute,
+    coarsenings_of,
     compositions,
     cone_accepts,
     cone_membership,
@@ -47,6 +48,7 @@ from orbitzeta.truncation import (
     semistandard_all,
     standard_parabolics,
 )
+from orbitzeta.truncation.indicators import _e_subsets
 from orbitzeta.truncation.sampling import (
     _levi_counts_vectorized,
     clear_denominators,
@@ -109,6 +111,14 @@ def test_relative_rho_against_full_group():
     for n in range(1, 6):
         for p in standard_parabolics(n):
             assert relative_rho_values(p, group(n)) == p.rho_values
+
+
+def test_coarsenings_are_the_types_a_parabolic_refines():
+    for n in range(1, 7):
+        for p in standard_parabolics(n):
+            coarser = coarsenings_of(p)
+            assert len(coarser) == len(set(coarser)) == 2 ** (p.r - 1)
+            assert set(coarser) == {q for q in standard_parabolics(n) if p.refines(q)}
 
 
 def test_refinement_and_arrangement_counts():
@@ -323,7 +333,7 @@ def test_E_routes_cross_check():
     g = group(3)
     for _ in range(100):
         H = rand_point(r, 3)
-        assert indicator_E(g, H, method="sum") == indicator_E(g, H, method="subsets")
+        assert len(e_sum_terms(g, H)) == _e_subsets(g, H)
 
 
 def test_E_on_block_zero_vector():

@@ -14,6 +14,7 @@ from orbitzeta.xinumeric import (
     PrecisionConfig,
     PrecisionError,
     expansion_at,
+    residue_anchor,
     xi_expansion_at_one,
     xi_one_correction_limit,
     xi_point,
@@ -135,6 +136,20 @@ def test_xi_prime_2_against_log_derivative_oracle():
     assert abs(as_real(contour.value) - oracle) < mpmath.mpf(10) ** (-8)
     fd = xi_value_fd(2, 1, CFG30)
     assert abs(as_real(fd.value) - oracle) < mpmath.mpf(10) ** (-8)
+
+
+def test_residue_anchor_matches_point_and_difference_routes():
+    digits = CFG30.working_digits
+    with mp.workdps(digits + 10):
+        for n in range(1, 6):
+            prod = mpmath.mpf(1)
+            for k in range(2, n + 1):
+                prod *= xi_point(mpmath.mpf(k), digits)[0]
+            assert abs(residue_anchor((1,) * n, digits) - mpmath.re(prod)) < 1e-25
+    fd = xi_value_fd(2, 1, CFG30)
+    assert abs(residue_anchor((2, 1), digits) - fd.value) < 1e-25
+    assert residue_anchor((2,), digits) is None
+    assert residue_anchor((3, 1), digits) is None
 
 
 @pytest.mark.parametrize("point", [2, 3])
