@@ -20,28 +20,29 @@ from .roots import (
     arranged_pairs,
     as_fractions,
     compositions,
-    consecutive_root_gaps,
     group,
     half_sums,
     refinements_within,
     relative_rho_values,
     relative_weight_gaps,
+    root_gaps,
     runs,
 )
 
 MAX_SUBSET_BLOCK = 22  # 2^22 subset scans are the ceiling for literal routes
 
 
-def subset_sums(values):
+def subset_sums(values, proper=False):
     """(index subset, coordinate sum) for every nonempty subset of values,
-    smaller subsets first, each size in lexicographic order.
+    smaller subsets first, each size in lexicographic order; proper=True
+    leaves out the full set.
 
     A literal 2^m scan, refused beyond MAX_SUBSET_BLOCK values.
     """
     m = len(values)
     if m > MAX_SUBSET_BLOCK:
         raise ValueError("block too large for literal subset scan")
-    for size in range(1, m + 1):
+    for size in range(1, m if proper else m + 1):
         for T in itertools.combinations(range(m), size):
             yield T, sum(values[i] for i in T)
 
@@ -165,7 +166,7 @@ def _verify_canonical_conditions(pair, H):
     blocks = pair.blocks
     sums = tuple(sum(H[i] for i in S) for S in blocks)
     return arranged_semistable(blocks, H) and all(
-        g > 0 for g in consecutive_root_gaps(pair.parabolic, group(len(H)), sums)
+        g > 0 for g in root_gaps(pair.parabolic.blocks, sums)
     )
 
 
@@ -241,14 +242,15 @@ def cone_accepts(prime, H):
     """
     H = as_fractions(H)
     sums = prime.block_sums(H)
-    P = StandardParabolic(prime.composition)
-    if any(g <= 0 for g in consecutive_root_gaps(P, group(P.n), sums)):
+    if any(g <= 0 for g in root_gaps(prime.composition, sums)):
         return False
-    # the full block passes trivially (sum * m == total * m)
+    # the full block passes trivially (sum * m == total * m), and so does
+    # a singleton, which has no proper subset
     return not any(
         s * len(S) > total * len(T)
         for S, total in zip(prime.blocks, sums)
-        for T, s in subset_sums([H[i] for i in S])
+        if len(S) > 1
+        for T, s in subset_sums([H[i] for i in S], proper=True)
     )
 
 

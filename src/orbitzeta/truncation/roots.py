@@ -89,34 +89,33 @@ class StandardParabolic:
 
     def refines(self, other):
         """True when this composition splits each block of the other."""
-        if self.n != other.n:
-            return False
-        it = iter(self.blocks)
-        for target in other.blocks:
-            acc = 0
-            while acc < target:
-                try:
-                    acc += next(it)
-                except StopIteration:
-                    return False
-            if acc != target:
-                return False
-        return True
+        return self._split(other) is not None
 
     def split_by(self, coarser):
         """Sub-compositions of this refinement inside each block of coarser."""
-        if not self.refines(coarser):
+        out = self._split(coarser)
+        if out is None:
             raise ValueError("%r does not refine %r" % (self.blocks, coarser.blocks))
+        return out
+
+    def _split(self, coarser):
+        """split_by's value, or None when this does not refine coarser."""
         out = []
         it = iter(self.blocks)
         for target in coarser.blocks:
             acc = 0
             sub = []
             while acc < target:
-                b = next(it)
+                b = next(it, None)
+                if b is None:
+                    return None
                 sub.append(b)
                 acc += b
+            if acc != target:
+                return None
             out.append(tuple(sub))
+        if next(it, None) is not None:
+            return None
         return tuple(out)
 
     def block_sums(self, point):
@@ -331,13 +330,18 @@ def relative_weight_gaps(P, Q, sums):
     return tuple(out)
 
 
+def root_gaps(sizes, sums):
+    """Simple-root pairings of one run of blocks: consecutive block-average
+    differences, scaled by the (positive) product of the two block sizes.
+
+    Yielded lazily, so a sign test stops at its first failing pairing."""
+    return (sums[u] * sizes[u + 1] - sums[u + 1] * sizes[u] for u in range(len(sizes) - 1))
+
+
 def consecutive_root_gaps(P, Q, sums):
-    """Simple-root pairings: consecutive block-average differences within
-    each Q-block, scaled by the (positive) product of the two block sizes."""
-    return tuple(
-        block_sums[u] * sub[u + 1] - block_sums[u + 1] * sub[u]
-        for sub, block_sums in _within_blocks(P, Q, sums)
-        for u in range(len(sub) - 1)
+    """root_gaps within each Q-block, in block order, lazily."""
+    return itertools.chain.from_iterable(
+        root_gaps(sub, block_sums) for sub, block_sums in _within_blocks(P, Q, sums)
     )
 
 

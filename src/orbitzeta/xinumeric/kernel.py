@@ -128,13 +128,22 @@ class XiPointExpansion:
 
 
 _expansion_cache = {}
+_contour_cache = {}
 
 
 def expansion_at(point, config=None):
     """Cached Taylor expansion of (the regular part of) xi at an integer >= 1.
 
-    The table cache and mpmath's working precision are process-global, so
-    the numeric layer is for single-threaded use.
+    Returns one memoised table per (config, point), carrying that config.
+    Behind it sits a contour cache keyed without the expansion order: one
+    entry per (point, working digits, radius, even node count) holds the xi
+    samples on the circle and the coefficients built from them so far.
+    Coefficient k does not depend on the order a table is built to, so a
+    higher order evaluates no node and extends the DFT by the missing k
+    only, and a lower order is a prefix of what is there.
+
+    The caches and mpmath's working precision are process-global, so the
+    numeric layer is for single-threaded use.
     """
     config = config or PrecisionConfig.default()
     if point < 1:
@@ -142,59 +151,74 @@ def expansion_at(point, config=None):
     key = (config, point)
     hit = _expansion_cache.get(key)
     if hit is None:
-        hit = _expansion_cache[key] = _compute_expansion(point, config)
+        nodes = config.contour_nodes + config.contour_nodes % 2
+        contour_key = (point, config.working_digits, config.contour_radius, nodes)
+        contour = _contour_cache.get(contour_key)
+        if contour is None:
+            contour = _contour_cache[contour_key] = _Contour(point, config, nodes)
+        size = config.expansion_order + 1
+        contour.extend(size)
+        hit = _expansion_cache[key] = XiPointExpansion(
+            point=point,
+            coefficients=tuple(contour.coefficients[:size]),
+            errors=tuple(contour.errors[:size]),
+            config=config,
+        )
     return hit
 
 
-def _compute_expansion(point, config):
-    digits = config.internal_dps
-    order = config.expansion_order
-    nodes = config.contour_nodes
-    if nodes % 2:
-        nodes += 1
-    with mp.workdps(digits + 10):
-        radius = mpmath.mpmathify(config.contour_radius)
-        samples = [None] * nodes
-        max_mag = mpf(0)
-        eval_err = 0.0
-        # the integrand is real-analytic, so nodes in conjugate pairs share a value
-        for m in range(nodes // 2 + 1):
-            z = point + radius * mpmath.expjpi(mpf(2) * m / nodes)
-            val, err = xi_point(z, digits + 5)
-            if point == 1:
-                val = val - 1 / (z - 1)
-            samples[m] = val
-            if 0 < m < nodes // 2:
-                samples[nodes - m] = mpmath.conj(val)
-            eval_err = max(eval_err, err)
-            max_mag = max(max_mag, abs(val))
+class _Contour:
+    """Samples of xi on one trapezoid circle and the Taylor table so far."""
 
-        coeffs = []
-        errors = []
-        rpow = mpf(1)
-        for k in range(order + 1):
-            full = mpc(0)
-            half = mpc(0)
-            for m in range(nodes):
-                w = mpmath.expjpi(mpf(-2) * k * m / nodes)
-                full += samples[m] * w
-                if m % 2 == 0:
-                    half += samples[m] * w
-            full = full / nodes / rpow
-            half = half / (nodes // 2) / rpow
-            alias = float(abs(full - half))
-            rounding = float(max_mag) / float(rpow) * 10.0 ** (-(digits + 2))
-            evals = eval_err / float(rpow)
-            imag_leak = float(abs(mpmath.im(full)))
-            coeffs.append(mpmath.re(full))
-            errors.append(alias + rounding + evals + imag_leak)
-            rpow *= radius
-        return XiPointExpansion(
-            point=point,
-            coefficients=tuple(coeffs),
-            errors=tuple(errors),
-            config=config,
-        )
+    def __init__(self, point, config, nodes):
+        self.digits = digits = config.internal_dps
+        self.nodes = nodes
+        self.coefficients = []
+        self.errors = []
+        with mp.workdps(digits + 10):
+            self.radius = radius = mpmath.mpmathify(config.contour_radius)
+            self.rpow = mpf(1)
+            samples = self.samples = [None] * nodes
+            max_mag = mpf(0)
+            eval_err = 0.0
+            # the integrand is real-analytic, so nodes in conjugate pairs share a value
+            for m in range(nodes // 2 + 1):
+                z = point + radius * mpmath.expjpi(mpf(2) * m / nodes)
+                val, err = xi_point(z, digits + 5)
+                if point == 1:
+                    val = val - 1 / (z - 1)
+                samples[m] = val
+                if 0 < m < nodes // 2:
+                    samples[nodes - m] = mpmath.conj(val)
+                eval_err = max(eval_err, err)
+                max_mag = max(max_mag, abs(val))
+            self.max_mag = max_mag
+            self.eval_err = eval_err
+
+    def extend(self, size):
+        """Build coefficients and errors up to index size - 1."""
+        digits = self.digits
+        nodes = self.nodes
+        samples = self.samples
+        with mp.workdps(digits + 10):
+            for k in range(len(self.coefficients), size):
+                rpow = self.rpow
+                full = mpc(0)
+                half = mpc(0)
+                for m in range(nodes):
+                    w = mpmath.expjpi(mpf(-2) * k * m / nodes)
+                    full += samples[m] * w
+                    if m % 2 == 0:
+                        half += samples[m] * w
+                full = full / nodes / rpow
+                half = half / (nodes // 2) / rpow
+                alias = float(abs(full - half))
+                rounding = float(self.max_mag) / float(rpow) * 10.0 ** (-(digits + 2))
+                evals = self.eval_err / float(rpow)
+                imag_leak = float(abs(mpmath.im(full)))
+                self.coefficients.append(mpmath.re(full))
+                self.errors.append(alias + rounding + evals + imag_leak)
+                self.rpow = rpow * self.radius
 
 
 def xi_value(point, derivative_order=0, config=None):

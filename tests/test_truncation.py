@@ -121,6 +121,26 @@ def test_coarsenings_are_the_types_a_parabolic_refines():
             assert set(coarser) == {q for q in standard_parabolics(n) if p.refines(q)}
 
 
+def test_split_by_raises_exactly_when_refines_fails():
+    types = [p for n in range(1, 7) for p in standard_parabolics(n)]
+
+    def cuts(p):
+        return set(itertools.accumulate(p.blocks))
+
+    for p in types:
+        for q in types:
+            # oracle: same n and every cut of q is a cut of p
+            expected = p.n == q.n and cuts(q) <= cuts(p)
+            assert p.refines(q) == expected
+            if not expected:
+                with pytest.raises(ValueError, match="does not refine"):
+                    p.split_by(q)
+                continue
+            subs = p.split_by(q)
+            assert tuple(itertools.chain.from_iterable(subs)) == p.blocks
+            assert tuple(sum(sub) for sub in subs) == q.blocks
+
+
 def test_refinement_and_arrangement_counts():
     g = group(3)
     b = minimal_parabolic(3)

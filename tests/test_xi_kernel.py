@@ -5,6 +5,8 @@ Catalan-free zeta derivatives) and the library zeta itself, which shares no
 code with the Euler-Maclaurin summation or the contour quadrature under test.
 """
 
+from dataclasses import replace
+
 import mpmath
 import pytest
 from mpmath import mp
@@ -14,6 +16,7 @@ from orbitzeta.xinumeric import (
     PrecisionConfig,
     PrecisionError,
     expansion_at,
+    kernel,
     residue_anchor,
     xi_expansion_at_one,
     xi_one_correction_limit,
@@ -188,6 +191,61 @@ def test_expansion_cache_is_config_keyed():
     assert a is b
     other = expansion_at(2, PrecisionConfig.default(working_digits=20))
     assert other is not a
+    longer = expansion_at(2, CFG30.for_orbit_size(8))
+    assert longer is not a
+    assert longer.config.expansion_order == 11
+    assert len(longer.coefficients) == 12
+    assert longer.coefficients[:10] == a.coefficients
+    assert longer.errors[:10] == a.errors
+
+
+def test_tables_are_prefixes_across_orders(monkeypatch):
+    def build(orders):
+        # empty caches: every build sequence starts from cold tables
+        monkeypatch.setattr(kernel, "_expansion_cache", {})
+        monkeypatch.setattr(kernel, "_contour_cache", {})
+        cfgs = {o: PrecisionConfig(working_digits=20, expansion_order=o, contour_nodes=48)
+                for o in orders}
+        return {(o, point): expansion_at(point, cfgs[o]) for o in orders for point in (1, 2, 5)}
+
+    rising = build((9, 12))
+    falling = build((12, 9))
+    for point in (1, 2, 5):
+        tables = [t[o, point] for t in (rising, falling) for o in (9, 12)]
+        assert [len(t.coefficients) for t in tables] == [10, 13, 10, 13]
+        # mpf and float equality is exact: the prefixes agree bit for bit
+        assert len({t.coefficients[:10] for t in tables}) == 1
+        assert len({t.errors[:10] for t in tables}) == 1
+        assert rising[12, point].coefficients == falling[12, point].coefficients
+        assert rising[12, point].errors == falling[12, point].errors
+
+
+def test_raising_the_order_evaluates_no_node(monkeypatch):
+    calls = []
+    original = kernel.xi_point
+
+    def counting(z, digits):
+        calls.append(z)
+        return original(z, digits)
+
+    monkeypatch.setattr(kernel, "xi_point", counting)
+    base = PrecisionConfig(working_digits=12, expansion_order=3, contour_nodes=24)
+
+    def new_calls(cfg):
+        before = len(calls)
+        table = expansion_at(3, cfg)
+        assert table.config is cfg
+        assert len(table.coefficients) == cfg.expansion_order + 1
+        return len(calls) - before
+
+    assert new_calls(base) == 24 // 2 + 1
+    assert new_calls(replace(base, expansion_order=7)) == 0
+    assert new_calls(replace(base, expansion_order=2)) == 0
+    # an odd node count is rounded up to the same even circle
+    assert new_calls(replace(base, contour_nodes=23)) == 0
+    assert new_calls(replace(base, working_digits=13)) == 24 // 2 + 1
+    assert new_calls(replace(base, contour_radius=0.2)) == 24 // 2 + 1
+    assert new_calls(replace(base, contour_nodes=20)) == 20 // 2 + 1
 
 
 # ---------------------------------------------------------------------------
