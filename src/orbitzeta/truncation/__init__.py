@@ -43,7 +43,7 @@ from .roots import (
     WallError,
     WallTie,
     arrangements,
-    as_fractions,
+    as_exact,
     coarsenings_of,
     compositions,
     consecutive_root_gaps,

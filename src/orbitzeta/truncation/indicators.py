@@ -1,8 +1,10 @@
 """Indicator functions and the alternating-sum identities built from them.
 
-Every indicator reads only block sums of an exact rational point, compared
-strictly or weakly against zero after clearing the (positive) denominators,
-so all decisions are exact integer sign tests.
+Every indicator reads only block sums of an exact point, through pairings
+scaled by positive block sizes, compared strictly or weakly against zero.
+On an integer point (every point the sweeps draw, once cleared) these are
+integer sign tests; on a rational one the same comparisons run on exact
+Fractions.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from dataclasses import dataclass
 
 from .instability import arranged_semistable, indicator_F, subset_sums
 from .roots import (
-    StandardParabolic,
     WallError,
     arranged_pairs,
-    as_fractions,
+    as_exact,
     coarsenings_of,
     consecutive_root_gaps,
     epsilon_between,
@@ -40,39 +41,38 @@ __all__ = [
 ]
 
 
-def _validate(P, Q, H):
-    if not P.refines(Q):
-        raise ValueError("%s does not refine %s" % (P, Q))
+def _split_sums(P, Q, H):
+    """P.split_by(Q) and P's block sums of the exact point H, after
+    checking that P refines Q and that H has Q.n coordinates."""
+    try:
+        subs = P.split_by(Q)
+    except ValueError:
+        raise ValueError("%s does not refine %s" % (P, Q)) from None
     if len(H) != Q.n:
         raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
+    return subs, P.block_sums(H)
 
 
 def indicator_tau(P, Q, H):
     """1 iff every simple-root pairing of P relative to Q is > 0: block
     averages strictly decrease within each ambient block."""
-    H = as_fractions(H)
-    _validate(P, Q, H)
-    sums = P.block_sums(H)
-    return 1 if all(g > 0 for g in consecutive_root_gaps(P, Q, sums)) else 0
+    subs, sums = _split_sums(P, Q, as_exact(H))
+    return 1 if all(g > 0 for g in consecutive_root_gaps(subs, sums)) else 0
 
 
 def indicator_tau_hat(P, Q, H):
     """1 iff every fundamental-weight pairing of P relative to Q is > 0:
     each leading partial block sum strictly exceeds its proportional share
     of the ambient block total."""
-    H = as_fractions(H)
-    _validate(P, Q, H)
-    sums = P.block_sums(H)
-    return 1 if all(g > 0 for g in relative_weight_gaps(P, Q, sums)) else 0
+    subs, sums = _split_sums(P, Q, as_exact(H))
+    return 1 if all(g > 0 for g in relative_weight_gaps(subs, sums)) else 0
 
 
 def indicator_chi(P, Q, H):
     """1 iff the leading sub-block coordinate sum in each ambient block
     is <= 0 (the scaled leading-weight pairing)."""
-    H = as_fractions(H)
-    _validate(P, Q, H)
-    sums = P.block_sums(H)
-    return 1 if all(s <= 0 for s in leading_sums(P, Q, sums)) else 0
+    subs, sums = _split_sums(P, Q, as_exact(H))
+    return 1 if all(s <= 0 for s in leading_sums(subs, sums)) else 0
 
 
 def e_sum_terms(Q, H):
@@ -84,14 +84,14 @@ def e_sum_terms(Q, H):
     arranged sum is <= 0.  At most one pair can contribute; callers
     assert that.
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     if len(H) != Q.n:
         raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
     return [
         (P, arr)
-        for P, arr, sums in arranged_pairs(Q, H)
-        if all(g > 0 for g in consecutive_root_gaps(P, Q, sums))
-        and all(s <= 0 for s in leading_sums(P, Q, sums))
+        for P, subs, arr, sums in arranged_pairs(Q, H)
+        if all(g > 0 for g in consecutive_root_gaps(subs, sums))
+        and all(s <= 0 for s in leading_sums(subs, sums))
         and arranged_semistable(arr, H)
     ]
 
@@ -99,7 +99,7 @@ def e_sum_terms(Q, H):
 def _e_subsets(Q, H):
     """Literal closure criterion: inside each block of Q every nonempty
     index subset must have coordinate sum <= 0."""
-    H = as_fractions(H)
+    H = as_exact(H)
     return all(s <= 0 for a, b in Q.intervals for _, s in subset_sums(H[a:b]))
 
 
@@ -130,7 +130,7 @@ def indicator_sigma(P1, P2, H):
     Lands in {0,1}; the test suite asserts that range, the function
     returns the raw integer.
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     if not P1.refines(P2):
         raise ValueError("%s does not refine %s" % (P1, P2))
     G = group(P2.n)
@@ -146,7 +146,7 @@ def langlands_sum(P, H):
     """Alternating sum over coarsenings Q of P of
     sign(P,Q) * tau_hat(P within Q) * tau(Q within G); identically 0 for
     P a proper decomposition."""
-    H = as_fractions(H)
+    H = as_exact(H)
     if P.r < 2:
         raise ValueError("the sum needs a proper decomposition")
     G = group(P.n)
@@ -165,18 +165,18 @@ def levi_sum_tau_hat(M, H):
     H must be constant on each block of M.  A vanishing pairing in any
     ordering puts H on a wall: WallError, never a silent count.
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     if len(H) != M.n:
         raise ValueError("point has %d coordinates, expected %d" % (len(H), M.n))
     for a, b in M.intervals:
         if any(H[i] != H[a] for i in range(a, b)):
             raise ValueError("point is not block-constant on %s" % (M,))
-    G = group(M.n)
     sums = M.block_sums(H)
     count = 0
     for order in itertools.permutations(range(M.r)):
-        P = StandardParabolic(tuple(M.blocks[u] for u in order))
-        gaps = relative_weight_gaps(P, G, tuple(sums[u] for u in order))
+        # the ordered blocks inside the one-block group: the split is one run
+        subs = (tuple(M.blocks[u] for u in order),)
+        gaps = relative_weight_gaps(subs, tuple(sums[u] for u in order))
         if 0 in gaps:
             raise WallError("ordering %r pairs to zero" % (order,))
         count += all(g > 0 for g in gaps)
@@ -209,15 +209,15 @@ def arthur_partition_report(Q, H):
     sum to exactly 1.  Identity two: the semistability indicator of Q
     equals the signed sum over pairs of the weight indicators.
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     if len(H) != Q.n:
         raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
     partition_sum = 0
     alternating = 0
-    for P, arr, sums in arranged_pairs(Q, H):
-        if all(g > 0 for g in consecutive_root_gaps(P, Q, sums)) and arranged_semistable(arr, H):
+    for P, subs, arr, sums in arranged_pairs(Q, H):
+        if all(g > 0 for g in consecutive_root_gaps(subs, sums)) and arranged_semistable(arr, H):
             partition_sum += 1
-        if all(g > 0 for g in relative_weight_gaps(P, Q, sums)):
+        if all(g > 0 for g in relative_weight_gaps(subs, sums)):
             alternating += epsilon_between(P, Q)
     return ArthurReport(
         partition_sum=partition_sum,

@@ -10,6 +10,7 @@ available as the oracles they are tested against.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,12 +19,11 @@ from .roots import (
     StandardParabolic,
     WallTie,
     arranged_pairs,
-    as_fractions,
+    as_exact,
     compositions,
+    doubled_half_sums,
+    doubled_relative_rho,
     group,
-    half_sums,
-    refinements_within,
-    relative_rho_values,
     relative_weight_gaps,
     root_gaps,
     runs,
@@ -44,7 +44,7 @@ def subset_sums(values, proper=False):
         raise ValueError("block too large for literal subset scan")
     for size in range(1, m if proper else m + 1):
         for T in itertools.combinations(range(m), size):
-            yield T, sum(values[i] for i in T)
+            yield T, sum(map(values.__getitem__, T))
 
 
 def _value_classes(values):
@@ -63,20 +63,33 @@ def block_degree(values):
     (after - before)/2 * m * v.  Always >= 0; zero iff the block is
     constant.
     """
-    vals = as_fractions(values)
+    return Fraction(_doubled_block_degree(as_exact(values)), 2)
+
+
+def _doubled_block_degree(vals):
+    """Twice block_degree of exact values."""
     classes = _value_classes(vals)
-    rho = half_sums(tuple(len(c) for c in classes))
-    return sum((r * len(c) * vals[c[0]] for r, c in zip(rho, classes)), Fraction(0))
+    rho2 = doubled_half_sums(tuple(len(c) for c in classes))
+    return sum(r * len(c) * vals[c[0]] for r, c in zip(rho2, classes))
 
 
-def _rho_pairing(rho, sums):
-    """Half-sum values against block sums: sum of rho_j * s_j."""
-    return sum((r * s for r, s in zip(rho, sums)), Fraction(0))
+def _rho_pairing(rho2, sums):
+    """Doubled half-sum values against block sums: sum of rho2_j * s_j,
+    twice the half-sum pairing."""
+    return sum(map(operator.mul, rho2, sums))
 
 
 def pair_pairing(P, Q, arrangement, H):
     """Half-sum pairing <rho_P^Q, sums of the rearranged point>."""
-    return _rho_pairing(relative_rho_values(P, Q), (sum(H[i] for i in S) for S in arrangement))
+    sums = (sum(map(H.__getitem__, S)) for S in arrangement)
+    return Fraction(_rho_pairing(doubled_relative_rho(P.split_by(Q)), sums), 2)
+
+
+def _doubled_pairs(Q, H):
+    """(refinement, arrangement, arranged sums, doubled pairing) below Q,
+    in arranged_pairs order, for an exact point H."""
+    for P, subs, arr, sums in arranged_pairs(Q, H):
+        yield P, arr, sums, _rho_pairing(doubled_relative_rho(subs), sums)
 
 
 def degree_pairs(Q, H):
@@ -84,9 +97,7 @@ def degree_pairs(Q, H):
 
     The trivial pair (Q, identity) is among them, with pairing exactly 0.
     """
-    H = as_fractions(H)
-    rho = {P: relative_rho_values(P, Q) for P in refinements_within(Q)}
-    return [(P, arr, _rho_pairing(rho[P], sums)) for P, arr, sums in arranged_pairs(Q, H)]
+    return [(P, arr, Fraction(d, 2)) for P, arr, _, d in _doubled_pairs(Q, as_exact(H))]
 
 
 def degree_instability(Q, H):
@@ -95,10 +106,10 @@ def degree_instability(Q, H):
     The trivial pair (pairing 0) is admitted, so the degree is >= 0 and
     vanishes exactly on the Q-semistable points (each Q-block constant).
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     if len(H) != Q.n:
         raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
-    return sum((block_degree(H[a:b]) for a, b in Q.intervals), Fraction(0))
+    return Fraction(sum(_doubled_block_degree(H[a:b]) for a, b in Q.intervals), 2)
 
 
 def indicator_F(P, H):
@@ -110,7 +121,8 @@ def indicator_F(P, H):
 def arranged_semistable(arrangement, H):
     """Semistability of the rearranged point for the blocks it is sorted
     into: every assigned index set carries a single value."""
-    return all(block_degree([H[i] for i in S]) <= 0 for S in arrangement)
+    H = as_exact(H)
+    return all(_doubled_block_degree([H[i] for i in S]) <= 0 for S in arrangement)
 
 
 def semistable_three_ways(Q, H):
@@ -121,16 +133,14 @@ def semistable_three_ways(Q, H):
     refinement and rearrangement <= 0; the same restricted to refinements
     splitting a single block once (one block more than Q).
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     by_degree = degree_instability(Q, H) <= 0
 
     def destabilized(pairs):
-        return any(g > 0 for P, _, sums in pairs for g in relative_weight_gaps(P, Q, sums))
+        return any(g > 0 for _, subs, _, sums in pairs for g in relative_weight_gaps(subs, sums))
 
     by_all = not destabilized(arranged_pairs(Q, H))
-    by_maximal = not destabilized(
-        (P, arr, sums) for P, arr, sums in arranged_pairs(Q, H) if P.r == Q.r + 1
-    )
+    by_maximal = not destabilized(pair for pair in arranged_pairs(Q, H) if pair[0].r == Q.r + 1)
     return by_degree, by_all, by_maximal
 
 
@@ -179,7 +189,7 @@ def canonical_pair(H):
     half-sum pairing of the sorted point.  The two characterizing
     conditions are re-verified exactly before returning.
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     if not H:
         raise ValueError("empty point")
     blocks = _value_classes(H)
@@ -202,33 +212,32 @@ def canonical_pair_brute(H):
     Exponential in n; this is the oracle the fast construction is tested
     against.
     """
-    H = as_fractions(H)
-    G = group(len(H))
-    pairs = degree_pairs(G, H)
-    best = max(p for _, _, p in pairs)
+    H = as_exact(H)
+    pairs = list(_doubled_pairs(group(len(H)), H))
+    best = max(d for _, _, _, d in pairs)
 
-    def attains_best(arr, lengths):
-        merged = tuple(
-            tuple(sorted(itertools.chain.from_iterable(run))) for run in runs(arr, lengths)
-        )
-        P = StandardParabolic(tuple(len(S) for S in merged))
-        return pair_pairing(P, G, merged, H) == best
+    def attains_best(P, sums, lengths):
+        # a merge unites runs of blocks, so its block sums are run totals
+        sizes = tuple(sum(run) for run in runs(P.blocks, lengths))
+        merged = (sum(run) for run in runs(sums, lengths))
+        return _rho_pairing(doubled_half_sums(sizes), merged) == best
 
     # the last composition keeps every cut: the pair itself, not a merge
     survivors = [
         (P, arr)
-        for P, arr, p in pairs
-        if p == best
-        and not any(attains_best(arr, lengths) for lengths in compositions(P.r)[:-1])
+        for P, arr, sums, d in pairs
+        if d == best
+        and not any(attains_best(P, sums, lengths) for lengths in compositions(P.r)[:-1])
     ]
 
+    degree = Fraction(best, 2)
     if len(survivors) != 1:
-        raise WallTie("%d maximal maximizers at degree %s" % (len(survivors), best))
+        raise WallTie("%d maximal maximizers at degree %s" % (len(survivors), degree))
     P, arr = survivors[0]
     return CanonicalPair(
         parabolic=P,
         weyl=tuple(itertools.chain.from_iterable(arr)),
-        degree=best,
+        degree=degree,
     )
 
 
@@ -240,7 +249,7 @@ def cone_accepts(prime, H):
     such subset is the leading group of some ordered refinement, and those
     exhaust the refinement weights).
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     sums = prime.block_sums(H)
     if any(g <= 0 for g in root_gaps(prime.composition, sums)):
         return False
@@ -290,16 +299,16 @@ def extremal_max_pair(H):
     the largest subset wins; maximizers are closed under union, so that
     largest one is unique.  WallTie guards the impossible tie anyway.
     """
-    H = as_fractions(H)
+    H = as_exact(H)
     n = len(H)
-    best = None
     best_sets = []
     for T, s in subset_sums(H):
-        avg = Fraction(s, len(T))
-        if best is None or avg > best:
-            best = avg
-            best_sets = [T]
-        elif avg == best:
+        # s/|T| against the best average best_sum/best_size, cross-multiplied
+        # by the positive sizes
+        diff = s * best_size - best_sum * len(T) if best_sets else 1
+        if diff > 0:
+            best_sum, best_size, best_sets = s, len(T), [T]
+        elif diff == 0:
             best_sets.append(T)
     top_size = max(len(T) for T in best_sets)
     winners = [T for T in best_sets if len(T) == top_size]
@@ -310,4 +319,4 @@ def extremal_max_pair(H):
         P = group(n)
     else:
         P = StandardParabolic((top_size, n - top_size))
-    return ExtremalPair(parabolic=P, first_block=S, value=best)
+    return ExtremalPair(parabolic=P, first_block=S, value=Fraction(best_sum, best_size))

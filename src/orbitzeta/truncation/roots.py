@@ -15,12 +15,17 @@ All pairings against roots, weights, and half-sums reduce to block sums:
 - the half-sum of radical roots pairs a block sum with (n - N_i - N_{i-1})/2
   where N_i is the i-th partial sum of the composition.
 
-Everything is exact Fraction arithmetic; no floats enter this subpackage.
+Points are exact: integral coordinates stay Python ints and only genuinely
+rational ones are Fractions (as_exact), so on cleared integer points every
+pairing is integer arithmetic; no floats enter this subpackage.  Half-sums
+are carried doubled, as the integers after - before, and halved once where a
+public value is returned.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -120,7 +125,7 @@ class StandardParabolic:
 
     def block_sums(self, point):
         """Per-block coordinate sums of a point in Q^n."""
-        return tuple(sum(point[i] for i in range(a, b)) for a, b in self.intervals)
+        return tuple(sum(point[a:b]) for a, b in self.intervals)
 
     def __str__(self):
         return "(" + ",".join(str(b) for b in self.blocks) + ")"
@@ -163,16 +168,17 @@ def runs(items, lengths):
     return out
 
 
+@lru_cache(maxsize=None)
 def coarsenings_of(finer):
     """All standard parabolics the given one refines (itself included).
 
     A coarsening merges runs of adjacent blocks; the run lengths range over
-    compositions(finer.r), in that order.
+    compositions(finer.r), in that order.  Built once per parabolic.
     """
-    return [
+    return tuple(
         StandardParabolic(tuple(sum(run) for run in runs(finer.blocks, lengths)))
         for lengths in compositions(finer.r)
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,7 @@ class SemiStandardParabolic:
         return tuple(len(b) for b in self.blocks)
 
     def block_sums(self, point):
-        return tuple(sum(point[i] for i in blk) for blk in self.blocks)
+        return tuple(sum(map(point.__getitem__, blk)) for blk in self.blocks)
 
     def to_json(self):
         return {"blocks": [list(b) for b in self.blocks]}
@@ -259,66 +265,99 @@ def semistandard_all(n):
     return out
 
 
-def as_fractions(point):
-    """Validate and convert a point to a tuple of Fractions."""
-    return tuple(Fraction(h) for h in point)
+def _exact(h):
+    try:
+        return operator.index(h)
+    except TypeError:
+        q = Fraction(h)
+        return q.numerator if q.denominator == 1 else q
+
+
+def as_exact(point):
+    """Validate and convert a point to exact coordinates.
+
+    Integral values (ints, numpy integers, Fractions with denominator 1)
+    become Python ints; every other value becomes a Fraction.
+    """
+    return tuple(_exact(h) for h in point)
+
+
+@lru_cache(maxsize=None)
+def _pairs_below(Q):
+    """(P, P.split_by(Q), arrangements(P, Q)) per P in refinements_within(Q)."""
+    return tuple(
+        (P, P.split_by(Q), tuple(arrangements(P, Q))) for P in refinements_within(Q)
+    )
 
 
 def arranged_pairs(Q, H):
     """Every pair below Q with its arranged block sums.
 
-    Yields (refinement P, arrangement, sums) for P over refinements_within(Q)
-    and the arrangement over arrangements(P, Q), in that order; sums[j] is
-    the coordinate sum of H over the index set assigned to P's j-th block.
+    Yields (refinement P, P.split_by(Q), arrangement, sums) for P over
+    refinements_within(Q) and the arrangement over arrangements(P, Q), in
+    that order; sums[j] is the coordinate sum of H over the index set
+    assigned to P's j-th block.  The enumeration is built once per Q.
     """
-    for P in refinements_within(Q):
-        for arr in arrangements(P, Q):
-            yield P, arr, tuple(sum(H[i] for i in S) for S in arr)
+    for P, subs, arrs in _pairs_below(Q):
+        for arr in arrs:
+            yield P, subs, arr, tuple(sum(map(H.__getitem__, S)) for S in arr)
 
 
-def half_sums(sizes):
-    """Half-sum of radical roots per block of a composition: a block with
-    `before` earlier and `after` later coordinates gets (after - before)/2."""
+def doubled_half_sums(sizes):
+    """Twice the half-sum of radical roots per block of a composition: a
+    block with `before` earlier and `after` later coordinates gets the
+    integer after - before."""
     total = sum(sizes)
     out = []
     before = 0
     for m in sizes:
-        after = total - before - m
-        out.append(Fraction(after - before, 2))
+        out.append(total - 2 * before - m)
         before += m
     return tuple(out)
 
 
-def _within_blocks(P, Q, sums):
-    """P's sub-block sizes inside each Q-block, with their entries of sums."""
-    start = 0
-    for sub in P.split_by(Q):
-        yield sub, sums[start : start + len(sub)]
-        start += len(sub)
+def half_sums(sizes):
+    """Half-sum of radical roots per block of a composition: (after - before)/2."""
+    return tuple(Fraction(d, 2) for d in doubled_half_sums(sizes))
+
+
+@lru_cache(maxsize=None)
+def doubled_relative_rho(subs):
+    """Doubled half-sums of P relative to Q from subs = P.split_by(Q),
+    aligned with P's blocks: each Q-block's sub-composition gets its own
+    local vector, and the Q-blocks contribute independently."""
+    return tuple(itertools.chain.from_iterable(doubled_half_sums(sub) for sub in subs))
 
 
 def relative_rho_values(P, Q):
     """Half-sum values of P relative to Q, aligned with P's blocks.
 
-    Within each Q-block the sub-composition gets its own local half-sum
-    vector; across Q-blocks the contributions are independent.  For Q the
-    full group this reduces to P.rho_values.
+    For Q the full group this reduces to P.rho_values.
     """
-    return tuple(itertools.chain.from_iterable(half_sums(sub) for sub in P.split_by(Q)))
+    return tuple(Fraction(d, 2) for d in doubled_relative_rho(P.split_by(Q)))
 
 
-def relative_weight_gaps(P, Q, sums):
+def _within_blocks(subs, sums):
+    """Each Q-block's sub-block sizes (from subs = P.split_by(Q)) with
+    their entries of the P-block sums."""
+    start = 0
+    for sub in subs:
+        yield sub, sums[start : start + len(sub)]
+        start += len(sub)
+
+
+def relative_weight_gaps(subs, sums):
     """Pairings of P's relative fundamental weights against per-block sums.
 
-    sums are P-block coordinate sums (of the point, possibly rearranged).
-    Within a Q-block of size L holding sub-block sizes (m_1..m_t) and sums
-    (s_1..s_t), the weight at cut u pairs to (partial sum) - (partial
-    size / L) * (block total); the returned value is that pairing scaled
-    by L > 0, so signs are preserved and arithmetic stays in integers
-    whenever the sums are integers.
+    subs is P.split_by(Q); sums are P-block coordinate sums (of the point,
+    possibly rearranged).  Within a Q-block of size L holding sub-block
+    sizes (m_1..m_t) and sums (s_1..s_t), the weight at cut u pairs to
+    (partial sum) - (partial size / L) * (block total); the returned value
+    is that pairing scaled by L > 0, so signs are preserved and arithmetic
+    stays in integers whenever the sums are integers.
     """
     out = []
-    for sub, block_sums in _within_blocks(P, Q, sums):
+    for sub, block_sums in _within_blocks(subs, sums):
         L = sum(sub)
         total = sum(block_sums)
         psum = 0
@@ -338,16 +377,17 @@ def root_gaps(sizes, sums):
     return (sums[u] * sizes[u + 1] - sums[u + 1] * sizes[u] for u in range(len(sizes) - 1))
 
 
-def consecutive_root_gaps(P, Q, sums):
-    """root_gaps within each Q-block, in block order, lazily."""
+def consecutive_root_gaps(subs, sums):
+    """root_gaps within each Q-block (subs = P.split_by(Q)), in block
+    order, lazily."""
     return itertools.chain.from_iterable(
-        root_gaps(sub, block_sums) for sub, block_sums in _within_blocks(P, Q, sums)
+        root_gaps(sub, block_sums) for sub, block_sums in _within_blocks(subs, sums)
     )
 
 
-def leading_sums(P, Q, sums):
-    """First sub-block sum inside each ambient block."""
-    return [block_sums[0] for _, block_sums in _within_blocks(P, Q, sums)]
+def leading_sums(subs, sums):
+    """First sub-block sum inside each ambient block (subs = P.split_by(Q))."""
+    return [block_sums[0] for _, block_sums in _within_blocks(subs, sums)]
 
 
 def epsilon_between(P, Q):

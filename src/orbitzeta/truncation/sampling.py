@@ -6,9 +6,9 @@ every run is reproducible.  Each identity is homogeneous of degree one in
 the point, so samples are cleared to integer vectors (multiply by the lcm
 of the denominators, at most lcm(1..20) = 232792560) before evaluation.
 
-The scalar verifiers call the public operations unchanged, which turn the
-cleared integers back into Fractions (as_fractions), so their sign tests
-are exact rational comparisons.  The Levi-sum and slope-indicator sweeps
+The scalar verifiers call the public operations unchanged; those keep the
+cleared integers as Python ints (as_exact), so their sign tests are exact
+integer comparisons.  The Levi-sum and slope-indicator sweeps
 have their own vectorized evaluation (720 orderings x 10^4 samples is out
 of reach for per-sample Python) whose sign tests are int64 comparisons:
 the largest intermediate is bounded by n^2 * 100 * lcm(1..20) < 2^63 for
@@ -109,7 +109,7 @@ def _draw_cleared(rng, shape):
     """
     nums = rng.integers(-NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=shape)
     dens = rng.integers(1, DENOMINATOR_BOUND + 1, size=shape)
-    lcms = np.apply_along_axis(lambda row: math.lcm(*row), 1, dens)
+    lcms = np.lcm.reduce(dens, axis=1)
     return nums * (lcms[:, None] // dens)
 
 

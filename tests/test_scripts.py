@@ -27,3 +27,11 @@ def test_pole_survey_small_sizes(tmp_path, capsys):
     assert anchored == {"1", "1,1", "1,1,1", "2,1"}
     for name in anchored:
         assert float(rows[name]["anchor_diff"]) <= 1e-8
+
+
+def test_truncation_suite_fast(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    assert load_script("truncation_suite").main(["--fast", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["all_pass"] is True
+    assert len(payload["checks"]) == 30

@@ -5,7 +5,9 @@ denominators in [1, 20], fixed seed.  The exhaustive brute-force oracles are
 the authority everywhere they appear; the fast paths must match them exactly.
 """
 
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,11 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitzeta.truncation import (
+    ArthurReport,
+    CanonicalPair,
+    ExtremalPair,
     StandardParabolic,
     WallError,
+    WallTie,
     arrangements,
     arthur_partition_check,
     arthur_partition_report,
+    as_exact,
+    block_degree,
     canonical_pair,
     canonical_pair_brute,
     coarsenings_of,
@@ -28,6 +36,7 @@ from orbitzeta.truncation import (
     cone_membership,
     consecutive_root_gaps,
     degree_instability,
+    degree_pairs,
     e_sum_terms,
     epsilon_between,
     extremal_max_pair,
@@ -42,6 +51,7 @@ from orbitzeta.truncation import (
     levi_sum_tau_hat,
     minimal_parabolic,
     ordered_set_partitions,
+    pair_pairing,
     refinements_within,
     relative_rho_values,
     semistable_three_ways,
@@ -50,8 +60,10 @@ from orbitzeta.truncation import (
 )
 from orbitzeta.truncation.indicators import _e_subsets
 from orbitzeta.truncation.sampling import (
+    _draw_cleared,
     _levi_counts_vectorized,
     clear_denominators,
+    sample_integer_point,
     sample_point,
     verify_E,
     verify_canonical,
@@ -580,6 +592,48 @@ def test_clear_denominators_preserves_ratios():
             assert Fraction(v, 1) / h == base
 
 
+class _ScriptedDraws:
+    """Stands in for a numpy generator: integers() returns the given arrays
+    in turn, after checking the requested shape."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def integers(self, low, high, size):
+        out = self.arrays.pop(0)
+        assert out.shape == size and low <= out.min() and out.max() < high
+        return out
+
+
+def _draw_cleared_reference(rng, shape):
+    """The draw with one math.lcm per row."""
+    nums = rng.integers(-100, 101, size=shape)
+    dens = rng.integers(1, 21, size=shape)
+    lcms = np.array([math.lcm(*(int(d) for d in row)) for row in dens], dtype=np.int64)
+    return nums * (lcms[:, None] // dens)
+
+
+def test_draw_cleared_matches_per_row_lcm():
+    for shape in ((500, 1), (500, 3), (2000, 6), (300, 20)):
+        got = _draw_cleared(np.random.default_rng(SEED), shape)
+        want = _draw_cleared_reference(np.random.default_rng(SEED), shape)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    # all-ones rows, rows with lcm(1..20) = 232792560, and random rows
+    gen = np.random.default_rng(SEED)
+    dens = gen.integers(1, 21, size=(40, 20))
+    dens[:10] = 1
+    dens[10:20] = np.arange(1, 21)
+    dens[20:25] = [16, 9, 5, 7, 11, 13, 17, 19] + [1] * 12
+    nums = gen.integers(-100, 101, size=(40, 20))
+    got = _draw_cleared(_ScriptedDraws(nums, dens), (40, 20))
+    want = _draw_cleared_reference(_ScriptedDraws(nums, dens), (40, 20))
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:10], nums[:10])
+    assert np.array_equal(got[10:25] * dens[10:25], 232792560 * nums[10:25])
+
+
 def test_verifier_smoke_budgets():
     # every verifier except cones returns one report per size or identity
     assert all(r.ok for r in verify_langlands(max_n=3, samples=60, sampled_n=(3,)))
@@ -597,3 +651,148 @@ def test_verify_report_serializes():
     assert payload["pass"] is True
     assert payload["identity"] == "cone-partition"
     assert payload["failures"] == []
+
+
+# ---------------------------------------------------------------------------
+# integer points against the Fraction route
+# ---------------------------------------------------------------------------
+
+
+def test_as_exact_keeps_integral_values_as_ints():
+    got = as_exact((np.int64(5), Fraction(4, 2), "3/2", 7, Fraction(-1, 3), np.int32(-2)))
+    assert got == (5, 2, Fraction(3, 2), 7, Fraction(-1, 3), -2)
+    assert [type(h) for h in got] == [int, int, Fraction, int, Fraction, int]
+
+
+def _battery_points():
+    """1,200 integer points with n <= 5: cleared samples, small values full
+    of ties and zeros, mirrored pairs, and the zero point of every size."""
+    r = rng()
+    points = [(0,) * n for n in range(1, 6)]
+    while len(points) < 1200:
+        n = 1 + len(points) % 5
+        kind = len(points) // 5 % 3
+        if kind == 0:
+            H = sample_integer_point(r, n)
+        elif kind == 1:
+            H = tuple(r.randint(-2, 2) for _ in range(n))
+        else:
+            H = list(sample_integer_point(r, n))
+            H[-1] = -H[0]
+            H[len(H) // 2] = H[0]
+            H = tuple(H)
+        points.append(H)
+    return points
+
+
+def _any_type(r, H):
+    return (r.choice(standard_parabolics(len(H))),)
+
+
+def _type_pair(r, H):
+    """A refining pair (P, Q) nine times in ten, else any pair of types."""
+    n = len(H)
+    Q = r.choice(standard_parabolics(n))
+    P = r.choice(refinements_within(Q) if r.random() < 0.9 else standard_parabolics(n))
+    return P, Q
+
+
+def _proper_type(r, H):
+    proper = [P for P in standard_parabolics(len(H)) if P.r >= 2]
+    return (r.choice(proper) if proper else group(len(H)),)
+
+
+def _cone(r, H):
+    """The cone that holds H, or a random ordered index partition."""
+    return (r.choice((cone_membership(H), r.choice(semistandard_all(len(H))))),)
+
+
+def _arranged_pair(r, H):
+    """A type pair (P, Q) and a random arrangement of P inside Q."""
+    Q = r.choice(standard_parabolics(len(H)))
+    P = r.choice(refinements_within(Q))
+    return P, Q, r.choice(list(arrangements(P, Q)))
+
+
+def _levi_sum_on_blocks(M, H):
+    """levi_sum_tau_hat at the block-constant point whose block j repeats H[j]."""
+    return levi_sum_tau_hat(M, tuple(H[j] for j, m in enumerate(M.blocks) for _ in range(m)))
+
+
+# name -> (operation, leading arguments drawn for an integer point); the
+# arguments are drawn once per point, so its three feeds see the same ones
+SCALAR_OPERATIONS = {
+    "canonical_pair": (canonical_pair, lambda r, H: ()),
+    "canonical_pair_brute": (canonical_pair_brute, lambda r, H: ()),
+    "extremal_max_pair": (extremal_max_pair, lambda r, H: ()),
+    "cone_accepts": (cone_accepts, _cone),
+    "block_degree": (block_degree, lambda r, H: ()),
+    "pair_pairing": (pair_pairing, _arranged_pair),
+    "degree_instability": (degree_instability, _any_type),
+    "degree_pairs": (degree_pairs, _any_type),
+    "semistable_three_ways": (semistable_three_ways, _any_type),
+    "indicator_tau": (indicator_tau, _type_pair),
+    "indicator_tau_hat": (indicator_tau_hat, _type_pair),
+    "indicator_chi": (indicator_chi, _type_pair),
+    "indicator_E": (indicator_E, _any_type),
+    "indicator_F": (indicator_F, _any_type),
+    "indicator_sigma": (indicator_sigma, _type_pair),
+    "langlands_sum": (langlands_sum, _proper_type),
+    "levi_sum_tau_hat": (_levi_sum_on_blocks, _any_type),
+    "arthur_partition_report": (arthur_partition_report, _any_type),
+}
+
+
+def _types(result):
+    if isinstance(result, CanonicalPair):
+        return CanonicalPair, type(result.degree)
+    if isinstance(result, ExtremalPair):
+        return ExtremalPair, type(result.value)
+    if isinstance(result, ArthurReport):
+        return ArthurReport, tuple(type(v) for v in dataclasses.astuple(result))
+    if isinstance(result, tuple):
+        return tuple, tuple(type(v) for v in result)
+    if isinstance(result, list):
+        return list, {type(p) for _, _, p in result}
+    return type(result)
+
+
+def _outcome(operation, args, H, scale):
+    """Result with its types, the point-linear values multiplied by scale;
+    or the exception raised (its message too unless it quotes a value)."""
+    try:
+        result = operation(*args, H)
+    except (WallError, WallTie) as exc:
+        return type(exc)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    if isinstance(result, CanonicalPair):
+        scaled = dataclasses.replace(result, degree=result.degree * scale)
+    elif isinstance(result, ExtremalPair):
+        scaled = dataclasses.replace(result, value=result.value * scale)
+    elif isinstance(result, Fraction):
+        scaled = result * scale
+    elif isinstance(result, list):
+        scaled = [(P, arr, p * scale) for P, arr, p in result]
+    else:
+        scaled = result
+    return _types(result), scaled
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_OPERATIONS))
+def test_integer_points_match_the_fraction_route(name):
+    """Each point fed as ints, as the same Fractions, and divided by 7:
+    every identity is homogeneous of degree one, so all three agree on the
+    value (the linear ones up to the factor 7), on the result types, and
+    on where WallError and WallTie are raised."""
+    operation, draw_args = SCALAR_OPERATIONS[name]
+    r = random.Random(SEED)
+    raised = 0
+    for H in _battery_points():
+        args = draw_args(r, H)
+        as_ints = _outcome(operation, args, H, 1)
+        assert as_ints == _outcome(operation, args, tuple(Fraction(h) for h in H), 1), H
+        assert as_ints == _outcome(operation, args, tuple(Fraction(h, 7) for h in H), 7), H
+        raised += not isinstance(as_ints, tuple)
+    if name == "levi_sum_tau_hat":
+        assert raised > 100  # walls are in the battery
