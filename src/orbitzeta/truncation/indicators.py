@@ -17,12 +17,13 @@ from .roots import (
     WallError,
     arranged_pairs,
     as_exact,
-    coarsenings_of,
+    coarsening_splits,
     consecutive_root_gaps,
     epsilon_between,
-    group,
     leading_sums,
     relative_weight_gaps,
+    root_gaps,
+    run_totals,
 )
 
 __all__ = [
@@ -41,6 +42,11 @@ __all__ = [
 ]
 
 
+def _check_length(H, n):
+    if len(H) != n:
+        raise ValueError("point has %d coordinates, expected %d" % (len(H), n))
+
+
 def _split_sums(P, Q, H):
     """P.split_by(Q) and P's block sums of the exact point H, after
     checking that P refines Q and that H has Q.n coordinates."""
@@ -48,8 +54,7 @@ def _split_sums(P, Q, H):
         subs = P.split_by(Q)
     except ValueError:
         raise ValueError("%s does not refine %s" % (P, Q)) from None
-    if len(H) != Q.n:
-        raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
+    _check_length(H, Q.n)
     return subs, P.block_sums(H)
 
 
@@ -85,8 +90,7 @@ def e_sum_terms(Q, H):
     assert that.
     """
     H = as_exact(H)
-    if len(H) != Q.n:
-        raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
+    _check_length(H, Q.n)
     return [
         (P, arr)
         for P, subs, arr, sums in arranged_pairs(Q, H)
@@ -128,16 +132,18 @@ def indicator_sigma(P1, P2, H):
     sign(P2,P) * tau(P1 within P) * tau_hat(P within G).
 
     Lands in {0,1}; the test suite asserts that range, the function
-    returns the raw integer.
+    returns the raw integer.  P's block sums are run totals of P1's.
     """
     H = as_exact(H)
     if not P1.refines(P2):
         raise ValueError("%s does not refine %s" % (P1, P2))
-    G = group(P2.n)
+    _check_length(H, P2.n)
+    sums = P1.block_sums(H)
     total = 0
-    for P in coarsenings_of(P2):
-        term = indicator_tau(P1, P, H) and indicator_tau_hat(P, G, H)
-        if term:
+    for P, subs in coarsening_splits(P1, P2):
+        if all(g > 0 for g in consecutive_root_gaps(subs, sums)) and all(
+            g > 0 for g in relative_weight_gaps((P.blocks,), run_totals(subs, sums))
+        ):
             total += epsilon_between(P2, P)
     return total
 
@@ -145,15 +151,17 @@ def indicator_sigma(P1, P2, H):
 def langlands_sum(P, H):
     """Alternating sum over coarsenings Q of P of
     sign(P,Q) * tau_hat(P within Q) * tau(Q within G); identically 0 for
-    P a proper decomposition."""
+    P a proper decomposition.  Q's block sums are run totals of P's."""
     H = as_exact(H)
     if P.r < 2:
         raise ValueError("the sum needs a proper decomposition")
-    G = group(P.n)
+    _check_length(H, P.n)
+    sums = P.block_sums(H)
     total = 0
-    for Q in coarsenings_of(P):
-        term = indicator_tau_hat(P, Q, H) and indicator_tau(Q, G, H)
-        if term:
+    for Q, subs in coarsening_splits(P, P):
+        if all(g > 0 for g in relative_weight_gaps(subs, sums)) and all(
+            g > 0 for g in root_gaps(Q.blocks, run_totals(subs, sums))
+        ):
             total += epsilon_between(P, Q)
     return total
 
@@ -166,8 +174,7 @@ def levi_sum_tau_hat(M, H):
     ordering puts H on a wall: WallError, never a silent count.
     """
     H = as_exact(H)
-    if len(H) != M.n:
-        raise ValueError("point has %d coordinates, expected %d" % (len(H), M.n))
+    _check_length(H, M.n)
     for a, b in M.intervals:
         if any(H[i] != H[a] for i in range(a, b)):
             raise ValueError("point is not block-constant on %s" % (M,))
@@ -210,8 +217,7 @@ def arthur_partition_report(Q, H):
     equals the signed sum over pairs of the weight indicators.
     """
     H = as_exact(H)
-    if len(H) != Q.n:
-        raise ValueError("point has %d coordinates, expected %d" % (len(H), Q.n))
+    _check_length(H, Q.n)
     partition_sum = 0
     alternating = 0
     for P, subs, arr, sums in arranged_pairs(Q, H):

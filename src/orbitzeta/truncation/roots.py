@@ -181,6 +181,13 @@ def coarsenings_of(finer):
     )
 
 
+@lru_cache(maxsize=None)
+def coarsening_splits(finer, base):
+    """(Q, finer.split_by(Q)) for each Q in coarsenings_of(base), where
+    finer refines base.  Built once per pair."""
+    return tuple((Q, finer.split_by(Q)) for Q in coarsenings_of(base))
+
+
 @dataclass(frozen=True)
 class SemiStandardParabolic:
     """Ordered set partition of {0..n-1}: arbitrary index blocks in order."""
@@ -383,6 +390,12 @@ def consecutive_root_gaps(subs, sums):
     return itertools.chain.from_iterable(
         root_gaps(sub, block_sums) for sub, block_sums in _within_blocks(subs, sums)
     )
+
+
+def run_totals(subs, sums):
+    """Block sums of Q from P's block sums: one total per run of P-blocks
+    inside a Q-block (subs = P.split_by(Q))."""
+    return tuple(sum(block_sums) for _, block_sums in _within_blocks(subs, sums))
 
 
 def leading_sums(subs, sums):

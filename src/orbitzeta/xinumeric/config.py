@@ -27,11 +27,13 @@ class PrecisionConfig:
     expansion_order: number of stored series orders per expansion point; when
         analyzing orbits of gl(n) use at least n + 3 so the window reaches a
         few orders past the residue after all pole cancellations.
-    contour_radius: radius of the expansion circles; must stay below 1/2 so a
-        circle around an integer point never approaches the neighboring
-        integers or the poles at 0 and 1.
-    contour_nodes: trapezoid nodes per circle; the node count controls the
-        aliasing error, which decays geometrically in it.
+    contour_radius, contour_nodes: circle radius (below 1/2, so a circle
+        around an integer point keeps clear of the neighboring integers and
+        the poles at 0 and 1) and trapezoid node count of the contour
+        quadrature that checks the Taylor tables in the tests.  The tables
+        themselves come from the power-series sum and depend on
+        working_digits only; both knobs are validated and serialised so a
+        report records the whole configuration.
     """
 
     working_digits: int = 30

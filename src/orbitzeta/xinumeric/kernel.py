@@ -8,27 +8,32 @@ Routes kept deliberately independent:
 
 - zeta values come from an Euler-Maclaurin summation implemented here (the
   Gamma factor and the underlying big-float arithmetic come from mpmath);
-- Taylor coefficients at integer points come from trapezoid quadrature of the
-  Cauchy integral on a small circle (spectrally accurate; aliasing estimated
-  by comparing against the half-node rule);
+- Taylor coefficients at integer points come from the same summation in
+  power-series mode (F. Johansson, "Rigorous high-precision computation of
+  the Hurwitz zeta function and its derivatives", Numer. Algorithms 69
+  (2015)): real arithmetic, one log per summed term, and a bound on the
+  error of every coefficient.  Trapezoid quadrature of the Cauchy integral
+  on a small circle is its test oracle (tests/contour_oracle.py);
 - derivative values can be cross-checked through central finite differences
-  with Richardson extrapolation, which shares no code with the contour route;
+  with Richardson extrapolation, which shares no code with the series route;
 - the finite part at the pole z = 1 can be cross-checked through a direct
   Richardson limit of xi(1+u) - 1/u;
 - residue anchors for the orbit sums are closed forms built from mpmath's
   own zeta, gamma and digamma.
 
 At z = 1 the object expanded is the regular part xi(z) - 1/(z-1); the
-principal part 1/(z-1) is carried exactly and never enters the quadrature.
+principal part 1/(z-1) is carried exactly and never enters a series.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import iv, mp, mpc, mpf
 
 from .config import GUARD_DIGITS, ExpansionOrderError, PrecisionConfig, PrecisionError
 
@@ -75,7 +80,7 @@ def _euler_maclaurin_once(s, cutoff, target):
     prev_mag = mpf("inf")
     k = 1
     while k < 600:
-        term = mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * rising * npow
+        term = _bernoulli_ratio(k) * rising * npow
         mag = abs(term)
         if mag >= prev_mag:
             return None  # asymptotic tail started diverging: need larger cutoff
@@ -92,6 +97,19 @@ def _euler_maclaurin_once(s, cutoff, target):
         npow *= nstep
         k += 1
     return None
+
+
+_bernoulli_ratios = {}
+
+
+def _bernoulli_ratio(k):
+    """B_2k/(2k)! at the current working precision, from one table per
+    binary precision shared by the scalar and the power-series sums."""
+    table = _bernoulli_ratios.setdefault(mp.prec, [])
+    while len(table) < k:
+        j = 2 * len(table) + 2
+        table.append(mpmath.bernoulli(j) / mpmath.factorial(j))
+    return table[k - 1]
 
 
 def xi_point(z, digits):
@@ -114,7 +132,7 @@ class XiPointExpansion:
 
     coefficients[k] is the k-th Taylor coefficient (derivative / k!) of xi at
     the point when point >= 2, and of xi(z) - 1/(z-1) when point == 1.  The
-    principal part at 1 is exact: residue 1, never touched by quadrature.
+    principal part at 1 is exact: residue 1, never part of the series.
     """
 
     point: int
@@ -128,19 +146,23 @@ class XiPointExpansion:
 
 
 _expansion_cache = {}
-_contour_cache = {}
+_series_cache = {}
+
+# one pass over j builds at least this many coefficients
+_MIN_TERMS = 16
+# the Euler-Maclaurin cutoff starts here and doubles at most this often
+_FIRST_CUTOFF = 8
+_CUTOFF_DOUBLINGS = 6
 
 
 def expansion_at(point, config=None):
     """Cached Taylor expansion of (the regular part of) xi at an integer >= 1.
 
     Returns one memoised table per (config, point), carrying that config.
-    Behind it sits a contour cache keyed without the expansion order: one
-    entry per (point, working digits, radius, even node count) holds the xi
-    samples on the circle and the coefficients built from them so far.
-    Coefficient k does not depend on the order a table is built to, so a
-    higher order evaluates no node and extends the DFT by the missing k
-    only, and a lower order is a prefix of what is there.
+    Behind it sits a series cache keyed by (point, internal digits) only:
+    one pass over j builds max(order + 1, _MIN_TERMS) coefficients.
+    Coefficient k and its error do not depend on how many are built, so a
+    higher order is a slice of what is there or a rebuild with that prefix.
 
     The caches and mpmath's working precision are process-global, so the
     numeric layer is for single-threaded use.
@@ -151,80 +173,154 @@ def expansion_at(point, config=None):
     key = (config, point)
     hit = _expansion_cache.get(key)
     if hit is None:
-        nodes = config.contour_nodes + config.contour_nodes % 2
-        contour_key = (point, config.working_digits, config.contour_radius, nodes)
-        contour = _contour_cache.get(contour_key)
-        if contour is None:
-            contour = _contour_cache[contour_key] = _Contour(point, config, nodes)
         size = config.expansion_order + 1
-        contour.extend(size)
+        series_key = (point, config.internal_dps)
+        built = _series_cache.get(series_key, ((), ()))
+        if len(built[0]) < size:
+            built = _series_cache[series_key] = _xi_series(
+                point, config.internal_dps, max(size, 2 * len(built[0]), _MIN_TERMS)
+            )
         hit = _expansion_cache[key] = XiPointExpansion(
-            point=point,
-            coefficients=tuple(contour.coefficients[:size]),
-            errors=tuple(contour.errors[:size]),
-            config=config,
+            point=point, coefficients=built[0][:size], errors=built[1][:size], config=config
         )
     return hit
 
 
-class _Contour:
-    """Samples of xi on one trapezoid circle and the Taylor table so far."""
+def _xi_series(point, digits, size):
+    """Coefficients 0..size-1 of xi(point + u), or of xi(1 + u) - 1/u at
+    point 1, each with an error bound.
 
-    def __init__(self, point, config, nodes):
-        self.digits = digits = config.internal_dps
-        self.nodes = nodes
-        self.coefficients = []
-        self.errors = []
+    Everything runs in interval arithmetic, so rounding is enclosed; the
+    value is an enclosure's midpoint and the error its width.  The Gamma
+    factor pi^(-s/2) Gamma(s/2) is exp of its log series at x = point/2:
+    loggamma(x) - x log pi, then (digamma(x) - log pi) u/2, then
+    polygamma(m-1, x) (u/2)^m/m! = (-1)^m/m sum_{i>=point, i=point mod 2}
+    i^-m u^m, whose tail is a multiple of zeta(m).  mpmath's zeta(m) is
+    taken as accurate to 16 units in the last place.
+    """
+    cutoff, terms = _em_plan(point, digits)
+    saved = iv.prec
+    try:
         with mp.workdps(digits + 10):
-            self.radius = radius = mpmath.mpmathify(config.contour_radius)
-            self.rpow = mpf(1)
-            samples = self.samples = [None] * nodes
-            max_mag = mpf(0)
-            eval_err = 0.0
-            # the integrand is real-analytic, so nodes in conjugate pairs share a value
-            for m in range(nodes // 2 + 1):
-                z = point + radius * mpmath.expjpi(mpf(2) * m / nodes)
-                val, err = xi_point(z, digits + 5)
-                if point == 1:
-                    val = val - 1 / (z - 1)
-                samples[m] = val
-                if 0 < m < nodes // 2:
-                    samples[nodes - m] = mpmath.conj(val)
-                eval_err = max(eval_err, err)
-                max_mag = max(max_mag, abs(val))
-            self.max_mag = max_mag
-            self.eval_err = eval_err
+            iv.prec = mp.prec
+            x = iv.mpf(point) / 2
+            odd = point % 2
+            below = range(2 - odd, point, 2)
+            log_pi = iv.log(iv.pi)
+            logs = [
+                iv.loggamma(x) - x * log_pi if point > 1 else iv.mpf(0),
+                (sum(iv.mpf(2) / i for i in below) - iv.euler - 2 * odd * iv.log(2) - log_pi) / 2,
+            ]
+            for m in range(2, size + 1):
+                half = iv.mpf(1) / 2**m
+                tail = _enclose(mpmath.zeta(m)) * (1 - half if odd else half)
+                logs.append((-1) ** m * (tail - sum(iv.mpf(1) / i**m for i in below)) / m)
+            gamma = [iv.exp(logs[0])]
+            for k in range(1, size + 1):
+                gamma.append(sum(j * logs[j] * gamma[k - j] for j in range(1, k + 1)) / k)
+            xi = _mul(gamma, _zeta_series(point, cutoff, terms, size))
+            if point == 1:
+                # xi(1 + u) - 1/u = (G(u) - 1)/u + G(u) zeta_reg(1 + u), as G(0) = 1
+                xi = [c + g for c, g in zip(xi, gamma[1:])]
+            return tuple(mpf(c.mid) for c in xi), tuple(float(c.delta) for c in xi)
+    finally:
+        iv.prec = saved
 
-    def extend(self, size):
-        """Build coefficients and errors up to index size - 1."""
-        digits = self.digits
-        nodes = self.nodes
-        samples = self.samples
-        with mp.workdps(digits + 10):
-            for k in range(len(self.coefficients), size):
-                rpow = self.rpow
-                full = mpc(0)
-                half = mpc(0)
-                for m in range(nodes):
-                    w = mpmath.expjpi(mpf(-2) * k * m / nodes)
-                    full += samples[m] * w
-                    if m % 2 == 0:
-                        half += samples[m] * w
-                full = full / nodes / rpow
-                half = half / (nodes // 2) / rpow
-                alias = float(abs(full - half))
-                rounding = float(self.max_mag) / float(rpow) * 10.0 ** (-(digits + 2))
-                evals = self.eval_err / float(rpow)
-                imag_leak = float(abs(mpmath.im(full)))
-                self.coefficients.append(mpmath.re(full))
-                self.errors.append(alias + rounding + evals + imag_leak)
-                self.rpow = rpow * self.radius
+
+def _zeta_series(point, cutoff, terms, size):
+    """Enclosures of coefficients 0..size-1 of zeta(point + u), or of
+    zeta(1 + u) - 1/u at point 1, by Euler-Maclaurin in power-series mode
+    (F. Johansson, Numer. Algorithms 69 (2015)):
+
+        zeta(s) = sum_{j<N} j^-s + N^(1-s) [1/(s-1) + 1/(2N)
+                  + sum_{k<=M} B_2k/(2k)! (s)_(2k-1) N^-2k] + R(s),
+
+    with j^-s = j^-point exp(-u log j), N^(1-s) = N^(1-point) N^-u, and
+    (s)_(2k-1) a polynomial in u with integer coefficients.
+    """
+    sums = [iv.mpf(1)] + [iv.mpf(0)] * (size - 1)
+    for j in range(2, cutoff):
+        term, step = iv.mpf(1) / j**point, -iv.log(j)
+        for m in range(size):
+            sums[m] += term
+            term = term * step / (m + 1)
+    decay = [iv.mpf(1)]  # N^-u, one coefficient longer for the shift at 1
+    for m in range(1, size + 1):
+        decay.append(decay[-1] * -iv.log(cutoff) / m)
+    bracket = [iv.mpf(1) / (2 * cutoff)] + [iv.mpf(0)] * (size - 1)
+    rising = [point, 1] + [0] * (size - 2)
+    for k in range(1, terms + 1):
+        weight = _enclose(_bernoulli_ratio(k)) / cutoff ** (2 * k)
+        bracket = [b + weight * r for b, r in zip(bracket, rising)]
+        for c in (point + 2 * k - 1, point + 2 * k):
+            rising = [c * rising[0]] + [c * r + lower for r, lower in zip(rising[1:], rising)]
+    if point == 1:
+        # N^-u/u = 1/u + sum_m decay[m+1] u^m, and the 1/u is the pole, kept exact
+        tail = [t + d for t, d in zip(_mul(decay, bracket), decay[1:])]
+    else:
+        bracket = [b + iv.mpf((-1) ** m) / (point - 1) ** (m + 1) for m, b in enumerate(bracket)]
+        tail = [t / cutoff ** (point - 1) for t in _mul(decay, bracket)]
+    radii = [math.exp(_remainder_log_bound(point, cutoff, terms, k)) for k in range(size)]
+    return [s + t + iv.mpf([-r, r]) for s, t, r in zip(sums, tail, radii)]
+
+
+def _em_plan(point, digits):
+    """Cutoff N and correction count M for the power-series sum at a point:
+    the least M whose remainder bound at coefficient 0 reaches
+    10^-(digits + 2).  When the bound turns upward first, the corrections
+    cannot reach it at this N, and N doubles.  Errors are floats, so a
+    target below the least normal float is refused."""
+    log_target = -(digits + 2) * math.log(10)
+    if log_target < math.log(sys.float_info.min):
+        raise PrecisionError("errors at %d digits underflow a float" % digits)
+    cutoff = _FIRST_CUTOFF
+    for _ in range(_CUTOFF_DOUBLINGS + 1):
+        previous, terms = math.inf, 1
+        while (bound := _remainder_log_bound(point, cutoff, terms, 0)) < previous:
+            if bound <= log_target:
+                return cutoff, terms
+            previous, terms = bound, terms + 1
+        cutoff *= 2
+    raise PrecisionError("Euler-Maclaurin series cannot reach %d digits at %d" % (digits, point))
+
+
+def _remainder_log_bound(point, cutoff, terms, k):
+    """Log of a bound on the u^k coefficient of R(point + u), the remainder
+    after M = terms corrections at cutoff N.
+
+    Backlund's bound |R| <= |s + 2M + 1|/(Re s + 2M + 1) |T_(M+1)(s)| holds
+    for Re s > -2M - 1; with |B_2k|/(2k)! <= (pi^2/3)/(2 pi)^2k it is at most
+    (h + 2M + 1)/(l + 2M + 1) (pi^2/3)/(2 pi)^(2M+2) Gamma(h + 2M + 1)/Gamma(h)
+    N^-(l + 2M + 1) on the circle |s - point| = r, h = point + r, l = point - r.
+    Cauchy's estimate divides by r^k; the least over r = 1/4..4 is taken.
+    """
+    return min(
+        math.log((point + r + 2 * terms + 1) / (point - r + 2 * terms + 1))
+        + math.log(math.pi**2 / 3)
+        - (2 * terms + 2) * math.log(2 * math.pi)
+        + math.lgamma(point + r + 2 * terms + 1)
+        - math.lgamma(point + r)
+        - (point - r + 2 * terms + 1) * math.log(cutoff)
+        - k * math.log(r)
+        for r in (i / 4 for i in range(1, 17))
+        if r < point + 2 * terms
+    )
+
+
+def _enclose(value):
+    """Interval around an mpf taken as accurate to 16 units in the last place."""
+    return iv.mpf(value) * (1 + iv.mpf([-1, 1]) * mpmath.ldexp(1, 4 - mp.prec))
+
+
+def _mul(a, b):
+    """Truncated product of two series, to the shorter length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]
 
 
 def xi_value(point, derivative_order=0, config=None):
     """Value of the k-th derivative of xi at an integer point >= 2.
 
-    Primary route: Cauchy contour coefficients times k!.  Raises
+    Primary route: power-series Taylor coefficients times k!.  Raises
     PrecisionError when the propagated estimate exceeds the contract bound of
     10^-(working_digits - 2).
     """
@@ -261,7 +357,7 @@ def xi_expansion_at_one(config=None):
 
 
 # ---------------------------------------------------------------------------
-# independent cross-check routes (share no code with the contour quadrature)
+# independent cross-check routes (share no code with the power-series route)
 # ---------------------------------------------------------------------------
 
 _CENTRAL_STENCILS = {
@@ -345,7 +441,7 @@ def residue_anchor(parts, digits):
     xi(2) * (-log(pi)/2 + psi(1)/2 + zeta'(2)/zeta(2)).  None for every other
     orbit.  Built from mpmath's own zeta, gamma and digamma at digits plus
     GUARD_DIGITS, so it shares no code with the Euler-Maclaurin sum behind
-    the contour tables.
+    the Taylor tables.
     """
     parts = tuple(parts)
     with mp.workdps(digits + GUARD_DIGITS):

@@ -4,7 +4,10 @@ import importlib.util
 import json
 import pathlib
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+import mpmath
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -27,6 +30,17 @@ def test_pole_survey_small_sizes(tmp_path, capsys):
     assert anchored == {"1", "1,1", "1,1,1", "2,1"}
     for name in anchored:
         assert float(rows[name]["anchor_diff"]) <= 1e-8
+    # pole orders and 12-digit residues equal the archived survey's
+    archive = json.loads((ROOT / "reports" / "pole_survey.json").read_text())["sizes"]
+    archived = {row["partition"]: row for n in ("1", "2", "3") for row in archive[n]["orbits"]}
+    assert archived.keys() == rows.keys()
+
+    def twelve(text):
+        return mpmath.nstr(mpmath.mpf(text), 12)
+
+    for name, row in rows.items():
+        assert row["pole_order"] == archived[name]["pole_order"], name
+        assert twelve(row["residue"]) == twelve(archived[name]["residue"]), name
 
 
 def test_truncation_suite_fast(tmp_path, capsys):

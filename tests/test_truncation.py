@@ -453,6 +453,33 @@ def test_langlands_rejects_full_group():
         langlands_sum(group(2), (Fraction(1), Fraction(-1)))
 
 
+def test_sums_match_their_definition_by_public_indicators():
+    """langlands_sum and indicator_sigma take each coarsening's block sums
+    as run totals of the finer type's; on the battery points they equal
+    their defining alternating sums of the public indicators."""
+    r = random.Random(SEED)
+    for H in _battery_points():
+        G = group(len(H))
+        (P,) = _proper_type(r, H)
+        if P.r >= 2:
+            assert langlands_sum(P, H) == sum(
+                epsilon_between(P, Q) for Q in coarsenings_of(P)
+                if indicator_tau_hat(P, Q, H) and indicator_tau(Q, G, H)
+            )
+        P1, P2 = _type_pair(r, H)
+        if P1.refines(P2):
+            assert indicator_sigma(P1, P2, H) == sum(
+                epsilon_between(P2, P) for P in coarsenings_of(P2)
+                if indicator_tau(P1, P, H) and indicator_tau_hat(P, G, H)
+            )
+    b = minimal_parabolic(3)
+    for operation, args in ((langlands_sum, (b,)), (indicator_sigma, (b, group(3)))):
+        with pytest.raises(ValueError, match="point has 2 coordinates, expected 3"):
+            operation(*args, (1, -1))
+    with pytest.raises(ValueError, match=r"does not refine"):
+        indicator_sigma(group(3), b, (1, 0, -1))
+
+
 def test_levi_sum_examples():
     t0 = minimal_parabolic(2)
     assert levi_sum_tau_hat(t0, (Fraction(1), Fraction(-1))) == 1

@@ -1,8 +1,10 @@
 """Numeric kernel: zeta summation, completed-zeta values, derivative routes.
 
 Oracles here are closed forms assembled from library constants (pi, euler,
-Catalan-free zeta derivatives) and the library zeta itself, which shares no
-code with the Euler-Maclaurin summation or the contour quadrature under test.
+Catalan-free zeta derivatives), the library zeta itself, which shares no
+code with the Euler-Maclaurin summation under test, and contour-quadrature
+Taylor tables (contour_oracle.py), which share no power-series arithmetic
+with the series route.
 """
 
 from dataclasses import replace
@@ -12,6 +14,7 @@ import pytest
 from mpmath import mp
 
 from orbitzeta.xinumeric import (
+    GUARD_DIGITS,
     ExpansionOrderError,
     PrecisionConfig,
     PrecisionError,
@@ -25,6 +28,8 @@ from orbitzeta.xinumeric import (
     xi_value_fd,
     zeta_euler_maclaurin,
 )
+
+import contour_oracle
 
 CFG30 = PrecisionConfig.default(working_digits=30)
 
@@ -202,11 +207,12 @@ def test_expansion_cache_is_config_keyed():
 def test_tables_are_prefixes_across_orders(monkeypatch):
     def build(orders):
         # empty caches: every build sequence starts from cold tables
-        monkeypatch.setattr(kernel, "_expansion_cache", {})
-        monkeypatch.setattr(kernel, "_contour_cache", {})
+        monkeypatch.setattr(contour_oracle, "_expansion_cache", {})
+        monkeypatch.setattr(contour_oracle, "_contour_cache", {})
         cfgs = {o: PrecisionConfig(working_digits=20, expansion_order=o, contour_nodes=48)
                 for o in orders}
-        return {(o, point): expansion_at(point, cfgs[o]) for o in orders for point in (1, 2, 5)}
+        return {(o, point): contour_oracle.expansion_at(point, cfgs[o])
+                for o in orders for point in (1, 2, 5)}
 
     rising = build((9, 12))
     falling = build((12, 9))
@@ -220,20 +226,40 @@ def test_tables_are_prefixes_across_orders(monkeypatch):
         assert rising[12, point].errors == falling[12, point].errors
 
 
+def test_series_tables_are_prefixes_across_orders(monkeypatch):
+    # order 20 lies beyond one pass's minimum, so the rising sequence
+    # rebuilds at 32 coefficients while the falling one builds 21
+    def build(orders):
+        monkeypatch.setattr(kernel, "_expansion_cache", {})
+        monkeypatch.setattr(kernel, "_series_cache", {})
+        cfgs = {o: PrecisionConfig(working_digits=20, expansion_order=o) for o in orders}
+        return {(o, point): expansion_at(point, cfgs[o]) for o in orders for point in (1, 2, 5)}
+
+    rising = build((9, 20))
+    falling = build((20, 9))
+    for point in (1, 2, 5):
+        tables = [t[o, point] for t in (rising, falling) for o in (9, 20)]
+        assert [len(t.coefficients) for t in tables] == [10, 21, 10, 21]
+        assert len({t.coefficients[:10] for t in tables}) == 1
+        assert len({t.errors[:10] for t in tables}) == 1
+        assert rising[20, point].coefficients == falling[20, point].coefficients
+        assert rising[20, point].errors == falling[20, point].errors
+
+
 def test_raising_the_order_evaluates_no_node(monkeypatch):
     calls = []
-    original = kernel.xi_point
+    original = contour_oracle.xi_point
 
     def counting(z, digits):
         calls.append(z)
         return original(z, digits)
 
-    monkeypatch.setattr(kernel, "xi_point", counting)
+    monkeypatch.setattr(contour_oracle, "xi_point", counting)
     base = PrecisionConfig(working_digits=12, expansion_order=3, contour_nodes=24)
 
     def new_calls(cfg):
         before = len(calls)
-        table = expansion_at(3, cfg)
+        table = contour_oracle.expansion_at(3, cfg)
         assert table.config is cfg
         assert len(table.coefficients) == cfg.expansion_order + 1
         return len(calls) - before
@@ -246,6 +272,82 @@ def test_raising_the_order_evaluates_no_node(monkeypatch):
     assert new_calls(replace(base, working_digits=13)) == 24 // 2 + 1
     assert new_calls(replace(base, contour_radius=0.2)) == 24 // 2 + 1
     assert new_calls(replace(base, contour_nodes=20)) == 20 // 2 + 1
+
+
+def test_raising_the_order_makes_no_pass_over_j(monkeypatch):
+    passes = []
+    original = kernel._zeta_series
+
+    def counting(point, cutoff, terms, size):
+        passes.append(size)
+        return original(point, cutoff, terms, size)
+
+    monkeypatch.setattr(kernel, "_zeta_series", counting)
+    base = PrecisionConfig(working_digits=12, expansion_order=3)
+
+    def new_passes(cfg):
+        before = len(passes)
+        table = expansion_at(3, cfg)
+        assert table.config is cfg
+        assert len(table.coefficients) == cfg.expansion_order + 1
+        return len(passes) - before
+
+    assert new_passes(base) == 1
+    assert passes[-1] == kernel._MIN_TERMS
+    assert new_passes(replace(base, expansion_order=7)) == 0
+    assert new_passes(replace(base, expansion_order=2)) == 0
+    assert new_passes(replace(base, expansion_order=kernel._MIN_TERMS - 1)) == 0
+    # the contour knobs no longer reach the tables
+    assert new_passes(replace(base, contour_nodes=24, contour_radius=0.2)) == 0
+    assert new_passes(replace(base, working_digits=13)) == 1
+    # beyond the coefficients built, one new pass builds twice as many
+    assert new_passes(replace(base, expansion_order=kernel._MIN_TERMS)) == 1
+    assert passes[-1] == 2 * kernel._MIN_TERMS
+    assert new_passes(replace(base, expansion_order=2 * kernel._MIN_TERMS - 1)) == 0
+
+
+def test_series_errors_bound_the_oracle():
+    """Every coefficient of orders <= 11 at points 1..8 and working digits
+    20, 30, 40 lies within its stated error of the contour oracle.  One
+    oracle at 80 digits and 256 nodes (twice the highest digits, twice the
+    default nodes) serves all three levels; its own stated error is
+    charged against the series bound."""
+    oracle_cfg = PrecisionConfig(working_digits=80, expansion_order=11, contour_nodes=256)
+    for point in range(1, 9):
+        oracle = contour_oracle.expansion_at(point, oracle_cfg)
+        for digits in (20, 30, 40):
+            table = expansion_at(point, PrecisionConfig(working_digits=digits, expansion_order=11))
+            for k, (value, error) in enumerate(zip(table.coefficients, table.errors)):
+                assert 10 * oracle.errors[k] < error, (point, digits, k)
+                with mp.workdps(100):
+                    gap = float(abs(value - oracle.coefficients[k]))
+                assert gap + oracle.errors[k] <= error, (point, digits, k, gap, error)
+                # the bound is meaningful: within a few digits of the level asked for
+                assert error < 10.0 ** -(digits + GUARD_DIGITS - 6), (point, digits, k)
+
+
+def test_series_and_oracle_agree_at_default():
+    cfg = PrecisionConfig()
+    for point in range(1, 9):
+        table = expansion_at(point, cfg)
+        oracle = contour_oracle.expansion_at(point, cfg)
+        for k in range(cfg.expansion_order + 1):
+            with mp.workdps(cfg.internal_dps + 10):
+                gap = float(abs(table.coefficients[k] - oracle.coefficients[k]))
+            assert gap <= table.errors[k] + oracle.errors[k], (point, k, gap)
+
+
+def test_bernoulli_table_keeps_xi_point_bits(monkeypatch):
+    points = [mpmath.mpf(k) for k in closed_forms()] + [mpmath.mpf("1.25"), mpmath.mpf("-0.25")]
+    with mp.workdps(50):
+        tabled = [xi_point(z, 40) for z in points] + [xi_point(z, 35) for z in points]
+
+        def direct(k):
+            return mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+
+        monkeypatch.setattr(kernel, "_bernoulli_ratio", direct)
+        computed = [xi_point(z, 40) for z in points] + [xi_point(z, 35) for z in points]
+    assert tabled == computed
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +365,34 @@ def test_error_monotone_under_doubling():
         assert fine <= coarse
 
 
-def test_unreachable_precision_raises():
-    # 16 nodes leave an aliasing floor far above 40-digit demands
+def test_unreachable_precision_raises(monkeypatch):
+    # xi_value's contract on the contour oracle's tables: 16 nodes leave an
+    # aliasing floor far above 40-digit demands
+    monkeypatch.setattr(kernel, "expansion_at", contour_oracle.expansion_at)
     starved = PrecisionConfig.default(working_digits=40, contour_nodes=16)
     with pytest.raises(PrecisionError):
         xi_value(2, 0, starved)
+
+
+def test_exhausted_cutoff_escalation_raises(monkeypatch):
+    # 40 + guard digits need a cutoff of 32: two doublings from 8, not one
+    cfg = PrecisionConfig.default(working_digits=40)
+    monkeypatch.setattr(kernel, "_expansion_cache", {})
+    monkeypatch.setattr(kernel, "_series_cache", {})
+    monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 1)
+    for point in (1, 2, 8):
+        with pytest.raises(PrecisionError):
+            expansion_at(point, cfg)
+    assert kernel._series_cache == {}
+    monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 2)
+    assert kernel._em_plan(2, cfg.internal_dps)[0] == 32
+
+
+def test_errors_below_float_range_raise():
+    # an error bound of 10^-(320 + 15 + 2) would underflow to an exact 0.0
+    with pytest.raises(PrecisionError):
+        expansion_at(2, PrecisionConfig(working_digits=320, expansion_order=3))
+    assert expansion_at(2, PrecisionConfig(working_digits=280, expansion_order=3)).errors[0] > 0
 
 
 def test_derivative_order_beyond_window_raises():
