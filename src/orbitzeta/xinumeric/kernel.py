@@ -178,7 +178,7 @@ def expansion_at(point, config=None):
         built = _series_cache.get(series_key, ((), ()))
         if len(built[0]) < size:
             built = _series_cache[series_key] = _xi_series(
-                point, config.internal_dps, max(size, 2 * len(built[0]), _MIN_TERMS)
+                point, config.internal_dps, max(size, _MIN_TERMS)
             )
         hit = _expansion_cache[key] = XiPointExpansion(
             point=point, coefficients=built[0][:size], errors=built[1][:size], config=config
@@ -260,7 +260,7 @@ def _zeta_series(point, cutoff, terms, size):
     else:
         bracket = [b + iv.mpf((-1) ** m) / (point - 1) ** (m + 1) for m, b in enumerate(bracket)]
         tail = [t / cutoff ** (point - 1) for t in _mul(decay, bracket)]
-    radii = [math.exp(_remainder_log_bound(point, cutoff, terms, k)) for k in range(size)]
+    radii = [math.exp(b) for b in _remainder_log_bounds(point, cutoff, terms, size)]
     return [s + t + iv.mpf([-r, r]) for s, t, r in zip(sums, tail, radii)]
 
 
@@ -276,7 +276,7 @@ def _em_plan(point, digits):
     cutoff = _FIRST_CUTOFF
     for _ in range(_CUTOFF_DOUBLINGS + 1):
         previous, terms = math.inf, 1
-        while (bound := _remainder_log_bound(point, cutoff, terms, 0)) < previous:
+        while (bound := _remainder_log_bounds(point, cutoff, terms, 1)[0]) < previous:
             if bound <= log_target:
                 return cutoff, terms
             previous, terms = bound, terms + 1
@@ -284,9 +284,9 @@ def _em_plan(point, digits):
     raise PrecisionError("Euler-Maclaurin series cannot reach %d digits at %d" % (digits, point))
 
 
-def _remainder_log_bound(point, cutoff, terms, k):
-    """Log of a bound on the u^k coefficient of R(point + u), the remainder
-    after M = terms corrections at cutoff N.
+def _remainder_log_bounds(point, cutoff, terms, size):
+    """Logs of bounds on the u^k coefficients, k < size, of R(point + u),
+    the remainder after M = terms corrections at cutoff N.
 
     Backlund's bound |R| <= |s + 2M + 1|/(Re s + 2M + 1) |T_(M+1)(s)| holds
     for Re s > -2M - 1; with |B_2k|/(2k)! <= (pi^2/3)/(2 pi)^2k it is at most
@@ -294,17 +294,20 @@ def _remainder_log_bound(point, cutoff, terms, k):
     N^-(l + 2M + 1) on the circle |s - point| = r, h = point + r, l = point - r.
     Cauchy's estimate divides by r^k; the least over r = 1/4..4 is taken.
     """
-    return min(
-        math.log((point + r + 2 * terms + 1) / (point - r + 2 * terms + 1))
-        + math.log(math.pi**2 / 3)
-        - (2 * terms + 2) * math.log(2 * math.pi)
-        + math.lgamma(point + r + 2 * terms + 1)
-        - math.lgamma(point + r)
-        - (point - r + 2 * terms + 1) * math.log(cutoff)
-        - k * math.log(r)
+    on_circles = [
+        (
+            math.log((point + r + 2 * terms + 1) / (point - r + 2 * terms + 1))
+            + math.log(math.pi**2 / 3)
+            - (2 * terms + 2) * math.log(2 * math.pi)
+            + math.lgamma(point + r + 2 * terms + 1)
+            - math.lgamma(point + r)
+            - (point - r + 2 * terms + 1) * math.log(cutoff),
+            math.log(r),
+        )
         for r in (i / 4 for i in range(1, 17))
         if r < point + 2 * terms
-    )
+    ]
+    return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
 
 
 def _enclose(value):

@@ -5,8 +5,9 @@ a >= 2 contributes the Taylor series of xi at a; a factor with a = 1
 contributes exactly 1/(b*s) plus the Taylor series of the regular part at 1.
 expand() multiplies these factor series per monomial and sums the terms.
 laurent_expand runs it over (value, error) coefficients: principal-part
-coefficients are exact rationals, everything else is a big float carrying a
-propagated absolute-error estimate.  formal_cancellation_check (formal.py)
+coefficients are exact rationals, everything else is a big float carrying an
+absolute-error bound: the tables' errors, propagated, plus a bound on every
+rounding at the working precision.  formal_cancellation_check (formal.py)
 runs it over FormalPoly, with the Taylor coefficients left symbolic.
 
 Series windows: a series stores a contiguous block of coefficients starting
@@ -24,10 +25,11 @@ floor is reported as indeterminate rather than silently classified.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 import mpmath
@@ -51,7 +53,8 @@ class _Approx(NamedTuple):
 
     A pair, so LaurentSeries.coefficient still unpacks as (value, error); +
     and * are coefficient arithmetic with error propagation, not tuple
-    concatenation and repetition.
+    concatenation and repetition.  Each operation that yields an mpf adds
+    a bound on its own rounding at the working precision to the error.
     """
 
     value: object
@@ -66,15 +69,35 @@ class _Approx(NamedTuple):
         return cls(Fraction(0), 0.0)
 
     def __add__(self, other):
-        return _Approx(self.value + other.value, self.error + other.error)
+        x, y = self.value, other.value
+        z = x + y
+        error = self.error + other.error
+        if type(z) is not Fraction:
+            # z = m 2^e with a bc-bit mantissa m lies below 2^(e + bc), so the
+            # sum rounded it by at most 2^(e + bc - prec); a rational summand
+            # was rounded once more, by |summand| 2^-prec, on conversion
+            prec = mp.prec
+            _, _, e, bc = z._mpf_
+            error += math.ldexp(1.0, e + bc - prec)
+            for q in (x, y):
+                if type(q) is Fraction and q:
+                    error += math.ldexp(abs(float(q)), -prec)
+        return _Approx(z, error)
 
     def __mul__(self, other):
         x, ex = self
         y, ey = other
-        return _Approx(x * y, abs(float(x)) * ey + abs(float(y)) * ex + ex * ey)
+        fx, fy = abs(float(x)), abs(float(y))
+        z = x * y
+        error = fx * ey + fy * ex + ex * ey
+        if type(z) is not Fraction:
+            # one rounding of the product, one of a rational factor's
+            # conversion, each at most |z| 2^-prec; four units cover both
+            error += math.ldexp(fx * fy, 2 - mp.prec)
+        return _Approx(z, error)
 
     def scale(self, q):
-        return _Approx(self.value * q, self.error * (abs(float(q)) * (1 + 1e-12)))
+        return self * _Approx(q, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,9 +138,8 @@ class LaurentSeries:
 
     def __mul__(self, other):
         rel = min(len(self.coeffs), len(other.coeffs))
-        zero = type(self.coeffs[0]).zero()
         return LaurentSeries(self.min_degree + other.min_degree, tuple(
-            sum((self.coeffs[i] * other.coeffs[j - i] for i in range(j + 1)), zero)
+            reduce(operator.add, (self.coeffs[i] * other.coeffs[j - i] for i in range(j + 1)))
             for j in range(rel)
         ))
 
@@ -257,14 +279,16 @@ def expand(expression, length, ring, taylor):
     """Laurent series of a nonzero XiExpression over one coefficient ring.
 
     Each monomial's factor series, stored to `length` orders, are multiplied,
-    scaled by the monomial's coefficient and summed.  ring is the coefficient
-    type: ring.constant(q) lifts an exact rational and ring.zero() is its
-    zero.  taylor is as in factor_series.
+    scaled by the monomial's coefficient and summed; each distinct factor's
+    series is built once.  ring is the coefficient type: ring.constant(q)
+    lifts an exact rational and ring.zero() is its zero.  taylor is as in
+    factor_series.
     """
     unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
+    series_of = cache(lambda f: factor_series(f.a, f.b, length, ring, taylor))
     acc = None
     for monomial, coeff in expression.sorted_terms():
-        factors = [factor_series(f.a, f.b, length, ring, taylor) for f in monomial.factors]
+        factors = [series_of(f) for f in monomial.factors]
         series = reduce(operator.mul, factors or [unit]).scale(coeff)
         acc = series if acc is None else acc + series
     return acc
@@ -291,8 +315,8 @@ def laurent_expand(expression, config=None):
     def taylor(a, b, count):
         table = expansion_at(a, config)
         return [
-            _Approx(table.coefficients[k] * b**k, table.errors[k] * b**k)
-            for k in range(count)
+            _Approx(c, e).scale(b**k)
+            for k, (c, e) in enumerate(zip(table.coefficients[:count], table.errors))
         ]
 
     with mp.workdps(config.internal_dps):

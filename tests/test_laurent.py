@@ -144,6 +144,25 @@ def test_series_scale_and_add_error_tracking():
     )
 
 
+def test_formally_vanishing_coefficients_lie_within_their_errors():
+    """Every deep coefficient (degree <= -2) of h vanishes formally, so it is
+    exactly 0 and its computed value must lie within its stated error of 0.
+    The tables are far more accurate than the expansion's working precision,
+    so this holds only if the errors also bound the expansion's own
+    rounding.  Orders as residues and the pole survey use them."""
+    from orbitzeta.partitions import partitions_of
+
+    for n in range(2, 8):
+        cfg = PrecisionConfig(working_digits=30).for_orbit_size(n)
+        for p in partitions_of(n):
+            h = h_orbit(p)
+            assert formal_cancellation_check(h).all_deep_vanish, p
+            series = laurent_expand(h, cfg)
+            for d in range(series.min_degree, -1):
+                value, error = series.coefficient(d)
+                assert abs(value) <= error, (p, d, value, error)
+
+
 # ---------------------------------------------------------------------------
 # formal certificates: coefficients as polynomials in symbolic Taylor data
 # ---------------------------------------------------------------------------

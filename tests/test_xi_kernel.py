@@ -228,7 +228,7 @@ def test_tables_are_prefixes_across_orders(monkeypatch):
 
 def test_series_tables_are_prefixes_across_orders(monkeypatch):
     # order 20 lies beyond one pass's minimum, so the rising sequence
-    # rebuilds at 32 coefficients while the falling one builds 21
+    # builds 16 coefficients and then 21, the falling one 21 at once
     def build(orders):
         monkeypatch.setattr(kernel, "_expansion_cache", {})
         monkeypatch.setattr(kernel, "_series_cache", {})
@@ -300,10 +300,9 @@ def test_raising_the_order_makes_no_pass_over_j(monkeypatch):
     # the contour knobs no longer reach the tables
     assert new_passes(replace(base, contour_nodes=24, contour_radius=0.2)) == 0
     assert new_passes(replace(base, working_digits=13)) == 1
-    # beyond the coefficients built, one new pass builds twice as many
+    # beyond the coefficients built, one new pass builds the order asked for
     assert new_passes(replace(base, expansion_order=kernel._MIN_TERMS)) == 1
-    assert passes[-1] == 2 * kernel._MIN_TERMS
-    assert new_passes(replace(base, expansion_order=2 * kernel._MIN_TERMS - 1)) == 0
+    assert passes[-1] == kernel._MIN_TERMS + 1
 
 
 def test_series_errors_bound_the_oracle():
