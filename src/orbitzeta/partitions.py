@@ -267,26 +267,35 @@ def _multisets_totaling(n):
     return gen(n, 0)
 
 
+@lru_cache(maxsize=None)
+def _classes_by_orbit(n):
+    """Every block-orbit class of n, grouped by induced orbit, in
+    _multisets_totaling order within each group."""
+    groups = {}
+    for pairs in _multisets_totaling(n):
+        levi = tuple(m for m, _ in pairs)
+        orbits = tuple(lam for _, lam in pairs)
+        groups.setdefault(induce(levi, orbits), []).append(
+            LeviOrbitClass(levi=levi, orbits=orbits)
+        )
+    return {target: tuple(classes) for target, classes in groups.items()}
+
+
 def enumerate_classes(target):
     """All block-orbit classes inducing the target orbit, with weights.
 
-    Returns LeviOrbitClass values in a deterministic order: descending by the
-    sorted (size, orbit) pair sequence.  The full group itself always appears
-    (with weight +1); the total count is 1 exactly when the target is the
-    zero orbit (1^n).
+    Returns a fresh list of LeviOrbitClass values in a deterministic order:
+    descending by the sorted (size, orbit) pair sequence.  The full group
+    itself always appears (with weight +1); the total count is 1 exactly
+    when the target is the zero orbit (1^n).  The classes of all orbits of
+    n are enumerated together, once per n.
     """
     if not isinstance(target, Partition):
         target = Partition(target)
     n = target.n
     if n < 1:
         raise ValueError("target must be a partition of n >= 1")
-    out = []
-    for pairs in _multisets_totaling(n):
-        levi = tuple(m for m, _ in pairs)
-        orbits = tuple(lam for _, lam in pairs)
-        if induce(levi, orbits) == target:
-            out.append(LeviOrbitClass(levi=levi, orbits=orbits))
-    return out
+    return list(_classes_by_orbit(n)[target])
 
 
 def count_all_classes(n):

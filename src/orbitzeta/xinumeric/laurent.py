@@ -3,12 +3,16 @@
 One series engine serves two coefficient rings.  A factor xi(a + b*s) with
 a >= 2 contributes the Taylor series of xi at a; a factor with a = 1
 contributes exactly 1/(b*s) plus the Taylor series of the regular part at 1.
-expand() multiplies these factor series per monomial and sums the terms.
-laurent_expand runs it over (value, error) coefficients: principal-part
-coefficients are exact rationals, everything else is a big float carrying an
-absolute-error bound: the tables' errors, propagated, plus a bound on every
-rounding at the working precision.  formal_cancellation_check (formal.py)
-runs it over FormalPoly, with the Taylor coefficients left symbolic.
+expand() multiplies these factor series per monomial and sums the terms;
+monomials that share a factor prefix, adjacent in the sorted term order,
+share its product.  laurent_expand runs it over (value, error)
+coefficients: principal-part coefficients are exact rationals, everything
+else is a big float carrying an absolute-error bound: the tables' errors,
+propagated, plus a bound on every rounding at the working precision.  Each
+such coefficient converts its value to a float magnitude once, for the
+error bounds of all the products it enters.  formal_cancellation_check
+(formal.py) runs it over FormalPoly, with the Taylor coefficients left
+symbolic.
 
 Series windows: a series stores a contiguous block of coefficients starting
 at min_degree.  Products of series with the same relative length keep that
@@ -26,10 +30,9 @@ floor is reported as indeterminate rather than silently classified.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import mpmath
@@ -48,17 +51,27 @@ def _is_exact(value):
     return isinstance(value, (Fraction, int))
 
 
-class _Approx(NamedTuple):
-    """Numeric series coefficient: exact Fraction or mpf value, absolute error.
-
-    A pair, so LaurentSeries.coefficient still unpacks as (value, error); +
-    and * are coefficient arithmetic with error propagation, not tuple
-    concatenation and repetition.  Each operation that yields an mpf adds
-    a bound on its own rounding at the working precision to the error.
-    """
+class _Pair(NamedTuple):
+    """The fields of _Approx."""
 
     value: object
     error: float
+
+
+class _Approx(_Pair):
+    """Numeric series coefficient: exact Fraction or mpf value, absolute error.
+
+    A pair, so LaurentSeries.coefficient still unpacks as, indexes as and
+    compares equal to (value, error); + and * are coefficient arithmetic with
+    error propagation, not tuple concatenation and repetition.  Each
+    operation that yields an mpf adds a bound on its own rounding at the
+    working precision to the error.  magnitude, |float(value)|, is computed
+    on first use and kept, since a coefficient enters many products.
+    """
+
+    @cached_property
+    def magnitude(self):
+        return abs(float(self.value))
 
     @classmethod
     def constant(cls, q):
@@ -87,7 +100,7 @@ class _Approx(NamedTuple):
     def __mul__(self, other):
         x, ex = self
         y, ey = other
-        fx, fy = abs(float(x)), abs(float(y))
+        fx, fy = self.magnitude, other.magnitude
         z = x * y
         error = fx * ey + fy * ex + ex * ey
         if type(z) is not Fraction:
@@ -137,11 +150,14 @@ class LaurentSeries:
         )
 
     def __mul__(self, other):
-        rel = min(len(self.coeffs), len(other.coeffs))
-        return LaurentSeries(self.min_degree + other.min_degree, tuple(
-            reduce(operator.add, (self.coeffs[i] * other.coeffs[j - i] for i in range(j + 1)))
-            for j in range(rel)
-        ))
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for j in range(min(len(a), len(b))):
+            c = a[0] * b[j]
+            for i in range(1, j + 1):
+                c = c + a[i] * b[j - i]
+            out.append(c)
+        return LaurentSeries(self.min_degree + other.min_degree, tuple(out))
 
     def scale(self, q):
         q = Fraction(q)
@@ -278,18 +294,35 @@ def factor_series(a, b, length, ring, taylor):
 def expand(expression, length, ring, taylor):
     """Laurent series of a nonzero XiExpression over one coefficient ring.
 
-    Each monomial's factor series, stored to `length` orders, are multiplied,
-    scaled by the monomial's coefficient and summed; each distinct factor's
-    series is built once.  ring is the coefficient type: ring.constant(q)
-    lifts an exact rational and ring.zero() is its zero.  taylor is as in
-    factor_series.
+    Each monomial's factor series, stored to `length` orders, are multiplied
+    left to right, scaled by the monomial's coefficient and summed; each
+    distinct factor's series is built once.  ring is the coefficient type:
+    ring.constant(q) lifts an exact rational and ring.zero() is its zero.
+    taylor is as in factor_series.
+
+    Products are shared along the term order: prefix[i] holds the product
+    of the series of the current monomial's first i + 1 factors, and the
+    next monomial keeps the entries of the factor prefix it has in common
+    with it and multiplies out only the rest.  Every product is the one a
+    fresh left fold of that monomial would make, in any term order; the
+    sorted order (by length, then factors) only makes common prefixes
+    adjacent, so that each is multiplied once.
     """
     unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
     series_of = cache(lambda f: factor_series(f.a, f.b, length, ring, taylor))
     acc = None
+    factors, prefix = (), []
     for monomial, coeff in expression.sorted_terms():
-        factors = [series_of(f) for f in monomial.factors]
-        series = reduce(operator.mul, factors or [unit]).scale(coeff)
+        shared = 0
+        for f, g in zip(factors, monomial.factors):
+            if f != g:
+                break
+            shared += 1
+        factors = monomial.factors
+        del prefix[shared:]
+        for f in factors[shared:]:
+            prefix.append(prefix[-1] * series_of(f) if prefix else series_of(f))
+        series = (prefix[-1] if prefix else unit).scale(coeff)
         acc = series if acc is None else acc + series
     return acc
 

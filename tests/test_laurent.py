@@ -1,6 +1,8 @@
 """Laurent expansion at the origin, residues, and formal pole certificates."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import pytest
@@ -17,6 +19,9 @@ from orbitzeta.xinumeric import (
     laurent_expand,
     residue_at_zero,
 )
+from orbitzeta.xinumeric.formal import _symbols
+from orbitzeta.xinumeric.kernel import expansion_at
+from orbitzeta.xinumeric.laurent import _Approx, expand, factor_series
 
 CFG = PrecisionConfig.default(working_digits=30, expansion_order=8)
 
@@ -266,3 +271,122 @@ def test_formal_matches_numeric_on_random_substitution():
                     assert ok == (total.get(d, F(0)) == 0), (p, d, text)
                     checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# shared prefix products against a per-monomial fold
+# ---------------------------------------------------------------------------
+
+
+def naive_expand(expression, length, ring, taylor):
+    """Oracle for expand: every monomial's factor series folded afresh from
+    the left, scaled and summed in the sorted term order."""
+    unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
+    acc = None
+    for monomial, coeff in expression.sorted_terms():
+        factors = [factor_series(f.a, f.b, length, ring, taylor) for f in monomial.factors]
+        series = reduce(operator.mul, factors or [unit]).scale(coeff)
+        acc = series if acc is None else acc + series
+    return acc
+
+
+def numeric_taylor(config):
+    """The Taylor data laurent_expand feeds to expand."""
+
+    def taylor(a, b, count):
+        table = expansion_at(a, config)
+        return [
+            _Approx(c, e).scale(b**k)
+            for k, (c, e) in enumerate(zip(table.coefficients[:count], table.errors))
+        ]
+
+    return taylor
+
+
+def bits(series):
+    """Every bit of a numeric series: mpf mantissas and exponents, exact
+    rationals, errors as float.hex."""
+    return series.min_degree, [
+        (getattr(v, "_mpf_", v), type(v), float.hex(e)) for v, e in series.coeffs
+    ]
+
+
+def xi_sum(*terms):
+    """XiExpression from (coefficient, [(a, b), ...]) terms."""
+    return reduce(operator.add, (XiExpression.monomial(fs, c) for c, fs in terms))
+
+
+# consecutive sorted monomials that differ at the first factor, the unit
+# monomial, repeated factors and mixed lengths
+SYNTHETIC = (
+    xi_sum((2, []), (1, [(1, 1), (2, 1)]), (-3, [(1, 2), (3, 1)])),
+    xi_sum(
+        (Fraction(1, 2), [(2, 3)]),
+        (1, [(1, 1)]),
+        (-1, [(1, 1), (2, 1)]),
+        (1, [(1, 1), (1, 1), (2, 1)]),
+        (5, [(1, 1), (1, 1), (3, 2)]),
+        (-2, [(2, 1), (2, 1), (2, 1)]),
+        (1, [(1, 3), (2, 1), (2, 1), (4, 1)]),
+    ),
+)
+
+
+def _expressions_through(n):
+    from orbitzeta.partitions import partitions_of
+
+    return [e for m in range(1, n + 1) for p in partitions_of(m) for e in (h_orbit(p), z_orbit(p))]
+
+
+def test_shared_products_equal_the_naive_fold():
+    """expand shares factor-prefix products across monomials; the result is
+    bit-identical to folding each monomial afresh, in both rings."""
+    taylor = numeric_taylor(CFG)
+    for expr in _expressions_through(6) + list(SYNTHETIC):
+        with mp.workdps(CFG.internal_dps):
+            want = bits(naive_expand(expr, CFG.expansion_order + 1, _Approx, taylor))
+        assert bits(laurent_expand(expr, CFG)) == want, expr
+        length = expr.max_polar_count() + 2
+        formal = expand(expr, length, FormalPoly, _symbols)
+        assert formal == naive_expand(expr, length, FormalPoly, _symbols), expr
+
+
+def test_shared_products_do_not_depend_on_term_order():
+    """Any term order gives the same exact sum, including a monomial followed
+    by one of its own prefixes or by a monomial with another first factor."""
+    import random
+
+    class Ordered:
+        def __init__(self, terms):
+            self.terms = terms
+
+        def sorted_terms(self):
+            return self.terms
+
+    expr = SYNTHETIC[1]
+    terms = expr.sorted_terms()
+    want = expand(expr, 4, FormalPoly, _symbols)
+    orders = [terms[::-1]] + [random.Random(seed).sample(terms, len(terms)) for seed in range(20)]
+    for order in orders:
+        assert expand(Ordered(order), 4, FormalPoly, _symbols) == want
+
+
+def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
+    """One series product per distinct factor prefix of length >= 2."""
+    calls = [0]
+    multiply = LaurentSeries.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting)
+    for expr in _expressions_through(6):
+        prefixes = {m.factors[:i] for m in expr.terms for i in range(2, len(m.factors) + 1)}
+        for run in (
+            lambda: laurent_expand(expr, CFG),
+            lambda: expand(expr, expr.max_polar_count(), FormalPoly, _symbols),
+        ):
+            calls[0] = 0
+            run()
+            assert calls[0] == len(prefixes), expr

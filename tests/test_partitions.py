@@ -16,6 +16,7 @@ import pytest
 from orbitzeta.partitions import (
     LeviOrbitClass,
     Partition,
+    _multisets_totaling,
     count_all_classes,
     enumerate_classes,
     induce,
@@ -307,6 +308,17 @@ def test_class_count_cross_check():
         by_target = sum(len(enumerate_classes(t)) for t in partitions_of(n))
         assert direct == by_target == _count_multisets_dp(n)
     assert count_all_classes(6) == 58
+    # the per-n grouping keeps the order of a direct filter of the multisets
+    for n in range(1, 8):
+        multisets = list(_multisets_totaling(n))
+        for t in partitions_of(n):
+            direct = [
+                LeviOrbitClass(levi=tuple(m for m, _ in pairs), orbits=tuple(o for _, o in pairs))
+                for pairs in multisets
+                if induce(tuple(m for m, _ in pairs), tuple(o for _, o in pairs)) == t
+            ]
+            assert enumerate_classes(t) == direct, t
+            assert enumerate_classes(t) is not enumerate_classes(t)
 
 
 # ---------------------------------------------------------------------------
