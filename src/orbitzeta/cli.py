@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -50,28 +49,14 @@ def _as_mpf(x):
     return x
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; everything the dispatch needs."""
-
-    command: str
-    n: int | None = None
-    partition: str | None = None
-    max_n: int = 6
-    digits: int | None = None
-    order: int | None = None
-    samples: int = 1000
-    seed: int = 20260816
-    fmt: str = "table"
-    what: str = "h"
-
-    def precision(self):
-        overrides = {}
-        if self.digits is not None:
-            overrides["working_digits"] = self.digits
-        if self.order is not None:
-            overrides["expansion_order"] = self.order
-        return PrecisionConfig.default(**overrides)
+def _precision(args):
+    """Default precision with the --digits and --order overrides applied."""
+    overrides = {}
+    if args.digits is not None:
+        overrides["working_digits"] = args.digits
+    if args.order is not None:
+        overrides["expansion_order"] = args.order
+    return PrecisionConfig.default(**overrides)
 
 
 def _emit(payload, fmt, table_lines, csv_rows=None):
@@ -89,10 +74,10 @@ def _emit(payload, fmt, table_lines, csv_rows=None):
     return "\n".join(table_lines) + "\n"
 
 
-def cmd_orbits(cfg):
+def cmd_orbits(args):
     """Symbolic orbit table: diagram cells, zeta-product factors, class
     counts.  No numerics, so sizes up to 12 stay instant."""
-    n = cfg.n
+    n = args.n
     if n is None or not 1 <= n <= 12:
         raise UsageError("orbits needs --n between 1 and 12")
     rows = []
@@ -127,20 +112,20 @@ def cmd_orbits(cfg):
                 " ".join(str(c["hook"]) for c in r["cells"]),
             ]
         )
-    return 0, _emit(payload, cfg.fmt, lines, csv_rows)
+    return 0, _emit(payload, args.fmt, lines, csv_rows)
 
 
-def cmd_residues(cfg):
+def cmd_residues(args):
     """Per-orbit pole data for one size: symbolic sum, formal cancellation
     verdicts, numeric pole order, residue with propagated error.
 
     Sizes up to 3 are gated against the closed-form residue anchors; the
     command exits 1 when any gated value or pole order deviates.
     """
-    n = cfg.n
+    n = args.n
     if n is None or not 1 <= n <= 6:
         raise UsageError("residues needs --n between 1 and 6")
-    pcfg = cfg.precision().for_orbit_size(n)
+    pcfg = _precision(args).for_orbit_size(n)
     gate_failures = []
     rows = []
     for p in partitions_of(n):
@@ -193,13 +178,13 @@ def cmd_residues(cfg):
     csv_rows = [["partition", "pole_order", "residue", "residue_error"]]
     for r in rows:
         csv_rows.append([r["partition"], r["pole_order"], r["residue"], r["residue_error"]])
-    return (1 if gate_failures else 0), _emit(payload, cfg.fmt, lines, csv_rows)
+    return (1 if gate_failures else 0), _emit(payload, args.fmt, lines, csv_rows)
 
 
-def cmd_verify_identity(cfg):
+def cmd_verify_identity(args):
     """Exact check that the orbit-series logarithm reproduces every
     alternating orbit sum up to the bound; no tolerances involved."""
-    bound = cfg.max_n
+    bound = args.max_n
     if not 1 <= bound <= 6:
         raise UsageError("verify-identity needs --max-n between 1 and 6")
     series = orbit_series_log(bound)
@@ -226,7 +211,7 @@ def cmd_verify_identity(cfg):
         "identity check through size %d: %d coefficients, %s"
         % (bound, checked, "pass" if not mismatches else "FAIL %s" % mismatches)
     ]
-    return (0 if not mismatches else 1), _emit(payload, cfg.fmt, lines)
+    return (0 if not mismatches else 1), _emit(payload, args.fmt, lines)
 
 
 def _chamber_rows(n):
@@ -246,34 +231,34 @@ def _chamber_rows(n):
     return rows
 
 
-def cmd_verify_cones(cfg):
+def cmd_verify_cones(args):
     """Randomized cone-partition sweep (JSON/table) or exhaustive chamber
     audit (CSV)."""
-    n = cfg.n if cfg.n is not None else 3
+    n = args.n if args.n is not None else 3
     if not 1 <= n <= 5:
         raise UsageError("verify-cones needs --n between 1 and 5")
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = _chamber_rows(n)
         bad = [r for r in rows[1:] if not (r[2] and r[3])]
         return (0 if not bad else 1), _emit(None, "csv", [], rows)
-    report = verify_cones(n=n, samples=cfg.samples, seed=cfg.seed)
+    report = verify_cones(n=n, samples=args.samples, seed=args.seed)
     payload = dict(report.to_json(), command="verify-cones", version=__version__,
-                   seed=cfg.seed)
+                   seed=args.seed)
     lines = [
         "cone partition n=%d: %d points, %d failures"
         % (n, report.samples, len(report.failures))
     ]
-    return (0 if report.ok else 1), _emit(payload, cfg.fmt, lines)
+    return (0 if report.ok else 1), _emit(payload, args.fmt, lines)
 
 
-def cmd_expand(cfg):
+def cmd_expand(args):
     """Laurent data for one orbit: the alternating sum by default, the
     plain product with --what z."""
-    if cfg.partition is None:
+    if args.partition is None:
         raise UsageError("expand needs --partition")
-    p = Partition.parse(cfg.partition)
-    pcfg = cfg.precision().for_orbit_size(p.n)
-    expr = h_orbit(p) if cfg.what == "h" else z_orbit(p)
+    p = Partition.parse(args.partition)
+    pcfg = _precision(args).for_orbit_size(p.n)
+    expr = h_orbit(p) if args.what == "h" else z_orbit(p)
     series = laurent_expand(expr, pcfg)
     rr = residue_at_zero(series)
     residue = rr.to_json()
@@ -281,7 +266,7 @@ def cmd_expand(cfg):
         "command": "expand",
         "version": __version__,
         "partition": str(p),
-        "what": cfg.what,
+        "what": args.what,
         "precision": pcfg.to_json(),
         "symbolic": str(expr),
         "series": dict(
@@ -289,13 +274,13 @@ def cmd_expand(cfg):
         ),
         "residue": residue,
     }
-    lines = ["%s for %s" % ("sum" if cfg.what == "h" else "product", p)]
+    lines = ["%s for %s" % ("sum" if args.what == "h" else "product", p)]
     for d in series.degrees():
         c, err = series.coefficient(d)
         shown = str(c) if isinstance(c, Fraction) else mpmath.nstr(_as_mpf(c), 12)
         lines.append("  s^%-3d %s  +/- %s" % (d, shown, "%.3e" % err))
     lines.append("pole order: %s" % rr.pole_order)
-    return 0, _emit(payload, cfg.fmt, lines)
+    return 0, _emit(payload, args.fmt, lines)
 
 
 class UsageError(ValueError):
@@ -355,21 +340,11 @@ DISPATCH = {
 }
 
 
-def config_from_args(args):
-    fields = {}
-    for name in ("n", "partition", "max_n", "digits", "order", "samples",
-                 "seed", "fmt", "what"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return RunConfig(command=args.command, **fields)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        code, text = DISPATCH[cfg.command](cfg)
+        code, text = DISPATCH[args.command](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

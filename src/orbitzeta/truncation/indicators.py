@@ -35,6 +35,7 @@ __all__ = [
     "indicator_sigma",
     "langlands_sum",
     "levi_sum_tau_hat",
+    "ordering_gaps",
     "arthur_partition_check",
     "arthur_partition_report",
     "ArthurReport",
@@ -166,6 +167,15 @@ def langlands_sum(P, H):
     return total
 
 
+def ordering_gaps(sizes, sums):
+    """(order, weight pairings inside the one-block group) per ordering of
+    the blocks; the sums may be exact numbers or int64 sample columns."""
+    for order in itertools.permutations(range(len(sizes))):
+        # the ordered blocks inside the one-block group: the split is one run
+        subs = (tuple(sizes[u] for u in order),)
+        yield order, relative_weight_gaps(subs, tuple(sums[u] for u in order))
+
+
 def levi_sum_tau_hat(M, H):
     """Count the block orderings whose weight pairings are all strictly
     positive; equals (r-1)! off walls for r blocks.
@@ -178,12 +188,8 @@ def levi_sum_tau_hat(M, H):
     for a, b in M.intervals:
         if any(H[i] != H[a] for i in range(a, b)):
             raise ValueError("point is not block-constant on %s" % (M,))
-    sums = M.block_sums(H)
     count = 0
-    for order in itertools.permutations(range(M.r)):
-        # the ordered blocks inside the one-block group: the split is one run
-        subs = (tuple(M.blocks[u] for u in order),)
-        gaps = relative_weight_gaps(subs, tuple(sums[u] for u in order))
+    for order, gaps in ordering_gaps(M.blocks, M.block_sums(H)):
         if 0 in gaps:
             raise WallError("ordering %r pairs to zero" % (order,))
         count += all(g > 0 for g in gaps)

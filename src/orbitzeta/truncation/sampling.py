@@ -8,12 +8,14 @@ of the denominators, at most lcm(1..20) = 232792560) before evaluation.
 
 The scalar verifiers call the public operations unchanged; those keep the
 cleared integers as Python ints (as_exact), so their sign tests are exact
-integer comparisons.  The Levi-sum and slope-indicator sweeps
-have their own vectorized evaluation (720 orderings x 10^4 samples is out
-of reach for per-sample Python) whose sign tests are int64 comparisons:
-the largest intermediate is bounded by n^2 * 100 * lcm(1..20) < 2^63 for
-every n used here, which those paths assert.  Their agreement with the
-scalar operations is pinned by tests.
+integer comparisons.  The Levi-sum and slope-indicator sweeps (720
+orderings x 10^4 samples is out of reach for per-sample Python) run the
+same enumerations and pairings (ordering_gaps, arranged_pairs,
+subset_sums) on int64 columns, one entry per sample, in place of ints;
+only combining the boolean columns is their own.  Their sign tests are
+int64 comparisons: the largest intermediate is bounded by
+n^2 * 100 * lcm(1..20) < 2^63 for every n used here, which those sweeps
+assert.  Tests pin them to the scalar operations point by point.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .indicators import (
     indicator_E,
     indicator_sigma,
     langlands_sum,
+    ordering_gaps,
 )
 from .instability import (
     canonical_pair,
@@ -38,11 +41,14 @@ from .instability import (
     cone_accepts,
     cone_membership,
     extremal_max_pair,
+    subset_sums,
 )
 from .roots import (
     StandardParabolic,
-    arrangements,
+    arranged_pairs,
+    consecutive_root_gaps,
     group,
+    leading_sums,
     minimal_parabolic,
     refinements_within,
     semistandard_all,
@@ -113,6 +119,14 @@ def _draw_cleared(rng, shape):
     return nums * (lcms[:, None] // dens)
 
 
+def _every(flags, samples):
+    """all() of each sample's entries over a stream of boolean columns."""
+    out = np.ones(samples, dtype=bool)
+    for flag in flags:
+        out &= flag
+    return out
+
+
 def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
     """The alternating coarsening sum vanishes for every proper type.
 
@@ -121,40 +135,31 @@ def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
     every point, walls included, so no off-wall filtering is applied).
     """
     rng = random.Random(seed)
+    sweeps = [
+        (n, list(itertools.permutations(range(1, n + 1))), list,
+         "exhaustive chamber representatives")
+        for n in range(2, max_n + 1)
+    ] + [
+        (n, [sample_integer_point(rng, n) for _ in range(samples)], _point_json, "random")
+        for n in sampled_n
+    ]
     reports = []
-    for n in range(2, max_n + 1):
-        rep = VerifyReport(identity="langlands-vanishing", n=n, samples=0)
-        for perm in itertools.permutations(range(1, n + 1)):
-            rep.samples += 1
+    for n, points, point_json, mode in sweeps:
+        rep = VerifyReport(identity="langlands-vanishing", n=n, samples=len(points))
+        for H in points:
             for P in standard_parabolics(n):
-                if P.r < 2:
-                    continue
-                val = langlands_sum(P, perm)
-                if val != 0:
+                if P.r >= 2 and (val := langlands_sum(P, H)) != 0:
                     rep.failures.append(
-                        {"H": list(perm), "details": "type %s sums to %d" % (P, val)}
+                        {"H": point_json(H), "details": "type %s sums to %d" % (P, val)}
                     )
-        rep.stats["mode"] = "exhaustive chamber representatives"
-        reports.append(rep)
-    for n in sampled_n:
-        rep = VerifyReport(identity="langlands-vanishing", n=n, samples=samples)
-        for _ in range(samples):
-            H = sample_integer_point(rng, n)
-            for P in standard_parabolics(n):
-                if P.r < 2:
-                    continue
-                val = langlands_sum(P, H)
-                if val != 0:
-                    rep.failures.append(
-                        {"H": _point_json(H), "details": "type %s sums to %d" % (P, val)}
-                    )
-        rep.stats["mode"] = "random"
+        rep.stats["mode"] = mode
         reports.append(rep)
     return reports
 
 
-def _levi_counts_vectorized(sizes, values):
-    """Firing-ordering counts for block-constant points, all samples at once.
+def _levi_counts(sizes, values):
+    """levi_sum_tau_hat's ordering scan for block-constant points, all
+    samples at once.
 
     sizes: block sizes (r,); values: int64 array (samples, r) of per-block
     values.  Returns (counts, wall_mask): counts[i] is the number of block
@@ -162,22 +167,17 @@ def _levi_counts_vectorized(sizes, values):
     marks samples where some pairing is exactly zero (excluded from the
     count contract).
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    r = sizes.shape[0]
-    n = int(sizes.sum())
-    sums = values * sizes[None, :]
-    total = sums.sum(axis=1)
-    bound = np.abs(values).max(initial=0) * int(sizes.max()) * n * r
+    n, r, samples = sum(sizes), len(sizes), values.shape[0]
+    bound = int(np.abs(values).max(initial=0)) * max(sizes) * n * r
     if bound >= 2**62:
         raise OverflowError("cleared integers too large for int64 evaluation")
-    counts = np.zeros(values.shape[0], dtype=np.int64)
-    wall = np.zeros(values.shape[0], dtype=bool)
-    for order in itertools.permutations(range(r)):
-        ps = np.cumsum(sums[:, order], axis=1)[:, :-1]
-        psize = np.cumsum(sizes[list(order)])[:-1]
-        gaps = n * ps - psize[None, :] * total[:, None]
-        wall |= (gaps == 0).any(axis=1)
-        counts += (gaps > 0).all(axis=1)
+    sums = [values[:, j] * m for j, m in enumerate(sizes)]
+    counts = np.zeros(samples, dtype=np.int64)
+    wall = np.zeros(samples, dtype=bool)
+    for _, gaps in ordering_gaps(sizes, sums):
+        for g in gaps:
+            wall |= g == 0
+        counts += _every((g > 0 for g in gaps), samples)
     return counts, wall
 
 
@@ -186,7 +186,7 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
 
     One sweep per block type of each n <= max_n; block values are sampled
     (the point is block-constant by construction), cleared to integers,
-    and evaluated with the vectorized ordering scan.
+    and evaluated with the batched ordering scan.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -195,7 +195,7 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
         walls_total = 0
         for M in standard_parabolics(n):
             values = _draw_cleared(rng, (samples, M.r))
-            counts, wall = _levi_counts_vectorized(M.blocks, values)
+            counts, wall = _levi_counts(M.blocks, values)
             expected = math.factorial(M.r - 1)
             bad = (~wall) & (counts != expected)
             walls_total += int(wall.sum())
@@ -279,9 +279,7 @@ def verify_cones(n=3, samples=1000, seed=20260816):
     rng = random.Random(seed)
     rep = VerifyReport(identity="cone-partition", n=n, samples=0)
     all_primes = semistandard_all(n)
-    points = []
-    for _ in range(samples):
-        points.append(sample_integer_point(rng, n))
+    points = [sample_integer_point(rng, n) for _ in range(samples)]
     for _ in range(max(1, samples // 20)):
         points.extend(_wall_variants(rng, n))
     for H in points:
@@ -303,46 +301,35 @@ def verify_cones(n=3, samples=1000, seed=20260816):
     return rep
 
 
-def _e_terms_vectorized(n, points):
-    """Structured-sum term counts and subset-route values for many points.
-
-    points: int64 array (samples, n).  Returns (term_counts, subset_ok)
-    where term_counts[i] is the number of contributing (refinement,
-    arrangement) pairs of the structured sum and subset_ok[i] is the
-    literal every-subset-sum <= 0 criterion.
+def _e_counts(n, points):
+    """len(e_sum_terms) and _e_subsets in the group of GL(n), all samples
+    at once: points is an int64 array (samples, n), read as the tuple of
+    its columns in place of a point.  Returns (term_counts, subset_ok).
     """
     samples = points.shape[0]
     bound = int(np.abs(points).max(initial=0)) * n * n
     if bound >= 2**62:
         raise OverflowError("cleared integers too large for int64 evaluation")
+    cols = tuple(points.T)
     counts = np.zeros(samples, dtype=np.int64)
-    G = group(n)
-    for P in standard_parabolics(n):
-        for arr in arrangements(P, G):
-            ok = np.ones(samples, dtype=bool)
-            sums = [points[:, list(S)].sum(axis=1) for S in arr]
-            sizes = [len(S) for S in arr]
-            # arranged block averages strictly decreasing
-            for u in range(len(arr) - 1):
-                ok &= sums[u] * sizes[u + 1] - sums[u + 1] * sizes[u] > 0
-            # leading arranged sum nonpositive
-            ok &= sums[0] <= 0
-            # each arranged set constant
-            for S in arr:
-                cols = points[:, list(S)]
-                ok &= cols.max(axis=1) == cols.min(axis=1)
-            counts += ok
-    subset_ok = np.ones(samples, dtype=bool)
-    for size in range(1, n + 1):
-        for T in itertools.combinations(range(n), size):
-            subset_ok &= points[:, list(T)].sum(axis=1) <= 0
+    for _, subs, arr, sums in arranged_pairs(group(n), cols):
+        counts += _every(
+            itertools.chain(
+                (g > 0 for g in consecutive_root_gaps(subs, sums)),
+                (s <= 0 for s in leading_sums(subs, sums)),
+                # semistable rearrangement: each assigned set is constant
+                (cols[i] == cols[S[0]] for S in arr for i in S[1:]),
+            ),
+            samples,
+        )
+    subset_ok = _every((s <= 0 for _, s in subset_sums(cols)), samples)
     return counts, subset_ok
 
 
 def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
     """Slope-indicator sweep.
 
-    Vectorized over all samples: the structured sum has at most one
+    Batched over all samples: the structured sum has at most one
     contributing term and agrees with the literal subset criterion.  A
     scalar pass then checks the block sandwich E(refined) <= E(full) <=
     E(first block alone) with a random type per sample, evaluating each
@@ -354,7 +341,7 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
     for n in range(1, max_n + 1):
         rep = VerifyReport(identity="slope-indicator", n=n, samples=samples)
         points = _draw_cleared(rng, (samples, n))
-        counts, subset_ok = _e_terms_vectorized(n, points)
+        counts, subset_ok = _e_counts(n, points)
         for i in np.flatnonzero(counts > 1)[:5]:
             rep.failures.append(
                 {

@@ -61,7 +61,8 @@ from orbitzeta.truncation import (
 from orbitzeta.truncation.indicators import _e_subsets
 from orbitzeta.truncation.sampling import (
     _draw_cleared,
-    _levi_counts_vectorized,
+    _e_counts,
+    _levi_counts,
     clear_denominators,
     sample_integer_point,
     sample_point,
@@ -508,32 +509,120 @@ def test_levi_sum_requires_block_constant_points():
 
 
 def test_scalar_and_vectorized_levi_counts_agree():
-    """Dual-route check: the exact scalar sum and the integer-vectorized
-    sweep must count the same orderings."""
+    """Dual-route check: the exact scalar sum and the batched sweep over
+    int64 columns must count the same orderings, and see a wall exactly
+    where the scalar sum raises WallError.  Every type with n <= 5; small
+    values put many rows on walls."""
     r = rng()
-    for sizes in ((1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1, 2)):
+    walls = 0
+    for n in range(1, 6):
+        for p in standard_parabolics(n):
+            rows = []
+            expected = []
+            for k in range(80):
+                bound = 50 if k % 2 else 3
+                vals = [r.randint(-bound, bound) for _ in p.blocks]
+                rows.append(vals)
+                H = tuple(
+                    Fraction(v) for v, m in zip(vals, p.blocks) for _ in range(m)
+                )
+                try:
+                    expected.append(levi_sum_tau_hat(p, H))
+                except WallError:
+                    expected.append(None)
+            counts, wall = _levi_counts(p.blocks, np.asarray(rows, dtype=np.int64))
+            for got, on_wall, want in zip(counts, wall, expected):
+                if want is None:
+                    assert on_wall
+                    walls += 1
+                else:
+                    assert not on_wall
+                    assert int(got) == want
+    assert walls > 100
+
+
+def _e_rows(n):
+    """Drawn cleared points plus tied, zero, mirrored and all-nonpositive
+    rows, as an int64 array (samples, n)."""
+    gen = np.random.default_rng(SEED + n)
+    drawn = _draw_cleared(gen, (150, n))
+    small = gen.integers(-3, 4, size=(150, n))
+    tied = small.copy()
+    tied[:, -1] = tied[:, 0]
+    mirrored = small.copy()
+    mirrored[:, -1] = -mirrored[:, 0]
+    return np.concatenate(
+        [drawn, small, tied, mirrored, -np.abs(drawn), -np.abs(small),
+         np.zeros((1, n), dtype=np.int64)]
+    )
+
+
+def test_batched_E_matches_scalar_routes_pointwise():
+    """The batched slope sweep, row by row, against the scalar structured
+    sum (its term count) and the scalar subset route (its verdict)."""
+    for n in range(1, 6):
+        points = _e_rows(n)
+        counts, subset_ok = _e_counts(n, points)
+        assert counts.shape == subset_ok.shape == (points.shape[0],)
+        for row, got_count, got_ok in zip(points, counts, subset_ok):
+            H = tuple(int(v) for v in row)
+            assert int(got_count) == len(e_sum_terms(group(n), H)), H
+            assert bool(got_ok) == _e_subsets(group(n), H), H
+        assert 0 < subset_ok.sum() < points.shape[0]
+
+
+def _guard_limit(factor):
+    """The least magnitude whose int64 guard bound, magnitude * factor,
+    reaches 2^62."""
+    return -(-(2**62) // factor)
+
+
+def test_levi_overflow_guard_sits_at_its_bound():
+    for sizes in ((1, 1), (3, 1, 2), (1, 2, 1, 1)):
         p = StandardParabolic(sizes)
-        rows = []
-        expected = []
-        for _ in range(40):
-            vals = [r.randint(-50, 50) for _ in sizes]
-            rows.append(vals)
-            H = tuple(
-                Fraction(v) for v, m in zip(vals, sizes) for _ in range(m)
-            )
+        limit = _guard_limit(max(sizes) * p.n * p.r)
+        with pytest.raises(OverflowError, match="too large for int64"):
+            _levi_counts(sizes, np.array([[limit] + [0] * (p.r - 1)]))
+        with pytest.raises(OverflowError, match="too large for int64"):
+            _levi_counts(sizes, np.array([[0] * (p.r - 1) + [-limit]]))
+        top = limit - 1
+        rows = [
+            [top] * p.r,
+            [top] + [-top] * (p.r - 1),
+            [-top] + [top] * (p.r - 1),
+            [top - u for u in range(p.r)],
+            [(-1) ** u * (top - u) for u in range(p.r)],
+        ]
+        counts, wall = _levi_counts(sizes, np.array(rows, dtype=np.int64))
+        for vals, got, on_wall in zip(rows, counts, wall):
+            H = tuple(v for v, m in zip(vals, sizes) for _ in range(m))
             try:
-                expected.append(levi_sum_tau_hat(p, H))
+                want = levi_sum_tau_hat(p, H)
             except WallError:
-                expected.append(None)
-        counts, wall = _levi_counts_vectorized(
-            np.asarray(sizes, dtype=np.int64), np.asarray(rows, dtype=np.int64)
-        )
-        for got, on_wall, want in zip(counts, wall, expected):
-            if want is None:
                 assert on_wall
             else:
-                assert not on_wall
-                assert int(got) == want
+                assert not on_wall and int(got) == want
+
+
+def test_E_overflow_guard_sits_at_its_bound():
+    for n in (2, 3, 5):
+        limit = _guard_limit(n * n)
+        with pytest.raises(OverflowError, match="too large for int64"):
+            _e_counts(n, np.array([[limit] + [0] * (n - 1)]))
+        with pytest.raises(OverflowError, match="too large for int64"):
+            _e_counts(n, np.array([[0] * (n - 1) + [-limit]]))
+        top = limit - 1
+        rows = [
+            [top] * n,
+            [-top] * n,
+            [top] + [-top] * (n - 1),
+            [-top + u for u in range(n)],
+            [(-1) ** u * (top - u) for u in range(n)],
+        ]
+        counts, subset_ok = _e_counts(n, np.array(rows, dtype=np.int64))
+        for H, got_count, got_ok in zip(rows, counts, subset_ok):
+            assert int(got_count) == len(e_sum_terms(group(n), H)), H
+            assert bool(got_ok) == _e_subsets(group(n), H), H
 
 
 def test_arthur_identities():
