@@ -5,6 +5,10 @@ scaled by positive block sizes, compared strictly or weakly against zero.
 On an integer point (every point the sweeps draw, once cleared) these are
 integer sign tests; on a rational one the same comparisons run on exact
 Fractions.
+
+Each identity's body (the *_terms and *_tests generators) yields its signs
+and tests lazily, from a point or a tuple of int64 sample columns alike;
+the public functions read it on one exact point with short-circuiting all().
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .instability import arranged_semistable, indicator_F, subset_sums
+from .instability import chamber_tests, equal_tests, indicator_F, subset_sums
 from .roots import (
     WallError,
     arranged_pairs,
@@ -22,7 +26,6 @@ from .roots import (
     epsilon_between,
     leading_sums,
     relative_weight_gaps,
-    root_gaps,
     run_totals,
 )
 
@@ -81,31 +84,36 @@ def indicator_chi(P, Q, H):
     return 1 if all(s <= 0 for s in leading_sums(subs, sums)) else 0
 
 
-def e_sum_terms(Q, H):
-    """Contributing pairs of the structured slope-truncation sum.
+def e_pair_tests(Q, H):
+    """(P, arrangement, tests) per pair below Q, in arranged_pairs order.
 
-    A pair (refinement P, arrangement) contributes when the rearranged
-    point is semistable for P's blocks, the arranged block averages
-    strictly decrease within each Q-block, and each Q-block's leading
-    arranged sum is <= 0.  At most one pair can contribute; callers
-    assert that.
+    The pair contributes to the structured slope-truncation sum when every
+    test holds: its chamber tests, and each Q-block's leading arranged sum
+    is <= 0.
+    """
+    for P, subs, arr, sums in arranged_pairs(Q, H):
+        yield P, arr, _e_tests(subs, arr, sums, H)
+
+
+def _e_tests(subs, arr, sums, H):
+    yield from chamber_tests(subs, arr, sums, H)
+    for s in leading_sums(subs, sums):
+        yield s <= 0
+
+
+def e_sum_terms(Q, H):
+    """Contributing pairs of the structured slope-truncation sum
+    (e_pair_tests).  At most one pair can contribute; callers assert that.
     """
     H = as_exact(H)
     _check_length(H, Q.n)
-    return [
-        (P, arr)
-        for P, subs, arr, sums in arranged_pairs(Q, H)
-        if all(g > 0 for g in consecutive_root_gaps(subs, sums))
-        and all(s <= 0 for s in leading_sums(subs, sums))
-        and arranged_semistable(arr, H)
-    ]
+    return [(P, arr) for P, arr, tests in e_pair_tests(Q, H) if all(tests)]
 
 
-def _e_subsets(Q, H):
+def e_subset_tests(Q, H):
     """Literal closure criterion: inside each block of Q every nonempty
-    index subset must have coordinate sum <= 0."""
-    H = as_exact(H)
-    return all(s <= 0 for a, b in Q.intervals for _, s in subset_sums(H[a:b]))
+    index subset must have coordinate sum <= 0, one test per subset."""
+    return (s <= 0 for a, b in Q.intervals for _, s in subset_sums(H[a:b]))
 
 
 def indicator_E(Q, H):
@@ -120,7 +128,7 @@ def indicator_E(Q, H):
     if len(terms) > 1:
         raise ArithmeticError("structured sum produced %d overlapping terms" % len(terms))
     by_sum = len(terms)
-    by_subsets = 1 if _e_subsets(Q, H) else 0
+    by_subsets = 1 if all(e_subset_tests(Q, as_exact(H))) else 0
     if by_sum != by_subsets:
         raise ArithmeticError(
             "the two routes disagree: sum=%d subsets=%d" % (by_sum, by_subsets)
@@ -128,43 +136,53 @@ def indicator_E(Q, H):
     return by_sum
 
 
+def _coarsening_terms(finer, base, inner, outer, H):
+    """(sign(base,Q), gaps) per coarsening Q of base: Q's term counts when
+    every gap is > 0, the inner pairings of finer within Q and then the
+    outer ones of Q within the group (Q's block sums are run totals)."""
+    sums = finer.block_sums(H)
+    for Q, subs in coarsening_splits(finer, base):
+        outer_gaps = outer((Q.blocks,), run_totals(subs, sums))
+        yield epsilon_between(base, Q), itertools.chain(inner(subs, sums), outer_gaps)
+
+
+def _signed_sum(terms):
+    return sum(sign for sign, gaps in terms if all(g > 0 for g in gaps))
+
+
+def sigma_terms(P1, P2, H):
+    """indicator_sigma's terms: tau(P1 within P) * tau_hat(P within G)."""
+    return _coarsening_terms(P1, P2, consecutive_root_gaps, relative_weight_gaps, H)
+
+
 def indicator_sigma(P1, P2, H):
     """Alternating sum over coarsenings P of P2 of
     sign(P2,P) * tau(P1 within P) * tau_hat(P within G).
 
     Lands in {0,1}; the test suite asserts that range, the function
-    returns the raw integer.  P's block sums are run totals of P1's.
+    returns the raw integer.
     """
     H = as_exact(H)
     if not P1.refines(P2):
         raise ValueError("%s does not refine %s" % (P1, P2))
     _check_length(H, P2.n)
-    sums = P1.block_sums(H)
-    total = 0
-    for P, subs in coarsening_splits(P1, P2):
-        if all(g > 0 for g in consecutive_root_gaps(subs, sums)) and all(
-            g > 0 for g in relative_weight_gaps((P.blocks,), run_totals(subs, sums))
-        ):
-            total += epsilon_between(P2, P)
-    return total
+    return _signed_sum(sigma_terms(P1, P2, H))
+
+
+def langlands_terms(P, H):
+    """langlands_sum's terms: tau_hat(P within Q) * tau(Q within G)."""
+    return _coarsening_terms(P, P, relative_weight_gaps, consecutive_root_gaps, H)
 
 
 def langlands_sum(P, H):
     """Alternating sum over coarsenings Q of P of
     sign(P,Q) * tau_hat(P within Q) * tau(Q within G); identically 0 for
-    P a proper decomposition.  Q's block sums are run totals of P's."""
+    P a proper decomposition."""
     H = as_exact(H)
     if P.r < 2:
         raise ValueError("the sum needs a proper decomposition")
     _check_length(H, P.n)
-    sums = P.block_sums(H)
-    total = 0
-    for Q, subs in coarsening_splits(P, P):
-        if all(g > 0 for g in relative_weight_gaps(subs, sums)) and all(
-            g > 0 for g in root_gaps(Q.blocks, run_totals(subs, sums))
-        ):
-            total += epsilon_between(P, Q)
-    return total
+    return _signed_sum(langlands_terms(P, H))
 
 
 def ordering_gaps(sizes, sums):
@@ -185,9 +203,8 @@ def levi_sum_tau_hat(M, H):
     """
     H = as_exact(H)
     _check_length(H, M.n)
-    for a, b in M.intervals:
-        if any(H[i] != H[a] for i in range(a, b)):
-            raise ValueError("point is not block-constant on %s" % (M,))
+    if not all(blocks_constant(M, H)):
+        raise ValueError("point is not block-constant on %s" % (M,))
     count = 0
     for order, gaps in ordering_gaps(M.blocks, M.block_sums(H)):
         if 0 in gaps:
@@ -214,6 +231,21 @@ class ArthurReport:
         return self.ok
 
 
+def partition_terms(Q, H):
+    """(chamber tests, sign(P,Q), weight gaps) per pair below Q: identity
+    one counts the pairs whose tests all hold, identity two sums the signs
+    of those whose weight gaps are all > 0."""
+    for P, subs, arr, sums in arranged_pairs(Q, H):
+        gaps = relative_weight_gaps(subs, sums)
+        yield chamber_tests(subs, arr, sums, H), epsilon_between(P, Q), gaps
+
+
+def blocks_constant(Q, H):
+    """Q-semistability as equality tests: each block of Q carries one value
+    (indicator_F's degree route gives the same verdict)."""
+    return equal_tests([range(a, b) for a, b in Q.intervals], H)
+
+
 def arthur_partition_report(Q, H):
     """Evaluate both partition identities at H.
 
@@ -226,14 +258,13 @@ def arthur_partition_report(Q, H):
     _check_length(H, Q.n)
     partition_sum = 0
     alternating = 0
-    for P, subs, arr, sums in arranged_pairs(Q, H):
-        if all(g > 0 for g in consecutive_root_gaps(subs, sums)) and arranged_semistable(arr, H):
-            partition_sum += 1
-        if all(g > 0 for g in relative_weight_gaps(subs, sums)):
-            alternating += epsilon_between(P, Q)
+    for tests, sign, gaps in partition_terms(Q, H):
+        partition_sum += all(tests)
+        if all(g > 0 for g in gaps):
+            alternating += sign
     return ArthurReport(
         partition_sum=partition_sum,
-        semistable_direct=indicator_F(Q, H),
+        semistable_direct=1 if all(blocks_constant(Q, H)) else 0,
         semistable_alternating=alternating,
     )
 

@@ -21,11 +21,11 @@ from .roots import (
     arranged_pairs,
     as_exact,
     compositions,
+    consecutive_root_gaps,
     doubled_half_sums,
     doubled_relative_rho,
     group,
     relative_weight_gaps,
-    root_gaps,
     runs,
 )
 
@@ -118,11 +118,26 @@ def indicator_F(P, H):
     return 1 if degree_instability(P, H) <= 0 else 0
 
 
+def equal_tests(index_sets, H):
+    """One equality test per index after the first of each set, at a point
+    or on a tuple of sample columns: all hold iff each set carries a single
+    value.  On a block this is block_degree(...) == 0."""
+    return (H[i] == H[S[0]] for S in index_sets for i in S[1:])
+
+
 def arranged_semistable(arrangement, H):
     """Semistability of the rearranged point for the blocks it is sorted
     into: every assigned index set carries a single value."""
-    H = as_exact(H)
-    return all(_doubled_block_degree([H[i] for i in S]) <= 0 for S in arrangement)
+    return all(equal_tests(arrangement, as_exact(H)))
+
+
+def chamber_tests(subs, arr, sums, H):
+    """A pair's arranged block averages strictly decrease within each
+    Q-block (subs = P.split_by(Q), sums the arranged block sums), and the
+    rearranged point is semistable for P's blocks."""
+    for g in consecutive_root_gaps(subs, sums):
+        yield g > 0
+    yield from equal_tests(arr, H)
 
 
 def semistable_three_ways(Q, H):
@@ -169,17 +184,6 @@ class CanonicalPair:
         }
 
 
-def _verify_canonical_conditions(pair, H):
-    """The two characterizing conditions: each assigned block constant
-    (rearranged point semistable for the block type) and assigned block
-    averages strictly decreasing."""
-    blocks = pair.blocks
-    sums = tuple(sum(H[i] for i in S) for S in blocks)
-    return arranged_semistable(blocks, H) and all(
-        g > 0 for g in root_gaps(pair.parabolic.blocks, sums)
-    )
-
-
 def canonical_pair(H):
     """The unique maximal maximizing pair, built from value classes.
 
@@ -187,7 +191,9 @@ def canonical_pair(H):
     class sizes are the block type, the class index sets (ascending inside
     each class) concatenate to the permutation, and the degree is the
     half-sum pairing of the sorted point.  The two characterizing
-    conditions are re-verified exactly before returning.
+    conditions, the pair's chamber tests in the group (each assigned block
+    constant, assigned block averages strictly decreasing), are re-verified
+    exactly before returning.
     """
     H = as_exact(H)
     if not H:
@@ -199,7 +205,8 @@ def canonical_pair(H):
         weyl=tuple(itertools.chain.from_iterable(blocks)),
         degree=pair_pairing(P, group(len(H)), blocks, H),
     )
-    if not _verify_canonical_conditions(pair, H):
+    sums = tuple(sum(H[i] for i in S) for S in pair.blocks)
+    if not all(chamber_tests((P.blocks,), pair.blocks, sums, H)):
         raise AssertionError("value-class pair failed its defining conditions")
     return pair
 
@@ -241,26 +248,26 @@ def canonical_pair_brute(H):
     )
 
 
-def cone_accepts(prime, H):
-    """Literal chamber-cone membership test for an ordered index partition.
+def cone_tests(prime, H):
+    """Literal chamber-cone membership tests for an ordered index partition,
+    lazily, at a point or on a tuple of sample columns.
 
-    Requires strictly decreasing block averages, and for every block every
-    nonempty proper subset must have average <= the block average (each
-    such subset is the leading group of some ordered refinement, and those
-    exhaust the refinement weights).
+    Strictly decreasing block averages, and for every block every nonempty
+    proper subset must have average <= the block average (each such subset
+    is the leading group of some ordered refinement, and those exhaust the
+    refinement weights; the full block passes trivially).
     """
-    H = as_exact(H)
     sums = prime.block_sums(H)
-    if any(g <= 0 for g in root_gaps(prime.composition, sums)):
-        return False
-    # the full block passes trivially (sum * m == total * m), and so does
-    # a singleton, which has no proper subset
-    return not any(
-        s * len(S) > total * len(T)
-        for S, total in zip(prime.blocks, sums)
-        if len(S) > 1
-        for T, s in subset_sums([H[i] for i in S], proper=True)
-    )
+    for g in consecutive_root_gaps((prime.composition,), sums):
+        yield g > 0
+    for S, total in zip(prime.blocks, sums):
+        for T, s in subset_sums([H[i] for i in S], proper=True):
+            yield s * len(S) <= total * len(T)
+
+
+def cone_accepts(prime, H):
+    """True iff the exact point passes every cone_tests test."""
+    return all(cone_tests(prime, as_exact(H)))
 
 
 def cone_membership(H):

@@ -376,19 +376,16 @@ def relative_weight_gaps(subs, sums):
     return tuple(out)
 
 
-def root_gaps(sizes, sums):
-    """Simple-root pairings of one run of blocks: consecutive block-average
-    differences, scaled by the (positive) product of the two block sizes.
+def consecutive_root_gaps(subs, sums):
+    """Simple-root pairings of P relative to Q (subs = P.split_by(Q)):
+    consecutive block-average differences within each Q-block, in block
+    order, scaled by the (positive) product of the two block sizes.
 
     Yielded lazily, so a sign test stops at its first failing pairing."""
-    return (sums[u] * sizes[u + 1] - sums[u + 1] * sizes[u] for u in range(len(sizes) - 1))
-
-
-def consecutive_root_gaps(subs, sums):
-    """root_gaps within each Q-block (subs = P.split_by(Q)), in block
-    order, lazily."""
-    return itertools.chain.from_iterable(
-        root_gaps(sub, block_sums) for sub, block_sums in _within_blocks(subs, sums)
+    return (
+        s[u] * sub[u + 1] - s[u + 1] * sub[u]
+        for sub, s in _within_blocks(subs, sums)
+        for u in range(len(sub) - 1)
     )
 
 

@@ -6,16 +6,24 @@ every run is reproducible.  Each identity is homogeneous of degree one in
 the point, so samples are cleared to integer vectors (multiply by the lcm
 of the denominators, at most lcm(1..20) = 232792560) before evaluation.
 
-The scalar verifiers call the public operations unchanged; those keep the
-cleared integers as Python ints (as_exact), so their sign tests are exact
-integer comparisons.  The Levi-sum and slope-indicator sweeps (720
-orderings x 10^4 samples is out of reach for per-sample Python) run the
-same enumerations and pairings (ordering_gaps, arranged_pairs,
-subset_sums) on int64 columns, one entry per sample, in place of ints;
-only combining the boolean columns is their own.  Their sign tests are
-int64 comparisons: the largest intermediate is bounded by
-n^2 * 100 * lcm(1..20) < 2^63 for every n used here, which those sweeps
-assert.  Tests pin them to the scalar operations point by point.
+Every sign-test identity has one body in indicators or instability that
+yields its signs and tests from a point or from a tuple of int64 columns,
+one entry per sample.  The public operations read it on one exact point;
+the sweeps here read it on all sampled points at once and only combine
+the boolean columns.  Per-sample loops remain for the canonical-pair
+oracle, the fast cone membership and the slope sandwich.
+
+Overflow: with M the largest |entry| of a cleared sample, each swept
+pairing is a difference of two products bounded by n^2 * M: a block or
+subset sum (at most n * M) times a block or subset size (at most n).
+That covers the Langlands and sigma weight and root gaps on block sums
+and run totals, the partition and slope pairs' arranged sums and leading
+sums, the subset sums, and the cone tests s * |S| against total * |T|.
+_columns asserts n^2 * M < 2^62 before any sweep, so every difference
+stays below 2^63.  The Levi sweep pairs block values times sizes and
+asserts its own bound there, M * max size * n * r < 2^62.  With M <= 100 * lcm(1..20)
+both hold for every n used here; tests pin each sweep to the scalar
+operation row by row.
 """
 
 from __future__ import annotations
@@ -29,26 +37,26 @@ from fractions import Fraction
 import numpy as np
 
 from .indicators import (
-    arthur_partition_report,
+    blocks_constant,
+    e_pair_tests,
+    e_subset_tests,
     indicator_E,
-    indicator_sigma,
-    langlands_sum,
+    langlands_terms,
     ordering_gaps,
+    partition_terms,
+    sigma_terms,
 )
 from .instability import (
     canonical_pair,
     canonical_pair_brute,
     cone_accepts,
     cone_membership,
+    cone_tests,
     extremal_max_pair,
-    subset_sums,
 )
 from .roots import (
     StandardParabolic,
-    arranged_pairs,
-    consecutive_root_gaps,
     group,
-    leading_sums,
     minimal_parabolic,
     refinements_within,
     semistandard_all,
@@ -72,6 +80,10 @@ class VerifyReport:
     @property
     def ok(self):
         return not self.failures
+
+    def fail(self, point, details):
+        """Record a failing point, given in its JSON encoding."""
+        self.failures.append({"H": point, "details": details})
 
     def to_json(self):
         return {
@@ -127,6 +139,34 @@ def _every(flags, samples):
     return out
 
 
+def _columns(points, width, factor):
+    """Integer sample rows (samples, width) as the tuple of their int64
+    columns, after the overflow guard factor * max|entry| < 2^62 (above)."""
+    rows = np.asarray(points, dtype=np.int64).reshape(-1, width)
+    if int(np.abs(rows).max(initial=0)) * factor >= 2**62:
+        raise OverflowError("cleared integers too large for int64 evaluation")
+    return tuple(rows.T)
+
+
+def _signed_counts(terms, samples):
+    """Per sample, the sum of sign over the (sign, gaps) terms whose gaps
+    are all > 0."""
+    signed = (sign * _every((g > 0 for g in gaps), samples) for sign, gaps in terms)
+    return sum(signed, np.zeros(samples, dtype=np.int64))
+
+
+def _sweep(rep, points, point_json, cases, values, bad, details):
+    """Evaluate values(case, columns), a tuple of result columns, for each
+    case on all points at once; rep.fail(point, details(case, *results at
+    the point)) wherever bad(*results) holds, in point order, then case
+    order.  Returns rep."""
+    cols = _columns(points, rep.n, rep.n**2)
+    vals = [values(case, cols) for case in cases]
+    for i, j in np.argwhere(np.stack([bad(*v) for v in vals], axis=1)):
+        rep.fail(point_json(points[i]), details(cases[j], *(c[i] for c in vals[j])))
+    return rep
+
+
 def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
     """The alternating coarsening sum vanishes for every proper type.
 
@@ -143,18 +183,14 @@ def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
         (n, [sample_integer_point(rng, n) for _ in range(samples)], _point_json, "random")
         for n in sampled_n
     ]
-    reports = []
-    for n, points, point_json, mode in sweeps:
-        rep = VerifyReport(identity="langlands-vanishing", n=n, samples=len(points))
-        for H in points:
-            for P in standard_parabolics(n):
-                if P.r >= 2 and (val := langlands_sum(P, H)) != 0:
-                    rep.failures.append(
-                        {"H": point_json(H), "details": "type %s sums to %d" % (P, val)}
-                    )
-        rep.stats["mode"] = mode
-        reports.append(rep)
-    return reports
+    return [
+        _sweep(VerifyReport("langlands-vanishing", n, len(points), stats={"mode": mode}),
+               points, point_json, [P for P in standard_parabolics(n) if P.r >= 2],
+               lambda P, cols: (_signed_counts(langlands_terms(P, cols), len(cols[0])),),
+               lambda v: v != 0,
+               lambda P, v: "type %s sums to %d" % (P, v))
+        for n, points, point_json, mode in sweeps
+    ]
 
 
 def _levi_counts(sizes, values):
@@ -168,10 +204,8 @@ def _levi_counts(sizes, values):
     count contract).
     """
     n, r, samples = sum(sizes), len(sizes), values.shape[0]
-    bound = int(np.abs(values).max(initial=0)) * max(sizes) * n * r
-    if bound >= 2**62:
-        raise OverflowError("cleared integers too large for int64 evaluation")
-    sums = [values[:, j] * m for j, m in enumerate(sizes)]
+    cols = _columns(values, r, max(sizes) * n * r)
+    sums = [col * m for col, m in zip(cols, sizes)]
     counts = np.zeros(samples, dtype=np.int64)
     wall = np.zeros(samples, dtype=bool)
     for _, gaps in ordering_gaps(sizes, sums):
@@ -201,13 +235,8 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
             walls_total += int(wall.sum())
             rep.samples += samples
             for i in np.flatnonzero(bad)[:5]:
-                rep.failures.append(
-                    {
-                        "H": [int(v) for v in values[i]],
-                        "details": "type %s: %d orderings fired, expected %d"
-                        % (M, int(counts[i]), expected),
-                    }
-                )
+                rep.fail([int(v) for v in values[i]], "type %s: %d orderings fired, expected %d"
+                         % (M, int(counts[i]), expected))
         rep.stats["wall_samples_skipped"] = walls_total
         reports.append(rep)
     return reports
@@ -229,30 +258,20 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
             try:
                 brute = canonical_pair_brute(H)
             except Exception as exc:  # WallTie included: uniqueness failed
-                rep.failures.append({"H": _point_json(H), "details": repr(exc)})
+                rep.fail(_point_json(H), repr(exc))
                 continue
-            if (fast.parabolic, fast.weyl, fast.degree) != (
-                brute.parabolic,
-                brute.weyl,
-                brute.degree,
-            ):
-                rep.failures.append(
-                    {"H": _point_json(H), "details": "fast/brute pair mismatch"}
-                )
+            if fast != brute:
+                rep.fail(_point_json(H), "fast/brute pair mismatch")
                 continue
             if fast.degree < 0:
-                rep.failures.append(
-                    {"H": _point_json(H), "details": "negative degree"}
-                )
+                rep.fail(_point_json(H), "negative degree")
             ext = extremal_max_pair(H)
             n1 = fast.parabolic.blocks[0]
             want = (n,) if fast.parabolic.r == 1 else (n1, n - n1)
             if ext.parabolic.blocks != want or set(ext.first_block) != set(
                 fast.blocks[0]
             ):
-                rep.failures.append(
-                    {"H": _point_json(H), "details": "extremal projection mismatch"}
-                )
+                rep.fail(_point_json(H), "extremal projection mismatch")
         reports.append(rep)
     return reports
 
@@ -275,55 +294,33 @@ def _wall_variants(rng, n):
 
 def verify_cones(n=3, samples=1000, seed=20260816):
     """Chamber-cone partition: every point, walls included, is accepted by
-    exactly one ordered index partition, the one the fast path returns."""
+    exactly one ordered index partition, the one the fast path returns.
+    The acceptance tests run on all points at once; the fast path is asked
+    per point."""
     rng = random.Random(seed)
-    rep = VerifyReport(identity="cone-partition", n=n, samples=0)
     all_primes = semistandard_all(n)
     points = [sample_integer_point(rng, n) for _ in range(samples)]
     for _ in range(max(1, samples // 20)):
         points.extend(_wall_variants(rng, n))
-    for H in points:
-        rep.samples += 1
-        accepted = [pp for pp in all_primes if cone_accepts(pp, H)]
-        if len(accepted) != 1:
-            rep.failures.append(
-                {
-                    "H": _point_json(H),
-                    "details": "%d cones accept the point" % len(accepted),
-                }
-            )
-            continue
-        if accepted[0] != cone_membership(H):
-            rep.failures.append(
-                {"H": _point_json(H), "details": "fast membership disagrees"}
-            )
+    rep = VerifyReport(identity="cone-partition", n=n, samples=len(points))
+    cols = _columns(points, n, n**2)
+    accepted = sum(_every(cone_tests(pp, cols), len(points)) for pp in all_primes)
+    for H, count in zip(points, accepted):
+        if count != 1:
+            rep.fail(_point_json(H), "%d cones accept the point" % count)
+        elif not cone_accepts(cone_membership(H), H):
+            rep.fail(_point_json(H), "fast membership disagrees")
     rep.stats["ordered_partitions_checked"] = len(all_primes)
     return rep
 
 
 def _e_counts(n, points):
-    """len(e_sum_terms) and _e_subsets in the group of GL(n), all samples
-    at once: points is an int64 array (samples, n), read as the tuple of
-    its columns in place of a point.  Returns (term_counts, subset_ok).
-    """
-    samples = points.shape[0]
-    bound = int(np.abs(points).max(initial=0)) * n * n
-    if bound >= 2**62:
-        raise OverflowError("cleared integers too large for int64 evaluation")
-    cols = tuple(points.T)
-    counts = np.zeros(samples, dtype=np.int64)
-    for _, subs, arr, sums in arranged_pairs(group(n), cols):
-        counts += _every(
-            itertools.chain(
-                (g > 0 for g in consecutive_root_gaps(subs, sums)),
-                (s <= 0 for s in leading_sums(subs, sums)),
-                # semistable rearrangement: each assigned set is constant
-                (cols[i] == cols[S[0]] for S in arr for i in S[1:]),
-            ),
-            samples,
-        )
-    subset_ok = _every((s <= 0 for _, s in subset_sums(cols)), samples)
-    return counts, subset_ok
+    """(len(e_sum_terms), all(e_subset_tests)) in the group of GL(n) for
+    every row of an int64 array (samples, n), as two columns."""
+    cols = _columns(points, n, n**2)
+    samples = len(points)
+    counts = sum(_every(tests, samples) for _, _, tests in e_pair_tests(group(n), cols))
+    return counts, _every(e_subset_tests(group(n), cols), samples)
 
 
 def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
@@ -343,20 +340,11 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
         points = _draw_cleared(rng, (samples, n))
         counts, subset_ok = _e_counts(n, points)
         for i in np.flatnonzero(counts > 1)[:5]:
-            rep.failures.append(
-                {
-                    "H": [int(v) for v in points[i]],
-                    "details": "%d overlapping structured terms" % int(counts[i]),
-                }
-            )
+            rep.fail([int(v) for v in points[i]],
+                     "%d overlapping structured terms" % int(counts[i]))
         for i in np.flatnonzero((counts == 1) != subset_ok)[:5]:
-            rep.failures.append(
-                {
-                    "H": [int(v) for v in points[i]],
-                    "details": "structured sum %d vs subset criterion %d"
-                    % (int(counts[i]), int(subset_ok[i])),
-                }
-            )
+            rep.fail([int(v) for v in points[i]], "structured sum %d vs subset criterion %d"
+                     % (int(counts[i]), int(subset_ok[i])))
         rep.stats["positive_rate"] = float(subset_ok.mean())
         reports.append(rep)
 
@@ -371,13 +359,7 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
         first = H[: P.blocks[0]]
         upper = indicator_E(group(P.blocks[0]), first)
         if not (lower <= middle <= upper):
-            rep.failures.append(
-                {
-                    "H": _point_json(H),
-                    "details": "type %s: %d <= %d <= %d violated"
-                    % (P, lower, middle, upper),
-                }
-            )
+            rep.fail(_point_json(H), "type %s: %d <= %d <= %d violated" % (P, lower, middle, upper))
     reports.append(rep)
     return reports
 
@@ -389,67 +371,47 @@ def verify_sigma(max_n=4, samples=1000, focus_samples=10000, seed=20260816):
     minimal-inside-(2,1) pair at n=3 gets a deeper dedicated run.
     """
     rng = random.Random(seed)
+
+    def sweep(rep, pairs, details):
+        points = [sample_integer_point(rng, rep.n) for _ in range(rep.samples)]
+        return _sweep(rep, points, _point_json, pairs,
+                      lambda pair, cols: (_signed_counts(sigma_terms(*pair, cols), len(cols[0])),),
+                      lambda v: (v != 0) & (v != 1), details)
+
     reports = []
     for n in range(2, max_n + 1):
-        nested = []
-        for P2 in standard_parabolics(n):
-            for P1 in refinements_within(P2):
-                nested.append((P1, P2))
-        rep = VerifyReport(identity="sigma-range", n=n, samples=samples)
-        rep.stats["nested_pairs"] = len(nested)
-        for _ in range(samples):
-            H = sample_integer_point(rng, n)
-            for P1, P2 in nested:
-                val = indicator_sigma(P1, P2, H)
-                if val not in (0, 1):
-                    rep.failures.append(
-                        {
-                            "H": _point_json(H),
-                            "details": "pair (%s, %s) gives %d" % (P1, P2, val),
-                        }
-                    )
-        reports.append(rep)
-
-    rep = VerifyReport(identity="sigma-range-focus", n=3, samples=focus_samples)
-    P1 = minimal_parabolic(3)
-    P2 = StandardParabolic((2, 1))
-    for _ in range(focus_samples):
-        H = sample_integer_point(rng, 3)
-        val = indicator_sigma(P1, P2, H)
-        if val not in (0, 1):
-            rep.failures.append(
-                {"H": _point_json(H), "details": "focus pair gives %d" % val}
-            )
-    reports.append(rep)
+        nested = [(P1, P2) for P2 in standard_parabolics(n) for P1 in refinements_within(P2)]
+        rep = VerifyReport("sigma-range", n, samples, stats={"nested_pairs": len(nested)})
+        reports.append(sweep(rep, nested, lambda pair, v: "pair (%s, %s) gives %d" % (*pair, v)))
+    focus = [(minimal_parabolic(3), StandardParabolic((2, 1)))]
+    rep = VerifyReport("sigma-range-focus", 3, focus_samples)
+    reports.append(sweep(rep, focus, lambda pair, v: "focus pair gives %d" % v))
     return reports
+
+
+def _partition_values(Q, cols):
+    """(partition_sum, semistable_direct, semistable_alternating) of
+    arthur_partition_report, per sample."""
+    samples = len(cols[0])
+    part, alternating = np.zeros((2, samples), dtype=np.int64)
+    for tests, sign, gaps in partition_terms(Q, cols):
+        part += _every(tests, samples)
+        alternating += sign * _every((g > 0 for g in gaps), samples)
+    return part, _every(blocks_constant(Q, cols), samples), alternating
 
 
 def verify_partition(max_n=4, samples=1000, seed=20260816):
     """Both partition identities hold at every sampled point for every
     ambient type."""
     rng = random.Random(seed)
-    reports = []
-    for n in range(2, max_n + 1):
-        rep = VerifyReport(identity="partition-identities", n=n, samples=samples)
-        for _ in range(samples):
-            H = sample_integer_point(rng, n)
-            for Q in standard_parabolics(n):
-                report = arthur_partition_report(Q, H)
-                if not report.ok:
-                    rep.failures.append(
-                        {
-                            "H": _point_json(H),
-                            "details": "ambient %s: sum=%d direct=%d alt=%d"
-                            % (
-                                Q,
-                                report.partition_sum,
-                                report.semistable_direct,
-                                report.semistable_alternating,
-                            ),
-                        }
-                    )
-        reports.append(rep)
-    return reports
+    return [
+        _sweep(VerifyReport("partition-identities", n, samples),
+               [sample_integer_point(rng, n) for _ in range(samples)], _point_json,
+               standard_parabolics(n), _partition_values,
+               lambda part, direct, alt: (part != 1) | (direct != alt),
+               lambda Q, *v: "ambient %s: sum=%d direct=%d alt=%d" % (Q, *v))
+        for n in range(2, max_n + 1)
+    ]
 
 
 def full_suite(seed=20260816, fast=False):

@@ -374,6 +374,19 @@ _CENTRAL_DENOM_POW = {1: 1, 2: 2, 3: 3, 4: 4}
 _CENTRAL_DENOM_SCALE = {1: 2, 2: 1, 3: 2, 4: 1}
 
 
+def _richardson(table, ratio):
+    """Repeated Richardson elimination over estimates at steps shrinking by
+    a fixed factor, whose m-th error term scales by ratio**m per step.
+    Returns the extrapolated limit and the last elimination's increment."""
+    increment = None
+    for m in range(1, len(table)):
+        factor = ratio**m
+        new = [(factor * table[i + 1] - table[i]) / (factor - 1) for i in range(len(table) - 1)]
+        increment = abs(new[-1] - table[-1])
+        table = new
+    return table[-1], increment
+
+
 def xi_value_fd(point, derivative_order, config=None, levels=6):
     """k-th derivative of xi at a real point by central differences.
 
@@ -397,16 +410,9 @@ def xi_value_fd(point, derivative_order, config=None, levels=6):
             denom = _CENTRAL_DENOM_SCALE[k] * h ** _CENTRAL_DENOM_POW[k]
             table.append(acc / denom)
         # central stencils have even-power error expansions: eliminate h^2, h^4, ...
-        increment = None
-        for m in range(1, levels):
-            factor = mpf(4) ** m
-            new = []
-            for i in range(len(table) - 1):
-                new.append((factor * table[i + 1] - table[i]) / (factor - 1))
-            increment = abs(new[-1] - table[-1])
-            table = new
-        value = mpmath.re(table[-1])
-        err = float(increment) + float(abs(mpmath.im(table[-1]))) + 10.0 ** (-(digits - 5))
+        limit, increment = _richardson(table, mpf(4))
+        value = mpmath.re(limit)
+        err = float(increment) + float(abs(mpmath.im(limit))) + 10.0 ** (-(digits - 5))
         return ValueWithError(value=value, error=err)
 
 
@@ -424,15 +430,8 @@ def xi_one_correction_limit(config=None, levels=12):
             u = mpf(1) / 2 ** (4 + j)
             val, _ = xi_point(1 + u, digits)
             table.append(val - 1 / u)
-        increment = None
-        for m in range(1, levels):
-            factor = mpf(2) ** m
-            new = []
-            for i in range(len(table) - 1):
-                new.append((factor * table[i + 1] - table[i]) / (factor - 1))
-            increment = abs(new[-1] - table[-1])
-            table = new
-        value = mpmath.re(table[-1])
+        limit, increment = _richardson(table, mpf(2))
+        value = mpmath.re(limit)
         err = float(increment) + 10.0 ** (-(digits - 5))
         return ValueWithError(value=value, error=err)
 

@@ -6,6 +6,7 @@ assertion; nothing here loosens what the unit suites already enforce.
 """
 
 import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from orbitzeta.xinumeric import (
 from orbitzeta.truncation.sampling import full_suite
 
 SEED = 20260816
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def announce(number, name, detail=""):
@@ -173,6 +175,9 @@ def test_criterion_5_truncation_suite():
     failures = [r for r in reports if not r.ok]
     assert not failures, [r.to_json() for r in failures]
     assert elapsed < 300.0, elapsed
+    # the same seed and budgets reproduce the archived reports exactly
+    archive = json.loads((ROOT / "reports" / "truncation_suite.json").read_text())
+    assert [r.to_json() for r in reports] == archive["checks"]
     announce(
         5,
         "truncation suite",

@@ -58,11 +58,23 @@ from orbitzeta.truncation import (
     semistandard_all,
     standard_parabolics,
 )
-from orbitzeta.truncation.indicators import _e_subsets
+from orbitzeta.truncation import indicators, instability, sampling
+from orbitzeta.truncation.indicators import (
+    blocks_constant,
+    e_subset_tests,
+    langlands_terms,
+    sigma_terms,
+)
+from orbitzeta.truncation.instability import cone_tests
 from orbitzeta.truncation.sampling import (
+    _columns,
     _draw_cleared,
     _e_counts,
+    _every,
     _levi_counts,
+    _partition_values,
+    _signed_counts,
+    _wall_variants,
     clear_denominators,
     sample_integer_point,
     sample_point,
@@ -251,6 +263,20 @@ def test_degree_vanishes_on_constants():
         assert indicator_F(group(n), H) == 1
 
 
+def test_degree_zero_iff_constant():
+    """block_degree vanishes exactly on constant blocks, and indicator_F
+    equals the equality test on Q's blocks that the identities use."""
+    grid = [v for m in range(1, 6) for v in itertools.product(range(-2, 3), repeat=m)]
+    for v in grid + _battery_points():
+        assert (block_degree(v) == 0) == (len(set(v)) == 1), v
+    r = rng()
+    for H in _battery_points():
+        for Q in standard_parabolics(len(H)):
+            assert indicator_F(Q, H) == all(blocks_constant(Q, H)), (Q, H)
+        Q = r.choice(standard_parabolics(len(H)))
+        assert indicator_F(Q, H) == arthur_partition_report(Q, H).semistable_direct
+
+
 def test_degree_is_nonnegative_on_samples():
     r = rng()
     for n in range(2, 6):
@@ -366,7 +392,7 @@ def test_E_routes_cross_check():
     g = group(3)
     for _ in range(100):
         H = rand_point(r, 3)
-        assert len(e_sum_terms(g, H)) == _e_subsets(g, H)
+        assert len(e_sum_terms(g, H)) == all(e_subset_tests(g, H))
 
 
 def test_E_on_block_zero_vector():
@@ -567,8 +593,168 @@ def test_batched_E_matches_scalar_routes_pointwise():
         for row, got_count, got_ok in zip(points, counts, subset_ok):
             H = tuple(int(v) for v in row)
             assert int(got_count) == len(e_sum_terms(group(n), H)), H
-            assert bool(got_ok) == _e_subsets(group(n), H), H
+            assert bool(got_ok) == all(e_subset_tests(group(n), H)), H
         assert 0 < subset_ok.sum() < points.shape[0]
+
+
+def _sigma_pairs(n):
+    return [(P1, P2) for P2 in standard_parabolics(n) for P1 in refinements_within(P2)]
+
+
+# name -> (sizes n, cases(n), column route(case, columns) -> tuple of
+# columns, scalar(case, H) -> tuple); each route is what the sweep evaluates
+COLUMN_ROUTES = {
+    "langlands_sum": (
+        range(2, 6),
+        lambda n: [P for P in standard_parabolics(n) if P.r >= 2],
+        lambda P, cols: (_signed_counts(langlands_terms(P, cols), len(cols[0])),),
+        lambda P, H: (langlands_sum(P, H),),
+    ),
+    "indicator_sigma": (
+        range(2, 5),
+        _sigma_pairs,
+        lambda pair, cols: (_signed_counts(sigma_terms(*pair, cols), len(cols[0])),),
+        lambda pair, H: (indicator_sigma(*pair, H),),
+    ),
+    "arthur_partition_report": (
+        range(2, 5),
+        standard_parabolics,
+        _partition_values,
+        lambda Q, H: dataclasses.astuple(arthur_partition_report(Q, H)),
+    ),
+    "cone_accepts": (
+        range(1, 5),
+        semistandard_all,
+        lambda prime, cols: (_every(cone_tests(prime, cols), len(cols[0])),),
+        lambda prime, H: (cone_accepts(prime, H),),
+    ),
+}
+
+
+def _route_matches_scalar(name, n, rows):
+    """Every case of the route on the rows, against the scalar function."""
+    _, cases, route, scalar = COLUMN_ROUTES[name]
+    cols = _columns(rows, n, n * n)
+    for case in cases(n):
+        got = route(case, cols)
+        assert all(c.shape == (len(rows),) for c in got)
+        for i, row in enumerate(rows):
+            H = tuple(int(v) for v in row)
+            assert tuple(c[i] for c in got) == scalar(case, H), (case, H)
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_ROUTES))
+def test_column_routes_match_scalar_rows(name):
+    """Each sweep's column route, row by row on drawn and wall rows,
+    against the scalar operation, for every case of each size."""
+    sizes = COLUMN_ROUTES[name][0]
+    for n in sizes:
+        _route_matches_scalar(name, n, _e_rows(n))
+    assert sum(len(_e_rows(n)) for n in sizes) >= 1000
+
+
+def _langlands_loop(points, point_json):
+    return [
+        {"H": point_json(H), "details": "type %s sums to %d" % (P, val)}
+        for H in points
+        for P in standard_parabolics(len(H))
+        if P.r >= 2 and (val := langlands_sum(P, H)) != 0
+    ]
+
+
+def _sigma_loop(points, pairs, text):
+    return [
+        {"H": [str(h) for h in H], "details": text(P1, P2, val)}
+        for H in points
+        for P1, P2 in pairs
+        if (val := indicator_sigma(P1, P2, H)) not in (0, 1)
+    ]
+
+
+def _partition_loop(points):
+    return [
+        {"H": [str(h) for h in H],
+         "details": "ambient %s: sum=%d direct=%d alt=%d" % (Q, *dataclasses.astuple(rep))}
+        for H in points
+        for Q in standard_parabolics(len(H))
+        if not (rep := arthur_partition_report(Q, H)).ok
+    ]
+
+
+def _cones_loop(points):
+    out = []
+    for H in points:
+        accepted = [pp for pp in semistandard_all(len(H)) if cone_accepts(pp, H)]
+        if len(accepted) != 1:
+            details = "%d cones accept the point" % len(accepted)
+        elif accepted[0] != cone_membership(H):
+            details = "fast membership disagrees"
+        else:
+            continue
+        out.append({"H": [str(h) for h in H], "details": details})
+    return out
+
+
+def _drop_first(body):
+    """The body without its first term or test."""
+    return lambda *args: itertools.islice(body(*args), 1, None)
+
+
+def _negated(body):
+    """The body with every sign flipped."""
+    return lambda *args: ((-sign, gaps) for sign, gaps in body(*args))
+
+
+def test_sweep_failures_match_per_sample_loops(monkeypatch):
+    """With a body broken in both its scalar and its column use, each
+    column sweep lists the failures a per-sample loop over the scalar
+    operation finds: every failing (point, case), same encoding and text,
+    in point order."""
+    for module, name, mutate in (
+        (indicators, "langlands_terms", _drop_first),
+        (indicators, "sigma_terms", _negated),
+        (indicators, "partition_terms", _drop_first),
+        (instability, "cone_tests", _drop_first),
+    ):
+        broken = mutate(getattr(module, name))
+        monkeypatch.setattr(module, name, broken)
+        monkeypatch.setattr(sampling, name, broken)
+    seed = 5
+    r = random.Random(seed)
+    sampled = [sample_integer_point(r, 4) for _ in range(60)]
+    exhaustive = [list(itertools.permutations(range(1, n + 1))) for n in (2, 3)]
+    reports = verify_langlands(max_n=3, samples=60, sampled_n=(4,), seed=seed)
+    expected = [
+        _langlands_loop(exhaustive[0], list),
+        _langlands_loop(exhaustive[1], list),
+        _langlands_loop(sampled, lambda H: [str(h) for h in H]),
+    ]
+    r = random.Random(seed)
+    base = [[sample_integer_point(r, n) for _ in range(40)] for n in (2, 3)]
+    focus = [sample_integer_point(r, 3) for _ in range(50)]
+    focus_pair = [(minimal_parabolic(3), StandardParabolic((2, 1)))]
+
+    def pair_text(P1, P2, val):
+        return "pair (%s, %s) gives %d" % (P1, P2, val)
+
+    reports += verify_sigma(max_n=3, samples=40, focus_samples=50, seed=seed)
+    expected += [
+        _sigma_loop(base[0], _sigma_pairs(2), pair_text),
+        _sigma_loop(base[1], _sigma_pairs(3), pair_text),
+        _sigma_loop(focus, focus_pair, lambda P1, P2, val: "focus pair gives %d" % val),
+    ]
+    r = random.Random(seed)
+    drawn = [[sample_integer_point(r, n) for _ in range(30)] for n in (2, 3)]
+    reports += verify_partition(max_n=3, samples=30, seed=seed)
+    expected += [_partition_loop(points) for points in drawn]
+    r = random.Random(seed)
+    points = [sample_integer_point(r, 3) for _ in range(100)]
+    for _ in range(5):
+        points.extend(_wall_variants(r, 3))
+    reports.append(verify_cones(n=3, samples=100, seed=seed))
+    expected.append(_cones_loop(points))
+    assert [rep.failures for rep in reports] == expected
+    assert all(expected), [len(e) for e in expected]
 
 
 def _guard_limit(factor):
@@ -605,12 +791,16 @@ def test_levi_overflow_guard_sits_at_its_bound():
 
 
 def test_E_overflow_guard_sits_at_its_bound():
+    """The guard every sweep but Levi's shares (_columns), through the E
+    counts and every other column route: it raises at the bound and the
+    routes match the scalar operations one below it."""
     for n in (2, 3, 5):
         limit = _guard_limit(n * n)
-        with pytest.raises(OverflowError, match="too large for int64"):
-            _e_counts(n, np.array([[limit] + [0] * (n - 1)]))
-        with pytest.raises(OverflowError, match="too large for int64"):
-            _e_counts(n, np.array([[0] * (n - 1) + [-limit]]))
+        for evaluate in (_e_counts, lambda n, rows: _columns(rows, n, n * n)):
+            with pytest.raises(OverflowError, match="too large for int64"):
+                evaluate(n, np.array([[limit] + [0] * (n - 1)]))
+            with pytest.raises(OverflowError, match="too large for int64"):
+                evaluate(n, [(0,) * (n - 1) + (-limit,)])
         top = limit - 1
         rows = [
             [top] * n,
@@ -622,7 +812,9 @@ def test_E_overflow_guard_sits_at_its_bound():
         counts, subset_ok = _e_counts(n, np.array(rows, dtype=np.int64))
         for H, got_count, got_ok in zip(rows, counts, subset_ok):
             assert int(got_count) == len(e_sum_terms(group(n), H)), H
-            assert bool(got_ok) == _e_subsets(group(n), H), H
+            assert bool(got_ok) == all(e_subset_tests(group(n), H)), H
+        for name in COLUMN_ROUTES:
+            _route_matches_scalar(name, n, rows)
 
 
 def test_arthur_identities():
