@@ -140,12 +140,6 @@ class YoungDiagram:
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "cells", tuple(cells))
 
-    def cell(self, row, col):
-        for c in self.cells:
-            if c.row == row and c.col == col:
-                return c
-        raise KeyError((row, col))
-
     def __iter__(self):
         return iter(self.cells)
 

@@ -25,7 +25,6 @@ from .indicators import (
 from .instability import (
     CanonicalPair,
     ExtremalPair,
-    arranged_semistable,
     block_degree,
     canonical_pair,
     canonical_pair_brute,

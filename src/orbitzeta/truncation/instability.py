@@ -13,6 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .roots import (
     SemiStandardParabolic,
@@ -20,7 +21,7 @@ from .roots import (
     WallTie,
     arranged_pairs,
     as_exact,
-    compositions,
+    coarsening_splits,
     consecutive_root_gaps,
     doubled_half_sums,
     doubled_relative_rho,
@@ -86,10 +87,10 @@ def pair_pairing(P, Q, arrangement, H):
 
 
 def _doubled_pairs(Q, H):
-    """(refinement, arrangement, arranged sums, doubled pairing) below Q,
-    in arranged_pairs order, for an exact point H."""
+    """(refinement, arrangement, doubled pairing) below Q, in arranged_pairs
+    order, at an exact point or on a tuple of sample columns."""
     for P, subs, arr, sums in arranged_pairs(Q, H):
-        yield P, arr, sums, _rho_pairing(doubled_relative_rho(subs), sums)
+        yield P, arr, _rho_pairing(doubled_relative_rho(subs), sums)
 
 
 def degree_pairs(Q, H):
@@ -97,7 +98,7 @@ def degree_pairs(Q, H):
 
     The trivial pair (Q, identity) is among them, with pairing exactly 0.
     """
-    return [(P, arr, Fraction(d, 2)) for P, arr, _, d in _doubled_pairs(Q, as_exact(H))]
+    return [(P, arr, Fraction(d, 2)) for P, arr, d in _doubled_pairs(Q, as_exact(H))]
 
 
 def degree_instability(Q, H):
@@ -123,12 +124,6 @@ def equal_tests(index_sets, H):
     or on a tuple of sample columns: all hold iff each set carries a single
     value.  On a block this is block_degree(...) == 0."""
     return (H[i] == H[S[0]] for S in index_sets for i in S[1:])
-
-
-def arranged_semistable(arrangement, H):
-    """Semistability of the rearranged point for the blocks it is sorted
-    into: every assigned index set carries a single value."""
-    return all(equal_tests(arrangement, as_exact(H)))
 
 
 def chamber_tests(subs, arr, sums, H):
@@ -200,15 +195,45 @@ def canonical_pair(H):
         raise ValueError("empty point")
     blocks = _value_classes(H)
     P = StandardParabolic(tuple(len(S) for S in blocks))
-    pair = CanonicalPair(
-        parabolic=P,
-        weyl=tuple(itertools.chain.from_iterable(blocks)),
-        degree=pair_pairing(P, group(len(H)), blocks, H),
-    )
-    sums = tuple(sum(H[i] for i in S) for S in pair.blocks)
-    if not all(chamber_tests((P.blocks,), pair.blocks, sums, H)):
+    sums = tuple(sum(H[i] for i in S) for S in blocks)
+    if not all(chamber_tests((P.blocks,), blocks, sums, H)):
         raise AssertionError("value-class pair failed its defining conditions")
-    return pair
+    degree = pair_pairing(P, group(len(H)), blocks, H)
+    return CanonicalPair(P, tuple(itertools.chain.from_iterable(blocks)), degree)
+
+
+@lru_cache(maxsize=None)
+def _pair_merges(n):
+    """(P, arrangement, positions of its proper merges) per pair below the
+    group of GL(n), in _doubled_pairs order.  A proper merge is again such a
+    pair: a proper coarsening of P, the index sets of each run united."""
+    pairs = [(P, arr) for P, arr, _ in _doubled_pairs(group(n), range(n))]
+    at = {arr: i for i, (_, arr) in enumerate(pairs)}
+    return tuple((P, arr, [at[tuple(tuple(sorted(itertools.chain(*run)))
+                                    for run in runs(arr, map(len, subs)))]
+                           for _, subs in coarsening_splits(P, P)[:-1]])  # [-1] is P itself
+                 for P, arr in pairs)
+
+
+def _maximal_maximizers(H, top):
+    """Twice the largest half-sum pairing, and per pair in _doubled_pairs
+    order whether it attains it while none of its proper merges does; at a
+    point, or on a tuple of sample columns with top their maximum."""
+    ds = [d for _, _, d in _doubled_pairs(group(len(H)), H)]
+    best = top(ds)
+    hits = [d == best for d in ds]
+    # a hit (True, 1) exceeds the count of its merges' hits only when that is 0
+    return best, [h > sum(hits[j] for j in m) for h, (*_, m) in zip(hits, _pair_merges(len(H)))]
+
+
+def _select_pair(n, best, survivors):
+    """The canonical pair from _maximal_maximizers' doubled maximum and
+    survivor flags; WallTie unless exactly one pair survives."""
+    found = list(itertools.compress(_pair_merges(n), survivors))
+    if len(found) != 1:
+        raise WallTie("%d maximal maximizers at degree %s" % (len(found), Fraction(best, 2)))
+    P, arr, _ = found[0]
+    return CanonicalPair(P, tuple(itertools.chain.from_iterable(arr)), Fraction(best, 2))
 
 
 def canonical_pair_brute(H):
@@ -220,32 +245,7 @@ def canonical_pair_brute(H):
     against.
     """
     H = as_exact(H)
-    pairs = list(_doubled_pairs(group(len(H)), H))
-    best = max(d for _, _, _, d in pairs)
-
-    def attains_best(P, sums, lengths):
-        # a merge unites runs of blocks, so its block sums are run totals
-        sizes = tuple(sum(run) for run in runs(P.blocks, lengths))
-        merged = (sum(run) for run in runs(sums, lengths))
-        return _rho_pairing(doubled_half_sums(sizes), merged) == best
-
-    # the last composition keeps every cut: the pair itself, not a merge
-    survivors = [
-        (P, arr)
-        for P, arr, sums, d in pairs
-        if d == best
-        and not any(attains_best(P, sums, lengths) for lengths in compositions(P.r)[:-1])
-    ]
-
-    degree = Fraction(best, 2)
-    if len(survivors) != 1:
-        raise WallTie("%d maximal maximizers at degree %s" % (len(survivors), degree))
-    P, arr = survivors[0]
-    return CanonicalPair(
-        parabolic=P,
-        weyl=tuple(itertools.chain.from_iterable(arr)),
-        degree=degree,
-    )
+    return _select_pair(len(H), *_maximal_maximizers(H, max))
 
 
 def cone_tests(prime, H):

@@ -159,13 +159,11 @@ def refinements_within(coarser):
 
 
 def runs(items, lengths):
-    """Split a sequence into consecutive runs of the given lengths."""
-    out = []
+    """Consecutive runs of a sequence with the given lengths, lazily."""
     start = 0
     for m in lengths:
-        out.append(items[start : start + m])
+        yield items[start : start + m]
         start += m
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -264,12 +262,7 @@ def arrangements(P, Q):
 
 def semistandard_all(n):
     """Every ordered set partition of {0..n-1} (all semi-standard parabolics)."""
-    out = []
-    for comp in compositions(n):
-        P = StandardParabolic(comp)
-        for arr in arrangements(P, group(n)):
-            out.append(SemiStandardParabolic(arr))
-    return out
+    return [SemiStandardParabolic(arr) for _, _, arrs in _pairs_below(group(n)) for arr in arrs]
 
 
 def _exact(h):

@@ -10,15 +10,16 @@ Every sign-test identity has one body in indicators or instability that
 yields its signs and tests from a point or from a tuple of int64 columns,
 one entry per sample.  The public operations read it on one exact point;
 the sweeps here read it on all sampled points at once and only combine
-the boolean columns.  Per-sample loops remain for the canonical-pair
-oracle, the fast cone membership and the slope sandwich.
+the boolean columns; so does the canonical-pair oracle's filter.  Only
+the fast cone membership and the slope sandwich still loop per sample.
 
 Overflow: with M the largest |entry| of a cleared sample, each swept
 pairing is a difference of two products bounded by n^2 * M: a block or
 subset sum (at most n * M) times a block or subset size (at most n).
 That covers the Langlands and sigma weight and root gaps on block sums
 and run totals, the partition and slope pairs' arranged sums and leading
-sums, the subset sums, and the cone tests s * |S| against total * |T|.
+sums, the subset sums, the cone tests s * |S| against total * |T|, and
+the canonical-pair oracle's doubled pairings, |d| <= (n - 1) * n * M.
 _columns asserts n^2 * M < 2^62 before any sweep, so every difference
 stays below 2^63.  The Levi sweep pairs block values times sizes and
 asserts its own bound there, M * max size * n * r < 2^62.  With M <= 100 * lcm(1..20)
@@ -47,8 +48,9 @@ from .indicators import (
     sigma_terms,
 )
 from .instability import (
+    _maximal_maximizers,
+    _select_pair,
     canonical_pair,
-    canonical_pair_brute,
     cone_accepts,
     cone_membership,
     cone_tests,
@@ -56,6 +58,7 @@ from .instability import (
 )
 from .roots import (
     StandardParabolic,
+    WallTie,
     group,
     minimal_parabolic,
     refinements_within,
@@ -242,22 +245,29 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
     return reports
 
 
+def _canonical_survivors(n, points):
+    """canonical_pair_brute's doubled maximum and survivor flags for every row
+    of the integer points, as a column and an array (samples, pairs)."""
+    best, survivors = _maximal_maximizers(_columns(points, n, n**2), np.maximum.reduce)
+    return best, np.stack(survivors, axis=1)
+
+
 def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
                      seed=20260816):
     """Destabilizing-pair sweep: the value-class construction must match the
     definitional brute-force pair (unique by construction of the filter),
     and the largest leading-average maximizer must be its two-block
-    projection."""
+    projection.  The brute-force filter runs on all points at once."""
     rng = random.Random(seed)
     reports = []
     for n, count in sample_plan:
         rep = VerifyReport(identity="canonical-pair", n=n, samples=count)
-        for _ in range(count):
-            H = sample_integer_point(rng, n)
+        points = [sample_integer_point(rng, n) for _ in range(count)]
+        for H, best, survivors in zip(points, *_canonical_survivors(n, points)):
             fast = canonical_pair(H)
             try:
-                brute = canonical_pair_brute(H)
-            except Exception as exc:  # WallTie included: uniqueness failed
+                brute = _select_pair(n, int(best), survivors)
+            except WallTie as exc:  # uniqueness failed
                 rep.fail(_point_json(H), repr(exc))
                 continue
             if fast != brute:
@@ -268,9 +278,7 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
             ext = extremal_max_pair(H)
             n1 = fast.parabolic.blocks[0]
             want = (n,) if fast.parabolic.r == 1 else (n1, n - n1)
-            if ext.parabolic.blocks != want or set(ext.first_block) != set(
-                fast.blocks[0]
-            ):
+            if ext.parabolic.blocks != want or set(ext.first_block) != set(fast.blocks[0]):
                 rep.fail(_point_json(H), "extremal projection mismatch")
         reports.append(rep)
     return reports

@@ -370,10 +370,6 @@ _CENTRAL_STENCILS = {
     4: ((2, mpf(1)), (1, mpf(-4)), (0, mpf(6)), (-1, mpf(-4)), (-2, mpf(1))),
 }
 
-_CENTRAL_DENOM_POW = {1: 1, 2: 2, 3: 3, 4: 4}
-_CENTRAL_DENOM_SCALE = {1: 2, 2: 1, 3: 2, 4: 1}
-
-
 def _richardson(table, ratio):
     """Repeated Richardson elimination over estimates at steps shrinking by
     a fixed factor, whose m-th error term scales by ratio**m per step.
@@ -407,7 +403,7 @@ def xi_value_fd(point, derivative_order, config=None, levels=6):
             for offset, weight in _CENTRAL_STENCILS[k]:
                 val, _ = xi_point(mpf(point) + offset * h, digits)
                 acc += weight * val
-            denom = _CENTRAL_DENOM_SCALE[k] * h ** _CENTRAL_DENOM_POW[k]
+            denom = (1 + k % 2) * h**k  # the odd-order stencils are halved
             table.append(acc / denom)
         # central stencils have even-power error expansions: eliminate h^2, h^4, ...
         limit, increment = _richardson(table, mpf(4))

@@ -6,6 +6,7 @@ the authority everywhere they appear; the fast paths must match them exactly.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -66,7 +67,9 @@ from orbitzeta.truncation.indicators import (
     sigma_terms,
 )
 from orbitzeta.truncation.instability import cone_tests
+from orbitzeta.truncation.roots import arranged_pairs, doubled_half_sums, runs
 from orbitzeta.truncation.sampling import (
+    _canonical_survivors,
     _columns,
     _draw_cleared,
     _e_counts,
@@ -88,6 +91,7 @@ from orbitzeta.truncation.sampling import (
 )
 
 SEED = 20260816
+_PAIR_MERGES = instability._pair_merges
 
 
 def rng():
@@ -757,6 +761,127 @@ def test_sweep_failures_match_per_sample_loops(monkeypatch):
     assert all(expected), [len(e) for e in expected]
 
 
+def _canonical_rows(n):
+    """_e_rows plus constant rows and the battery points of size n."""
+    small = np.random.default_rng(SEED - n).integers(-3, 4, size=(60, 1))
+    battery = [H for H in _battery_points() if len(H) == n]
+    return np.concatenate([_e_rows(n), np.repeat(small, n, axis=1), np.array(battery)])
+
+
+def _brute_outcome(select):
+    try:
+        return select()
+    except WallTie as exc:
+        return repr(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _self_merging(n):
+    """A broken merge table: every odd position is its own merge, so it
+    never survives, and every even one has no merges."""
+    table = _PAIR_MERGES(n)
+    return tuple((P, arr, [i] if i % 2 else []) for i, (P, arr, _) in enumerate(table))
+
+
+def _outcome_kind(got, H):
+    if isinstance(got, str):
+        return "no survivor" if got.startswith("WallTie('0 ") else "several survivors"
+    return "pair" if got == canonical_pair(H) else "other pair"
+
+
+@pytest.mark.parametrize(
+    "sizes, table",
+    [(range(2, 6), _PAIR_MERGES), (range(2, 5), _self_merging)],
+    ids=["merges", "self-merging"],
+)
+def test_column_oracle_matches_canonical_pair_brute(monkeypatch, sizes, table):
+    """The canonical-pair filter on int64 columns, row by row on drawn and
+    wall rows, against canonical_pair_brute: the selected pair with its
+    degree, or the WallTie text with its survivor count.  With the broken
+    table, rows of no survivor, of several and of a wrong pair all occur."""
+    monkeypatch.setattr(instability, "_pair_merges", table)
+    kinds = set()
+    for n in sizes:
+        rows = _canonical_rows(n)
+        assert len(rows) >= 1000
+        best, survivors = _canonical_survivors(n, rows)
+        assert best.shape == (len(rows),) and survivors.shape == (len(rows), len(table(n)))
+        for row, got_best, got_survivors in zip(rows, best, survivors):
+            H = tuple(int(v) for v in row)
+            got = _brute_outcome(
+                lambda: instability._select_pair(n, int(got_best), got_survivors))
+            assert got == _brute_outcome(lambda: canonical_pair_brute(H)), H
+            kinds.add(_outcome_kind(got, H))
+    want = {"pair", "other pair", "no survivor", "several survivors"}
+    assert kinds == (want if table is _self_merging else {"pair"}), kinds
+
+
+def test_merge_table_matches_run_arithmetic():
+    """Each pair's listed merges are its proper run compositions, in
+    compositions order: the merged type has the run sizes, the merged
+    index sets unite each run, and the merge's doubled pairing equals the
+    half-sums of the run sizes against the run totals."""
+    for n in range(1, 5):
+        table = instability._pair_merges(n)
+        assert [(P, arr) for P, arr, _ in table] == [
+            (P, arr) for P in refinements_within(group(n)) for arr in arrangements(P, group(n))
+        ]
+        points = [H for H in _battery_points() if len(H) == n]
+        pairs = [list(instability._doubled_pairs(group(n), H)) for H in points]
+        sums = [[s for *_, s in arranged_pairs(group(n), H)] for H in points]
+        for i, (P, arr, merges) in enumerate(table):
+            lengths = compositions(P.r)[:-1]
+            assert len(merges) == len(lengths)
+            for m, lens in zip(merges, lengths):
+                Q, merged, _ = table[m]
+                sizes = tuple(sum(run) for run in runs(P.blocks, lens))
+                assert Q.blocks == sizes
+                assert merged == tuple(
+                    tuple(sorted(itertools.chain(*run))) for run in runs(arr, lens))
+                for ds, point_sums in zip(pairs, sums):
+                    totals = [sum(run) for run in runs(point_sums[i], lens)]
+                    assert ds[m][2] == instability._rho_pairing(doubled_half_sums(sizes), totals)
+
+
+def _canonical_loop(points):
+    """verify_canonical's checks, one canonical_pair_brute call per point."""
+    out = []
+    for H in points:
+        n, point = len(H), [str(h) for h in H]
+        fast = canonical_pair(H)
+        try:
+            brute = canonical_pair_brute(H)
+        except WallTie as exc:
+            out.append({"H": point, "details": repr(exc)})
+            continue
+        if fast != brute:
+            out.append({"H": point, "details": "fast/brute pair mismatch"})
+            continue
+        if fast.degree < 0:
+            out.append({"H": point, "details": "negative degree"})
+        ext = extremal_max_pair(H)
+        n1 = fast.parabolic.blocks[0]
+        want = (n,) if fast.parabolic.r == 1 else (n1, n - n1)
+        if ext.parabolic.blocks != want or set(ext.first_block) != set(fast.blocks[0]):
+            out.append({"H": point, "details": "extremal projection mismatch"})
+    return out
+
+
+def test_canonical_sweep_failures_match_per_sample_loop(monkeypatch):
+    """With the broken merge table, the sweep lists the failures a
+    per-sample loop over canonical_pair_brute finds, in point order with
+    the same text: here the WallTie rows whose canonical pair sits at an
+    odd position."""
+    monkeypatch.setattr(instability, "_pair_merges", _self_merging)
+    plan = ((2, 60), (3, 60), (4, 40))
+    r = random.Random(5)
+    points = [[sample_integer_point(r, n) for _ in range(count)] for n, count in plan]
+    reports = verify_canonical(sample_plan=plan, seed=5)
+    expected = [_canonical_loop(p) for p in points]
+    assert [rep.failures for rep in reports] == expected
+    assert all(expected) and all(len(e) < count for e, (_, count) in zip(expected, plan))
+
+
 def _guard_limit(factor):
     """The least magnitude whose int64 guard bound, magnitude * factor,
     reaches 2^62."""
@@ -792,11 +917,13 @@ def test_levi_overflow_guard_sits_at_its_bound():
 
 def test_E_overflow_guard_sits_at_its_bound():
     """The guard every sweep but Levi's shares (_columns), through the E
-    counts and every other column route: it raises at the bound and the
-    routes match the scalar operations one below it."""
+    counts, the canonical-pair filter and every other column route: it
+    raises at the bound and the routes match the scalar operations one
+    below it."""
     for n in (2, 3, 5):
         limit = _guard_limit(n * n)
-        for evaluate in (_e_counts, lambda n, rows: _columns(rows, n, n * n)):
+        for evaluate in (_e_counts, _canonical_survivors,
+                         lambda n, rows: _columns(rows, n, n * n)):
             with pytest.raises(OverflowError, match="too large for int64"):
                 evaluate(n, np.array([[limit] + [0] * (n - 1)]))
             with pytest.raises(OverflowError, match="too large for int64"):
@@ -813,6 +940,10 @@ def test_E_overflow_guard_sits_at_its_bound():
         for H, got_count, got_ok in zip(rows, counts, subset_ok):
             assert int(got_count) == len(e_sum_terms(group(n), H)), H
             assert bool(got_ok) == all(e_subset_tests(group(n), H)), H
+        best, survivors = _canonical_survivors(n, rows)
+        for H, got_best, got_survivors in zip(rows, best, survivors):
+            got = instability._select_pair(n, int(got_best), got_survivors)
+            assert got == canonical_pair_brute(H) == canonical_pair(H), H
         for name in COLUMN_ROUTES:
             _route_matches_scalar(name, n, rows)
 
@@ -946,7 +1077,7 @@ def test_verifier_smoke_budgets():
     # every verifier except cones returns one report per size or identity
     assert all(r.ok for r in verify_langlands(max_n=3, samples=60, sampled_n=(3,)))
     assert all(r.ok for r in verify_levi_sum(max_n=4, samples=200))
-    assert all(r.ok for r in verify_canonical(sample_plan=((2, 60), (3, 60))))
+    assert all(r.ok for r in verify_canonical(sample_plan=((2, 60), (3, 60), (4, 30), (5, 30))))
     assert verify_cones(n=3, samples=120).ok
     assert all(r.ok for r in verify_E(max_n=3, samples=150, sandwich_samples=40))
     assert all(r.ok for r in verify_sigma(max_n=3, samples=40, focus_samples=100))
