@@ -1,6 +1,6 @@
 """Run the randomized truncation-identity suite and archive the reports.
 
-Full budgets take about 6 seconds on one core of a 2-vCPU Linux host;
+Full budgets take 2 to 5 seconds on one core of a 2-vCPU Linux host;
 --fast divides every sample count by ten for a quick look.  The archived copy lives in reports/truncation_suite.json.
 
 Usage: python3 scripts/truncation_suite.py [--fast] [--seed N] [--out PATH]

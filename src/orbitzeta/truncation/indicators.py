@@ -116,24 +116,27 @@ def e_subset_tests(Q, H):
     return (s <= 0 for a, b in Q.intervals for _, s in subset_sums(H[a:b]))
 
 
-def indicator_E(Q, H):
-    """Slope truncation indicator, computed two ways and cross-checked.
+def e_verdict(by_sum, by_subsets):
+    """The slope indicator from its two routes' values at one point.
 
     The structured sum over (refinement, arrangement) pairs must have at
-    most one contributing term, and its count must equal the literal
-    subset-closure criterion per block; the agreement is a theorem, so
-    either failure raises ArithmeticError as an implementation bug.
+    most one contributing term (by_sum counts them), and its count must
+    equal the literal subset-closure criterion per block (by_subsets, 0 or
+    1); the agreement is a theorem, so either failure raises
+    ArithmeticError as an implementation bug.
     """
-    terms = e_sum_terms(Q, H)
-    if len(terms) > 1:
-        raise ArithmeticError("structured sum produced %d overlapping terms" % len(terms))
-    by_sum = len(terms)
-    by_subsets = 1 if all(e_subset_tests(Q, as_exact(H))) else 0
+    if by_sum > 1:
+        raise ArithmeticError("structured sum produced %d overlapping terms" % by_sum)
     if by_sum != by_subsets:
-        raise ArithmeticError(
-            "the two routes disagree: sum=%d subsets=%d" % (by_sum, by_subsets)
-        )
+        raise ArithmeticError("the two routes disagree: sum=%d subsets=%d" % (by_sum, by_subsets))
     return by_sum
+
+
+def indicator_E(Q, H):
+    """Slope truncation indicator, computed two ways and cross-checked by
+    e_verdict."""
+    terms = e_sum_terms(Q, H)
+    return e_verdict(len(terms), 1 if all(e_subset_tests(Q, as_exact(H))) else 0)
 
 
 def _coarsening_terms(finer, base, inner, outer, H):

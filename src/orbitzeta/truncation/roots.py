@@ -80,17 +80,12 @@ class StandardParabolic:
     @property
     def intervals(self):
         """Half-open index intervals (start, stop) per block."""
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append((start, start + b))
-            start += b
-        return tuple(out)
+        return tuple((r.start, r.stop) for r in runs(range(self.n), self.blocks))
 
     @property
     def rho_values(self):
         """Per-block value of the half-sum of radical roots (block-constant)."""
-        return half_sums(self.blocks)
+        return tuple(Fraction(d, 2) for d in doubled_half_sums(self.blocks))
 
     def refines(self, other):
         """True when this composition splits each block of the other."""
@@ -316,11 +311,6 @@ def doubled_half_sums(sizes):
     return tuple(out)
 
 
-def half_sums(sizes):
-    """Half-sum of radical roots per block of a composition: (after - before)/2."""
-    return tuple(Fraction(d, 2) for d in doubled_half_sums(sizes))
-
-
 @lru_cache(maxsize=None)
 def doubled_relative_rho(subs):
     """Doubled half-sums of P relative to Q from subs = P.split_by(Q),
@@ -340,10 +330,7 @@ def relative_rho_values(P, Q):
 def _within_blocks(subs, sums):
     """Each Q-block's sub-block sizes (from subs = P.split_by(Q)) with
     their entries of the P-block sums."""
-    start = 0
-    for sub in subs:
-        yield sub, sums[start : start + len(sub)]
-        start += len(sub)
+    return zip(subs, runs(sums, map(len, subs)))
 
 
 def relative_weight_gaps(subs, sums):

@@ -10,8 +10,9 @@ Every sign-test identity has one body in indicators or instability that
 yields its signs and tests from a point or from a tuple of int64 columns,
 one entry per sample.  The public operations read it on one exact point;
 the sweeps here read it on all sampled points at once and only combine
-the boolean columns; so does the canonical-pair oracle's filter.  Only
-the fast cone membership and the slope sandwich still loop per sample.
+the boolean columns; so do the canonical-pair oracle's filter and the
+slope sandwich, whose samples are all drawn first.  Only the comparison
+with the fast cone membership still loops per sample.
 
 Overflow: with M the largest |entry| of a cleared sample, each swept
 pairing is a difference of two products bounded by n^2 * M: a block or
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ from .indicators import (
     blocks_constant,
     e_pair_tests,
     e_subset_tests,
-    indicator_E,
+    e_verdict,
     langlands_terms,
     ordering_gaps,
     partition_terms,
@@ -89,14 +90,7 @@ class VerifyReport:
         self.failures.append({"H": point, "details": details})
 
     def to_json(self):
-        return {
-            "identity": self.identity,
-            "n": self.n,
-            "samples": self.samples,
-            "failures": self.failures,
-            "stats": self.stats,
-            "pass": self.ok,
-        }
+        return {**asdict(self), "pass": self.ok}
 
 
 def sample_point(rng, n):
@@ -322,31 +316,50 @@ def verify_cones(n=3, samples=1000, seed=20260816):
     return rep
 
 
-def _e_counts(n, points):
-    """(len(e_sum_terms), all(e_subset_tests)) in the group of GL(n) for
-    every row of an int64 array (samples, n), as two columns."""
-    cols = _columns(points, n, n**2)
+def _e_counts(Q, points):
+    """(len(e_sum_terms), all(e_subset_tests)) in the type Q for every
+    integer row (samples, Q.n), as two columns."""
+    cols = _columns(points, Q.n, Q.n**2)
     samples = len(points)
-    counts = sum(_every(tests, samples) for _, _, tests in e_pair_tests(group(n), cols))
-    return counts, _every(e_subset_tests(group(n), cols), samples)
+    counts = sum(_every(tests, samples) for _, _, tests in e_pair_tests(Q, cols))
+    return counts, _every(e_subset_tests(Q, cols), samples)
+
+
+def _sandwich_sides(rows):
+    """indicator_E(P, H), indicator_E(group(n), H) and
+    indicator_E(group(m), H[:m]), m = P.blocks[0], per row (P, H), as an
+    array (rows, 3), grouped by the type each side reads.  e_verdict raises
+    at the first failing (row, side), in row then side order."""
+    by_type = {}
+    for i, (P, H) in enumerate(rows):
+        m = P.blocks[0]
+        for side, (Q, point) in enumerate(((P, H), (group(P.n), H), (group(m), H[:m]))):
+            by_type.setdefault(Q, []).append((i, side, point))
+    counts, subset_ok = np.zeros((2, len(rows), 3), dtype=np.int64)
+    for Q, entries in by_type.items():
+        i, side, points = zip(*entries)
+        counts[i, side], subset_ok[i, side] = _e_counts(Q, points)
+    for row, side in np.argwhere((counts > 1) | (counts != subset_ok))[:1]:
+        e_verdict(int(counts[row, side]), int(subset_ok[row, side]))
+    return counts
 
 
 def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
     """Slope-indicator sweep.
 
     Batched over all samples: the structured sum has at most one
-    contributing term and agrees with the literal subset criterion.  A
-    scalar pass then checks the block sandwich E(refined) <= E(full) <=
-    E(first block alone) with a random type per sample, evaluating each
-    side with both routes.
+    contributing term and agrees with the literal subset criterion.  Then
+    the block sandwich E(refined) <= E(full) <= E(first block alone), with
+    a random type per sample: every sample is drawn first, and each side
+    is read with both routes on columns and cross-checked by e_verdict.
     """
     rng = np.random.default_rng(seed)
-    scalar_rng = random.Random(seed + 1)
+    sandwich_rng = random.Random(seed + 1)
     reports = []
     for n in range(1, max_n + 1):
         rep = VerifyReport(identity="slope-indicator", n=n, samples=samples)
         points = _draw_cleared(rng, (samples, n))
-        counts, subset_ok = _e_counts(n, points)
+        counts, subset_ok = _e_counts(group(n), points)
         for i in np.flatnonzero(counts > 1)[:5]:
             rep.fail([int(v) for v in points[i]],
                      "%d overlapping structured terms" % int(counts[i]))
@@ -357,15 +370,12 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
         reports.append(rep)
 
     rep = VerifyReport(identity="slope-sandwich", n=max_n, samples=sandwich_samples)
+    rows = []
     for _ in range(sandwich_samples):
-        n = scalar_rng.randint(2, max_n)
-        H = sample_integer_point(scalar_rng, n)
-        comps = [P for P in standard_parabolics(n) if P.r >= 2]
-        P = scalar_rng.choice(comps)
-        lower = indicator_E(P, H)
-        middle = indicator_E(group(n), H)
-        first = H[: P.blocks[0]]
-        upper = indicator_E(group(P.blocks[0]), first)
+        n = sandwich_rng.randint(2, max_n)
+        H = sample_integer_point(sandwich_rng, n)
+        rows.append((sandwich_rng.choice([P for P in standard_parabolics(n) if P.r >= 2]), H))
+    for (P, H), (lower, middle, upper) in zip(rows, _sandwich_sides(rows)):
         if not (lower <= middle <= upper):
             rep.fail(_point_json(H), "type %s: %d <= %d <= %d violated" % (P, lower, middle, upper))
     reports.append(rep)

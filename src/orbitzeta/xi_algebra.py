@@ -238,10 +238,11 @@ def h_orbit(partition):
     """Weighted alternating sum of z_levi over all classes inducing the orbit."""
     if not isinstance(partition, Partition):
         partition = Partition(partition)
-    out = XiExpression.zero()
+    terms = {}
     for cls in enumerate_classes(partition):
-        out = out + z_levi(cls).scale(cls.weight)
-    return out
+        for m, c in z_levi(cls).terms.items():
+            terms[m] = terms.get(m, 0) + c * cls.weight
+    return XiExpression._of(terms)
 
 
 @dataclass(frozen=True, slots=True)

@@ -76,6 +76,7 @@ from orbitzeta.truncation.sampling import (
     _every,
     _levi_counts,
     _partition_values,
+    _sandwich_sides,
     _signed_counts,
     _wall_variants,
     clear_denominators,
@@ -592,13 +593,57 @@ def test_batched_E_matches_scalar_routes_pointwise():
     sum (its term count) and the scalar subset route (its verdict)."""
     for n in range(1, 6):
         points = _e_rows(n)
-        counts, subset_ok = _e_counts(n, points)
+        counts, subset_ok = _e_counts(group(n), points)
         assert counts.shape == subset_ok.shape == (points.shape[0],)
         for row, got_count, got_ok in zip(points, counts, subset_ok):
             H = tuple(int(v) for v in row)
             assert int(got_count) == len(e_sum_terms(group(n), H)), H
             assert bool(got_ok) == all(e_subset_tests(group(n), H)), H
         assert 0 < subset_ok.sum() < points.shape[0]
+
+
+def _proper_types(n):
+    return [P for P in standard_parabolics(n) if P.r >= 2]
+
+
+def _sandwich_loop(rows):
+    """The per-sample slope sandwich: indicator_E on the lower, middle and
+    upper side of each row (P, H), in that order."""
+    return [
+        (indicator_E(P, H), indicator_E(group(P.n), H),
+         indicator_E(group(P.blocks[0]), H[: P.blocks[0]]))
+        for P, H in rows
+    ]
+
+
+def _sandwich_rows(seed, samples, max_n):
+    """verify_E's sandwich draws (type, point), in its order."""
+    r = random.Random(seed + 1)
+    rows = []
+    for _ in range(samples):
+        n = r.randint(2, max_n)
+        H = sample_integer_point(r, n)
+        rows.append((r.choice(_proper_types(n)), H))
+    return rows
+
+
+def test_sandwich_sides_match_indicator_E_rows():
+    """The column sandwich, row by row, against indicator_E per sample, for
+    every proper type of n = 2..5: each type on every len(types)-th drawn
+    or wall row (every third row at n = 5, whose scalar loop is the slow
+    one) and on the zero row; and an empty draw list."""
+    assert _sandwich_sides([]).shape == (0, 3)
+    seen = set()
+    for n in range(2, 6):
+        types = _proper_types(n)
+        rows = [(types[i % len(types)], tuple(int(v) for v in row))
+                for i, row in enumerate(_e_rows(n)[:: 3 if n == 5 else 1])]
+        rows += [(P, (0,) * n) for P in types]
+        got = _sandwich_sides(rows)
+        assert got.shape == (len(rows), 3)
+        assert [tuple(int(v) for v in sides) for sides in got] == _sandwich_loop(rows)
+        seen.update(map(tuple, got.tolist()))
+    assert {(0, 0, 0), (0, 0, 1), (1, 1, 1)} <= seen
 
 
 def _sigma_pairs(n):
@@ -761,6 +806,98 @@ def test_sweep_failures_match_per_sample_loops(monkeypatch):
     assert all(expected), [len(e) for e in expected]
 
 
+def _first_raise(evaluate, rows):
+    """The ArithmeticError text evaluate(rows) raises, or None."""
+    try:
+        evaluate(rows)
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+
+def _first_never(body):
+    """The body with the first pair's tests replaced by one that fails."""
+    return lambda Q, H: ((P, arr, iter([False]) if i == 0 else tests)
+                         for i, (P, arr, tests) in enumerate(body(Q, H)))
+
+
+def _doubled(body):
+    """The body with every pair yielded twice, each copy with its own tests."""
+    return lambda Q, H: ((P, arr, t) for P, arr, tests in body(Q, H) for t in itertools.tee(tests))
+
+
+def _break_e_pairs(monkeypatch, mutate):
+    broken = mutate(indicators.e_pair_tests)
+    monkeypatch.setattr(indicators, "e_pair_tests", broken)
+    monkeypatch.setattr(sampling, "e_pair_tests", broken)
+
+
+@pytest.mark.parametrize(
+    "mutate, text",
+    [(_doubled, "structured sum produced 2 overlapping terms"),
+     (_first_never, "the two routes disagree: sum=0 subsets=1")],
+    ids=["overlapping", "disagree"],
+)
+def test_sandwich_raises_the_loops_first_verdict(monkeypatch, mutate, text):
+    """With e_pair_tests broken in both its scalar and its column use,
+    verify_E raises the text the per-sample loop raises first, and the
+    column sandwich passes every row before the loop's first failing one."""
+    _break_e_pairs(monkeypatch, mutate)
+    seed, samples = 7, 200
+    rows = _sandwich_rows(seed, samples, 4)
+    want = _first_raise(_sandwich_loop, rows)
+    assert want == text
+    with pytest.raises(ArithmeticError) as exc:
+        verify_E(max_n=4, samples=20, sandwich_samples=samples, seed=seed)
+    assert str(exc.value) == want
+    first = next(i for i, row in enumerate(rows) if _first_raise(_sandwich_loop, [row]))
+    assert _sandwich_sides(rows[:first]).shape == (first, 3)
+    assert _first_raise(_sandwich_sides, rows[: first + 1]) == want
+
+
+def test_sandwich_raises_in_row_then_side_order(monkeypatch):
+    """Pairs doubled below proper types, the first pair failing below the
+    one-block ones: at (-1,-2,-3) with type (1,2) the lower side overlaps
+    and the upper side disagrees.  The sandwich raises the loop's text:
+    lower before upper within a row, an earlier row before a later one."""
+    _break_e_pairs(monkeypatch, lambda body: lambda Q, H: (
+        (_doubled if Q.r >= 2 else _first_never)(body)(Q, H)))
+    P = StandardParabolic((1, 2))
+    both, upper_only = (P, (-1, -2, -3)), (P, (-1, 5, 0))
+    for rows, text in (([both], "structured sum produced 2 overlapping terms"),
+                       ([upper_only, both], "the two routes disagree: sum=0 subsets=1")):
+        assert _first_raise(_sandwich_loop, rows) == text
+        assert _first_raise(_sandwich_sides, rows) == text
+
+
+def _last_negated(body):
+    """The body read at the point with its last coordinate negated, for
+    the one-block types only."""
+    return lambda Q, H: body(Q, H if Q.r >= 2 else H[:-1] + (-H[-1],))
+
+
+def test_sandwich_violations_match_the_per_sample_loop(monkeypatch):
+    """With both routes of the slope indicator broken alike, so that they
+    agree and nothing raises, the sandwich lists the violations the
+    per-sample loop finds: same points, same text, in sample order."""
+    for name in ("e_pair_tests", "e_subset_tests"):
+        broken = _last_negated(getattr(indicators, name))
+        monkeypatch.setattr(indicators, name, broken)
+        monkeypatch.setattr(sampling, name, broken)
+    seed, samples = 5, 300
+    rows = _sandwich_rows(seed, samples, 5)
+    sides = _sandwich_loop(rows)
+    expected = [
+        {"H": [str(h) for h in H], "details": "type %s: %d <= %d <= %d violated" % (P, *s)}
+        for (P, H), s in zip(rows, sides)
+        if not s[0] <= s[1] <= s[2]
+    ]
+    reports = verify_E(max_n=5, samples=10, sandwich_samples=samples, seed=seed)
+    assert all(rep.ok for rep in reports[:-1])
+    assert reports[-1].failures == expected
+    assert any(s[0] > s[1] for s in sides) and any(s[1] > s[2] for s in sides)
+
+
 def _canonical_rows(n):
     """_e_rows plus constant rows and the battery points of size n."""
     small = np.random.default_rng(SEED - n).integers(-3, 4, size=(60, 1))
@@ -917,17 +1054,19 @@ def test_levi_overflow_guard_sits_at_its_bound():
 
 def test_E_overflow_guard_sits_at_its_bound():
     """The guard every sweep but Levi's shares (_columns), through the E
-    counts, the canonical-pair filter and every other column route: it
-    raises at the bound and the routes match the scalar operations one
-    below it."""
+    counts in the group and in a proper type, the canonical-pair filter and
+    every other column route: it raises at the bound and the routes match
+    the scalar operations one below it."""
     for n in (2, 3, 5):
         limit = _guard_limit(n * n)
-        for evaluate in (_e_counts, _canonical_survivors,
-                         lambda n, rows: _columns(rows, n, n * n)):
+        types = (group(n), StandardParabolic((1, n - 1)))
+        for evaluate in (*(functools.partial(_e_counts, Q) for Q in types),
+                         functools.partial(_canonical_survivors, n),
+                         lambda rows: _columns(rows, n, n * n)):
             with pytest.raises(OverflowError, match="too large for int64"):
-                evaluate(n, np.array([[limit] + [0] * (n - 1)]))
+                evaluate(np.array([[limit] + [0] * (n - 1)]))
             with pytest.raises(OverflowError, match="too large for int64"):
-                evaluate(n, [(0,) * (n - 1) + (-limit,)])
+                evaluate([(0,) * (n - 1) + (-limit,)])
         top = limit - 1
         rows = [
             [top] * n,
@@ -936,10 +1075,11 @@ def test_E_overflow_guard_sits_at_its_bound():
             [-top + u for u in range(n)],
             [(-1) ** u * (top - u) for u in range(n)],
         ]
-        counts, subset_ok = _e_counts(n, np.array(rows, dtype=np.int64))
-        for H, got_count, got_ok in zip(rows, counts, subset_ok):
-            assert int(got_count) == len(e_sum_terms(group(n), H)), H
-            assert bool(got_ok) == all(e_subset_tests(group(n), H)), H
+        for Q in types:
+            counts, subset_ok = _e_counts(Q, np.array(rows, dtype=np.int64))
+            for H, got_count, got_ok in zip(rows, counts, subset_ok):
+                assert int(got_count) == len(e_sum_terms(Q, H)), (Q, H)
+                assert bool(got_ok) == all(e_subset_tests(Q, H)), (Q, H)
         best, survivors = _canonical_survivors(n, rows)
         for H, got_best, got_survivors in zip(rows, best, survivors):
             got = instability._select_pair(n, int(got_best), got_survivors)
@@ -1079,7 +1219,7 @@ def test_verifier_smoke_budgets():
     assert all(r.ok for r in verify_levi_sum(max_n=4, samples=200))
     assert all(r.ok for r in verify_canonical(sample_plan=((2, 60), (3, 60), (4, 30), (5, 30))))
     assert verify_cones(n=3, samples=120).ok
-    assert all(r.ok for r in verify_E(max_n=3, samples=150, sandwich_samples=40))
+    assert all(r.ok for r in verify_E(max_n=5, samples=150, sandwich_samples=40))
     assert all(r.ok for r in verify_sigma(max_n=3, samples=40, focus_samples=100))
     assert all(r.ok for r in verify_partition(max_n=3, samples=25))
 

@@ -99,6 +99,20 @@ def test_h_regular_gl2():
     assert xi_expr_equal(h_orbit(Partition((2,))), expected)
 
 
+def test_h_orbit_equals_the_one_class_at_a_time_fold():
+    """h_orbit's single accumulation against adding one weighted class
+    product at a time: the same terms in the same order, and the same text
+    and JSON."""
+    for n in range(1, 10):
+        for p in partitions_of(n):
+            fold = XiExpression.zero()
+            for cls in enumerate_classes(p):
+                fold = fold + z_levi(cls).scale(cls.weight)
+            got = h_orbit(p)
+            assert list(got.terms.items()) == list(fold.terms.items()), p
+            assert str(got) == str(fold) and got.to_json() == fold.to_json(), p
+
+
 def test_xi_expr_equal_basics():
     a = mono((1, 1), (2, 2))
     b = mono((2, 2), (1, 1))  # same multiset, different construction order
