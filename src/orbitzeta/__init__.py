@@ -31,7 +31,6 @@ from .xi_algebra import (
     OrbitSeries,
     XiExpression,
     XiFactor,
-    XiMonomial,
     h_orbit,
     orbit_series_log,
     series_exp,
@@ -58,7 +57,6 @@ __all__ = [
     "OrbitSeries",
     "XiExpression",
     "XiFactor",
-    "XiMonomial",
     "h_orbit",
     "orbit_series_log",
     "series_exp",

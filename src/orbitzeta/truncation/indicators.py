@@ -112,7 +112,9 @@ def e_sum_terms(Q, H):
 
 def e_subset_tests(Q, H):
     """Literal closure criterion: inside each block of Q every nonempty
-    index subset must have coordinate sum <= 0, one test per subset."""
+    index subset must have coordinate sum <= 0, one test per subset.  The
+    singletons are subsets, so for every Q this, and indicator_E(Q, H), is
+    "every coordinate <= 0": the sandwich's lower and middle sides agree."""
     return (s <= 0 for a, b in Q.intervals for _, s in subset_sums(H[a:b]))
 
 

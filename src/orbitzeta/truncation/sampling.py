@@ -321,7 +321,8 @@ def _e_counts(Q, points):
     integer row (samples, Q.n), as two columns."""
     cols = _columns(points, Q.n, Q.n**2)
     samples = len(points)
-    counts = sum(_every(tests, samples) for _, _, tests in e_pair_tests(Q, cols))
+    counts = sum((_every(tests, samples) for _, _, tests in e_pair_tests(Q, cols)),
+                 np.zeros(samples, dtype=np.int64))
     return counts, _every(e_subset_tests(Q, cols), samples)
 
 

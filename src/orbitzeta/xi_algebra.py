@@ -1,9 +1,9 @@
 """Exact symbolic algebra of products of completed-zeta factors.
 
 Every object here is a rational linear combination of monomials, a monomial
-being a multiset of factors xi(a + b*s) with integer a >= 1, b >= 1.  No
-numeric evaluation happens in this module; equality is exact equality of
-canonical forms.
+being a sorted tuple (a multiset) of factors xi(a + b*s) with integer
+a >= 1, b >= 1.  No numeric evaluation happens in this module; equality is
+exact equality of canonical forms.
 
 The per-orbit product z_orbit attaches one factor per diagram cell, with
 a = 1 + arm and b = hook.  The alternating weighted sum h_orbit combines the
@@ -15,23 +15,29 @@ orbit sum, which is the identity the two constructions must satisfy.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import Partition, enumerate_classes, induce, partitions_of, young_stats
 
 
-@dataclass(frozen=True, order=True)
-class XiFactor:
-    """One factor xi(a + b*s); a is the expansion point, b the slope."""
+class _FactorPair(NamedTuple):
+    """The fields of XiFactor."""
 
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("factor requires a >= 1 and b >= 1, got (%r, %r)" % (self.a, self.b))
+
+class XiFactor(_FactorPair):
+    """One factor xi(a + b*s); a is the expansion point, b the slope."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        if a < 1 or b < 1:
+            raise ValueError("factor requires a >= 1 and b >= 1, got (%r, %r)" % (a, b))
+        return super().__new__(cls, a, b)
 
     @property
     def is_polar(self):
@@ -54,48 +60,13 @@ def _power_product(atoms, text):
 
 
 @dataclass(frozen=True, slots=True)
-class XiMonomial:
-    """A sorted multiset of XiFactors; the empty monomial is the unit."""
-
-    factors: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(sorted(
-            f if isinstance(f, XiFactor) else XiFactor(*f) for f in self.factors
-        )))
-
-    @property
-    def degree(self):
-        """Number of factors, counted with multiplicity."""
-        return len(self.factors)
-
-    @property
-    def polar_count(self):
-        """Number of factors with a = 1 (each contributes one pole order)."""
-        return sum(1 for f in self.factors if f.is_polar)
-
-    def __mul__(self, other):
-        return XiMonomial(self.factors + other.factors)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def _key(self):
-        return (len(self.factors), tuple((f.a, f.b) for f in self.factors))
-
-    def __str__(self):
-        return _power_product(self.factors, str) or "1"
-
-
-@dataclass(frozen=True, slots=True)
 class SparsePoly:
     """Rational linear combination of monomials, kept in canonical form.
 
     terms maps each monomial to its nonzero Fraction coefficient.  A
-    monomial is a sorted multiset of atoms; a subclass says what that is
-    through four hooks: _canonical (the monomial of a sequence of atoms),
-    _atoms (the sorted atom tuple of a monomial), _atom_text and _sort_key
-    (the term order of str and sorted_terms).
+    monomial is a sorted tuple of atoms, with repetition; a subclass says
+    how an atom reads (_atom_text) and how terms are ordered in str and
+    sorted_terms (_sort_key).
     """
 
     terms: dict = ()
@@ -104,7 +75,7 @@ class SparsePoly:
         items = self.terms.items() if isinstance(self.terms, dict) else self.terms
         merged = {}
         for monomial, coeff in items:
-            monomial = self._canonical(self._atoms(monomial))
+            monomial = tuple(sorted(monomial))
             merged[monomial] = merged.get(monomial, 0) + Fraction(coeff)
         object.__setattr__(self, "terms", {m: c for m, c in merged.items() if c})
 
@@ -147,7 +118,7 @@ class SparsePoly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = self._canonical(self._atoms(m1) + self._atoms(m2))
+                m = tuple(sorted(m1 + m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return self._of(out)
 
@@ -164,7 +135,7 @@ class SparsePoly:
     def __str__(self):
         pieces = []
         for monomial, coeff in self.sorted_terms():
-            text = _power_product(self._atoms(monomial), self._atom_text)
+            text = _power_product(monomial, self._atom_text)
             if not text:
                 pieces.append(str(coeff))
             elif coeff == 1:
@@ -180,33 +151,32 @@ class SparsePoly:
 
 
 class XiExpression(SparsePoly):
-    """Rational linear combination of XiMonomials, kept in canonical form."""
+    """Rational combination of sorted XiFactor tuples, by degree then factors."""
 
     __slots__ = ()
 
-    _canonical = XiMonomial
-    _atoms = operator.attrgetter("factors")
     _atom_text = str
-    _sort_key = operator.methodcaller("_key")
+    _sort_key = staticmethod(lambda m: (len(m), m))
 
     @classmethod
     def unit(cls):
-        return cls._of({XiMonomial(): Fraction(1)})
+        return cls._of({(): Fraction(1)})
 
     @classmethod
     def monomial(cls, factors, coeff=1):
-        return cls._of({XiMonomial(factors): Fraction(coeff)})
+        """One term; factors are XiFactors or (a, b) pairs, in any order."""
+        return cls._of({tuple(sorted(XiFactor(*f) for f in factors)): Fraction(coeff)})
 
     def max_polar_count(self):
         """Largest number of polar factors over all monomials (0 if zero)."""
-        return max((m.polar_count for m in self.terms), default=0)
+        return max((sum(f.is_polar for f in m) for m in self.terms), default=0)
 
     def to_json(self):
         return {
             "terms": [
                 {
                     "coeff": {"num": c.numerator, "den": c.denominator},
-                    "factors": [[f.a, f.b] for f in m.factors],
+                    "factors": [[f.a, f.b] for f in m],
                 }
                 for m, c in self.sorted_terms()
             ]
@@ -218,20 +188,21 @@ def xi_expr_equal(e1, e2):
     return e1 == e2
 
 
+def _cell_factors(partition):
+    """The (1 + arm, hook) pair of every diagram cell."""
+    return [(1 + cell.arm, cell.hook) for cell in young_stats(partition)]
+
+
 def z_orbit(partition):
     """Product over diagram cells of xi(1 + arm + hook*s), as one monomial."""
     if not isinstance(partition, Partition):
         partition = Partition(partition)
-    factors = [XiFactor(a=1 + cell.arm, b=cell.hook) for cell in young_stats(partition)]
-    return XiExpression.monomial(factors)
+    return XiExpression.monomial(_cell_factors(partition))
 
 
 def z_levi(cls):
-    """Product of the per-block orbit products of a block-orbit class."""
-    out = XiExpression.unit()
-    for orbit in cls.orbits:
-        out = out * z_orbit(orbit)
-    return out
+    """Product of the per-block orbit products of a block-orbit class, as one monomial."""
+    return XiExpression.monomial([f for orbit in cls.orbits for f in _cell_factors(orbit)])
 
 
 def h_orbit(partition):
@@ -290,10 +261,7 @@ class OrbitSeries:
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for p, e in other.coeffs.items():
-            out[p] = out.get(p, XiExpression.zero()) - e
-        return OrbitSeries(self.bound, out)
+        return self + other.scale(-1)
 
     def __mul__(self, other):
         self._check(other)

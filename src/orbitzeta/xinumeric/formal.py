@@ -28,8 +28,6 @@ class FormalPoly(SparsePoly):
 
     __slots__ = ()
 
-    _canonical = staticmethod(lambda atoms: tuple(sorted(atoms)))
-    _atoms = tuple
     _atom_text = "t[%d;%d]".__mod__
     _sort_key = tuple  # plain tuple order
 

@@ -314,11 +314,11 @@ def expand(expression, length, ring, taylor):
     factors, prefix = (), []
     for monomial, coeff in expression.sorted_terms():
         shared = 0
-        for f, g in zip(factors, monomial.factors):
+        for f, g in zip(factors, monomial):
             if f != g:
                 break
             shared += 1
-        factors = monomial.factors
+        factors = monomial
         del prefix[shared:]
         for f in factors[shared:]:
             prefix.append(prefix[-1] * series_of(f) if prefix else series_of(f))

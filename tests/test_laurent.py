@@ -244,7 +244,7 @@ def test_formal_matches_numeric_on_random_substitution():
         total = {}
         for monomial, c in expr.sorted_terms():
             acc = {0: F(1)}
-            for factor in monomial.factors:
+            for factor in monomial:
                 fac = {k: coeff(factor.a, k) * F(factor.b) ** k for k in range(q_max)}
                 if factor.a == 1:
                     fac[-1] = F(1, factor.b)
@@ -284,7 +284,7 @@ def naive_expand(expression, length, ring, taylor):
     unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
     acc = None
     for monomial, coeff in expression.sorted_terms():
-        factors = [factor_series(f.a, f.b, length, ring, taylor) for f in monomial.factors]
+        factors = [factor_series(f.a, f.b, length, ring, taylor) for f in monomial]
         series = reduce(operator.mul, factors or [unit]).scale(coeff)
         acc = series if acc is None else acc + series
     return acc
@@ -382,7 +382,7 @@ def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counting)
     for expr in _expressions_through(6):
-        prefixes = {m.factors[:i] for m in expr.terms for i in range(2, len(m.factors) + 1)}
+        prefixes = {m[:i] for m in expr.terms for i in range(2, len(m) + 1)}
         for run in (
             lambda: laurent_expand(expr, CFG),
             lambda: expand(expr, expr.max_polar_count(), FormalPoly, _symbols),

@@ -602,6 +602,20 @@ def test_batched_E_matches_scalar_routes_pointwise():
         assert 0 < subset_ok.sum() < points.shape[0]
 
 
+def test_E_is_every_coordinate_nonpositive():
+    """Singletons are among the scanned subsets, so the slope indicator of
+    every type is "every coordinate <= 0": on every drawn and wall row
+    through its column route, and on every 25th row through indicator_E."""
+    for n in range(1, 6):
+        points = _e_rows(n)
+        want = (points <= 0).all(axis=1)
+        for Q in standard_parabolics(n):
+            counts, subset_ok = _e_counts(Q, points)
+            assert (counts == want).all() and (subset_ok == want).all(), Q
+            for row, w in zip(points[::25], want[::25]):
+                assert indicator_E(Q, tuple(int(v) for v in row)) == w, (Q, row)
+
+
 def _proper_types(n):
     return [P for P in standard_parabolics(n) if P.r >= 2]
 
@@ -868,6 +882,38 @@ def test_sandwich_raises_in_row_then_side_order(monkeypatch):
                        ([upper_only, both], "the two routes disagree: sum=0 subsets=1")):
         assert _first_raise(_sandwich_loop, rows) == text
         assert _first_raise(_sandwich_sides, rows) == text
+
+
+def _slope_loop(points):
+    """verify_E's batched listing, one indicator_E call per point: where it
+    raises, the overlap and then the disagreement failures, five of each."""
+    overlap, disagree = [], []
+    for row in points:
+        H = tuple(int(v) for v in row)
+        Q = group(len(H))
+        try:
+            indicator_E(Q, H)
+        except ArithmeticError:
+            count, ok = len(e_sum_terms(Q, H)), int(all(e_subset_tests(Q, H)))
+            if count > 1:
+                overlap.append({"H": list(H),
+                                "details": "%d overlapping structured terms" % count})
+            if (count == 1) != ok:
+                text = "structured sum %d vs subset criterion %d" % (count, ok)
+                disagree.append({"H": list(H), "details": text})
+    return overlap[:5] + disagree[:5]
+
+
+def test_slope_sweep_lists_failures_when_no_pair_is_left(monkeypatch):
+    """With e_pair_tests dropping its first pair in both its scalar and its
+    column use, n = 1 has no pair left: the batched sweep counts zero terms
+    on a zero column and lists the failures the per-sample loop finds."""
+    _break_e_pairs(monkeypatch, _drop_first)
+    seed, samples = 5, 20
+    points = _draw_cleared(np.random.default_rng(seed), (samples, 1))
+    rep = verify_E(max_n=1, samples=samples, sandwich_samples=0, seed=seed)[0]
+    assert rep.failures == _slope_loop(points)
+    assert rep.failures
 
 
 def _last_negated(body):

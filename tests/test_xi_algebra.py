@@ -14,7 +14,6 @@ from orbitzeta.xi_algebra import (
     OrbitSeries,
     XiExpression,
     XiFactor,
-    XiMonomial,
     h_orbit,
     orbit_series_log,
     series_exp,
@@ -79,6 +78,18 @@ def test_z_levi_examples():
     assert xi_expr_equal(z_levi(torus), mono((1, 1), (1, 1)))
 
 
+def test_z_levi_is_the_product_of_its_orbit_products():
+    """z_levi's one concatenated monomial against the fold of its orbits'
+    z_orbit under *."""
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            for cls in enumerate_classes(p):
+                fold = XiExpression.unit()
+                for orbit in cls.orbits:
+                    fold = fold * z_orbit(orbit)
+                assert z_levi(cls) == fold, cls
+
+
 # ---------------------------------------------------------------------------
 # alternating sums
 # ---------------------------------------------------------------------------
@@ -122,18 +133,36 @@ def test_xi_expr_equal_basics():
     assert xi_expr_equal(sub, mono((1, 1), (1, 1), (2, 3)) - mono((1, 1), (1, 1), (2, 2)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: XiFactor(0, 1),
+    lambda: XiFactor(1, 0),
+    lambda: XiExpression.monomial([(0, 1)]),
+])
+def test_factors_need_positive_point_and_slope(make):
+    with pytest.raises(ValueError, match="factor requires a >= 1 and b >= 1"):
+        make()
+
+
+def test_raw_pairs_and_factors_make_the_same_monomial():
+    pairs = [(2, 3), (1, 1), (1, 2), (1, 1)]
+    raw = XiExpression.monomial(pairs)
+    built = XiExpression.monomial([XiFactor(a, b) for a, b in pairs])
+    assert raw == built and hash(raw) == hash(built)
+    (monomial,) = raw.terms
+    assert all(type(f) is XiFactor for f in monomial)
+    assert monomial == tuple(sorted(monomial))
+
+
 # ---------------------------------------------------------------------------
 # ring laws (randomized, exact)
 # ---------------------------------------------------------------------------
 
 factors = st.tuples(st.integers(1, 3), st.integers(1, 3))
-monomials = st.lists(factors, max_size=3).map(
-    lambda fs: XiMonomial([XiFactor(a, b) for a, b in fs])
-)
+monomials = st.lists(factors, max_size=3)
 coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
 expressions = st.lists(st.tuples(monomials, coeffs), max_size=3).map(
     lambda terms: sum(
-        (XiExpression.monomial(m.factors, coeff=c) for m, c in terms),
+        (XiExpression.monomial(m, coeff=c) for m, c in terms),
         XiExpression.zero(),
     )
 )
@@ -206,7 +235,7 @@ def test_log_coefficients_are_graded():
         for p in partitions_of(n):
             for monomial, coeff in series.coefficient(p).sorted_terms():
                 assert coeff != 0
-                assert monomial.degree == n
+                assert len(monomial) == n
 
 
 def test_series_unit_and_zero():
@@ -216,6 +245,14 @@ def test_series_unit_and_zero():
     assert unit + zero == unit
     some = z_series(3)
     assert some * unit == some
+
+
+def test_series_difference_is_the_sum_with_the_negation():
+    zs = z_series(4)
+    assert zs - zs == OrbitSeries.zero(4)
+    assert zs - OrbitSeries.unit(4) == zs + OrbitSeries.unit(4).scale(-1)
+    with pytest.raises(TypeError):
+        zs - XiExpression.unit()
 
 
 def test_series_log_requires_unit_leading_term():
