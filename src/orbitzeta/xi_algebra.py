@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .partitions import Partition, enumerate_classes, induce, partitions_of, young_stats
@@ -188,9 +189,10 @@ def xi_expr_equal(e1, e2):
     return e1 == e2
 
 
+@lru_cache(maxsize=None)
 def _cell_factors(partition):
-    """The (1 + arm, hook) pair of every diagram cell."""
-    return [(1 + cell.arm, cell.hook) for cell in young_stats(partition)]
+    """The (1 + arm, hook) pair of every diagram cell, once per partition."""
+    return tuple((1 + cell.arm, cell.hook) for cell in young_stats(partition))
 
 
 def z_orbit(partition):

@@ -13,6 +13,7 @@ underlying transcendental constants, not merely to working precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,29 @@ class FormalPoly(SparsePoly):
     @classmethod
     def variable(cls, a, k, coeff=1):
         return cls._of({((a, k),): Fraction(coeff)})
+
+    @classmethod
+    def convolve(cls, a, b):
+        """Window product, equal to the fold of * and + (see laurent), with
+        each window cleared once to integer numerators over one denominator."""
+
+        def cleared(window):
+            den = math.lcm(*(c.denominator for p in window for c in p.terms.values()))
+            return den, [
+                [(m, c.numerator * den // c.denominator) for m, c in p.terms.items()] for p in window
+            ]
+
+        (da, xs), (db, ys) = cleared(a), cleared(b)
+        out = []
+        for j in range(min(len(xs), len(ys))):
+            terms = {}
+            for x, y in zip(xs[: j + 1], reversed(ys[: j + 1])):
+                for m1, c1 in x:
+                    for m2, c2 in y:
+                        m = tuple(sorted(m1 + m2))
+                        terms[m] = terms.get(m, 0) + c1 * c2
+            out.append(cls._of({m: Fraction(c, da * db) for m, c in terms.items()}))
+        return tuple(out)
 
 
 def _symbols(a, b, count):

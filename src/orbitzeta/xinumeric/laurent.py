@@ -8,11 +8,14 @@ monomials that share a factor prefix, adjacent in the sorted term order,
 share its product.  laurent_expand runs it over (value, error)
 coefficients: principal-part coefficients are exact rationals, everything
 else is a big float carrying an absolute-error bound: the tables' errors,
-propagated, plus a bound on every rounding at the working precision.  Each
-such coefficient converts its value to a float magnitude once, for the
-error bounds of all the products it enters.  formal_cancellation_check
-(formal.py) runs it over FormalPoly, with the Taylor coefficients left
-symbolic.
+propagated, plus a bound on every rounding at the working precision.
+formal_cancellation_check (formal.py) runs it over FormalPoly, with the
+Taylor coefficients left symbolic.
+
+A coefficient ring gives constant(q), zero(), +, *, scale(q) and
+convolve(a, b), the product of two windows that LaurentSeries.__mul__
+calls, equal to the fold of * and +: _Approx.convolve folds raw mpf tuples,
+FormalPoly.convolve sums integer numerators over one denominator.
 
 Series windows: a series stores a contiguous block of coefficients starting
 at min_degree.  Products of series with the same relative length keep that
@@ -32,11 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, mpf_add, mpf_mul, round_down
 
 from .config import ExpansionOrderError, PrecisionConfig
 from .kernel import expansion_at
@@ -65,13 +69,11 @@ class _Approx(_Pair):
     compares equal to (value, error); + and * are coefficient arithmetic with
     error propagation, not tuple concatenation and repetition.  Each
     operation that yields an mpf adds a bound on its own rounding at the
-    working precision to the error.  magnitude, |float(value)|, is computed
-    on first use and kept, since a coefficient enters many products.
+    working precision to the error.  convolve is the series product, the
+    fold of these two operations fused.
     """
 
-    @cached_property
-    def magnitude(self):
-        return abs(float(self.value))
+    __slots__ = ()
 
     @classmethod
     def constant(cls, q):
@@ -100,7 +102,7 @@ class _Approx(_Pair):
     def __mul__(self, other):
         x, ex = self
         y, ey = other
-        fx, fy = self.magnitude, other.magnitude
+        fx, fy = abs(float(x)), abs(float(y))
         z = x * y
         error = fx * ey + fy * ex + ex * ey
         if type(z) is not Fraction:
@@ -111,6 +113,51 @@ class _Approx(_Pair):
 
     def scale(self, q):
         return self * _Approx(q, 0.0)
+
+    @staticmethod
+    def convolve(a, b):
+        """The fold a[0]*b[j] + ... + a[j]*b[0] of * and + for each j below
+        the shorter window, bit for bit: on raw mpf tuples at the working
+        precision and rounding, a Fraction meeting an mpf rounded down first
+        (as mpmath's convert does), the errors' float expressions in order."""
+        prec, rounding = mp._prec_rounding
+
+        def raw(v):
+            if type(v) is Fraction:
+                return from_rational(v.numerator, v.denominator, prec, round_down)
+            return v._mpf_
+
+        def product(x, y):
+            # x, y: (Fraction or None, raw mpf value, error, magnitude)
+            xq, xr, ex, fx = x
+            yq, yr, ey, fy = y
+            error = fx * ey + fy * ex + ex * ey
+            if xq is None or yq is None:
+                return None, mpf_mul(xr, yr, prec, rounding), error + math.ldexp(fx * fy, 2 - prec)
+            return xq * yq, None, error
+
+        xs, ys = (
+            [(v if type(v) is Fraction else None, raw(v), e, abs(float(v))) for v, e in w]
+            for w in (a, b)
+        )
+        out = []
+        for j in range(min(len(xs), len(ys))):
+            # the running sum is a Fraction q or, once an mpf enters, a raw mpf r
+            terms = map(product, xs[: j + 1], reversed(ys[: j + 1]))
+            q, r, error = next(terms)
+            for tq, tr, terror in terms:
+                error += terror
+                if r is None and tr is None:
+                    q += tq
+                    continue
+                r = mpf_add(r or raw(q), tr or raw(tq), prec, rounding)
+                error += math.ldexp(1.0, r[2] + r[3] - prec)
+                for exact in (q, tq):
+                    if exact:
+                        error += math.ldexp(abs(float(exact)), -prec)
+                q = None
+            out.append(_Approx(q if r is None else mp.make_mpf(r), error))
+        return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,14 +197,8 @@ class LaurentSeries:
         )
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for j in range(min(len(a), len(b))):
-            c = a[0] * b[j]
-            for i in range(1, j + 1):
-                c = c + a[i] * b[j - i]
-            out.append(c)
-        return LaurentSeries(self.min_degree + other.min_degree, tuple(out))
+        coeffs = type(self.coeffs[0]).convolve(self.coeffs, other.coeffs)
+        return LaurentSeries(self.min_degree + other.min_degree, coeffs)
 
     def scale(self, q):
         q = Fraction(q)
@@ -296,9 +337,9 @@ def expand(expression, length, ring, taylor):
 
     Each monomial's factor series, stored to `length` orders, are multiplied
     left to right, scaled by the monomial's coefficient and summed; each
-    distinct factor's series is built once.  ring is the coefficient type:
-    ring.constant(q) lifts an exact rational and ring.zero() is its zero.
-    taylor is as in factor_series.
+    distinct factor's series is built once.  ring is the coefficient ring
+    (see the module docstring): ring.constant(q) lifts an exact rational
+    and ring.zero() is its zero.  taylor is as in factor_series.
 
     Products are shared along the term order: prefix[i] holds the product
     of the series of the current monomial's first i + 1 factors, and the

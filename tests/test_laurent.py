@@ -1,6 +1,8 @@
 """Laurent expansion at the origin, residues, and formal pole certificates."""
 
 import operator
+import random
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -218,6 +220,21 @@ def test_formal_all_orbits_through_three_deep_vanish():
             assert report.all_deep_vanish, p
 
 
+def test_formal_all_orbits_through_eight_have_simple_poles():
+    """Every orbit with n <= 8: the deep coefficients of h vanish formally
+    and the formal pole order is 1.  About 0.3 s on one CPU of a 2-vCPU
+    host; the bound leaves wide headroom."""
+    from orbitzeta.partitions import partitions_of
+
+    start = time.perf_counter()
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            report = formal_cancellation_check(h_orbit(p))
+            assert report.all_deep_vanish and report.formal_pole_order == 1, p
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, elapsed
+
+
 def test_formal_matches_numeric_on_random_substitution():
     """A formally-zero polynomial must evaluate to zero under any assignment,
     and a surviving one should not vanish at a random point.  Substitute
@@ -390,3 +407,82 @@ def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
             calls[0] = 0
             run()
             assert calls[0] == len(prefixes), expr
+
+
+# ---------------------------------------------------------------------------
+# fused window products against the scalar double loop
+# ---------------------------------------------------------------------------
+
+
+def scalar_window_product(a, b):
+    """Oracle for convolve: entry j is a[0]*b[j] + a[1]*b[j-1] + ... +
+    a[j]*b[0], folded with the ring's scalar * and +."""
+    out = []
+    for j in range(min(len(a), len(b))):
+        c = a[0] * b[j]
+        for i in range(1, j + 1):
+            c = c + a[i] * b[j - i]
+        out.append(c)
+    return tuple(out)
+
+
+def _numeric_windows(rng):
+    """Windows of Fractions (zero included), full-precision mpfs over a
+    wide exponent range, zero mpfs and mixes, with zero and nonzero errors
+    and unequal lengths; built at the working precision."""
+    F, M = Fraction, mpmath.mpf
+    fixed = [
+        [F(1, 2), F(0), F(-3, 7)],
+        [F(2), F(5, 3), F(0), F(-5, 3)],
+        [M(1) / 3, M(-2) / 7, M(0), mpmath.ldexp(M(5) / 11, -200)],
+        [F(1, 3), M(1) / 3, F(-1, 3), M(-1) / 3, F(0)],
+    ]
+    windows = [[_Approx(v, 0.0) for v in w] for w in fixed]
+    windows.append([_Approx(v, 1e-40 * k) for k, v in enumerate(fixed[3])])
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            value = F(rng.randint(-20, 20), rng.randint(1, 12))
+        elif kind == 1:
+            value = M(0)
+        else:
+            value = mpmath.ldexp(M(rng.randint(-(10**60), 10**60)) / rng.randint(1, 10**40), -rng.randint(0, 300))
+        return _Approx(value, rng.choice((0.0, rng.uniform(0, 1e-30), rng.uniform(0, 1e-60))))
+
+    windows += [[entry() for _ in range(rng.randint(1, 8))] for _ in range(25)]
+    return windows
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_numeric_convolve_equals_the_scalar_double_loop(dps):
+    """_Approx.convolve against the fold of _Approx.__mul__ and __add__,
+    bit for bit, for every ordered pair of windows."""
+    with mp.workdps(dps):
+        windows = _numeric_windows(random.Random(dps))
+        for a in windows:
+            for b in windows:
+                got = LaurentSeries(0, _Approx.convolve(a, b))
+                want = LaurentSeries(0, scalar_window_product(a, b))
+                assert bits(got) == bits(want), (a, b)
+
+
+def test_formal_convolve_equals_the_scalar_double_loop():
+    """FormalPoly.convolve against the fold of SparsePoly's * and +, for
+    windows whose polynomials have different denominators, zero polynomials
+    included, and of unequal lengths."""
+    t, c = FormalPoly.variable, FormalPoly.constant
+    polys = [
+        FormalPoly.zero(),
+        c(Fraction(1, 3)),
+        c(-2),
+        t(1, 0, Fraction(2, 5)) + t(2, 1, Fraction(-1, 6)),
+        t(1, 0) * t(1, 0) - c(Fraction(7, 4)),
+        t(3, 2, 9) + t(1, 1, Fraction(1, 10)),
+    ]
+    rng = random.Random(5)
+    windows = [[FormalPoly.zero()] * 3, _symbols(1, 2, 4), _symbols(2, 3, 2)]
+    windows += [[rng.choice(polys) for _ in range(rng.randint(1, 5))] for _ in range(30)]
+    for a in windows:
+        for b in windows:
+            assert FormalPoly.convolve(a, b) == scalar_window_product(a, b), (a, b)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitzeta.partitions import Partition, induce, partitions_of
+from orbitzeta.partitions import Partition, induce, partitions_of, young_stats
 from orbitzeta.xi_algebra import (
     OrbitSeries,
     XiExpression,
@@ -24,6 +24,7 @@ from orbitzeta.xi_algebra import (
     z_series,
 )
 from orbitzeta.partitions import enumerate_classes
+from orbitzeta.xi_algebra import _cell_factors
 
 
 def mono(*pairs):
@@ -122,6 +123,29 @@ def test_h_orbit_equals_the_one_class_at_a_time_fold():
             got = h_orbit(p)
             assert list(got.terms.items()) == list(fold.terms.items()), p
             assert str(got) == str(fold) and got.to_json() == fold.to_json(), p
+
+
+def test_cell_factors_match_the_diagram_cells():
+    """The cached (1 + arm, hook) pairs against young_stats' cells, in cell
+    order, for every partition with n <= 10."""
+    for n in range(1, 11):
+        for p in partitions_of(n):
+            assert _cell_factors(p) == tuple((1 + c.arm, c.hook) for c in young_stats(p)), p
+
+
+def test_h_orbit_text_and_json_match_the_diagram_route():
+    """h_orbit against the same weighted sum with every class monomial read
+    from young_stats' cells, for every orbit with n <= 10: equal text and
+    JSON."""
+    for n in range(1, 11):
+        for p in partitions_of(n):
+            terms = [
+                ([(1 + c.arm, c.hook) for orbit in cls.orbits for c in young_stats(orbit)], cls.weight)
+                for cls in enumerate_classes(p)
+            ]
+            want = XiExpression([(tuple(XiFactor(*f) for f in fs), w) for fs, w in terms])
+            got = h_orbit(p)
+            assert str(got) == str(want) and got.to_json() == want.to_json(), p
 
 
 def test_xi_expr_equal_basics():
