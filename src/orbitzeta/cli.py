@@ -237,6 +237,8 @@ def cmd_verify_cones(args):
     n = args.n if args.n is not None else 3
     if not 1 <= n <= 5:
         raise UsageError("verify-cones needs --n between 1 and 5")
+    if args.samples < 0 or args.seed < 0:
+        raise UsageError("verify-cones needs --samples and --seed of at least 0")
     if args.fmt == "csv":
         rows = _chamber_rows(n)
         bad = [r for r in rows[1:] if not (r[2] and r[3])]

@@ -58,10 +58,7 @@ from .roots import (
 )
 from .sampling import (
     VerifyReport,
-    clear_denominators,
     full_suite,
-    sample_integer_point,
-    sample_point,
     verify_E,
     verify_canonical,
     verify_cones,

@@ -1,10 +1,14 @@
 """Bulk randomized verification of the truncation identities.
 
 Sampling convention: coordinates are fractions with integer numerators in
-[-100, 100] and denominators in [1, 20], drawn from a seeded generator so
-every run is reproducible.  Each identity is homogeneous of degree one in
-the point, so samples are cleared to integer vectors (multiply by the lcm
-of the denominators, at most lcm(1..20) = 232792560) before evaluation.
+[-100, 100] and denominators in [1, 20].  Each identity is homogeneous of
+degree one in the point, so every sample row is cleared to an integer
+vector (multiplied by the lcm of its denominators, at most lcm(1..20) =
+232792560) before evaluation.  One numpy generator per verifier, seeded
+from its seed (the slope sandwich has its own at seed + 1), draws every
+point, wall point and random choice, so every run is reproducible; sample
+rows stay int64 arrays, and a failure records its point as a list of
+Python ints.
 
 Every sign-test identity has one body in indicators or instability that
 yields its signs and tests from a point or from a tuple of int64 columns,
@@ -32,9 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,35 +88,21 @@ class VerifyReport:
         return not self.failures
 
     def fail(self, point, details):
-        """Record a failing point, given in its JSON encoding."""
+        """Record a failing point, given as a list of Python ints."""
         self.failures.append({"H": point, "details": details})
 
     def to_json(self):
         return {**asdict(self), "pass": self.ok}
 
 
-def sample_point(rng, n):
-    return tuple(
-        Fraction(
-            rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND),
-            rng.randint(1, DENOMINATOR_BOUND),
-        )
-        for _ in range(n)
-    )
-
-
-def clear_denominators(H):
-    """Scale a rational point by the positive lcm of its denominators."""
-    scale = math.lcm(*(h.denominator for h in H))
-    return tuple(int(h * scale) for h in H)
-
-
-def sample_integer_point(rng, n):
-    return clear_denominators(sample_point(rng, n))
-
-
-def _point_json(H):
-    return [str(h) for h in H]
+def _generator(seed, *counts):
+    """A verifier's numpy generator, after refusing a negative seed or
+    sample count."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative, got %d" % seed)
+    if counts and min(counts) < 0:
+        raise ValueError("sample counts must be non-negative, got %d" % min(counts))
+    return np.random.default_rng(seed)
 
 
 def _draw_cleared(rng, shape):
@@ -152,15 +140,15 @@ def _signed_counts(terms, samples):
     return sum(signed, np.zeros(samples, dtype=np.int64))
 
 
-def _sweep(rep, points, point_json, cases, values, bad, details):
+def _sweep(rep, points, cases, values, bad, details):
     """Evaluate values(case, columns), a tuple of result columns, for each
-    case on all points at once; rep.fail(point, details(case, *results at
-    the point)) wherever bad(*results) holds, in point order, then case
-    order.  Returns rep."""
+    case on all integer rows of points at once; rep.fail(row, details(case,
+    *results at the row)) wherever bad(*results) holds, in row order, then
+    case order.  Returns rep."""
     cols = _columns(points, rep.n, rep.n**2)
     vals = [values(case, cols) for case in cases]
     for i, j in np.argwhere(np.stack([bad(*v) for v in vals], axis=1)):
-        rep.fail(point_json(points[i]), details(cases[j], *(c[i] for c in vals[j])))
+        rep.fail(points[i].tolist(), details(cases[j], *(c[i] for c in vals[j])))
     return rep
 
 
@@ -171,22 +159,19 @@ def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
     then random sampling at the sizes in sampled_n (the identity holds for
     every point, walls included, so no off-wall filtering is applied).
     """
-    rng = random.Random(seed)
+    rng = _generator(seed, samples)
     sweeps = [
-        (n, list(itertools.permutations(range(1, n + 1))), list,
+        (n, np.array(list(itertools.permutations(range(1, n + 1)))),
          "exhaustive chamber representatives")
         for n in range(2, max_n + 1)
-    ] + [
-        (n, [sample_integer_point(rng, n) for _ in range(samples)], _point_json, "random")
-        for n in sampled_n
-    ]
+    ] + [(n, _draw_cleared(rng, (samples, n)), "random") for n in sampled_n]
     return [
         _sweep(VerifyReport("langlands-vanishing", n, len(points), stats={"mode": mode}),
-               points, point_json, [P for P in standard_parabolics(n) if P.r >= 2],
+               points, [P for P in standard_parabolics(n) if P.r >= 2],
                lambda P, cols: (_signed_counts(langlands_terms(P, cols), len(cols[0])),),
                lambda v: v != 0,
                lambda P, v: "type %s sums to %d" % (P, v))
-        for n, points, point_json, mode in sweeps
+        for n, points, mode in sweeps
     ]
 
 
@@ -219,7 +204,7 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
     (the point is block-constant by construction), cleared to integers,
     and evaluated with the batched ordering scan.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed, samples)
     reports = []
     for n in range(1, max_n + 1):
         rep = VerifyReport(identity="levi-ordering-count", n=n, samples=0)
@@ -232,7 +217,7 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
             walls_total += int(wall.sum())
             rep.samples += samples
             for i in np.flatnonzero(bad)[:5]:
-                rep.fail([int(v) for v in values[i]], "type %s: %d orderings fired, expected %d"
+                rep.fail(values[i].tolist(), "type %s: %d orderings fired, expected %d"
                          % (M, int(counts[i]), expected))
         rep.stats["wall_samples_skipped"] = walls_total
         reports.append(rep)
@@ -252,46 +237,43 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
     definitional brute-force pair (unique by construction of the filter),
     and the largest leading-average maximizer must be its two-block
     projection.  The brute-force filter runs on all points at once."""
-    rng = random.Random(seed)
+    rng = _generator(seed, *(count for _, count in sample_plan))
     reports = []
     for n, count in sample_plan:
         rep = VerifyReport(identity="canonical-pair", n=n, samples=count)
-        points = [sample_integer_point(rng, n) for _ in range(count)]
-        for H, best, survivors in zip(points, *_canonical_survivors(n, points)):
+        points = _draw_cleared(rng, (count, n))
+        for H, best, survivors in zip(points.tolist(), *_canonical_survivors(n, points)):
             fast = canonical_pair(H)
             try:
                 brute = _select_pair(n, int(best), survivors)
             except WallTie as exc:  # uniqueness failed
-                rep.fail(_point_json(H), repr(exc))
+                rep.fail(H, repr(exc))
                 continue
             if fast != brute:
-                rep.fail(_point_json(H), "fast/brute pair mismatch")
+                rep.fail(H, "fast/brute pair mismatch")
                 continue
             if fast.degree < 0:
-                rep.fail(_point_json(H), "negative degree")
+                rep.fail(H, "negative degree")
             ext = extremal_max_pair(H)
             n1 = fast.parabolic.blocks[0]
             want = (n,) if fast.parabolic.r == 1 else (n1, n - n1)
             if ext.parabolic.blocks != want or set(ext.first_block) != set(fast.blocks[0]):
-                rep.fail(_point_json(H), "extremal projection mismatch")
+                rep.fail(H, "extremal projection mismatch")
         reports.append(rep)
     return reports
 
 
-def _wall_variants(rng, n):
-    """Points sitting on walls on purpose: repeated values, zeros, and
-    mirrored pairs."""
-    base = [rng.randint(-5, 5) for _ in range(n)]
-    out = [tuple(base)]
-    if n >= 2:
-        tied = list(base)
-        tied[1] = tied[0]
-        out.append(tuple(tied))
-        out.append(tuple([0] * n))
-        mirrored = list(base)
-        mirrored[-1] = -mirrored[0]
-        out.append(tuple(mirrored))
-    return out
+def _wall_variants(rng, n, count):
+    """Rows sitting on walls on purpose: count small base rows, each
+    followed (n >= 2) by itself with a repeated value, the zero row, and
+    itself with a mirrored pair."""
+    base = rng.integers(-5, 6, size=(count, n))
+    if n < 2:
+        return base
+    tied, mirrored = base.copy(), base.copy()
+    tied[:, 1] = base[:, 0]
+    mirrored[:, -1] = -base[:, 0]
+    return np.stack([base, tied, np.zeros_like(base), mirrored], axis=1).reshape(-1, n)
 
 
 def verify_cones(n=3, samples=1000, seed=20260816):
@@ -299,19 +281,18 @@ def verify_cones(n=3, samples=1000, seed=20260816):
     exactly one ordered index partition, the one the fast path returns.
     The acceptance tests run on all points at once; the fast path is asked
     per point."""
-    rng = random.Random(seed)
+    rng = _generator(seed, samples)
     all_primes = semistandard_all(n)
-    points = [sample_integer_point(rng, n) for _ in range(samples)]
-    for _ in range(max(1, samples // 20)):
-        points.extend(_wall_variants(rng, n))
+    points = np.concatenate([_draw_cleared(rng, (samples, n)),
+                             _wall_variants(rng, n, max(1, samples // 20))])
     rep = VerifyReport(identity="cone-partition", n=n, samples=len(points))
     cols = _columns(points, n, n**2)
     accepted = sum(_every(cone_tests(pp, cols), len(points)) for pp in all_primes)
-    for H, count in zip(points, accepted):
+    for H, count in zip(points.tolist(), accepted):
         if count != 1:
-            rep.fail(_point_json(H), "%d cones accept the point" % count)
+            rep.fail(H, "%d cones accept the point" % count)
         elif not cone_accepts(cone_membership(H), H):
-            rep.fail(_point_json(H), "fast membership disagrees")
+            rep.fail(H, "fast membership disagrees")
     rep.stats["ordered_partitions_checked"] = len(all_primes)
     return rep
 
@@ -354,18 +335,17 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
     a random type per sample: every sample is drawn first, and each side
     is read with both routes on columns and cross-checked by e_verdict.
     """
-    rng = np.random.default_rng(seed)
-    sandwich_rng = random.Random(seed + 1)
+    rng = _generator(seed, samples, sandwich_samples)
+    sandwich_rng = _generator(seed + 1)
     reports = []
     for n in range(1, max_n + 1):
         rep = VerifyReport(identity="slope-indicator", n=n, samples=samples)
         points = _draw_cleared(rng, (samples, n))
         counts, subset_ok = _e_counts(group(n), points)
         for i in np.flatnonzero(counts > 1)[:5]:
-            rep.fail([int(v) for v in points[i]],
-                     "%d overlapping structured terms" % int(counts[i]))
+            rep.fail(points[i].tolist(), "%d overlapping structured terms" % int(counts[i]))
         for i in np.flatnonzero((counts == 1) != subset_ok)[:5]:
-            rep.fail([int(v) for v in points[i]], "structured sum %d vs subset criterion %d"
+            rep.fail(points[i].tolist(), "structured sum %d vs subset criterion %d"
                      % (int(counts[i]), int(subset_ok[i])))
         rep.stats["positive_rate"] = float(subset_ok.mean())
         reports.append(rep)
@@ -373,12 +353,13 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
     rep = VerifyReport(identity="slope-sandwich", n=max_n, samples=sandwich_samples)
     rows = []
     for _ in range(sandwich_samples):
-        n = sandwich_rng.randint(2, max_n)
-        H = sample_integer_point(sandwich_rng, n)
-        rows.append((sandwich_rng.choice([P for P in standard_parabolics(n) if P.r >= 2]), H))
+        n = int(sandwich_rng.integers(2, max_n + 1))
+        H = _draw_cleared(sandwich_rng, (1, n))[0].tolist()
+        types = [P for P in standard_parabolics(n) if P.r >= 2]
+        rows.append((types[sandwich_rng.integers(len(types))], H))
     for (P, H), (lower, middle, upper) in zip(rows, _sandwich_sides(rows)):
         if not (lower <= middle <= upper):
-            rep.fail(_point_json(H), "type %s: %d <= %d <= %d violated" % (P, lower, middle, upper))
+            rep.fail(H, "type %s: %d <= %d <= %d violated" % (P, lower, middle, upper))
     reports.append(rep)
     return reports
 
@@ -389,11 +370,10 @@ def verify_sigma(max_n=4, samples=1000, focus_samples=10000, seed=20260816):
     Every nested pair of types is swept at the base sample count; the
     minimal-inside-(2,1) pair at n=3 gets a deeper dedicated run.
     """
-    rng = random.Random(seed)
+    rng = _generator(seed, samples, focus_samples)
 
     def sweep(rep, pairs, details):
-        points = [sample_integer_point(rng, rep.n) for _ in range(rep.samples)]
-        return _sweep(rep, points, _point_json, pairs,
+        return _sweep(rep, _draw_cleared(rng, (rep.samples, rep.n)), pairs,
                       lambda pair, cols: (_signed_counts(sigma_terms(*pair, cols), len(cols[0])),),
                       lambda v: (v != 0) & (v != 1), details)
 
@@ -422,11 +402,10 @@ def _partition_values(Q, cols):
 def verify_partition(max_n=4, samples=1000, seed=20260816):
     """Both partition identities hold at every sampled point for every
     ambient type."""
-    rng = random.Random(seed)
+    rng = _generator(seed, samples)
     return [
         _sweep(VerifyReport("partition-identities", n, samples),
-               [sample_integer_point(rng, n) for _ in range(samples)], _point_json,
-               standard_parabolics(n), _partition_values,
+               _draw_cleared(rng, (samples, n)), standard_parabolics(n), _partition_values,
                lambda part, direct, alt: (part != 1) | (direct != alt),
                lambda Q, *v: "ambient %s: sum=%d direct=%d alt=%d" % (Q, *v))
         for n in range(2, max_n + 1)

@@ -122,6 +122,15 @@ def test_verify_cones_csv_chamber_audit(capsys):
     assert all(row[2] == "True" and row[3] == "True" for row in rows[1:])
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_cones_rejects_negative_samples_and_seed(capsys, flag, fmt):
+    code, out, err = run(capsys, "verify-cones", "--n", "3", flag, "-5", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "error: verify-cones needs --samples and --seed of at least 0" in err
+
+
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -79,9 +80,7 @@ from orbitzeta.truncation.sampling import (
     _sandwich_sides,
     _signed_counts,
     _wall_variants,
-    clear_denominators,
-    sample_integer_point,
-    sample_point,
+    full_suite,
     verify_E,
     verify_canonical,
     verify_cones,
@@ -631,13 +630,15 @@ def _sandwich_loop(rows):
 
 
 def _sandwich_rows(seed, samples, max_n):
-    """verify_E's sandwich draws (type, point), in its order."""
-    r = random.Random(seed + 1)
+    """verify_E's sandwich draws (type, point), in its order: per sample a
+    size, a cleared point and a type index from one generator."""
+    gen = np.random.default_rng(seed + 1)
     rows = []
     for _ in range(samples):
-        n = r.randint(2, max_n)
-        H = sample_integer_point(r, n)
-        rows.append((r.choice(_proper_types(n)), H))
+        n = int(gen.integers(2, max_n + 1))
+        H = _draw_cleared(gen, (1, n))[0].tolist()
+        types = _proper_types(n)
+        rows.append((types[gen.integers(len(types))], H))
     return rows
 
 
@@ -716,9 +717,9 @@ def test_column_routes_match_scalar_rows(name):
     assert sum(len(_e_rows(n)) for n in sizes) >= 1000
 
 
-def _langlands_loop(points, point_json):
+def _langlands_loop(points):
     return [
-        {"H": point_json(H), "details": "type %s sums to %d" % (P, val)}
+        {"H": list(H), "details": "type %s sums to %d" % (P, val)}
         for H in points
         for P in standard_parabolics(len(H))
         if P.r >= 2 and (val := langlands_sum(P, H)) != 0
@@ -727,7 +728,7 @@ def _langlands_loop(points, point_json):
 
 def _sigma_loop(points, pairs, text):
     return [
-        {"H": [str(h) for h in H], "details": text(P1, P2, val)}
+        {"H": list(H), "details": text(P1, P2, val)}
         for H in points
         for P1, P2 in pairs
         if (val := indicator_sigma(P1, P2, H)) not in (0, 1)
@@ -736,7 +737,7 @@ def _sigma_loop(points, pairs, text):
 
 def _partition_loop(points):
     return [
-        {"H": [str(h) for h in H],
+        {"H": list(H),
          "details": "ambient %s: sum=%d direct=%d alt=%d" % (Q, *dataclasses.astuple(rep))}
         for H in points
         for Q in standard_parabolics(len(H))
@@ -754,7 +755,7 @@ def _cones_loop(points):
             details = "fast membership disagrees"
         else:
             continue
-        out.append({"H": [str(h) for h in H], "details": details})
+        out.append({"H": list(H), "details": details})
     return out
 
 
@@ -771,8 +772,8 @@ def _negated(body):
 def test_sweep_failures_match_per_sample_loops(monkeypatch):
     """With a body broken in both its scalar and its column use, each
     column sweep lists the failures a per-sample loop over the scalar
-    operation finds: every failing (point, case), same encoding and text,
-    in point order."""
+    operation finds: every failing (point, case), same text, in point
+    order, each point a list of Python ints."""
     for module, name, mutate in (
         (indicators, "langlands_terms", _drop_first),
         (indicators, "sigma_terms", _negated),
@@ -783,18 +784,13 @@ def test_sweep_failures_match_per_sample_loops(monkeypatch):
         monkeypatch.setattr(module, name, broken)
         monkeypatch.setattr(sampling, name, broken)
     seed = 5
-    r = random.Random(seed)
-    sampled = [sample_integer_point(r, 4) for _ in range(60)]
-    exhaustive = [list(itertools.permutations(range(1, n + 1))) for n in (2, 3)]
+    sampled = _draw_cleared(np.random.default_rng(seed), (60, 4)).tolist()
     reports = verify_langlands(max_n=3, samples=60, sampled_n=(4,), seed=seed)
-    expected = [
-        _langlands_loop(exhaustive[0], list),
-        _langlands_loop(exhaustive[1], list),
-        _langlands_loop(sampled, lambda H: [str(h) for h in H]),
-    ]
-    r = random.Random(seed)
-    base = [[sample_integer_point(r, n) for _ in range(40)] for n in (2, 3)]
-    focus = [sample_integer_point(r, 3) for _ in range(50)]
+    expected = [_langlands_loop(itertools.permutations(range(1, n + 1))) for n in (2, 3)]
+    expected.append(_langlands_loop(sampled))
+    gen = np.random.default_rng(seed)
+    base = [_draw_cleared(gen, (40, n)).tolist() for n in (2, 3)]
+    focus = _draw_cleared(gen, (50, 3)).tolist()
     focus_pair = [(minimal_parabolic(3), StandardParabolic((2, 1)))]
 
     def pair_text(P1, P2, val):
@@ -806,18 +802,17 @@ def test_sweep_failures_match_per_sample_loops(monkeypatch):
         _sigma_loop(base[1], _sigma_pairs(3), pair_text),
         _sigma_loop(focus, focus_pair, lambda P1, P2, val: "focus pair gives %d" % val),
     ]
-    r = random.Random(seed)
-    drawn = [[sample_integer_point(r, n) for _ in range(30)] for n in (2, 3)]
+    gen = np.random.default_rng(seed)
+    drawn = [_draw_cleared(gen, (30, n)).tolist() for n in (2, 3)]
     reports += verify_partition(max_n=3, samples=30, seed=seed)
     expected += [_partition_loop(points) for points in drawn]
-    r = random.Random(seed)
-    points = [sample_integer_point(r, 3) for _ in range(100)]
-    for _ in range(5):
-        points.extend(_wall_variants(r, 3))
+    gen = np.random.default_rng(seed)
+    points = np.concatenate([_draw_cleared(gen, (100, 3)), _wall_variants(gen, 3, 5)])
     reports.append(verify_cones(n=3, samples=100, seed=seed))
-    expected.append(_cones_loop(points))
+    expected.append(_cones_loop(points.tolist()))
     assert [rep.failures for rep in reports] == expected
     assert all(expected), [len(e) for e in expected]
+    assert all(type(v) is int for rep in reports for f in rep.failures for v in f["H"])
 
 
 def _first_raise(evaluate, rows):
@@ -934,13 +929,14 @@ def test_sandwich_violations_match_the_per_sample_loop(monkeypatch):
     rows = _sandwich_rows(seed, samples, 5)
     sides = _sandwich_loop(rows)
     expected = [
-        {"H": [str(h) for h in H], "details": "type %s: %d <= %d <= %d violated" % (P, *s)}
+        {"H": H, "details": "type %s: %d <= %d <= %d violated" % (P, *s)}
         for (P, H), s in zip(rows, sides)
         if not s[0] <= s[1] <= s[2]
     ]
     reports = verify_E(max_n=5, samples=10, sandwich_samples=samples, seed=seed)
     assert all(rep.ok for rep in reports[:-1])
     assert reports[-1].failures == expected
+    assert all(type(v) is int for f in reports[-1].failures for v in f["H"])
     assert any(s[0] > s[1] for s in sides) and any(s[1] > s[2] for s in sides)
 
 
@@ -1030,7 +1026,7 @@ def _canonical_loop(points):
     """verify_canonical's checks, one canonical_pair_brute call per point."""
     out = []
     for H in points:
-        n, point = len(H), [str(h) for h in H]
+        n, point = len(H), list(H)
         fast = canonical_pair(H)
         try:
             brute = canonical_pair_brute(H)
@@ -1057,11 +1053,12 @@ def test_canonical_sweep_failures_match_per_sample_loop(monkeypatch):
     odd position."""
     monkeypatch.setattr(instability, "_pair_merges", _self_merging)
     plan = ((2, 60), (3, 60), (4, 40))
-    r = random.Random(5)
-    points = [[sample_integer_point(r, n) for _ in range(count)] for n, count in plan]
+    gen = np.random.default_rng(5)
+    points = [_draw_cleared(gen, (count, n)).tolist() for n, count in plan]
     reports = verify_canonical(sample_plan=plan, seed=5)
     expected = [_canonical_loop(p) for p in points]
     assert [rep.failures for rep in reports] == expected
+    assert all(type(v) is int for rep in reports for f in rep.failures for v in f["H"])
     assert all(expected) and all(len(e) < count for e, (_, count) in zip(expected, plan))
 
 
@@ -1198,25 +1195,6 @@ def test_extremal_gl3_example():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_point_respects_bounds():
-    r = rng()
-    for _ in range(200):
-        H = sample_point(r, 5)
-        for h in H:
-            assert -100 <= h.numerator <= 100 or abs(h) <= 100
-            assert 1 <= h.denominator <= 20
-
-
-def test_clear_denominators_preserves_ratios():
-    H = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2))
-    cleared = clear_denominators(H)
-    assert all(isinstance(v, int) for v in cleared)
-    base = Fraction(cleared[0], 1) / H[0]
-    for v, h in zip(cleared, H):
-        if h:
-            assert Fraction(v, 1) / h == base
-
-
 class _ScriptedDraws:
     """Stands in for a numpy generator: integers() returns the given arrays
     in turn, after checking the requested shape."""
@@ -1270,6 +1248,35 @@ def test_verifier_smoke_budgets():
     assert all(r.ok for r in verify_partition(max_n=3, samples=25))
 
 
+@pytest.mark.parametrize("verify, kwargs", [
+    (verify_langlands, {"samples": -1}),
+    (verify_levi_sum, {"samples": -1}),
+    (verify_canonical, {"sample_plan": ((2, 10), (3, -1))}),
+    (verify_cones, {"samples": -5}),
+    (verify_E, {"samples": -1}),
+    (verify_E, {"sandwich_samples": -1}),
+    (verify_sigma, {"samples": -1}),
+    (verify_sigma, {"focus_samples": -1}),
+    (verify_partition, {"samples": -1}),
+])
+def test_verifiers_refuse_negative_counts_and_seeds(verify, kwargs):
+    with pytest.raises(ValueError, match="sample counts must be non-negative, got -"):
+        verify(**kwargs)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        verify(seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fast_suite_passes_at_other_seeds(seed):
+    """The draws of every verifier pass at seeds other than the default,
+    at a tenth of the full budgets."""
+    start = time.perf_counter()
+    reports = full_suite(seed=seed, fast=True)
+    elapsed = time.perf_counter() - start
+    assert [r.to_json() for r in reports if not r.ok] == []
+    assert elapsed < 60.0, elapsed
+
+
 def test_verify_report_serializes():
     report = verify_cones(n=2, samples=30)
     payload = report.to_json()
@@ -1292,21 +1299,19 @@ def test_as_exact_keeps_integral_values_as_ints():
 def _battery_points():
     """1,200 integer points with n <= 5: cleared samples, small values full
     of ties and zeros, mirrored pairs, and the zero point of every size."""
-    r = rng()
+    gen = np.random.default_rng(SEED)
     points = [(0,) * n for n in range(1, 6)]
     while len(points) < 1200:
         n = 1 + len(points) % 5
         kind = len(points) // 5 % 3
-        if kind == 0:
-            H = sample_integer_point(r, n)
-        elif kind == 1:
-            H = tuple(r.randint(-2, 2) for _ in range(n))
+        if kind == 1:
+            H = gen.integers(-2, 3, size=n).tolist()
         else:
-            H = list(sample_integer_point(r, n))
+            H = _draw_cleared(gen, (1, n))[0].tolist()
+        if kind == 2:
             H[-1] = -H[0]
             H[len(H) // 2] = H[0]
-            H = tuple(H)
-        points.append(H)
+        points.append(tuple(H))
     return points
 
 
