@@ -1,9 +1,10 @@
 """Survey pole orders and residues of the alternating orbit sums.
 
-Writes one JSON report covering every orbit of size 1 through --max-n.
-Sizes up to 3 carry independently-computed anchor values and an agreement
-column; larger sizes are exploratory output (the archived copy of this
-report lives in reports/pole_survey.json).
+Writes one JSON report covering every orbit of size 1 through --max-n, with
+an anchor column wherever a closed form is known.  Each orbit goes through
+orbitzeta.cli.orbit_residue, so sizes up to GATED_MAX_N are gated as in
+`orbitzeta residues`: a failure is listed and the exit code is 1.  Larger
+sizes are exploratory output (archived in reports/pole_survey.json).
 
 Usage: python3 scripts/pole_survey.py [--max-n 6] [--digits 30] [--out PATH]
 """
@@ -13,69 +14,48 @@ import json
 import pathlib
 import sys
 import time
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
 
 from orbitzeta import __version__
+from orbitzeta.cli import GATED_MAX_N, RESIDUES_MAX_N, _as_mpf, orbit_residue
 from orbitzeta.partitions import enumerate_classes, partitions_of
-from orbitzeta.xi_algebra import h_orbit
-from orbitzeta.xinumeric import (
-    PrecisionConfig,
-    formal_cancellation_check,
-    laurent_expand,
-    residue_anchor,
-    residue_at_zero,
-)
-
-
-def as_mpf(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.re(mpmath.mpc(x))
+from orbitzeta.xinumeric import PrecisionConfig
 
 
 def survey(max_n, digits):
+    """Per-size report for sizes 1..max_n and the gate failures."""
     base = PrecisionConfig.default(working_digits=digits)
     sizes = {}
+    gate_failures = []
     with mp.workdps(digits + 15):
         for n in range(1, max_n + 1):
             cfg = base.for_orbit_size(n)
             rows = []
             started = time.perf_counter()
             for p in partitions_of(n):
-                expr = h_orbit(p)
-                series = laurent_expand(expr, cfg)
-                rr = residue_at_zero(series)
-                formal = formal_cancellation_check(expr)
+                _, formal, rr, anchor, diff, failures = orbit_residue(p, cfg)
+                gate_failures += failures
                 row = {
                     "partition": str(p),
                     "classes": len(enumerate_classes(p)),
                     "pole_order": rr.pole_order,
-                    "residue": mpmath.nstr(as_mpf(rr.residue), 15),
+                    "residue": mpmath.nstr(_as_mpf(rr.residue), 15),
                     "residue_error": "%.3e" % rr.residue_error,
                     "formal_deep_vanish": formal.all_deep_vanish,
-                    "deep_audit": [
-                        {
-                            "degree": d,
-                            "magnitude": "%.3e" % m,
-                            "noise_floor": "%.3e" % f,
-                        }
-                        for d, m, f in rr.audit
-                    ],
+                    "deep_audit": rr.to_json()["audit"],
                 }
-                target = residue_anchor(p.parts, digits)
-                if target is not None:
-                    row["anchor"] = mpmath.nstr(target, 15)
-                    row["anchor_diff"] = "%.3e" % abs(as_mpf(rr.residue) - target)
+                if anchor is not None:
+                    row["anchor"] = mpmath.nstr(anchor, 15)
+                    row["anchor_diff"] = "%.3e" % diff
                 rows.append(row)
             sizes[str(n)] = {
-                "gated": n <= 3,
+                "gated": n <= GATED_MAX_N,
                 "seconds": round(time.perf_counter() - started, 3),
                 "orbits": rows,
             }
-    return sizes
+    return sizes, gate_failures
 
 
 def main(argv=None):
@@ -87,15 +67,16 @@ def main(argv=None):
         default=str(pathlib.Path(__file__).resolve().parent.parent / "reports" / "pole_survey.json"),
     )
     args = ap.parse_args(argv)
-    if not 1 <= args.max_n <= 6:
-        ap.error("--max-n must be between 1 and 6")
+    if not 1 <= args.max_n <= RESIDUES_MAX_N:
+        ap.error("--max-n must be between 1 and %d" % RESIDUES_MAX_N)
+    sizes, gate_failures = survey(args.max_n, args.digits)
 
     payload = {
         "report": "pole-survey",
         "version": __version__,
         "working_digits": args.digits,
         "max_n": args.max_n,
-        "sizes": survey(args.max_n, args.digits),
+        "sizes": sizes,
     }
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -108,7 +89,9 @@ def main(argv=None):
         for row in v["orbits"]
     )
     print("wrote %s: %d orbits, %d with a simple pole" % (out, total, simple))
-    return 0
+    for msg in gate_failures:
+        print("GATE FAIL: %s" % msg)
+    return 1 if gate_failures else 0
 
 
 if __name__ == "__main__":

@@ -40,6 +40,9 @@ from .truncation import cone_accepts, cone_membership, semistandard_all
 from .truncation.sampling import verify_cones
 
 ANCHOR_TOLERANCE = mpmath.mpf("1e-8")
+# residues and the pole survey gate pole orders and anchors up to this size
+GATED_MAX_N = 3
+RESIDUES_MAX_N = 6
 
 
 def _as_mpf(x):
@@ -115,24 +118,44 @@ def cmd_orbits(args):
     return 0, _emit(payload, args.fmt, lines, csv_rows)
 
 
+def orbit_residue(p, config):
+    """The per-orbit step of `residues` and scripts/pole_survey.py, at the
+    caller's mpmath precision: (h, formal, report, anchor, anchor_diff,
+    failures).  anchor and anchor_diff are None where no closed form is
+    known; failures lists, for sizes up to GATED_MAX_N, a pole order other
+    than 1, a deep coefficient not formally zero, or a residue further than
+    ANCHOR_TOLERANCE from its anchor."""
+    h = h_orbit(p)
+    formal = formal_cancellation_check(h)
+    rr = residue_at_zero(laurent_expand(h, config))
+    anchor = residue_anchor(p.parts, config.working_digits)
+    diff = None if anchor is None else abs(_as_mpf(rr.residue) - anchor)
+    failures = []
+    if p.n <= GATED_MAX_N:
+        if rr.pole_order != 1:
+            failures.append("%s: pole order %r" % (p, rr.pole_order))
+        if not formal.all_deep_vanish:
+            failures.append("%s: deep coefficient not formally zero" % (p,))
+        if diff is not None and diff > ANCHOR_TOLERANCE:
+            failures.append("%s: residue off anchor by %s" % (p, mpmath.nstr(diff, 3)))
+    return h, formal, rr, anchor, diff, failures
+
+
 def cmd_residues(args):
     """Per-orbit pole data for one size: symbolic sum, formal cancellation
     verdicts, numeric pole order, residue with propagated error.
 
-    Sizes up to 3 are gated against the closed-form residue anchors; the
-    command exits 1 when any gated value or pole order deviates.
+    Sizes up to GATED_MAX_N are gated by orbit_residue; the command exits 1
+    when any gated value or pole order deviates.
     """
     n = args.n
-    if n is None or not 1 <= n <= 6:
-        raise UsageError("residues needs --n between 1 and 6")
+    if n is None or not 1 <= n <= RESIDUES_MAX_N:
+        raise UsageError("residues needs --n between 1 and %d" % RESIDUES_MAX_N)
     pcfg = _precision(args).for_orbit_size(n)
     gate_failures = []
     rows = []
     for p in partitions_of(n):
-        h = h_orbit(p)
-        formal = formal_cancellation_check(h)
-        series = laurent_expand(h, pcfg)
-        rr = residue_at_zero(series)
+        h, formal, rr, anchor, diff, failures = orbit_residue(p, pcfg)
         row = {
             "partition": str(p),
             "symbolic": str(h),
@@ -141,27 +164,17 @@ def cmd_residues(args):
             "residue": mpmath.nstr(_as_mpf(rr.residue), 12),
             "residue_error": "%.3e" % rr.residue_error,
         }
-        if n <= 3:
-            if rr.pole_order != 1:
-                gate_failures.append("%s: pole order %r" % (p, rr.pole_order))
-            if not formal.all_deep_vanish:
-                gate_failures.append("%s: deep coefficient not formally zero" % (p,))
-            target = residue_anchor(p.parts, pcfg.working_digits)
-            if target is not None:
-                diff = abs(_as_mpf(rr.residue) - target)
-                row["anchor"] = mpmath.nstr(target, 12)
-                row["anchor_diff"] = "%.3e" % diff
-                if diff > ANCHOR_TOLERANCE:
-                    gate_failures.append(
-                        "%s: residue off anchor by %s" % (p, mpmath.nstr(diff, 3))
-                    )
+        if anchor is not None and n <= GATED_MAX_N:
+            row["anchor"] = mpmath.nstr(anchor, 12)
+            row["anchor_diff"] = "%.3e" % diff
+        gate_failures += failures
         rows.append(row)
     payload = {
         "command": "residues",
         "version": __version__,
         "n": n,
         "precision": pcfg.to_json(),
-        "gated": n <= 3,
+        "gated": n <= GATED_MAX_N,
         "gate_failures": gate_failures,
         "orbits": rows,
     }

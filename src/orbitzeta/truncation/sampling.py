@@ -15,8 +15,10 @@ yields its signs and tests from a point or from a tuple of int64 columns,
 one entry per sample.  The public operations read it on one exact point;
 the sweeps here read it on all sampled points at once and only combine
 the boolean columns; so do the canonical-pair oracle's filter and the
-slope sandwich, whose samples are all drawn first.  Only the comparison
-with the fast cone membership still loops per sample.
+slope sandwich, whose samples are all drawn first.  Two checks still loop
+per sample: verify_cones asks the fast cone membership of each point, and
+verify_canonical calls canonical_pair, _select_pair and extremal_max_pair
+on each point.
 
 Overflow: with M the largest |entry| of a cleared sample, each swept
 pairing is a difference of two products bounded by n^2 * M: a block or
@@ -144,7 +146,9 @@ def _sweep(rep, points, cases, values, bad, details):
     """Evaluate values(case, columns), a tuple of result columns, for each
     case on all integer rows of points at once; rep.fail(row, details(case,
     *results at the row)) wherever bad(*results) holds, in row order, then
-    case order.  Returns rep."""
+    case order.  Returns rep; with no cases there is nothing to test."""
+    if not cases:
+        return rep
     cols = _columns(points, rep.n, rep.n**2)
     vals = [values(case, cols) for case in cases]
     for i, j in np.argwhere(np.stack([bad(*v) for v in vals], axis=1)):
@@ -337,6 +341,8 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
     """
     rng = _generator(seed, samples, sandwich_samples)
     sandwich_rng = _generator(seed + 1)
+    if sandwich_samples and max_n < 2:
+        raise ValueError("max_n must be at least 2 for the slope sandwich, got %d" % max_n)
     reports = []
     for n in range(1, max_n + 1):
         rep = VerifyReport(identity="slope-indicator", n=n, samples=samples)

@@ -49,6 +49,8 @@ from .kernel import expansion_at
 NOISE_FLOOR_FACTOR = 1e3
 # classification margin: one decade on each side of the floor is indeterminate
 FLOOR_MARGIN = 10.0
+# significant digits of every value in a series or residue report's JSON
+JSON_DIGITS = 30
 
 
 def _is_exact(value):
@@ -165,8 +167,8 @@ class LaurentSeries:
     """Finite block of Laurent coefficients over one coefficient ring.
 
     coeffs[i] is the coefficient of s^(min_degree + i).  The numeric ring's
-    coefficients are (value, error) pairs; classify, noise_floor,
-    is_zero_to_precision and to_json apply to that ring only.
+    coefficients are (value, error) pairs; classify, is_zero_to_precision
+    and to_json apply to that ring only.
     """
 
     min_degree: int
@@ -204,9 +206,6 @@ class LaurentSeries:
         q = Fraction(q)
         return LaurentSeries(self.min_degree, tuple(c.scale(q) for c in self.coeffs))
 
-    def noise_floor(self, degree):
-        return NOISE_FLOOR_FACTOR * self.coefficient(degree)[1]
-
     def classify(self, degree):
         """'zero', 'nonzero', or 'indeterminate' for one coefficient."""
         value, error = self.coefficient(degree)
@@ -227,12 +226,12 @@ class LaurentSeries:
     def __repr__(self):
         return "LaurentSeries(min_degree=%d, %d coeffs)" % (self.min_degree, len(self.coeffs))
 
-    def to_json(self, digits=30):
+    def to_json(self):
         return {
             "min_degree": self.min_degree,
             "coefficients": [
                 {
-                    "value": _format_value(v, digits),
+                    "value": _format_value(v),
                     "error": "%.3e" % e,
                 }
                 for v, e in self.coeffs
@@ -240,10 +239,10 @@ class LaurentSeries:
         }
 
 
-def _format_value(value, digits):
+def _format_value(value):
     if _is_exact(value):
         value = mpf(value.numerator) / value.denominator if isinstance(value, Fraction) else mpf(value)
-    return mpmath.nstr(value, digits, strip_zeros=False)
+    return mpmath.nstr(value, JSON_DIGITS, strip_zeros=False)
 
 
 @dataclass(frozen=True)
@@ -263,10 +262,10 @@ class ResidueReport:
     indeterminate_degrees: tuple
     audit: tuple
 
-    def to_json(self, digits=30):
+    def to_json(self):
         return {
             "pole_order": self.pole_order,
-            "residue": _format_value(self.residue, digits),
+            "residue": _format_value(self.residue),
             "residue_error": "%.3e" % self.residue_error,
             "is_zero": self.is_zero,
             "indeterminate_degrees": list(self.indeterminate_degrees),

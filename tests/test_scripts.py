@@ -6,6 +6,8 @@ import pathlib
 
 import mpmath
 
+from orbitzeta import cli
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -29,7 +31,7 @@ def test_pole_survey_small_sizes(tmp_path, capsys):
     anchored = {name for name, row in rows.items() if "anchor" in row}
     assert anchored == {"1", "1,1", "1,1,1", "2,1"}
     for name in anchored:
-        assert float(rows[name]["anchor_diff"]) <= 1e-8
+        assert float(rows[name]["anchor_diff"]) <= cli.ANCHOR_TOLERANCE
     # pole orders and 12-digit residues equal the archived survey's
     archive = json.loads((ROOT / "reports" / "pole_survey.json").read_text())["sizes"]
     archived = {row["partition"]: row for n in ("1", "2", "3") for row in archive[n]["orbits"]}
@@ -41,6 +43,23 @@ def test_pole_survey_small_sizes(tmp_path, capsys):
     for name, row in rows.items():
         assert row["pole_order"] == archived[name]["pole_order"], name
         assert twelve(row["residue"]) == twelve(archived[name]["residue"]), name
+
+
+def test_survey_and_residues_share_one_gate(tmp_path, capsys, monkeypatch):
+    """With no anchor tolerance both the survey and `residues --n 3` exit 1
+    and list the same (2,1) anchor failure."""
+    monkeypatch.setattr(cli, "ANCHOR_TOLERANCE", mpmath.mpf(0))
+
+    def anchor_failures(code):
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines if line.startswith("GATE FAIL: 2,1: residue off anchor")]
+
+    residues = anchor_failures(cli.main(["residues", "--n", "3"]))
+    out = tmp_path / "survey.json"
+    survey = anchor_failures(load_script("pole_survey").main(["--max-n", "3", "--out", str(out)]))
+    assert len(residues) == 1 and survey == residues
+    assert json.loads(out.read_text())["sizes"]["3"]["gated"] is True
 
 
 def test_truncation_suite_fast(tmp_path, capsys):

@@ -1248,6 +1248,12 @@ def test_verifier_smoke_budgets():
     assert all(r.ok for r in verify_partition(max_n=3, samples=25))
 
 
+def test_sweep_with_no_cases_passes():
+    """n = 1 has no proper type, so its Langlands sweep tests nothing."""
+    reports = verify_langlands(max_n=1, samples=20, sampled_n=(1,))
+    assert [(r.n, r.samples, r.failures) for r in reports] == [(1, 20, [])]
+
+
 @pytest.mark.parametrize("verify, kwargs", [
     (verify_langlands, {"samples": -1}),
     (verify_levi_sum, {"samples": -1}),
@@ -1258,9 +1264,12 @@ def test_verifier_smoke_budgets():
     (verify_sigma, {"samples": -1}),
     (verify_sigma, {"focus_samples": -1}),
     (verify_partition, {"samples": -1}),
+    (verify_E, {"max_n": 1, "samples": 10, "sandwich_samples": 5}),
 ])
 def test_verifiers_refuse_negative_counts_and_seeds(verify, kwargs):
-    with pytest.raises(ValueError, match="sample counts must be non-negative, got -"):
+    refusal = ("max_n must be at least 2 for the slope sandwich, got 1" if "max_n" in kwargs
+               else "sample counts must be non-negative, got -")
+    with pytest.raises(ValueError, match=refusal):
         verify(**kwargs)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         verify(seed=-1)
