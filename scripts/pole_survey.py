@@ -24,12 +24,12 @@ from orbitzeta.partitions import enumerate_classes, partitions_of
 from orbitzeta.xinumeric import PrecisionConfig
 
 
-def survey(max_n, digits):
-    """Per-size report for sizes 1..max_n and the gate failures."""
-    base = PrecisionConfig.default(working_digits=digits)
+def survey(max_n, base):
+    """Per-size report for sizes 1..max_n at the precision base and the
+    gate failures."""
     sizes = {}
     gate_failures = []
-    with mp.workdps(digits + 15):
+    with mp.workdps(base.working_digits + 15):
         for n in range(1, max_n + 1):
             cfg = base.for_orbit_size(n)
             rows = []
@@ -69,7 +69,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if not 1 <= args.max_n <= RESIDUES_MAX_N:
         ap.error("--max-n must be between 1 and %d" % RESIDUES_MAX_N)
-    sizes, gate_failures = survey(args.max_n, args.digits)
+    try:
+        base = PrecisionConfig.default(working_digits=args.digits)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    sizes, gate_failures = survey(args.max_n, base)
 
     payload = {
         "report": "pole-survey",

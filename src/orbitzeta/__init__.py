@@ -19,12 +19,9 @@ from .partitions import (
     LeviOrbitClass,
     Partition,
     YoungDiagram,
-    count_all_classes,
     enumerate_classes,
     induce,
     partitions_of,
-    stirling_identity_check,
-    stirling_subset,
     young_stats,
 )
 from .xi_algebra import (
@@ -33,7 +30,6 @@ from .xi_algebra import (
     XiFactor,
     h_orbit,
     orbit_series_log,
-    series_exp,
     series_log,
     xi_expr_equal,
     z_levi,
@@ -47,19 +43,15 @@ __all__ = [
     "LeviOrbitClass",
     "Partition",
     "YoungDiagram",
-    "count_all_classes",
     "enumerate_classes",
     "induce",
     "partitions_of",
-    "stirling_identity_check",
-    "stirling_subset",
     "young_stats",
     "OrbitSeries",
     "XiExpression",
     "XiFactor",
     "h_orbit",
     "orbit_series_log",
-    "series_exp",
     "series_log",
     "xi_expr_equal",
     "z_levi",

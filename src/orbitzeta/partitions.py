@@ -290,30 +290,3 @@ def enumerate_classes(target):
     if n < 1:
         raise ValueError("target must be a partition of n >= 1")
     return list(_classes_by_orbit(n)[target])
-
-
-def count_all_classes(n):
-    """Number of block-orbit classes summed over all targets of n."""
-    return sum(1 for _ in _multisets_totaling(n))
-
-
-def stirling_subset(n, k):
-    """Stirling subset number: ways to partition an n-set into k blocks."""
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-    assert total % math.factorial(k) == 0
-    return total // math.factorial(k)
-
-
-def stirling_identity_check(n):
-    """Exact value of sum_k S(n,k) * (-1)^(k-1) * (k-1)!.
-
-    Equals 1 for n = 1 and 0 for every n >= 2; this is the combinatorial
-    cancellation that makes the weighted class sums collapse correctly.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(stirling_subset(n, k) * (-1) ** (k - 1) * math.factorial(k - 1) for k in range(1, n + 1))

@@ -10,7 +10,6 @@ seeded bulk verification sweeps over random rational points.
 
 from .indicators import (
     ArthurReport,
-    arthur_partition_check,
     arthur_partition_report,
     e_sum_terms,
     indicator_chi,
@@ -31,10 +30,8 @@ from .instability import (
     cone_accepts,
     cone_membership,
     degree_instability,
-    degree_pairs,
     extremal_max_pair,
     pair_pairing,
-    semistable_three_ways,
 )
 from .roots import (
     SemiStandardParabolic,
@@ -51,7 +48,6 @@ from .roots import (
     minimal_parabolic,
     ordered_set_partitions,
     refinements_within,
-    relative_rho_values,
     relative_weight_gaps,
     semistandard_all,
     standard_parabolics,

@@ -39,7 +39,6 @@ __all__ = [
     "langlands_sum",
     "levi_sum_tau_hat",
     "ordering_gaps",
-    "arthur_partition_check",
     "arthur_partition_report",
     "ArthurReport",
     "indicator_F",
@@ -272,8 +271,3 @@ def arthur_partition_report(Q, H):
         semistable_direct=1 if all(blocks_constant(Q, H)) else 0,
         semistable_alternating=alternating,
     )
-
-
-def arthur_partition_check(Q, H):
-    """True iff both partition identities hold exactly at H."""
-    return arthur_partition_report(Q, H).ok

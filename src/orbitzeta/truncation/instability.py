@@ -26,7 +26,6 @@ from .roots import (
     doubled_half_sums,
     doubled_relative_rho,
     group,
-    relative_weight_gaps,
     runs,
 )
 
@@ -93,14 +92,6 @@ def _doubled_pairs(Q, H):
         yield P, arr, _rho_pairing(doubled_relative_rho(subs), sums)
 
 
-def degree_pairs(Q, H):
-    """All (refinement, arrangement, pairing) triples below Q.
-
-    The trivial pair (Q, identity) is among them, with pairing exactly 0.
-    """
-    return [(P, arr, Fraction(d, 2)) for P, arr, d in _doubled_pairs(Q, as_exact(H))]
-
-
 def degree_instability(Q, H):
     """Largest half-sum pairing over refinements of Q and rearrangements.
 
@@ -133,25 +124,6 @@ def chamber_tests(subs, arr, sums, H):
     for g in consecutive_root_gaps(subs, sums):
         yield g > 0
     yield from equal_tests(arr, H)
-
-
-def semistable_three_ways(Q, H):
-    """Evaluate the three equivalent semistability criteria independently.
-
-    Returns (by_degree, by_all_weights, by_corank_one_weights):
-    degree <= 0; every relative fundamental-weight pairing over every
-    refinement and rearrangement <= 0; the same restricted to refinements
-    splitting a single block once (one block more than Q).
-    """
-    H = as_exact(H)
-    by_degree = degree_instability(Q, H) <= 0
-
-    def destabilized(pairs):
-        return any(g > 0 for _, subs, _, sums in pairs for g in relative_weight_gaps(subs, sums))
-
-    by_all = not destabilized(arranged_pairs(Q, H))
-    by_maximal = not destabilized(pair for pair in arranged_pairs(Q, H) if pair[0].r == Q.r + 1)
-    return by_degree, by_all, by_maximal
 
 
 @dataclass(frozen=True)

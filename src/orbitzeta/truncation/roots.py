@@ -319,14 +319,6 @@ def doubled_relative_rho(subs):
     return tuple(itertools.chain.from_iterable(doubled_half_sums(sub) for sub in subs))
 
 
-def relative_rho_values(P, Q):
-    """Half-sum values of P relative to Q, aligned with P's blocks.
-
-    For Q the full group this reduces to P.rho_values.
-    """
-    return tuple(Fraction(d, 2) for d in doubled_relative_rho(P.split_by(Q)))
-
-
 def _within_blocks(subs, sums):
     """Each Q-block's sub-block sizes (from subs = P.split_by(Q)) with
     their entries of the P-block sums."""

@@ -20,6 +20,14 @@ per sample: verify_cones asks the fast cone membership of each point, and
 verify_canonical calls canonical_pair, _select_pair and extremal_max_pair
 on each point.
 
+The Levi ordering count is not read from its ordering body
+(indicators.ordering_gaps, r! orderings of r - 1 cuts each).  Its weight
+pairing at a cut depends only on the set of blocks before the cut, so
+_levi_counts counts orderings as chains of prefix sets in the lattice of
+block subsets: one gap column per proper subset, r * 2^(r-1) narrow
+integer additions for the chain counts, and a wall wherever some subset's
+gap is zero.  Tests pin it to levi_sum_tau_hat row by row.
+
 Overflow: with M the largest |entry| of a cleared sample, each swept
 pairing is a difference of two products bounded by n^2 * M: a block or
 subset sum (at most n * M) times a block or subset size (at most n).
@@ -28,10 +36,11 @@ and run totals, the partition and slope pairs' arranged sums and leading
 sums, the subset sums, the cone tests s * |S| against total * |T|, and
 the canonical-pair oracle's doubled pairings, |d| <= (n - 1) * n * M.
 _columns asserts n^2 * M < 2^62 before any sweep, so every difference
-stays below 2^63.  The Levi sweep pairs block values times sizes and
-asserts its own bound there, M * max size * n * r < 2^62.  With M <= 100 * lcm(1..20)
-both hold for every n used here; tests pin each sweep to the scalar
-operation row by row.
+stays below 2^63.  The Levi sweep takes per-block values and asserts
+M * max size * n * r < 2^62, which is at least n^2 * M: each subset gap
+n * sum(S) - |S| * total and each block's share of it stays below 2^63.
+With M <= 100 * lcm(1..20) both hold for every n used here; tests pin
+each sweep to the scalar operation row by row.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from .indicators import (
     e_subset_tests,
     e_verdict,
     langlands_terms,
-    ordering_gaps,
     partition_terms,
     sigma_terms,
 )
@@ -180,25 +188,44 @@ def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
 
 
 def _levi_counts(sizes, values):
-    """levi_sum_tau_hat's ordering scan for block-constant points, all
-    samples at once.
+    """levi_sum_tau_hat's ordering count for block-constant points, all
+    samples at once, as chains of prefix sets.
 
     sizes: block sizes (r,); values: int64 array (samples, r) of per-block
     values.  Returns (counts, wall_mask): counts[i] is the number of block
     orderings whose weight pairings are all strictly positive; wall_mask
     marks samples where some pairing is exactly zero (excluded from the
     count contract).
+
+    In the one-block group the pairing at a cut is gap(S) = n * sum(S) -
+    |S| * total, S the set of blocks before the cut: a sum over S of each
+    block's share m * (n * v - total), blind to the order inside S.  An
+    ordering is a maximal chain of prefix sets and fires iff every proper
+    one has gap > 0, so f(()) = 1, f(S) = [gap(S) > 0] * sum over b in S
+    of f(S - b) and the count is f(all blocks), one subset size at a time
+    with two layers alive.  Every proper nonempty S prefixes some
+    ordering, so the wall is gap(S) == 0 for any of them.  f(S) <= |S|!,
+    and the count is at most (r-1)!, since a wall point fires no ordering
+    that a nearby point off the walls does not; so the counts take the
+    narrowest int type holding (r-1)!: int8 up to r = 6, int16 up to 8.
     """
     n, r, samples = sum(sizes), len(sizes), values.shape[0]
     cols = _columns(values, r, max(sizes) * n * r)
-    sums = [col * m for col, m in zip(cols, sizes)]
-    counts = np.zeros(samples, dtype=np.int64)
+    total = sum(col * m for col, m in zip(cols, sizes))
+    shares = [m * (n * col - total) for col, m in zip(cols, sizes)]
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= math.factorial(r - 1))
     wall = np.zeros(samples, dtype=bool)
-    for _, gaps in ordering_gaps(sizes, sums):
-        for g in gaps:
-            wall |= g == 0
-        counts += _every((g > 0 for g in gaps), samples)
-    return counts, wall
+    gaps, chains = {(): 0}, {(): np.ones(samples, dtype=dtype)}
+    for k in range(1, r):
+        below_gaps, below_chains, gaps, chains = gaps, chains, {}, {}
+        for S in itertools.combinations(range(r), k):
+            gap = below_gaps[S[:-1]] + shares[S[-1]]
+            wall |= gap == 0
+            chains[S] = (gap > 0) * sum(below_chains[S[:i] + S[i + 1:]] for i in range(k))
+            gaps[S] = gap
+    # the last layer holds every set of r - 1 blocks: f(all) sums them
+    return sum(chains.values()), wall
 
 
 def verify_levi_sum(max_n=6, samples=10000, seed=20260816):

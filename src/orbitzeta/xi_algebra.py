@@ -330,22 +330,6 @@ def series_log(series):
     return out
 
 
-def series_exp(series):
-    """Formal exp of a series with zero constant term, truncated at the bound."""
-    if not series.coefficient(Partition(())).is_zero:
-        raise ValueError("exp argument must have zero constant coefficient")
-    out = OrbitSeries.unit(series.bound)
-    power = OrbitSeries.unit(series.bound)
-    kfac = 1
-    for k in range(1, series.bound + 1):
-        power = power * series
-        kfac *= k
-        if not power.coeffs:
-            break
-        out = out + power.scale(Fraction(1, kfac))
-    return out
-
-
 def orbit_series_log(bound):
     """Coefficients of log(full orbit sum), truncated at total size <= bound.
 

