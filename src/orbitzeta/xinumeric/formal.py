@@ -6,9 +6,13 @@ A factor xi(1 + b*s) expands to 1/(b*s) + sum_k t[1;k] (b*s)^k with the
 principal part exact; a factor xi(a + b*s), a >= 2, expands to
 sum_k t[a;k] (b*s)^k.  The expansion is laurent.expand, the same engine the
 numeric route uses, run over FormalPoly coefficients instead of (value,
-error) pairs.  Checking that every s^-k coefficient with k >= 2 is the zero
-polynomial proves the cancellation for every possible value of the
-underlying transcendental constants, not merely to working precision.
+error) pairs: its windows hold integer numerators over one denominator, so
+products and the per-degree sum are integer arithmetic, and each output
+coefficient's Fractions are built once.  SparsePoly's +, * and scale stay
+the definition the tests pin these window operations to.  Checking that
+every s^-k coefficient with k >= 2 is the zero polynomial proves the
+cancellation for every possible value of the underlying transcendental
+constants, not merely to working precision.
 """
 
 from __future__ import annotations
@@ -40,18 +44,21 @@ class FormalPoly(SparsePoly):
     def variable(cls, a, k, coeff=1):
         return cls._of({((a, k),): Fraction(coeff)})
 
-    @classmethod
-    def convolve(cls, a, b):
-        """Window product, equal to the fold of * and + (see laurent), with
-        each window cleared once to integer numerators over one denominator."""
+    # native windows (see laurent): one integer denominator and, per
+    # coefficient, a list of (monomial, integer numerator) terms
 
-        def cleared(window):
-            den = math.lcm(*(c.denominator for p in window for c in p.terms.values()))
-            return den, [
-                [(m, c.numerator * den // c.denominator) for m, c in p.terms.items()] for p in window
-            ]
+    @staticmethod
+    def lift(coeffs):
+        """Native window: every coefficient over the lcm of all denominators."""
+        den = math.lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
+        return den, [
+            [(m, c.numerator * den // c.denominator) for m, c in p.terms.items()] for p in coeffs
+        ]
 
-        (da, xs), (db, ys) = cleared(a), cleared(b)
+    @staticmethod
+    def convolve(a, b):
+        """Native window product: integer numerators over da * db."""
+        (da, xs), (db, ys) = a, b
         out = []
         for j in range(min(len(xs), len(ys))):
             terms = {}
@@ -60,8 +67,22 @@ class FormalPoly(SparsePoly):
                     for m2, c2 in y:
                         m = tuple(sorted(m1 + m2))
                         terms[m] = terms.get(m, 0) + c1 * c2
-            out.append(cls._of({m: Fraction(c, da * db) for m, c in terms.items()}))
-        return tuple(out)
+            out.append([(m, c) for m, c in terms.items() if c])
+        return da * db, out
+
+    @classmethod
+    def weighted_sum(cls, terms, lo, hi):
+        """Coefficients lo..hi of the sum of the (coefficient, min_degree,
+        native window) terms: every weight and numerator cleared over one
+        lcm, integer sums, and one Fraction per output term."""
+        den = math.lcm(*(c.denominator * d for c, _, (d, _) in terms))
+        sums = [{} for _ in range(lo, hi + 1)]
+        for c, m, (d, window) in terms:
+            weight = c.numerator * (den // (c.denominator * d))
+            for acc, entry in zip(sums[m - lo :], window):
+                for monomial, v in entry:
+                    acc[monomial] = acc.get(monomial, 0) + weight * v
+        return [cls._of({m: Fraction(v, den) for m, v in acc.items() if v}) for acc in sums]
 
 
 def _symbols(a, b, count):

@@ -3,19 +3,31 @@
 One series engine serves two coefficient rings.  A factor xi(a + b*s) with
 a >= 2 contributes the Taylor series of xi at a; a factor with a = 1
 contributes exactly 1/(b*s) plus the Taylor series of the regular part at 1.
-expand() multiplies these factor series per monomial and sums the terms;
-monomials that share a factor prefix, adjacent in the sorted term order,
-share its product.  laurent_expand runs it over (value, error)
-coefficients: principal-part coefficients are exact rationals, everything
-else is a big float carrying an absolute-error bound: the tables' errors,
-propagated, plus a bound on every rounding at the working precision.
-formal_cancellation_check (formal.py) runs it over FormalPoly, with the
-Taylor coefficients left symbolic.
+expand() multiplies these factor series per monomial and sums the terms
+once per degree; monomials that share a factor prefix, adjacent in the
+sorted term order, share its product.  laurent_expand runs it over
+(value, error) coefficients: principal-part coefficients are exact
+rationals, everything else is a big float carrying an absolute-error bound:
+the tables' errors, propagated, plus a bound on every rounding at the
+working precision.  formal_cancellation_check (formal.py) runs it over
+FormalPoly, with the Taylor coefficients left symbolic.
 
-A coefficient ring gives constant(q), zero(), +, *, scale(q) and
-convolve(a, b), the product of two windows that LaurentSeries.__mul__
-calls, equal to the fold of * and +: _Approx.convolve folds raw mpf tuples,
-FormalPoly.convolve sums integer numerators over one denominator.
+Ring contract.  A coefficient ring gives constant(q) and zero() as ring
+elements, and three operations on native windows, the form expand works in
+from the lifted factor series to the last sum:
+  lift(coeffs)  the native window of a sequence of ring elements;
+  convolve(a, b)  the native product window: entry j is the fold
+      a[0]*b[j] + ... + a[j]*b[0], for each j below the shorter window;
+  weighted_sum(terms, lo, hi)  from (coefficient, min_degree, native
+      window) triples in term order, one ring element per degree in
+      [lo, hi]: the fold with + of each window's entry scaled by its
+      coefficient, a degree below a window adding an exact zero.
+The scalar operations stay the definition, and tests pin the native ones
+to them bit for bit: _Approx's +, * and scale, and SparsePoly's +, * and
+scale for FormalPoly.  _Approx's native entry is (Fraction or None, raw mpf
+tuple, error, magnitude), on which its operations replay the scalar ones
+with mpmath's libmp; FormalPoly's native window is one integer denominator
+and lists of integer-numerator terms.
 
 Series windows: a series stores a contiguous block of coefficients starting
 at min_degree.  Products of series with the same relative length keep that
@@ -36,11 +48,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_add, mpf_mul, round_down
+from mpmath.libmp import from_rational, mpf_add, mpf_mul, round_down, to_float
 
 from .config import ExpansionOrderError, PrecisionConfig
 from .kernel import expansion_at
@@ -71,8 +84,9 @@ class _Approx(_Pair):
     compares equal to (value, error); + and * are coefficient arithmetic with
     error propagation, not tuple concatenation and repetition.  Each
     operation that yields an mpf adds a bound on its own rounding at the
-    working precision to the error.  convolve is the series product, the
-    fold of these two operations fused.
+    working precision to the error.  lift, convolve and weighted_sum are the
+    ring's window operations (see the module docstring), on native entries
+    at the working precision and rounding.
     """
 
     __slots__ = ()
@@ -117,49 +131,89 @@ class _Approx(_Pair):
         return self * _Approx(q, 0.0)
 
     @staticmethod
-    def convolve(a, b):
-        """The fold a[0]*b[j] + ... + a[j]*b[0] of * and + for each j below
-        the shorter window, bit for bit: on raw mpf tuples at the working
-        precision and rounding, a Fraction meeting an mpf rounded down first
-        (as mpmath's convert does), the errors' float expressions in order."""
+    def lift(coeffs):
+        """Native window of a sequence of coefficients."""
         prec, rounding = mp._prec_rounding
+        return [
+            _entry(v, None, e, prec, rounding) if type(v) is Fraction
+            else _entry(None, v._mpf_, e, prec, rounding)
+            for v, e in coeffs
+        ]
 
-        def raw(v):
-            if type(v) is Fraction:
-                return from_rational(v.numerator, v.denominator, prec, round_down)
-            return v._mpf_
-
-        def product(x, y):
-            # x, y: (Fraction or None, raw mpf value, error, magnitude)
-            xq, xr, ex, fx = x
-            yq, yr, ey, fy = y
-            error = fx * ey + fy * ex + ex * ey
-            if xq is None or yq is None:
-                return None, mpf_mul(xr, yr, prec, rounding), error + math.ldexp(fx * fy, 2 - prec)
-            return xq * yq, None, error
-
-        xs, ys = (
-            [(v if type(v) is Fraction else None, raw(v), e, abs(float(v))) for v, e in w]
-            for w in (a, b)
-        )
+    @staticmethod
+    def convolve(a, b):
+        """Native window product: entry j is the fold a[0]*b[j] + ... +
+        a[j]*b[0] of * and +, for each j below the shorter window."""
+        prec, rounding = mp._prec_rounding
         out = []
-        for j in range(min(len(xs), len(ys))):
-            # the running sum is a Fraction q or, once an mpf enters, a raw mpf r
-            terms = map(product, xs[: j + 1], reversed(ys[: j + 1]))
-            q, r, error = next(terms)
-            for tq, tr, terror in terms:
-                error += terror
-                if r is None and tr is None:
-                    q += tq
-                    continue
-                r = mpf_add(r or raw(q), tr or raw(tq), prec, rounding)
-                error += math.ldexp(1.0, r[2] + r[3] - prec)
-                for exact in (q, tq):
-                    if exact:
-                        error += math.ldexp(abs(float(exact)), -prec)
-                q = None
+        for j in range(min(len(a), len(b))):
+            xs, ys = a[: j + 1], reversed(b[: j + 1])
+            products = map(_product, xs, ys, repeat(prec), repeat(rounding))
+            out.append(_entry(*_fold(products, prec, rounding), prec, rounding))
+        return out
+
+    @staticmethod
+    def weighted_sum(terms, lo, hi):
+        """Coefficients lo..hi of the sum of the (coefficient, min_degree,
+        native window) terms: each degree folds every window's entry scaled
+        by its coefficient with +, in term order, a degree below a window
+        adding an exact zero.  Builds one _Approx per degree."""
+        prec, rounding = mp._prec_rounding
+        weights = [(_entry(c, None, 0.0, prec, rounding), m, w) for c, m, w in terms]
+        zero = (Fraction(0), None, 0.0)
+        out = []
+        for d in range(lo, hi + 1):
+            scaled = (
+                _product(w[d - m], c, prec, rounding) if d >= m else zero for c, m, w in weights
+            )
+            q, r, error = _fold(scaled, prec, rounding)
             out.append(_Approx(q if r is None else mp.make_mpf(r), error))
-        return tuple(out)
+        return out
+
+
+# _product and _fold replay _Approx.__mul__ and __add__ on native entries,
+# bit for bit: the same libmp operations at the working precision and
+# rounding (a Fraction meeting an mpf is rounded down first, as mpmath
+# converts it), the same float error expressions in the same order.  Their
+# partial results are (Fraction or None, raw mpf or None, error).
+
+
+def _raw(q, prec):
+    return from_rational(q.numerator, q.denominator, prec, round_down)
+
+
+def _entry(q, r, error, prec, rounding):
+    """Native entry of an exact value q, or of a raw mpf r when q is None."""
+    if q is None:
+        return None, r, error, abs(to_float(r, rnd=rounding))
+    return q, _raw(q, prec), error, abs(float(q))
+
+
+def _product(x, y, prec, rounding):
+    xq, xr, ex, fx = x
+    yq, yr, ey, fy = y
+    error = fx * ey + fy * ex + ex * ey
+    if xq is None or yq is None:
+        # one rounding of the product, one of a rational factor's conversion
+        return None, mpf_mul(xr, yr, prec, rounding), error + math.ldexp(fx * fy, 2 - prec)
+    return xq * yq, None, error
+
+
+def _fold(terms, prec, rounding):
+    """The + fold of a nonempty iterator of partial results."""
+    q, r, error = next(terms)
+    for tq, tr, terror in terms:
+        error += terror
+        if r is None and tr is None:
+            q += tq
+            continue
+        r = mpf_add(r or _raw(q, prec), tr or _raw(tq, prec), prec, rounding)
+        error += math.ldexp(1.0, r[2] + r[3] - prec)
+        for exact in (q, tq):
+            if exact:
+                error += math.ldexp(abs(float(exact)), -prec)
+        q = None
+    return q, r, error
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,21 +244,6 @@ class LaurentSeries:
                 "degree %d above certified window (top %d)" % (degree, self.top_degree)
             )
         return self.coeffs[degree - self.min_degree]
-
-    def __add__(self, other):
-        lo = min(self.min_degree, other.min_degree)
-        hi = min(self.top_degree, other.top_degree)
-        return LaurentSeries(
-            lo, tuple(self.coefficient(d) + other.coefficient(d) for d in range(lo, hi + 1))
-        )
-
-    def __mul__(self, other):
-        coeffs = type(self.coeffs[0]).convolve(self.coeffs, other.coeffs)
-        return LaurentSeries(self.min_degree + other.min_degree, coeffs)
-
-    def scale(self, q):
-        q = Fraction(q)
-        return LaurentSeries(self.min_degree, tuple(c.scale(q) for c in self.coeffs))
 
     def classify(self, degree):
         """'zero', 'nonzero', or 'indeterminate' for one coefficient."""
@@ -335,10 +374,13 @@ def expand(expression, length, ring, taylor):
     """Laurent series of a nonzero XiExpression over one coefficient ring.
 
     Each monomial's factor series, stored to `length` orders, are multiplied
-    left to right, scaled by the monomial's coefficient and summed; each
-    distinct factor's series is built once.  ring is the coefficient ring
-    (see the module docstring): ring.constant(q) lifts an exact rational
-    and ring.zero() is its zero.  taylor is as in factor_series.
+    left to right, and the products, weighted by the monomials'
+    coefficients, are summed once per degree.  ring is the coefficient ring
+    (see the module docstring); taylor is as in factor_series.  Each
+    distinct factor's series is built and lifted once per call, every
+    product and the sum run on native windows, and ring elements are built
+    only for the returned coefficients.  An expression with no terms raises
+    ValueError.
 
     Products are shared along the term order: prefix[i] holds the product
     of the series of the current monomial's first i + 1 factors, and the
@@ -346,11 +388,18 @@ def expand(expression, length, ring, taylor):
     with it and multiplies out only the rest.  Every product is the one a
     fresh left fold of that monomial would make, in any term order; the
     sorted order (by length, then factors) only makes common prefixes
-    adjacent, so that each is multiplied once.
+    adjacent, so that each is multiplied once.  Every window stores
+    `length` orders, so the sum's window is the `length` orders from the
+    lowest min_degree.
     """
-    unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
-    series_of = cache(lambda f: factor_series(f.a, f.b, length, ring, taylor))
-    acc = None
+
+    def lifted(f):
+        series = factor_series(f.a, f.b, length, ring, taylor)
+        return series.min_degree, ring.lift(series.coeffs)
+
+    series_of = cache(lifted)
+    unit = 0, ring.lift((ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
+    terms = []
     factors, prefix = (), []
     for monomial, coeff in expression.sorted_terms():
         shared = 0
@@ -361,10 +410,16 @@ def expand(expression, length, ring, taylor):
         factors = monomial
         del prefix[shared:]
         for f in factors[shared:]:
-            prefix.append(prefix[-1] * series_of(f) if prefix else series_of(f))
-        series = (prefix[-1] if prefix else unit).scale(coeff)
-        acc = series if acc is None else acc + series
-    return acc
+            degree, window = series_of(f)
+            if prefix:
+                low, product = prefix[-1]
+                degree, window = low + degree, ring.convolve(product, window)
+            prefix.append((degree, window))
+        terms.append((coeff, *(prefix[-1] if prefix else unit)))
+    if not terms:
+        raise ValueError("cannot expand an expression with no terms")
+    lo = min(degree for _, degree, _ in terms)
+    return LaurentSeries(lo, tuple(ring.weighted_sum(terms, lo, lo + length - 1)))
 
 
 def laurent_expand(expression, config=None):

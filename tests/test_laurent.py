@@ -144,7 +144,7 @@ def test_insufficient_order_is_refused():
 
 def test_series_scale_and_add_error_tracking():
     series = laurent_expand(single_factor(1, 1), CFG)
-    doubled = series.scale(Fraction(2)) + series.scale(Fraction(-2))
+    doubled = series_add(series_scale(series, Fraction(2)), series_scale(series, Fraction(-2)))
     assert all(
         doubled.coefficient(d)[0] == 0 or abs(float(doubled.coefficient(d)[0])) < 1e-30
         for d in doubled.degrees()
@@ -295,15 +295,47 @@ def test_formal_matches_numeric_on_random_substitution():
 # ---------------------------------------------------------------------------
 
 
+def scalar_window_product(a, b):
+    """Oracle for convolve: entry j is a[0]*b[j] + a[1]*b[j-1] + ... +
+    a[j]*b[0], folded with the ring's scalar * and +."""
+    out = []
+    for j in range(min(len(a), len(b))):
+        c = a[0] * b[j]
+        for i in range(1, j + 1):
+            c = c + a[i] * b[j - i]
+        out.append(c)
+    return tuple(out)
+
+
+def series_mul(x, y):
+    """Series product by the scalar double loop."""
+    return LaurentSeries(x.min_degree + y.min_degree, scalar_window_product(x.coeffs, y.coeffs))
+
+
+def series_add(x, y):
+    """Series sum over the common window; a degree below a window is the
+    ring's zero."""
+    lo = min(x.min_degree, y.min_degree)
+    hi = min(x.top_degree, y.top_degree)
+    return LaurentSeries(lo, tuple(x.coefficient(d) + y.coefficient(d) for d in range(lo, hi + 1)))
+
+
+def series_scale(x, q):
+    """Every coefficient scaled by the ring's scalar scale."""
+    q = Fraction(q)
+    return LaurentSeries(x.min_degree, tuple(c.scale(q) for c in x.coeffs))
+
+
 def naive_expand(expression, length, ring, taylor):
     """Oracle for expand: every monomial's factor series folded afresh from
-    the left, scaled and summed in the sorted term order."""
+    the left, scaled and summed in the sorted term order, all with the
+    ring's scalar operations."""
     unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
     acc = None
     for monomial, coeff in expression.sorted_terms():
         factors = [factor_series(f.a, f.b, length, ring, taylor) for f in monomial]
-        series = reduce(operator.mul, factors or [unit]).scale(coeff)
-        acc = series if acc is None else acc + series
+        series = series_scale(reduce(series_mul, factors or [unit]), coeff)
+        acc = series if acc is None else series_add(acc, series)
     return acc
 
 
@@ -356,13 +388,18 @@ def _expressions_through(n):
 
 
 def test_shared_products_equal_the_naive_fold():
-    """expand shares factor-prefix products across monomials; the result is
-    bit-identical to folding each monomial afresh, in both rings."""
-    taylor = numeric_taylor(CFG)
-    for expr in _expressions_through(6) + list(SYNTHETIC):
-        with mp.workdps(CFG.internal_dps):
-            want = bits(naive_expand(expr, CFG.expansion_order + 1, _Approx, taylor))
-        assert bits(laurent_expand(expr, CFG)) == want, expr
+    """expand shares factor-prefix products across monomials and sums each
+    degree once on native windows; the result is bit-identical to folding
+    each monomial afresh with the scalar operations, in both rings, for
+    every h and z with n <= 7 (about 2.5 s on one CPU)."""
+    for expr in _expressions_through(7) + list(SYNTHETIC):
+        # z of (7) has 7 polar factors and needs order 9
+        cfg = PrecisionConfig.default(
+            working_digits=30, expansion_order=max(8, expr.max_polar_count() + 2)
+        )
+        with mp.workdps(cfg.internal_dps):
+            want = bits(naive_expand(expr, cfg.expansion_order + 1, _Approx, numeric_taylor(cfg)))
+        assert bits(laurent_expand(expr, cfg)) == want, expr
         length = expr.max_polar_count() + 2
         formal = expand(expr, length, FormalPoly, _symbols)
         assert formal == naive_expand(expr, length, FormalPoly, _symbols), expr
@@ -389,15 +426,15 @@ def test_shared_products_do_not_depend_on_term_order():
 
 
 def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
-    """One series product per distinct factor prefix of length >= 2."""
+    """One native window product per distinct factor prefix of length >= 2."""
     calls = [0]
-    multiply = LaurentSeries.__mul__
+    for ring in (_Approx, FormalPoly):
 
-    def counting(self, other):
-        calls[0] += 1
-        return multiply(self, other)
+        def counting(a, b, convolve=ring.convolve):
+            calls[0] += 1
+            return convolve(a, b)
 
-    monkeypatch.setattr(LaurentSeries, "__mul__", counting)
+        monkeypatch.setattr(ring, "convolve", counting)
     for expr in _expressions_through(6):
         prefixes = {m[:i] for m in expr.terms for i in range(2, len(m) + 1)}
         for run in (
@@ -409,21 +446,66 @@ def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
             assert calls[0] == len(prefixes), expr
 
 
+def test_expand_refuses_an_expression_with_no_terms():
+    """expand has no series to return for the zero expression; both callers
+    answer it before expanding."""
+    for ring, taylor in ((_Approx, numeric_taylor(CFG)), (FormalPoly, _symbols)):
+        with pytest.raises(ValueError, match="no terms"):
+            expand(XiExpression.zero(), 4, ring, taylor)
+    zero = XiExpression.zero()
+    assert laurent_expand(zero, CFG) == LaurentSeries(0, (_Approx.zero(),) * 9)
+    report = formal_cancellation_check(zero)
+    assert (report.pole_bound, report.verdicts, report.all_deep_vanish) == (0, (), True)
+
+
 # ---------------------------------------------------------------------------
-# fused window products against the scalar double loop
+# native window operations against the scalar folds
 # ---------------------------------------------------------------------------
 
 
-def scalar_window_product(a, b):
-    """Oracle for convolve: entry j is a[0]*b[j] + a[1]*b[j-1] + ... +
-    a[j]*b[0], folded with the ring's scalar * and +."""
+def numeric_coeffs(window):
+    """The _Approx coefficients of a native numeric window; each entry's
+    magnitude must be |float(value)|."""
     out = []
-    for j in range(min(len(a), len(b))):
-        c = a[0] * b[j]
-        for i in range(1, j + 1):
-            c = c + a[i] * b[j - i]
-        out.append(c)
+    for q, r, error, magnitude in window:
+        value = mp.make_mpf(r) if q is None else q
+        assert magnitude == abs(float(value)), (value, magnitude)
+        out.append(_Approx(value, error))
     return tuple(out)
+
+
+def formal_coeffs(window):
+    """The FormalPoly coefficients of a native formal window."""
+    den, entries = window
+    return tuple(FormalPoly({m: Fraction(c, den) for m, c in entry}) for entry in entries)
+
+
+def scalar_weighted_sum(terms, lo, hi, zero):
+    """Oracle for weighted_sum: per degree, the fold with the ring's scalar
+    + of each window's entry under its scalar scale, from the first term,
+    with `zero` below a window."""
+    out = []
+    for d in range(lo, hi + 1):
+        acc = None
+        for c, m, w in terms:
+            x = w[d - m].scale(c) if d >= m else zero
+            acc = x if acc is None else acc + x
+        out.append(acc)
+    return tuple(out)
+
+
+def _numeric_entry(rng):
+    """A Fraction, a zero mpf or a full-precision mpf over a wide exponent
+    range, with a zero or nonzero error."""
+    F, M = Fraction, mpmath.mpf
+    kind = rng.randrange(4)
+    if kind == 0:
+        value = F(rng.randint(-20, 20), rng.randint(1, 12))
+    elif kind == 1:
+        value = M(0)
+    else:
+        value = mpmath.ldexp(M(rng.randint(-(10**60), 10**60)) / rng.randint(1, 10**40), -rng.randint(0, 300))
+    return _Approx(value, rng.choice((0.0, rng.uniform(0, 1e-30), rng.uniform(0, 1e-60))))
 
 
 def _numeric_windows(rng):
@@ -439,40 +521,70 @@ def _numeric_windows(rng):
     ]
     windows = [[_Approx(v, 0.0) for v in w] for w in fixed]
     windows.append([_Approx(v, 1e-40 * k) for k, v in enumerate(fixed[3])])
-
-    def entry():
-        kind = rng.randrange(4)
-        if kind == 0:
-            value = F(rng.randint(-20, 20), rng.randint(1, 12))
-        elif kind == 1:
-            value = M(0)
-        else:
-            value = mpmath.ldexp(M(rng.randint(-(10**60), 10**60)) / rng.randint(1, 10**40), -rng.randint(0, 300))
-        return _Approx(value, rng.choice((0.0, rng.uniform(0, 1e-30), rng.uniform(0, 1e-60))))
-
-    windows += [[entry() for _ in range(rng.randint(1, 8))] for _ in range(25)]
+    windows += [[_numeric_entry(rng) for _ in range(rng.randint(1, 8))] for _ in range(25)]
     return windows
 
 
 @pytest.mark.parametrize("dps", [15, 40])
 def test_numeric_convolve_equals_the_scalar_double_loop(dps):
-    """_Approx.convolve against the fold of _Approx.__mul__ and __add__,
-    bit for bit, for every ordered pair of windows."""
+    """_Approx.convolve on lifted windows against the fold of
+    _Approx.__mul__ and __add__, bit for bit, for every ordered pair of
+    windows; lift keeps every bit of its window."""
     with mp.workdps(dps):
         windows = _numeric_windows(random.Random(dps))
-        for a in windows:
-            for b in windows:
-                got = LaurentSeries(0, _Approx.convolve(a, b))
+        lifted = [_Approx.lift(w) for w in windows]
+        for a, native in zip(windows, lifted):
+            assert bits(LaurentSeries(0, numeric_coeffs(native))) == bits(LaurentSeries(0, a))
+        for a, na in zip(windows, lifted):
+            for b, nb in zip(windows, lifted):
+                got = LaurentSeries(0, numeric_coeffs(_Approx.convolve(na, nb)))
                 want = LaurentSeries(0, scalar_window_product(a, b))
                 assert bits(got) == bits(want), (a, b)
 
 
-def test_formal_convolve_equals_the_scalar_double_loop():
-    """FormalPoly.convolve against the fold of SparsePoly's * and +, for
-    windows whose polynomials have different denominators, zero polynomials
-    included, and of unequal lengths."""
+def _weighted_terms(rng, lo, hi, window, coeffs):
+    """1 to 6 (coefficient, min_degree, window) terms whose windows start
+    at or above lo and reach hi or beyond."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        m = rng.randint(lo, hi)
+        terms.append((rng.choice(coeffs), m, window(hi - m + 1 + rng.randint(0, 2))))
+    return terms
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_numeric_weighted_sum_equals_the_scalar_fold(dps):
+    """_Approx.weighted_sum on lifted windows against the fold of
+    _Approx.scale and __add__, bit for bit: windows starting above lo (an
+    exact zero below them), the unit monomial's window, Fraction-only
+    windows, zero mpfs, Fraction/mpf mixes, zero and nonzero errors."""
+    F, M = Fraction, mpmath.mpf
+    rng = random.Random(100 + dps)
+    kinds = [
+        lambda k: [_Approx.constant(F(1))] + [_Approx.zero()] * (k - 1),
+        lambda k: [_Approx(F(rng.randint(-9, 9), rng.randint(1, 9)), 0.0) for _ in range(k)],
+        lambda k: [_Approx(M(0), rng.choice((0.0, 1e-35))) for _ in range(k)],
+        lambda k: [_numeric_entry(rng) for _ in range(k)],
+    ]
+    coeffs = [F(1), F(-1), F(3, 7), F(-22, 5), F(10**12, 7), F(1, 3**40)]
+    checked = 0
+    with mp.workdps(dps):
+        for case in range(200):
+            lo = rng.randint(-3, 0)
+            hi = lo + rng.randint(0, 5)
+            kind = kinds[case % len(kinds)] if case < 40 else (lambda k: rng.choice(kinds)(k))
+            terms = _weighted_terms(rng, lo, hi, kind, coeffs)
+            native = [(c, m, _Approx.lift(w)) for c, m, w in terms]
+            got = LaurentSeries(lo, tuple(_Approx.weighted_sum(native, lo, hi)))
+            want = LaurentSeries(lo, scalar_weighted_sum(terms, lo, hi, _Approx.zero()))
+            assert bits(got) == bits(want), terms
+            checked += sum(m > lo for _, m, _ in terms)
+    assert checked > 100
+
+
+def _formal_polys():
     t, c = FormalPoly.variable, FormalPoly.constant
-    polys = [
+    return [
         FormalPoly.zero(),
         c(Fraction(1, 3)),
         c(-2),
@@ -480,9 +592,44 @@ def test_formal_convolve_equals_the_scalar_double_loop():
         t(1, 0) * t(1, 0) - c(Fraction(7, 4)),
         t(3, 2, 9) + t(1, 1, Fraction(1, 10)),
     ]
+
+
+def test_formal_convolve_equals_the_scalar_double_loop():
+    """FormalPoly.convolve on lifted windows against the fold of
+    SparsePoly's * and +, for windows whose polynomials have different
+    denominators, zero polynomials included, and of unequal lengths."""
+    polys = _formal_polys()
     rng = random.Random(5)
     windows = [[FormalPoly.zero()] * 3, _symbols(1, 2, 4), _symbols(2, 3, 2)]
     windows += [[rng.choice(polys) for _ in range(rng.randint(1, 5))] for _ in range(30)]
     for a in windows:
+        assert formal_coeffs(FormalPoly.lift(a)) == tuple(a)
         for b in windows:
-            assert FormalPoly.convolve(a, b) == scalar_window_product(a, b), (a, b)
+            got = formal_coeffs(FormalPoly.convolve(FormalPoly.lift(a), FormalPoly.lift(b)))
+            assert got == scalar_window_product(a, b), (a, b)
+
+
+def test_formal_weighted_sum_equals_the_scalar_fold():
+    """FormalPoly.weighted_sum on lifted windows against the fold of
+    SparsePoly.scale and +, with weights and polynomials of differing
+    denominators, windows starting above lo, products of lifted windows
+    (denominator da * db) and the unit monomial's window."""
+    polys = _formal_polys()
+    rng = random.Random(11)
+    coeffs = [Fraction(1), Fraction(-1), Fraction(5, 6), Fraction(-7, 15), Fraction(4, 9)]
+    unit = lambda k: [FormalPoly.constant(1)] + [FormalPoly.zero()] * (k - 1)  # noqa: E731
+    for case in range(150):
+        lo = rng.randint(-3, 0)
+        hi = lo + rng.randint(0, 4)
+        kind = unit if case % 5 == 0 else (lambda k: [rng.choice(polys) for _ in range(k)])
+        terms = _weighted_terms(rng, lo, hi, kind, coeffs)
+        native = [(c, m, FormalPoly.lift(w)) for c, m, w in terms]
+        if case % 3 == 0:
+            # one window as a product of two lifted windows
+            c, m, w = terms[0]
+            a = [rng.choice(polys) for _ in w]
+            b = _symbols(1, rng.randint(1, 3), len(w))
+            terms[0] = (c, m, scalar_window_product(a, b))
+            native[0] = (c, m, FormalPoly.convolve(FormalPoly.lift(a), FormalPoly.lift(b)))
+        got = FormalPoly.weighted_sum(native, lo, hi)
+        assert tuple(got) == scalar_weighted_sum(terms, lo, hi, FormalPoly.zero()), terms

@@ -1282,6 +1282,20 @@ def test_draw_cleared_matches_per_row_lcm():
     assert np.array_equal(got[10:25] * dens[10:25], 232792560 * nums[10:25])
 
 
+def test_draw_cleared_column_fold_matches_lcm_reduce():
+    """_draw_cleared's column fold of the row lcms against np.lcm.reduce
+    along rows, on the same draws: widths 1 to 8, values and dtype."""
+    for width in range(1, 9):
+        for samples in (1, 2000):
+            got = _draw_cleared(np.random.default_rng(SEED + width), (samples, width))
+            rng = np.random.default_rng(SEED + width)
+            nums = rng.integers(-100, 101, size=(samples, width))
+            dens = rng.integers(1, 21, size=(samples, width))
+            want = nums * (np.lcm.reduce(dens, axis=1)[:, None] // dens)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), width
+
+
 def test_verifier_smoke_budgets():
     # every verifier except cones returns one report per size or identity
     assert all(r.ok for r in verify_langlands(max_n=3, samples=60, sampled_n=(3,)))
