@@ -1,8 +1,8 @@
 """Run the randomized truncation-identity suite and archive the reports.
 
-Full budgets take 2 to 2.5 seconds on one core of a 2-vCPU Linux host
-with Python 3.11; --fast divides every sample count by ten for a quick
-look.  The archived copy lives in reports/truncation_suite.json.
+Full budgets take 0.5 to 0.7 seconds on one core of a 2-vCPU Linux
+host with Python 3.11; --fast divides every sample count by ten for a
+quick look.  The archived copy lives in reports/truncation_suite.json.
 
 Usage: python3 scripts/truncation_suite.py [--fast] [--seed N] [--out PATH]
 """

@@ -13,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .roots import (
     SemiStandardParabolic,
@@ -270,6 +270,20 @@ class ExtremalPair:
         }
 
 
+def _extremal_maximizers(H, top):
+    """Per size k the largest sum of k coordinates (top: max, or the columns'
+    maximum), and per subset in subset_sums order whether it attains the
+    largest average at the largest size that does.  Size k does iff
+    tops[k]/k >= tops[j]/j for every size j, strictly for j > k."""
+    sums = list(subset_sums(H))
+    tops = [top([s for T, s in sums if len(T) == k]) for k in range(1, len(H) + 1)]
+    # averages cross-multiplied by the positive sizes
+    largest = [reduce(operator.and_, (a * j > b * k if j > k else a * j >= b * k
+                                      for j, b in enumerate(tops, 1)))
+               for k, a in enumerate(tops, 1)]
+    return tops, [(T, largest[len(T) - 1] & (s == tops[len(T) - 1])) for T, s in sums]
+
+
 def extremal_max_pair(H):
     """Maximize the leading-block average over all index subsets.
 
@@ -279,23 +293,10 @@ def extremal_max_pair(H):
     largest one is unique.  WallTie guards the impossible tie anyway.
     """
     H = as_exact(H)
-    n = len(H)
-    best_sets = []
-    for T, s in subset_sums(H):
-        # s/|T| against the best average best_sum/best_size, cross-multiplied
-        # by the positive sizes
-        diff = s * best_size - best_sum * len(T) if best_sets else 1
-        if diff > 0:
-            best_sum, best_size, best_sets = s, len(T), [T]
-        elif diff == 0:
-            best_sets.append(T)
-    top_size = max(len(T) for T in best_sets)
-    winners = [T for T in best_sets if len(T) == top_size]
+    tops, flags = _extremal_maximizers(H, max)
+    winners = [T for T, win in flags if win]
+    k, n = max(map(len, winners)), len(H)
     if len(winners) != 1:
-        raise WallTie("%d extremal maximizers of size %d" % (len(winners), top_size))
-    S = winners[0]
-    if top_size == n:
-        P = group(n)
-    else:
-        P = StandardParabolic((top_size, n - top_size))
-    return ExtremalPair(parabolic=P, first_block=S, value=Fraction(best_sum, best_size))
+        raise WallTie("%d extremal maximizers of size %d" % (len(winners), k))
+    P = group(n) if k == n else StandardParabolic((k, n - k))
+    return ExtremalPair(parabolic=P, first_block=winners[0], value=Fraction(tops[k - 1], k))

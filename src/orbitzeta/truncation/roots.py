@@ -45,16 +45,9 @@ def compositions(n):
         raise ValueError("n must be >= 1")
     out = []
     for cuts in range(1 << (n - 1)):
-        parts = []
-        size = 1
-        for pos in range(n - 1):
-            if cuts & (1 << pos):
-                parts.append(size)
-                size = 1
-            else:
-                size += 1
-        parts.append(size)
-        out.append(tuple(parts))
+        # bit pos set: a part ends after coordinate pos
+        ends = [pos + 1 for pos in range(n - 1) if cuts >> pos & 1] + [n]
+        out.append(tuple(b - a for a, b in zip([0] + ends, ends)))
     return out
 
 
@@ -145,12 +138,8 @@ def standard_parabolics(n):
 
 def refinements_within(coarser):
     """All standard parabolics refining the given one (itself included)."""
-    per_block = [compositions(b) for b in coarser.blocks]
-    out = []
-    for combo in itertools.product(*per_block):
-        blocks = tuple(itertools.chain.from_iterable(combo))
-        out.append(StandardParabolic(blocks))
-    return out
+    return [StandardParabolic(tuple(itertools.chain.from_iterable(combo)))
+            for combo in itertools.product(*(compositions(b) for b in coarser.blocks))]
 
 
 def runs(items, lengths):
@@ -303,12 +292,8 @@ def doubled_half_sums(sizes):
     block with `before` earlier and `after` later coordinates gets the
     integer after - before."""
     total = sum(sizes)
-    out = []
-    before = 0
-    for m in sizes:
-        out.append(total - 2 * before - m)
-        before += m
-    return tuple(out)
+    return tuple(total - 2 * before - m
+                 for before, m in zip(itertools.accumulate(sizes, initial=0), sizes))
 
 
 @lru_cache(maxsize=None)
@@ -337,13 +322,9 @@ def relative_weight_gaps(subs, sums):
     """
     out = []
     for sub, block_sums in _within_blocks(subs, sums):
-        L = sum(sub)
-        total = sum(block_sums)
-        psum = 0
-        psize = 0
-        for u in range(len(sub) - 1):
-            psum += block_sums[u]
-            psize += sub[u]
+        L, total = sum(sub), sum(block_sums)
+        for psize, psum in zip(itertools.accumulate(sub[:-1]),
+                               itertools.accumulate(block_sums[:-1])):
             out.append(L * psum - psize * total)
     return tuple(out)
 

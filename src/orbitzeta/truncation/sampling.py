@@ -14,26 +14,21 @@ Every sign-test identity has one body in indicators or instability that
 yields its signs and tests from a point or from a tuple of int64 columns,
 one entry per sample.  The public operations read it on one exact point;
 the sweeps here read it on all sampled points at once and only combine
-the boolean columns; so do the canonical-pair oracle's filter and the
-slope sandwich, whose samples are all drawn first.  Two checks still loop
-per sample: verify_cones asks the fast cone membership of each point, and
-verify_canonical calls canonical_pair, _select_pair and extremal_max_pair
-on each point.
-
-The Levi ordering count is not read from its ordering body
-(indicators.ordering_gaps, r! orderings of r - 1 cuts each).  Its weight
-pairing at a cut depends only on the set of blocks before the cut, so
-_levi_counts counts orderings as chains of prefix sets in the lattice of
-block subsets: one gap column per proper subset, r * 2^(r-1) narrow
-integer additions for the chain counts, and a wall wherever some subset's
-gap is zero.  Tests pin it to levi_sum_tau_hat row by row.
+the boolean columns; so do the canonical-pair oracle's filter, the
+extremal maximizers and the slope sandwich, whose samples are all drawn
+first.  The value classes that canonical_pair and cone_membership build
+per point are read per row as dense ranks (_value_ranks) and matched to
+each pair's rank vector (_pair_ranks); scalar calls only word a failing
+row.  The Levi ordering count reads orderings as chains of prefix sets
+(_levi_counts), not the r! orderings of indicators.ordering_gaps.
 
 Overflow: with M the largest |entry| of a cleared sample, each swept
 pairing is a difference of two products bounded by n^2 * M: a block or
 subset sum (at most n * M) times a block or subset size (at most n).
 That covers the Langlands and sigma weight and root gaps on block sums
 and run totals, the partition and slope pairs' arranged sums and leading
-sums, the subset sums, the cone tests s * |S| against total * |T|, and
+sums, the subset sums, the cone tests s * |S| against total * |T|, the
+extremal cross-products s_T * |U| of a subset sum and a subset size, and
 the canonical-pair oracle's doubled pairings, |d| <= (n - 1) * n * M.
 _columns asserts n^2 * M < 2^62 before any sweep, so every difference
 stays below 2^63.  The Levi sweep takes per-block values and asserts
@@ -62,11 +57,10 @@ from .indicators import (
     sigma_terms,
 )
 from .instability import (
+    _extremal_maximizers,
     _maximal_maximizers,
+    _pair_merges,
     _select_pair,
-    canonical_pair,
-    cone_accepts,
-    cone_membership,
     cone_tests,
     extremal_max_pair,
 )
@@ -106,13 +100,15 @@ class VerifyReport:
         return {**asdict(self), "pass": self.ok}
 
 
-def _generator(seed, *counts):
+def _generator(seed, *counts, sizes=()):
     """A verifier's numpy generator, after refusing a negative seed or
-    sample count."""
+    sample count, or a point size below 1."""
     if seed < 0:
         raise ValueError("seed must be non-negative, got %d" % seed)
     if counts and min(counts) < 0:
         raise ValueError("sample counts must be non-negative, got %d" % min(counts))
+    if sizes and min(sizes) < 1:
+        raise ValueError("point sizes must be at least 1, got %d" % min(sizes))
     return np.random.default_rng(seed)
 
 
@@ -174,7 +170,7 @@ def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
     then random sampling at the sizes in sampled_n (the identity holds for
     every point, walls included, so no off-wall filtering is applied).
     """
-    rng = _generator(seed, samples)
+    rng = _generator(seed, samples, sizes=sampled_n)
     sweeps = [
         (n, np.array(list(itertools.permutations(range(1, n + 1)))),
          "exhaustive chamber representatives")
@@ -241,28 +237,44 @@ def verify_levi_sum(max_n=6, samples=10000, seed=20260816):
     rng = _generator(seed, samples)
     reports = []
     for n in range(1, max_n + 1):
-        rep = VerifyReport(identity="levi-ordering-count", n=n, samples=0)
-        walls_total = 0
-        for M in standard_parabolics(n):
+        types = standard_parabolics(n)
+        rep = VerifyReport("levi-ordering-count", n, samples * len(types),
+                           stats={"wall_samples_skipped": 0})
+        for M in types:
             values = _draw_cleared(rng, (samples, M.r))
             counts, wall = _levi_counts(M.blocks, values)
             expected = math.factorial(M.r - 1)
-            bad = (~wall) & (counts != expected)
-            walls_total += int(wall.sum())
-            rep.samples += samples
-            for i in np.flatnonzero(bad)[:5]:
+            rep.stats["wall_samples_skipped"] += int(wall.sum())
+            for i in np.flatnonzero(~wall & (counts != expected))[:5]:
                 rep.fail(values[i].tolist(), "type %s: %d orderings fired, expected %d"
                          % (M, int(counts[i]), expected))
-        rep.stats["wall_samples_skipped"] = walls_total
         reports.append(rep)
     return reports
 
 
-def _canonical_survivors(n, points):
-    """canonical_pair_brute's doubled maximum and survivor flags for every row
-    of the integer points, as a column and an array (samples, pairs)."""
-    best, survivors = _maximal_maximizers(_columns(points, n, n**2), np.maximum.reduce)
-    return best, np.stack(survivors, axis=1)
+def _value_ranks(rows):
+    """Per entry of the integer rows (samples, n), the number of distinct
+    values above it in its row: the position of its value class, largest
+    value first, as instability._value_classes orders them."""
+    order = np.argsort(-rows, axis=1, kind="stable")
+    steps = np.cumsum(np.diff(np.take_along_axis(rows, order, axis=1), axis=1) != 0, axis=1)
+    ranks = np.zeros_like(rows)  # the largest value's class is at 0
+    np.put_along_axis(ranks, order[:, 1:], steps, axis=1)
+    return ranks
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_ranks(n):
+    """The pairs' rank vectors (pairs, n), in _pair_merges order, which is
+    also semistandard_all's: entry i is the position of index i's block."""
+    return np.array([[j for _, j in sorted((i, j) for j, S in enumerate(arr) for i in S)]
+                     for _, arr, _ in _pair_merges(n)], dtype=np.int64).reshape(-1, n)
+
+
+def _one_matches(flags, table, rows):
+    """Per sample, whether exactly one case of flags (samples, cases) holds
+    and that case's row of table equals the sample's row of rows."""
+    return (flags.sum(axis=1) == 1) & (table[flags.argmax(axis=1)] == rows).all(axis=1)
 
 
 def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
@@ -270,28 +282,35 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
     """Destabilizing-pair sweep: the value-class construction must match the
     definitional brute-force pair (unique by construction of the filter),
     and the largest leading-average maximizer must be its two-block
-    projection.  The brute-force filter runs on all points at once."""
-    rng = _generator(seed, *(count for _, count in sample_plan))
+    projection.  Every check reads all points at once, the value classes
+    as ranks; the scalar routes word the failing rows only."""
+    rng = _generator(seed, *(count for _, count in sample_plan),
+                     sizes=[n for n, _ in sample_plan])
     reports = []
     for n, count in sample_plan:
         rep = VerifyReport(identity="canonical-pair", n=n, samples=count)
         points = _draw_cleared(rng, (count, n))
-        for H, best, survivors in zip(points.tolist(), *_canonical_survivors(n, points)):
-            fast = canonical_pair(H)
+        cols, ranks = _columns(points, n, n**2), _value_ranks(points)
+        best, survivors = _maximal_maximizers(cols, np.maximum.reduce)
+        survivors = np.stack(survivors, axis=1)
+        paired = _one_matches(survivors, _pair_ranks(n), ranks)
+        _, flags = _extremal_maximizers(cols, np.maximum.reduce)
+        subsets = np.array([[i in T for i in range(n)] for T, _ in flags])
+        projected = _one_matches(np.stack([win for _, win in flags], axis=1), subsets, ranks == 0)
+        for i in np.flatnonzero(~paired | (best < 0) | ~projected):
+            H = points[i].tolist()
             try:
-                brute = _select_pair(n, int(best), survivors)
+                _select_pair(n, int(best[i]), survivors[i])
             except WallTie as exc:  # uniqueness failed
                 rep.fail(H, repr(exc))
                 continue
-            if fast != brute:
+            if not paired[i]:
                 rep.fail(H, "fast/brute pair mismatch")
                 continue
-            if fast.degree < 0:
+            if best[i] < 0:
                 rep.fail(H, "negative degree")
-            ext = extremal_max_pair(H)
-            n1 = fast.parabolic.blocks[0]
-            want = (n,) if fast.parabolic.r == 1 else (n1, n - n1)
-            if ext.parabolic.blocks != want or set(ext.first_block) != set(fast.blocks[0]):
+            if not projected[i]:
+                extremal_max_pair(H)  # raises its WallTie where the extremal maximizer ties
                 rep.fail(H, "extremal projection mismatch")
         reports.append(rep)
     return reports
@@ -313,20 +332,19 @@ def _wall_variants(rng, n, count):
 def verify_cones(n=3, samples=1000, seed=20260816):
     """Chamber-cone partition: every point, walls included, is accepted by
     exactly one ordered index partition, the one the fast path returns.
-    The acceptance tests run on all points at once; the fast path is asked
-    per point."""
-    rng = _generator(seed, samples)
+    The acceptance tests run on all points at once, and the accepting
+    cone's rank vector must be the point's value-class ranks."""
+    rng = _generator(seed, samples, sizes=(n,))
     all_primes = semistandard_all(n)
     points = np.concatenate([_draw_cleared(rng, (samples, n)),
                              _wall_variants(rng, n, max(1, samples // 20))])
     rep = VerifyReport(identity="cone-partition", n=n, samples=len(points))
     cols = _columns(points, n, n**2)
-    accepted = sum(_every(cone_tests(pp, cols), len(points)) for pp in all_primes)
-    for H, count in zip(points.tolist(), accepted):
-        if count != 1:
-            rep.fail(H, "%d cones accept the point" % count)
-        elif not cone_accepts(cone_membership(H), H):
-            rep.fail(H, "fast membership disagrees")
+    accepted = np.stack([_every(cone_tests(pp, cols), len(points)) for pp in all_primes], axis=1)
+    member = _one_matches(accepted, _pair_ranks(n), _value_ranks(points))
+    for H, count in zip(points[~member].tolist(), accepted[~member].sum(axis=1)):
+        rep.fail(H, "%d cones accept the point" % count if count != 1
+                 else "fast membership disagrees")
     rep.stats["ordered_partitions_checked"] = len(all_primes)
     return rep
 

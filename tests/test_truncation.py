@@ -73,15 +73,16 @@ from orbitzeta.truncation.roots import (
     runs,
 )
 from orbitzeta.truncation.sampling import (
-    _canonical_survivors,
     _columns,
     _draw_cleared,
     _e_counts,
     _every,
     _levi_counts,
+    _pair_ranks,
     _partition_values,
     _sandwich_sides,
     _signed_counts,
+    _value_ranks,
     _wall_variants,
     full_suite,
     verify_E,
@@ -984,6 +985,22 @@ def _brute_outcome(select):
         return repr(exc)
 
 
+def _canonical_columns(n, rows):
+    """The canonical-pair filter on the int64 columns of the rows, as
+    verify_canonical reads it: the doubled maximum, and the survivor flags
+    as an array (samples, pairs)."""
+    best, survivors = instability._maximal_maximizers(_columns(rows, n, n * n), np.maximum.reduce)
+    return best, np.stack(survivors, axis=1)
+
+
+def _column_extremal(n, rows):
+    """Per row, the winning subsets of the extremal maximizers on the int64
+    columns of the rows, each with its average."""
+    tops, flags = instability._extremal_maximizers(_columns(rows, n, n * n), np.maximum.reduce)
+    return [[(T, Fraction(int(tops[len(T) - 1][i]), len(T))) for T, win in flags if win[i]]
+            for i in range(len(rows))]
+
+
 @functools.lru_cache(maxsize=None)
 def _self_merging(n):
     """A broken merge table: every odd position is its own merge, so it
@@ -1013,7 +1030,7 @@ def test_column_oracle_matches_canonical_pair_brute(monkeypatch, sizes, table):
     for n in sizes:
         rows = _canonical_rows(n)
         assert len(rows) >= 1000
-        best, survivors = _canonical_survivors(n, rows)
+        best, survivors = _canonical_columns(n, rows)
         assert best.shape == (len(rows),) and survivors.shape == (len(rows), len(table(n)))
         for row, got_best, got_survivors in zip(rows, best, survivors):
             H = tuple(int(v) for v in row)
@@ -1092,6 +1109,119 @@ def test_canonical_sweep_failures_match_per_sample_loop(monkeypatch):
     assert all(expected) and all(len(e) < count for e, (_, count) in zip(expected, plan))
 
 
+def _rank_vector(blocks, n):
+    """Entry i: the position of the block that holds index i."""
+    return [j for _, j in sorted((i, j) for j, S in enumerate(blocks) for i in S)]
+
+
+def test_rank_route_matches_value_classes():
+    """The dense ranks of each row name the value classes of canonical_pair
+    and of cone_membership, and the pair table gives each pair's rank
+    vector in _pair_merges order, which is semistandard_all's; row by row
+    on drawn, tied, zero, mirrored, constant and battery rows."""
+    for n in range(1, 6):
+        rows = _canonical_rows(n)
+        primes = semistandard_all(n)
+        table = _pair_ranks(n)
+        assert table.tolist() == [_rank_vector(arr, n) for _, arr, _ in _PAIR_MERGES(n)]
+        assert table.tolist() == [_rank_vector(pp.blocks, n) for pp in primes]
+        position = {pp: p for p, pp in enumerate(primes)}
+        for row, ranks in zip(rows, _value_ranks(rows)):
+            H = tuple(int(v) for v in row)
+            assert ranks.tolist() == _rank_vector(canonical_pair(H).blocks, n), H
+            assert table[position[cone_membership(H)]].tolist() == ranks.tolist(), H
+
+
+def test_column_extremal_route_matches_extremal_max_pair():
+    """The extremal maximizers on int64 columns, row by row: exactly one
+    winning subset per row, extremal_max_pair's first block at its value."""
+    for n in range(1, 6):
+        rows = _canonical_rows(n)
+        for row, winners in zip(rows, _column_extremal(n, rows)):
+            H = tuple(int(v) for v in row)
+            ext = extremal_max_pair(H)
+            assert winners == [(ext.first_block, ext.value)], H
+
+
+def _classes_swapped(ranks):
+    """The ranks with the two largest value classes swapped, on the rows
+    that have two or more classes."""
+    swapped = np.where(ranks < 2, 1 - ranks, ranks)
+    return np.where(ranks.max(axis=1, keepdims=True) >= 1, swapped, ranks)
+
+
+@pytest.mark.parametrize("table_too", [False, True], ids=["rows", "rows-and-table"])
+def test_broken_rank_route_fails_both_sweeps(monkeypatch, table_too):
+    """With the two largest value classes swapped in the rows' ranks, every
+    row of two or more classes fails the canonical sweep's pair check and
+    the cone sweep's membership check.  With the pair table swapped alike,
+    the pairs and cones still match, and the extremal projection check
+    fails those rows instead."""
+    monkeypatch.setattr(sampling, "_value_ranks", lambda rows: _classes_swapped(_value_ranks(rows)))
+    if table_too:
+        monkeypatch.setattr(sampling, "_pair_ranks", lambda n: _classes_swapped(_pair_ranks(n)))
+    seed, plan = 5, ((1, 20), (2, 60), (3, 60), (4, 40))
+    gen = np.random.default_rng(seed)
+    drawn = [_draw_cleared(gen, (count, n)).tolist() for n, count in plan]
+    gen = np.random.default_rng(seed)
+    walls = np.concatenate([_draw_cleared(gen, (100, 3)), _wall_variants(gen, 3, 5)]).tolist()
+
+    def listing(points, details):
+        return [{"H": H, "details": details} for H in points if len(set(H)) >= 2]
+
+    canonical = [rep.failures for rep in verify_canonical(sample_plan=plan, seed=seed)]
+    cones = verify_cones(n=3, samples=100, seed=seed).failures
+    if table_too:
+        assert canonical == [listing(p, "extremal projection mismatch") for p in drawn]
+        assert cones == []
+    else:
+        assert canonical == [listing(p, "fast/brute pair mismatch") for p in drawn]
+        assert cones == listing(walls, "fast membership disagrees")
+        assert len(cones) < len(walls)
+    assert all(canonical[1:]) and not canonical[0]
+
+
+def _twice(body):
+    """The extremal body with every subset listed twice."""
+    def broken(H, top):
+        tops, flags = body(H, top)
+        return tops, [entry for entry in flags for _ in range(2)]
+    return broken
+
+
+def test_extremal_tie_raises_the_scalar_walltie(monkeypatch):
+    """With every subset listed twice in the extremal body, in its scalar
+    and its column use, every maximizer ties: the canonical sweep raises
+    the WallTie that extremal_max_pair raises at its first row."""
+    broken = _twice(instability._extremal_maximizers)
+    monkeypatch.setattr(instability, "_extremal_maximizers", broken)
+    monkeypatch.setattr(sampling, "_extremal_maximizers", broken)
+    seed = 5
+    first = _draw_cleared(np.random.default_rng(seed), (30, 3))[0].tolist()
+    with pytest.raises(WallTie, match="^2 extremal maximizers of size ") as want:
+        extremal_max_pair(first)
+    with pytest.raises(WallTie) as got:
+        verify_canonical(sample_plan=((3, 30),), seed=seed)
+    assert str(got.value) == str(want.value)
+
+
+def test_passing_sweeps_make_no_scalar_call(monkeypatch):
+    """On passing seeds the canonical and cone sweeps call no per-point
+    scalar route: each one raises here, wherever the sweeps could reach it."""
+    def forbidden(*args):
+        raise AssertionError("per-point scalar call on a passing row")
+
+    for name in ("canonical_pair", "canonical_pair_brute", "extremal_max_pair",
+                 "cone_membership", "cone_accepts", "_select_pair", "_value_classes"):
+        monkeypatch.setattr(instability, name, forbidden)
+        monkeypatch.setattr(sampling, name, forbidden, raising=False)
+    plan = ((1, 50), (2, 100), (3, 200), (4, 300), (5, 400))
+    for seed in (1, 2, SEED):
+        assert all(rep.ok for rep in verify_canonical(sample_plan=plan, seed=seed))
+        assert verify_cones(n=3, samples=100, seed=seed).ok
+        assert verify_cones(n=4, samples=100, seed=seed).ok
+
+
 def _guard_limit(factor):
     """The least magnitude whose int64 guard bound, magnitude * factor,
     reaches 2^62."""
@@ -1137,14 +1267,15 @@ def test_levi_overflow_guard_sits_at_its_bound():
 
 def test_E_overflow_guard_sits_at_its_bound():
     """The guard every sweep but Levi's shares (_columns), through the E
-    counts in the group and in a proper type, the canonical-pair filter and
-    every other column route: it raises at the bound and the routes match
-    the scalar operations one below it."""
+    counts in the group and in a proper type, the canonical-pair filter,
+    the extremal maximizers and every other column route: it raises at the
+    bound and the routes match the scalar operations one below it."""
     for n in (2, 3, 5):
         limit = _guard_limit(n * n)
         types = (group(n), StandardParabolic((1, n - 1)))
         for evaluate in (*(functools.partial(_e_counts, Q) for Q in types),
-                         functools.partial(_canonical_survivors, n),
+                         functools.partial(_canonical_columns, n),
+                         functools.partial(_column_extremal, n),
                          lambda rows: _columns(rows, n, n * n)):
             with pytest.raises(OverflowError, match="too large for int64"):
                 evaluate(np.array([[limit] + [0] * (n - 1)]))
@@ -1163,10 +1294,13 @@ def test_E_overflow_guard_sits_at_its_bound():
             for H, got_count, got_ok in zip(rows, counts, subset_ok):
                 assert int(got_count) == len(e_sum_terms(Q, H)), (Q, H)
                 assert bool(got_ok) == all(e_subset_tests(Q, H)), (Q, H)
-        best, survivors = _canonical_survivors(n, rows)
+        best, survivors = _canonical_columns(n, rows)
         for H, got_best, got_survivors in zip(rows, best, survivors):
             got = instability._select_pair(n, int(got_best), got_survivors)
             assert got == canonical_pair_brute(H) == canonical_pair(H), H
+        for H, winners in zip(rows, _column_extremal(n, rows)):
+            ext = extremal_max_pair(H)
+            assert winners == [(ext.first_block, ext.value)], H
         for name in COLUMN_ROUTES:
             _route_matches_scalar(name, n, rows)
 
@@ -1343,6 +1477,20 @@ def test_verifiers_refuse_negative_counts_and_seeds(verify, kwargs):
         verify(**kwargs)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         verify(seed=-1)
+
+
+@pytest.mark.parametrize("verify, kwargs, size", [
+    (verify_canonical, {"sample_plan": ((2, 10), (0, 3))}, 0),
+    (verify_canonical, {"sample_plan": ((-1, 3),)}, -1),
+    (verify_langlands, {"sampled_n": (0,)}, 0),
+    (verify_langlands, {"sampled_n": (4, -1)}, -1),
+    (verify_cones, {"n": 0}, 0),
+    (verify_cones, {"n": -1}, -1),
+])
+def test_verifiers_refuse_sizes_below_one(verify, kwargs, size):
+    """A point size below 1 is refused, by name, before anything is drawn."""
+    with pytest.raises(ValueError, match="^point sizes must be at least 1, got %d$" % size):
+        verify(**kwargs)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
