@@ -85,7 +85,7 @@ def main(argv=None):
     }
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     total = sum(len(v["orbits"]) for v in payload["sizes"].values())
     simple = sum(

@@ -46,7 +46,7 @@ def main(argv=None):
     }
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     bad = [r for r in reports if not r.ok]
     print(

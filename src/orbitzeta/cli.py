@@ -65,7 +65,7 @@ def _precision(args):
 def _emit(payload, fmt, table_lines, csv_rows=None):
     """Render one report dict: JSON is canonical, table is for reading."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         if csv_rows is None:
             raise ValueError("no CSV layout for this command")

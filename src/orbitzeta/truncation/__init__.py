@@ -14,7 +14,6 @@ from .indicators import (
     e_sum_terms,
     indicator_chi,
     indicator_E,
-    indicator_F,
     indicator_sigma,
     indicator_tau,
     indicator_tau_hat,
@@ -31,6 +30,7 @@ from .instability import (
     cone_membership,
     degree_instability,
     extremal_max_pair,
+    indicator_F,
     pair_pairing,
 )
 from .roots import (

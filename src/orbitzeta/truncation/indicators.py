@@ -16,33 +16,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .instability import chamber_tests, equal_tests, indicator_F, subset_sums
+from .instability import chamber_tests, subset_sums
 from .roots import (
+    SubsetTable,
     WallError,
     arranged_pairs,
     as_exact,
     coarsening_splits,
     consecutive_root_gaps,
     epsilon_between,
-    leading_sums,
     relative_weight_gaps,
     run_totals,
+    runs,
 )
-
-__all__ = [
-    "indicator_tau",
-    "indicator_tau_hat",
-    "indicator_chi",
-    "indicator_E",
-    "e_sum_terms",
-    "indicator_sigma",
-    "langlands_sum",
-    "levi_sum_tau_hat",
-    "ordering_gaps",
-    "arthur_partition_report",
-    "ArthurReport",
-    "indicator_F",
-]
 
 
 def _check_length(H, n):
@@ -80,7 +66,7 @@ def indicator_chi(P, Q, H):
     """1 iff the leading sub-block coordinate sum in each ambient block
     is <= 0 (the scaled leading-weight pairing)."""
     subs, sums = _split_sums(P, Q, as_exact(H))
-    return 1 if all(s <= 0 for s in leading_sums(subs, sums)) else 0
+    return 1 if all(run[0] <= 0 for run in runs(sums, map(len, subs))) else 0
 
 
 def e_pair_tests(Q, H):
@@ -90,14 +76,10 @@ def e_pair_tests(Q, H):
     test holds: its chamber tests, and each Q-block's leading arranged sum
     is <= 0.
     """
-    for P, subs, arr, sums in arranged_pairs(Q, H):
-        yield P, arr, _e_tests(subs, arr, sums, H)
-
-
-def _e_tests(subs, arr, sums, H):
-    yield from chamber_tests(subs, arr, sums, H)
-    for s in leading_sums(subs, sums):
-        yield s <= 0
+    for P, subs, arr, table in arranged_pairs(Q, H):
+        leading = (sets[0] for sets in runs(arr, map(len, subs)))
+        yield P, arr, itertools.chain(chamber_tests(subs, arr, table),
+                                      map(table.nonpositive, leading))
 
 
 def e_sum_terms(Q, H):
@@ -239,15 +221,15 @@ def partition_terms(Q, H):
     """(chamber tests, sign(P,Q), weight gaps) per pair below Q: identity
     one counts the pairs whose tests all hold, identity two sums the signs
     of those whose weight gaps are all > 0."""
-    for P, subs, arr, sums in arranged_pairs(Q, H):
-        gaps = relative_weight_gaps(subs, sums)
-        yield chamber_tests(subs, arr, sums, H), epsilon_between(P, Q), gaps
+    for P, subs, arr, table in arranged_pairs(Q, H):
+        gaps = relative_weight_gaps(subs, tuple(map(table.sum, arr)))
+        yield chamber_tests(subs, arr, table), epsilon_between(P, Q), gaps
 
 
 def blocks_constant(Q, H):
-    """Q-semistability as equality tests: each block of Q carries one value
+    """Q-semistability as one test per block of Q: it carries one value
     (indicator_F's degree route gives the same verdict)."""
-    return equal_tests([range(a, b) for a, b in Q.intervals], H)
+    return map(SubsetTable(H).constant, [tuple(range(a, b)) for a, b in Q.intervals])
 
 
 def arthur_partition_report(Q, H):

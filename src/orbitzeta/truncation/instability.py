@@ -18,11 +18,11 @@ from functools import lru_cache, reduce
 from .roots import (
     SemiStandardParabolic,
     StandardParabolic,
+    SubsetTable,
     WallTie,
     arranged_pairs,
     as_exact,
     coarsening_splits,
-    consecutive_root_gaps,
     doubled_half_sums,
     doubled_relative_rho,
     group,
@@ -81,15 +81,15 @@ def _rho_pairing(rho2, sums):
 
 def pair_pairing(P, Q, arrangement, H):
     """Half-sum pairing <rho_P^Q, sums of the rearranged point>."""
-    sums = (sum(map(H.__getitem__, S)) for S in arrangement)
+    sums = map(SubsetTable(H).sum, arrangement)
     return Fraction(_rho_pairing(doubled_relative_rho(P.split_by(Q)), sums), 2)
 
 
 def _doubled_pairs(Q, H):
     """(refinement, arrangement, doubled pairing) below Q, in arranged_pairs
     order, at an exact point or on a tuple of sample columns."""
-    for P, subs, arr, sums in arranged_pairs(Q, H):
-        yield P, arr, _rho_pairing(doubled_relative_rho(subs), sums)
+    for P, subs, arr, table in arranged_pairs(Q, H):
+        yield P, arr, _rho_pairing(doubled_relative_rho(subs), map(table.sum, arr))
 
 
 def degree_instability(Q, H):
@@ -110,20 +110,14 @@ def indicator_F(P, H):
     return 1 if degree_instability(P, H) <= 0 else 0
 
 
-def equal_tests(index_sets, H):
-    """One equality test per index after the first of each set, at a point
-    or on a tuple of sample columns: all hold iff each set carries a single
-    value.  On a block this is block_degree(...) == 0."""
-    return (H[i] == H[S[0]] for S in index_sets for i in S[1:])
-
-
-def chamber_tests(subs, arr, sums, H):
+def chamber_tests(subs, arr, table):
     """A pair's arranged block averages strictly decrease within each
-    Q-block (subs = P.split_by(Q), sums the arranged block sums), and the
-    rearranged point is semistable for P's blocks."""
-    for g in consecutive_root_gaps(subs, sums):
-        yield g > 0
-    yield from equal_tests(arr, H)
+    Q-block (subs = P.split_by(Q), arr the index set per P-block), and the
+    rearranged point is semistable for P's blocks: each test read from the
+    call's SubsetTable."""
+    for sets in runs(arr, map(len, subs)):
+        yield from map(table.gap, sets, sets[1:])
+    yield from (table.constant(S) for S in arr if len(S) > 1)
 
 
 @dataclass(frozen=True)
@@ -167,8 +161,7 @@ def canonical_pair(H):
         raise ValueError("empty point")
     blocks = _value_classes(H)
     P = StandardParabolic(tuple(len(S) for S in blocks))
-    sums = tuple(sum(H[i] for i in S) for S in blocks)
-    if not all(chamber_tests((P.blocks,), blocks, sums, H)):
+    if not all(chamber_tests((P.blocks,), blocks, SubsetTable(H))):
         raise AssertionError("value-class pair failed its defining conditions")
     degree = pair_pairing(P, group(len(H)), blocks, H)
     return CanonicalPair(P, tuple(itertools.chain.from_iterable(blocks)), degree)
@@ -229,12 +222,11 @@ def cone_tests(prime, H):
     is the leading group of some ordered refinement, and those exhaust the
     refinement weights; the full block passes trivially).
     """
-    sums = prime.block_sums(H)
-    for g in consecutive_root_gaps((prime.composition,), sums):
-        yield g > 0
-    for S, total in zip(prime.blocks, sums):
+    table = SubsetTable(H)
+    yield from map(table.gap, prime.blocks, prime.blocks[1:])
+    for S in prime.blocks:
         for T, s in subset_sums([H[i] for i in S], proper=True):
-            yield s * len(S) <= total * len(T)
+            yield s * len(S) <= table.sum(S) * len(T)
 
 
 def cone_accepts(prime, H):

@@ -28,7 +28,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 
 class WallError(ValueError):
@@ -92,24 +92,13 @@ class StandardParabolic:
         return out
 
     def _split(self, coarser):
-        """split_by's value, or None when this does not refine coarser."""
-        out = []
-        it = iter(self.blocks)
-        for target in coarser.blocks:
-            acc = 0
-            sub = []
-            while acc < target:
-                b = next(it, None)
-                if b is None:
-                    return None
-                sub.append(b)
-                acc += b
-            if acc != target:
-                return None
-            out.append(tuple(sub))
-        if next(it, None) is not None:
+        """split_by's value, or None when this does not refine coarser: its
+        cuts must be among this one's, at the same total."""
+        ends, cuts = (list(itertools.accumulate(c.blocks)) for c in (self, coarser))
+        if ends[-1] != cuts[-1] or not set(cuts) <= set(ends):
             return None
-        return tuple(out)
+        stops = [ends.index(c) + 1 for c in cuts]
+        return tuple(self.blocks[a:b] for a, b in zip([0] + stops, stops))
 
     def block_sums(self, point):
         """Per-block coordinate sums of a point in Q^n."""
@@ -194,13 +183,6 @@ class SemiStandardParabolic:
     def n(self):
         return sum(len(b) for b in self.blocks)
 
-    @property
-    def composition(self):
-        return tuple(len(b) for b in self.blocks)
-
-    def block_sums(self, point):
-        return tuple(sum(map(point.__getitem__, blk)) for blk in self.blocks)
-
     def to_json(self):
         return {"blocks": [list(b) for b in self.blocks]}
 
@@ -275,16 +257,52 @@ def _pairs_below(Q):
 
 
 def arranged_pairs(Q, H):
-    """Every pair below Q with its arranged block sums.
+    """Every pair below Q, with one SubsetTable of H for the call.
 
-    Yields (refinement P, P.split_by(Q), arrangement, sums) for P over
+    Yields (refinement P, P.split_by(Q), arrangement, table) for P over
     refinements_within(Q) and the arrangement over arrangements(P, Q), in
-    that order; sums[j] is the coordinate sum of H over the index set
-    assigned to P's j-th block.  The enumeration is built once per Q.
+    that order; table.sum(S) is the coordinate sum of H over the index set
+    S assigned to one of P's blocks.  The enumeration is built once per Q;
+    the table is shared by the call's pairs and goes with the call.
     """
+    table = SubsetTable(H)
     for P, subs, arrs in _pairs_below(Q):
         for arr in arrs:
-            yield P, subs, arr, tuple(sum(map(H.__getitem__, S)) for S in arr)
+            yield P, subs, arr, table
+
+
+class SubsetTable:
+    """One call's subset sums and sign tests of H, an exact point or a
+    tuple of int64 sample columns, keyed by index set (ascending tuples).
+
+    Each entry is evaluated on first use and kept for the call: sum(S),
+    S[:-1]'s sum plus one coordinate; gap(S, T), the scaled average gap
+    s_S * |T| - s_T * |S| > 0 of an adjacent ordered pair of blocks;
+    constant(S), S carries one value; nonpositive(S), S's sum is <= 0.
+    """
+
+    def __init__(self, H):
+        self.H, self.entries = H, {}
+
+    def _entry(self, key, evaluate):
+        if key not in self.entries:
+            self.entries[key] = evaluate()
+        return self.entries[key]
+
+    def sum(self, S):
+        return self._entry(("sum", S), lambda: self.sum(S[:-1]) + self.H[S[-1]]
+                           if len(S) > 1 else self.H[S[0]])
+
+    def gap(self, S, T):
+        return self._entry(("gap", S, T),
+                           lambda: self.sum(S) * len(T) - self.sum(T) * len(S) > 0)
+
+    def constant(self, S):
+        return self._entry(("constant", S), lambda: reduce(
+            operator.and_, (self.H[i] == self.H[S[0]] for i in S[1:]), True))
+
+    def nonpositive(self, S):
+        return self._entry(("nonpositive", S), lambda: self.sum(S) <= 0)
 
 
 def doubled_half_sums(sizes):
@@ -346,11 +364,6 @@ def run_totals(subs, sums):
     """Block sums of Q from P's block sums: one total per run of P-blocks
     inside a Q-block (subs = P.split_by(Q))."""
     return tuple(sum(block_sums) for _, block_sums in _within_blocks(subs, sums))
-
-
-def leading_sums(subs, sums):
-    """First sub-block sum inside each ambient block (subs = P.split_by(Q))."""
-    return [block_sums[0] for _, block_sums in _within_blocks(subs, sums)]
 
 
 def epsilon_between(P, Q):

@@ -16,20 +16,22 @@ one entry per sample.  The public operations read it on one exact point;
 the sweeps here read it on all sampled points at once and only combine
 the boolean columns; so do the canonical-pair oracle's filter, the
 extremal maximizers and the slope sandwich, whose samples are all drawn
-first.  The value classes that canonical_pair and cone_membership build
-per point are read per row as dense ranks (_value_ranks) and matched to
-each pair's rank vector (_pair_ranks); scalar calls only word a failing
-row.  The Levi ordering count reads orderings as chains of prefix sets
-(_levi_counts), not the r! orderings of indicators.ordering_gaps.
+first.  The pair bodies read each subset sum and each gap, constancy and
+leading-sign test once per call, from that call's roots.SubsetTable;
+_e_counts hands e_pair_tests E_ROWS rows at a time, so a table holds few
+columns.  The value classes of canonical_pair and cone_membership are
+read per row as dense ranks (_value_ranks) and matched to each pair's
+rank vector (_pair_ranks); scalar calls only word a failing row.  The
+Levi count reads orderings as chains of prefix sets (_levi_counts), not
+the r! orderings of indicators.ordering_gaps.
 
-Overflow: with M the largest |entry| of a cleared sample, each swept
-pairing is a difference of two products bounded by n^2 * M: a block or
-subset sum (at most n * M) times a block or subset size (at most n).
-That covers the Langlands and sigma weight and root gaps on block sums
-and run totals, the partition and slope pairs' arranged sums and leading
-sums, the subset sums, the cone tests s * |S| against total * |T|, the
-extremal cross-products s_T * |U| of a subset sum and a subset size, and
-the canonical-pair oracle's doubled pairings, |d| <= (n - 1) * n * M.
+Overflow: with M the largest |entry| of a cleared sample, every subset
+sum (the table's among them) is at most n * M, and each swept pairing is
+a difference of two products bounded by n^2 * M, such a sum times a
+block or subset size (at most n): the table's gaps s_S * |T| - s_T * |S|,
+the Langlands, sigma and partition gaps on block sums and run totals,
+the cone tests s * |S| against s_S * |T|, the extremal cross-products
+s_T * |U|, and the oracle's doubled pairings, |d| <= (n - 1) * n * M.
 _columns asserts n^2 * M < 2^62 before any sweep, so every difference
 stays below 2^63.  The Levi sweep takes per-block values and asserts
 M * max size * n * r < 2^62, which is at least n^2 * M: each subset gap
@@ -76,6 +78,7 @@ from .roots import (
 
 NUMERATOR_BOUND = 100
 DENOMINATOR_BOUND = 20
+E_ROWS = 8192  # rows per e_pair_tests call in _e_counts: bounds its table's columns
 
 
 @dataclass
@@ -351,12 +354,15 @@ def verify_cones(n=3, samples=1000, seed=20260816):
 
 def _e_counts(Q, points):
     """(len(e_sum_terms), all(e_subset_tests)) in the type Q for every
-    integer row (samples, Q.n), as two columns."""
+    integer row (samples, Q.n), as two columns; e_pair_tests reads the
+    rows E_ROWS at a time."""
     cols = _columns(points, Q.n, Q.n**2)
-    samples = len(points)
-    counts = sum((_every(tests, samples) for _, _, tests in e_pair_tests(Q, cols)),
-                 np.zeros(samples, dtype=np.int64))
-    return counts, _every(e_subset_tests(Q, cols), samples)
+    counts = np.zeros(len(points), dtype=np.int64)
+    for lo in range(0, len(points), E_ROWS):
+        part, part_counts = tuple(col[lo:lo + E_ROWS] for col in cols), counts[lo:lo + E_ROWS]
+        for _, _, tests in e_pair_tests(Q, part):
+            part_counts += _every(tests, len(part_counts))
+    return counts, _every(e_subset_tests(Q, cols), len(points))
 
 
 def _sandwich_sides(rows):
@@ -401,7 +407,7 @@ def verify_E(max_n=5, samples=10000, sandwich_samples=2000, seed=20260816):
         for i in np.flatnonzero((counts == 1) != subset_ok)[:5]:
             rep.fail(points[i].tolist(), "structured sum %d vs subset criterion %d"
                      % (int(counts[i]), int(subset_ok[i])))
-        rep.stats["positive_rate"] = float(subset_ok.mean())
+        rep.stats["positive_rate"] = float(subset_ok.mean()) if samples else None
         reports.append(rep)
 
     rep = VerifyReport(identity="slope-sandwich", n=max_n, samples=sandwich_samples)

@@ -8,9 +8,11 @@ the authority everywhere they appear; the fast paths must match them exactly.
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -57,7 +59,7 @@ from orbitzeta.truncation import (
     semistandard_all,
     standard_parabolics,
 )
-from orbitzeta.truncation import indicators, instability, sampling
+from orbitzeta.truncation import indicators, instability, roots, sampling
 from orbitzeta.truncation.indicators import (
     blocks_constant,
     e_subset_tests,
@@ -348,7 +350,8 @@ def semistable_three_ways(Q, H):
     by_degree = degree_instability(Q, H) <= 0
 
     def destabilized(pairs):
-        return any(g > 0 for _, subs, _, sums in pairs for g in relative_weight_gaps(subs, sums))
+        return any(g > 0 for _, subs, arr, table in pairs
+                   for g in relative_weight_gaps(subs, tuple(map(table.sum, arr))))
 
     by_all = not destabilized(arranged_pairs(Q, H))
     by_maximal = not destabilized(pair for pair in arranged_pairs(Q, H) if pair[0].r == Q.r + 1)
@@ -618,18 +621,67 @@ def _e_rows(n):
     )
 
 
-def test_batched_E_matches_scalar_routes_pointwise():
+def test_batched_E_matches_scalar_routes_pointwise(monkeypatch):
     """The batched slope sweep, row by row, against the scalar structured
-    sum (its term count) and the scalar subset route (its verdict)."""
+    sum (its term count) and the scalar subset route (its verdict), for
+    every type with n <= 5; the rows are read 64 at a time, so the last
+    call gets a short remainder."""
+    monkeypatch.setattr(sampling, "E_ROWS", 64)
     for n in range(1, 6):
         points = _e_rows(n)
-        counts, subset_ok = _e_counts(group(n), points)
-        assert counts.shape == subset_ok.shape == (points.shape[0],)
-        for row, got_count, got_ok in zip(points, counts, subset_ok):
-            H = tuple(int(v) for v in row)
-            assert int(got_count) == len(e_sum_terms(group(n), H)), H
-            assert bool(got_ok) == all(e_subset_tests(group(n), H)), H
-        assert 0 < subset_ok.sum() < points.shape[0]
+        assert points.shape[0] % 64
+        for Q in standard_parabolics(n):
+            counts, subset_ok = _e_counts(Q, points)
+            assert counts.shape == subset_ok.shape == (points.shape[0],)
+            for row, got_count, got_ok in zip(points, counts, subset_ok):
+                H = tuple(int(v) for v in row)
+                assert int(got_count) == len(e_sum_terms(Q, H)), (Q, H)
+                assert bool(got_ok) == all(e_subset_tests(Q, H)), (Q, H)
+            assert 0 < subset_ok.sum() < points.shape[0]
+
+
+def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
+    """One SubsetTable per arranged_pairs call: on columns below group(5)
+    the slope and partition bodies evaluate each of the 31 subset sums and
+    each of the 180 adjacent (S, T) gaps once per call, again in a second
+    call; the scalar routes evaluate no entry twice, and the canonical-pair
+    oracle reads the 31 sums only."""
+    evaluated = []
+    entry = roots.SubsetTable._entry
+
+    def counting(self, key, evaluate):
+        return entry(self, key, lambda: (evaluated.append((self, key)), evaluate())[1])
+
+    monkeypatch.setattr(roots.SubsetTable, "_entry", counting)
+    Q, rows = group(5), _e_rows(5)
+    adjacent = {(arr[u], arr[u + 1]) for P in refinements_within(Q)
+                for arr in arrangements(P, Q) for u in range(P.r - 1)}
+    subsets = {T for k in range(1, 6) for T in itertools.combinations(range(5), k)}
+    assert (len(adjacent), len(subsets)) == (180, 31)
+
+    def evaluations(run):
+        """The entries run evaluates, by kind, after checking that no
+        table evaluates one twice."""
+        evaluated.clear()
+        run()
+        assert len(evaluated) == len({(id(table), key) for table, key in evaluated})
+        return {kind: {key[1:] for _, key in evaluated if key[0] == kind}
+                for kind in ("sum", "gap", "constant", "nonpositive")}
+
+    H = tuple(int(v) for v in rows[0])
+    for run in (lambda: _e_counts(Q, rows), lambda: _e_counts(Q, rows[::-1]),
+                lambda: _partition_values(Q, _columns(rows, 5, 25))):
+        got = evaluations(run)
+        assert got["sum"] == {(S,) for S in subsets}, run
+        assert got["gap"] == adjacent, run
+        assert got["constant"] == {(S,) for S in subsets if len(S) > 1}, run
+    assert got["nonpositive"] == set()
+    for run in (lambda: e_sum_terms(Q, H), lambda: arthur_partition_report(Q, H)):
+        got = evaluations(run)
+        assert got["gap"] <= adjacent and got["sum"] <= {(S,) for S in subsets}
+    got = evaluations(lambda: canonical_pair_brute(H))
+    assert got == {"sum": {(S,) for S in subsets}, "gap": set(), "constant": set(),
+                   "nonpositive": set()}
 
 
 def test_E_is_every_coordinate_nonpositive():
@@ -712,7 +764,7 @@ COLUMN_ROUTES = {
         lambda pair, H: (indicator_sigma(*pair, H),),
     ),
     "arthur_partition_report": (
-        range(2, 5),
+        range(2, 6),
         standard_parabolics,
         _partition_values,
         lambda Q, H: dataclasses.astuple(arthur_partition_report(Q, H)),
@@ -738,14 +790,20 @@ def _route_matches_scalar(name, n, rows):
             assert tuple(c[i] for c in got) == scalar(case, H), (case, H)
 
 
+# (route, n) -> stride through _e_rows(n): the scalar partition report
+# takes about 0.02 s per row over the 16 types of n = 5
+ROW_STRIDES = {("arthur_partition_report", 5): 10}
+
+
 @pytest.mark.parametrize("name", sorted(COLUMN_ROUTES))
 def test_column_routes_match_scalar_rows(name):
     """Each sweep's column route, row by row on drawn and wall rows,
     against the scalar operation, for every case of each size."""
     sizes = COLUMN_ROUTES[name][0]
-    for n in sizes:
-        _route_matches_scalar(name, n, _e_rows(n))
-    assert sum(len(_e_rows(n)) for n in sizes) >= 1000
+    rows = [_e_rows(n)[:: ROW_STRIDES.get((name, n), 1)] for n in sizes]
+    for n, points in zip(sizes, rows):
+        _route_matches_scalar(name, n, points)
+    assert sum(map(len, rows)) >= 1000
 
 
 def _langlands_loop(points):
@@ -1054,7 +1112,8 @@ def test_merge_table_matches_run_arithmetic():
         ]
         points = [H for H in _battery_points() if len(H) == n]
         pairs = [list(instability._doubled_pairs(group(n), H)) for H in points]
-        sums = [[s for *_, s in arranged_pairs(group(n), H)] for H in points]
+        sums = [[tuple(map(table.sum, arr)) for *_, arr, table in arranged_pairs(group(n), H)]
+                for H in points]
         for i, (P, arr, merges) in enumerate(table):
             lengths = compositions(P.r)[:-1]
             assert len(merges) == len(lengths)
@@ -1502,6 +1561,17 @@ def test_fast_suite_passes_at_other_seeds(seed):
     elapsed = time.perf_counter() - start
     assert [r.to_json() for r in reports if not r.ok] == []
     assert elapsed < 60.0, elapsed
+
+
+def test_slope_sweep_without_samples_writes_strict_json():
+    """A size that drew no samples has no positive rate: its report holds
+    None, numpy warns of no empty mean, and strict JSON takes the reports."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = verify_E(max_n=3, samples=0, sandwich_samples=20)
+    assert [rep.stats["positive_rate"] for rep in reports[:-1]] == [None] * 3
+    assert all(rep.ok for rep in reports) and reports[-1].samples == 20
+    json.dumps([rep.to_json() for rep in reports], allow_nan=False)
 
 
 def test_verify_report_serializes():
