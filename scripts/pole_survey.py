@@ -19,9 +19,10 @@ import mpmath
 from mpmath import mp
 
 from orbitzeta import __version__
-from orbitzeta.cli import GATED_MAX_N, RESIDUES_MAX_N, _as_mpf, orbit_residue
+from orbitzeta.cli import GATED_MAX_N, RESIDUES_MAX_N, orbit_residue
 from orbitzeta.partitions import enumerate_classes, partitions_of
 from orbitzeta.xinumeric import PrecisionConfig
+from orbitzeta.xinumeric.laurent import as_mpf
 
 
 def survey(max_n, base):
@@ -41,7 +42,7 @@ def survey(max_n, base):
                     "partition": str(p),
                     "classes": len(enumerate_classes(p)),
                     "pole_order": rr.pole_order,
-                    "residue": mpmath.nstr(_as_mpf(rr.residue), 15),
+                    "residue": mpmath.nstr(as_mpf(rr.residue), 15),
                     "residue_error": "%.3e" % rr.residue_error,
                     "formal_deep_vanish": formal.all_deep_vanish,
                     "deep_audit": rr.to_json()["audit"],

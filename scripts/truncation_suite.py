@@ -5,6 +5,9 @@ host with Python 3.11; --fast divides every sample count by ten for a
 quick look.  The archived copy lives in reports/truncation_suite.json.
 
 Usage: python3 scripts/truncation_suite.py [--fast] [--seed N] [--out PATH]
+
+Exit codes: 0 every check passes, 1 a check failed, 2 a usage error (a
+negative --seed).
 """
 
 import argparse
@@ -30,6 +33,9 @@ def main(argv=None):
         ),
     )
     args = ap.parse_args(argv)
+    if args.seed < 0:
+        print("error: seed must be non-negative, got %d" % args.seed, file=sys.stderr)
+        return 2
 
     started = time.perf_counter()
     reports = full_suite(seed=args.seed, fast=args.fast)

@@ -1,7 +1,8 @@
 """Exact rational truncation combinatorics for block decompositions.
 
 roots: compositions, standard and semi-standard block data, rearrangement
-enumeration, and the half-sum / weight / simple-root pairings.
+enumeration, the half-sums, and the SubsetTable whose one pairing every
+root and weight sign test reads, with each type's table keys.
 instability: degrees of instability, canonical destabilizing pairs,
 chamber cones, and extremal maximizers.  indicators: the step functions
 built from root pairings and their alternating-sum identities.  sampling:
@@ -42,13 +43,11 @@ from .roots import (
     as_exact,
     coarsenings_of,
     compositions,
-    consecutive_root_gaps,
     epsilon_between,
     group,
     minimal_parabolic,
     ordered_set_partitions,
     refinements_within,
-    relative_weight_gaps,
     semistandard_all,
     standard_parabolics,
 )

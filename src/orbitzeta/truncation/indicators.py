@@ -1,10 +1,10 @@
 """Indicator functions and the alternating-sum identities built from them.
 
-Every indicator reads only block sums of an exact point, through pairings
-scaled by positive block sizes, compared strictly or weakly against zero.
-On an integer point (every point the sweeps draw, once cleared) these are
-integer sign tests; on a rational one the same comparisons run on exact
-Fractions.
+Every indicator reads its sign tests as keys of one roots.SubsetTable per
+call: gap(S, T) for a root or weight pairing, nonpositive(S) for a leading
+sum, constant(S) for semistability.  On an integer point (every point the
+sweeps draw, once cleared) these are integer sign tests; on a rational one
+the same comparisons run on exact Fractions.
 
 Each identity's body (the *_terms and *_tests generators) yields its signs
 and tests lazily, from a point or a tuple of int64 sample columns alike;
@@ -22,12 +22,13 @@ from .roots import (
     WallError,
     arranged_pairs,
     as_exact,
+    block_sets,
     coarsening_splits,
-    consecutive_root_gaps,
     epsilon_between,
-    relative_weight_gaps,
-    run_totals,
+    ordering_keys,
+    root_keys,
     runs,
+    weight_keys,
 )
 
 
@@ -36,37 +37,38 @@ def _check_length(H, n):
         raise ValueError("point has %d coordinates, expected %d" % (len(H), n))
 
 
-def _split_sums(P, Q, H):
-    """P.split_by(Q) and P's block sums of the exact point H, after
-    checking that P refines Q and that H has Q.n coordinates."""
+def _type_table(P, Q, H):
+    """P.split_by(Q), P's index sets and a SubsetTable of the exact point,
+    after checking that P refines Q and that H has Q.n coordinates."""
+    H = as_exact(H)
     try:
         subs = P.split_by(Q)
     except ValueError:
         raise ValueError("%s does not refine %s" % (P, Q)) from None
     _check_length(H, Q.n)
-    return subs, P.block_sums(H)
+    return subs, block_sets(P), SubsetTable(H)
 
 
 def indicator_tau(P, Q, H):
     """1 iff every simple-root pairing of P relative to Q is > 0: block
     averages strictly decrease within each ambient block."""
-    subs, sums = _split_sums(P, Q, as_exact(H))
-    return 1 if all(g > 0 for g in consecutive_root_gaps(subs, sums)) else 0
+    subs, sets, table = _type_table(P, Q, H)
+    return 1 if all(itertools.starmap(table.gap, root_keys(subs, sets))) else 0
 
 
 def indicator_tau_hat(P, Q, H):
     """1 iff every fundamental-weight pairing of P relative to Q is > 0:
-    each leading partial block sum strictly exceeds its proportional share
-    of the ambient block total."""
-    subs, sums = _split_sums(P, Q, as_exact(H))
-    return 1 if all(g > 0 for g in relative_weight_gaps(subs, sums)) else 0
+    the average of each leading run of blocks strictly exceeds the
+    ambient block's average."""
+    subs, sets, table = _type_table(P, Q, H)
+    return 1 if all(itertools.starmap(table.gap, weight_keys(subs, sets))) else 0
 
 
 def indicator_chi(P, Q, H):
     """1 iff the leading sub-block coordinate sum in each ambient block
     is <= 0 (the scaled leading-weight pairing)."""
-    subs, sums = _split_sums(P, Q, as_exact(H))
-    return 1 if all(run[0] <= 0 for run in runs(sums, map(len, subs))) else 0
+    subs, sets, table = _type_table(P, Q, H)
+    return 1 if all(table.nonpositive(run[0]) for run in runs(sets, map(len, subs))) else 0
 
 
 def e_pair_tests(Q, H):
@@ -123,22 +125,22 @@ def indicator_E(Q, H):
 
 
 def _coarsening_terms(finer, base, inner, outer, H):
-    """(sign(base,Q), gaps) per coarsening Q of base: Q's term counts when
-    every gap is > 0, the inner pairings of finer within Q and then the
-    outer ones of Q within the group (Q's block sums are run totals)."""
-    sums = finer.block_sums(H)
+    """(sign(base,Q), tests) per coarsening Q of base: Q's term counts when
+    every test holds, the gaps of the inner keys (root_keys or weight_keys)
+    of finer within Q and then of the outer ones of Q within the group."""
+    table = SubsetTable(H)
     for Q, subs in coarsening_splits(finer, base):
-        outer_gaps = outer((Q.blocks,), run_totals(subs, sums))
-        yield epsilon_between(base, Q), itertools.chain(inner(subs, sums), outer_gaps)
+        keys = itertools.chain(inner(subs, block_sets(finer)), outer((Q.blocks,), block_sets(Q)))
+        yield epsilon_between(base, Q), itertools.starmap(table.gap, keys)
 
 
 def _signed_sum(terms):
-    return sum(sign for sign, gaps in terms if all(g > 0 for g in gaps))
+    return sum(sign for sign, tests in terms if all(tests))
 
 
 def sigma_terms(P1, P2, H):
     """indicator_sigma's terms: tau(P1 within P) * tau_hat(P within G)."""
-    return _coarsening_terms(P1, P2, consecutive_root_gaps, relative_weight_gaps, H)
+    return _coarsening_terms(P1, P2, root_keys, weight_keys, H)
 
 
 def indicator_sigma(P1, P2, H):
@@ -157,7 +159,7 @@ def indicator_sigma(P1, P2, H):
 
 def langlands_terms(P, H):
     """langlands_sum's terms: tau_hat(P within Q) * tau(Q within G)."""
-    return _coarsening_terms(P, P, relative_weight_gaps, consecutive_root_gaps, H)
+    return _coarsening_terms(P, P, weight_keys, root_keys, H)
 
 
 def langlands_sum(P, H):
@@ -171,15 +173,6 @@ def langlands_sum(P, H):
     return _signed_sum(langlands_terms(P, H))
 
 
-def ordering_gaps(sizes, sums):
-    """(order, weight pairings inside the one-block group) per ordering of
-    the blocks; the sums may be exact numbers or int64 sample columns."""
-    for order in itertools.permutations(range(len(sizes))):
-        # the ordered blocks inside the one-block group: the split is one run
-        subs = (tuple(sizes[u] for u in order),)
-        yield order, relative_weight_gaps(subs, tuple(sums[u] for u in order))
-
-
 def levi_sum_tau_hat(M, H):
     """Count the block orderings whose weight pairings are all strictly
     positive; equals (r-1)! off walls for r blocks.
@@ -191,11 +184,12 @@ def levi_sum_tau_hat(M, H):
     _check_length(H, M.n)
     if not all(blocks_constant(M, H)):
         raise ValueError("point is not block-constant on %s" % (M,))
-    count = 0
-    for order, gaps in ordering_gaps(M.blocks, M.block_sums(H)):
-        if 0 in gaps:
+    table, count = SubsetTable(H), 0
+    for order, keys in ordering_keys(M):
+        pairings = list(itertools.starmap(table.pairing, keys))
+        if 0 in pairings:
             raise WallError("ordering %r pairs to zero" % (order,))
-        count += all(g > 0 for g in gaps)
+        count += all(p > 0 for p in pairings)
     return count
 
 
@@ -218,12 +212,12 @@ class ArthurReport:
 
 
 def partition_terms(Q, H):
-    """(chamber tests, sign(P,Q), weight gaps) per pair below Q: identity
-    one counts the pairs whose tests all hold, identity two sums the signs
-    of those whose weight gaps are all > 0."""
+    """(chamber tests, sign(P,Q), weight tests) per pair below Q: identity
+    one counts the pairs whose chamber tests all hold, identity two sums
+    the signs of those whose weight gaps all hold."""
     for P, subs, arr, table in arranged_pairs(Q, H):
-        gaps = relative_weight_gaps(subs, tuple(map(table.sum, arr)))
-        yield chamber_tests(subs, arr, table), epsilon_between(P, Q), gaps
+        weights = itertools.starmap(table.gap, weight_keys(subs, arr))
+        yield chamber_tests(subs, arr, table), epsilon_between(P, Q), weights
 
 
 def blocks_constant(Q, H):
@@ -244,9 +238,9 @@ def arthur_partition_report(Q, H):
     _check_length(H, Q.n)
     partition_sum = 0
     alternating = 0
-    for tests, sign, gaps in partition_terms(Q, H):
+    for tests, sign, weights in partition_terms(Q, H):
         partition_sum += all(tests)
-        if all(g > 0 for g in gaps):
+        if all(weights):
             alternating += sign
     return ArthurReport(
         partition_sum=partition_sum,

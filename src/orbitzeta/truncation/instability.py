@@ -32,17 +32,16 @@ from .roots import (
 MAX_SUBSET_BLOCK = 22  # 2^22 subset scans are the ceiling for literal routes
 
 
-def subset_sums(values, proper=False):
+def subset_sums(values):
     """(index subset, coordinate sum) for every nonempty subset of values,
-    smaller subsets first, each size in lexicographic order; proper=True
-    leaves out the full set.
+    smaller subsets first, each size in lexicographic order.
 
     A literal 2^m scan, refused beyond MAX_SUBSET_BLOCK values.
     """
     m = len(values)
     if m > MAX_SUBSET_BLOCK:
         raise ValueError("block too large for literal subset scan")
-    for size in range(1, m if proper else m + 1):
+    for size in range(1, m + 1):
         for T in itertools.combinations(range(m), size):
             yield T, sum(map(values.__getitem__, T))
 
@@ -217,16 +216,16 @@ def cone_tests(prime, H):
     """Literal chamber-cone membership tests for an ordered index partition,
     lazily, at a point or on a tuple of sample columns.
 
-    Strictly decreasing block averages, and for every block every nonempty
-    proper subset must have average <= the block average (each such subset
-    is the leading group of some ordered refinement, and those exhaust the
-    refinement weights; the full block passes trivially).
+    Strictly decreasing block averages, and for every block S every
+    nonempty proper subset T must have average <= S's, pairing(S, T) >= 0
+    (each such subset is the leading group of some ordered refinement, and
+    those exhaust the refinement weights; the full block passes trivially).
     """
     table = SubsetTable(H)
     yield from map(table.gap, prime.blocks, prime.blocks[1:])
     for S in prime.blocks:
-        for T, s in subset_sums([H[i] for i in S], proper=True):
-            yield s * len(S) <= table.sum(S) * len(T)
+        for k in range(1, len(S)):
+            yield from (table.pairing(S, T) >= 0 for T in itertools.combinations(S, k))
 
 
 def cone_accepts(prime, H):

@@ -7,13 +7,13 @@ The Weyl group is the symmetric group; a coset of permutations modulo the
 block-preserving subgroup is exactly an arrangement assigning index sets to
 blocks, which is the representation used throughout.
 
-All pairings against roots, weights, and half-sums reduce to block sums:
-
-- restricted simple roots compare consecutive block averages;
-- fundamental weights relative to an ambient block compare a leading partial
-  sum against its size-proportional share of the ambient total;
-- the half-sum of radical roots pairs a block sum with (n - N_i - N_{i-1})/2
-  where N_i is the i-th partial sum of the composition.
+Every root and weight sign test compares the averages of two index sets,
+scaled by their sizes: SubsetTable.pairing(S, T) = s_S * |T| - s_T * |S|.
+A restricted simple root pairs adjacent blocks S, T of one ambient block;
+a fundamental weight relative to an ambient block pairs the union S of the
+blocks before its cut with the whole ambient block T.  The *_keys helpers
+list those (S, T) once per type.  The half-sum of radical roots pairs a
+block sum with (n - N_i - N_{i-1})/2, N_i the i-th partial composition sum.
 
 Points are exact: integral coordinates stay Python ints and only genuinely
 rational ones are Fractions (as_exact), so on cleared integer points every
@@ -100,10 +100,6 @@ class StandardParabolic:
         stops = [ends.index(c) + 1 for c in cuts]
         return tuple(self.blocks[a:b] for a, b in zip([0] + stops, stops))
 
-    def block_sums(self, point):
-        """Per-block coordinate sums of a point in Q^n."""
-        return tuple(sum(point[a:b]) for a, b in self.intervals)
-
     def __str__(self):
         return "(" + ",".join(str(b) for b in self.blocks) + ")"
 
@@ -157,6 +153,42 @@ def coarsening_splits(finer, base):
     """(Q, finer.split_by(Q)) for each Q in coarsenings_of(base), where
     finer refines base.  Built once per pair."""
     return tuple((Q, finer.split_by(Q)) for Q in coarsenings_of(base))
+
+
+@lru_cache(maxsize=None)
+def block_sets(P):
+    """P's blocks as ascending index tuples (its identity arrangement)."""
+    return tuple(runs(tuple(range(P.n)), P.blocks))
+
+
+@lru_cache(maxsize=None)
+def root_keys(subs, arr):
+    """SubsetTable keys (S, T) of P's simple roots relative to Q, with
+    subs = P.split_by(Q) and arr the index set per P-block: the adjacent
+    sets inside each Q-block."""
+    return tuple(key for sets in runs(arr, map(len, subs)) for key in zip(sets, sets[1:]))
+
+
+@lru_cache(maxsize=None)
+def weight_keys(subs, arr):
+    """SubsetTable keys (S, T) of P's fundamental weights relative to Q
+    (subs and arr as in root_keys): per cut inside a Q-block, S the union
+    of the sets before it and T the whole Q-block."""
+    keys = []
+    for sets in runs(arr, map(len, subs)):
+        unions = list(itertools.accumulate(sets, lambda S, T: tuple(sorted(S + T))))
+        keys += [(S, unions[-1]) for S in unions[:-1]]
+    return tuple(keys)
+
+
+@lru_cache(maxsize=None)
+def ordering_keys(M):
+    """(order, weight keys of the ordered blocks inside the one-block
+    group) per ordering of M's blocks."""
+    sets = block_sets(M)
+    return tuple((order, weight_keys((tuple(M.blocks[u] for u in order),),
+                                     tuple(sets[u] for u in order)))
+                 for order in itertools.permutations(range(M.r)))
 
 
 @dataclass(frozen=True)
@@ -275,10 +307,10 @@ class SubsetTable:
     """One call's subset sums and sign tests of H, an exact point or a
     tuple of int64 sample columns, keyed by index set (ascending tuples).
 
-    Each entry is evaluated on first use and kept for the call: sum(S),
-    S[:-1]'s sum plus one coordinate; gap(S, T), the scaled average gap
-    s_S * |T| - s_T * |S| > 0 of an adjacent ordered pair of blocks;
-    constant(S), S carries one value; nonpositive(S), S's sum is <= 0.
+    pairing(S, T) = s_S * |T| - s_T * |S| is computed on each use; every
+    other entry on first use, then kept for the call: sum(S), S[:-1]'s sum
+    plus one coordinate; gap(S, T), pairing(S, T) > 0; constant(S), S
+    carries one value; nonpositive(S), S's sum is <= 0.
     """
 
     def __init__(self, H):
@@ -293,9 +325,11 @@ class SubsetTable:
         return self._entry(("sum", S), lambda: self.sum(S[:-1]) + self.H[S[-1]]
                            if len(S) > 1 else self.H[S[0]])
 
+    def pairing(self, S, T):
+        return self.sum(S) * len(T) - self.sum(T) * len(S)
+
     def gap(self, S, T):
-        return self._entry(("gap", S, T),
-                           lambda: self.sum(S) * len(T) - self.sum(T) * len(S) > 0)
+        return self._entry(("gap", S, T), lambda: self.pairing(S, T) > 0)
 
     def constant(self, S):
         return self._entry(("constant", S), lambda: reduce(
@@ -320,50 +354,6 @@ def doubled_relative_rho(subs):
     aligned with P's blocks: each Q-block's sub-composition gets its own
     local vector, and the Q-blocks contribute independently."""
     return tuple(itertools.chain.from_iterable(doubled_half_sums(sub) for sub in subs))
-
-
-def _within_blocks(subs, sums):
-    """Each Q-block's sub-block sizes (from subs = P.split_by(Q)) with
-    their entries of the P-block sums."""
-    return zip(subs, runs(sums, map(len, subs)))
-
-
-def relative_weight_gaps(subs, sums):
-    """Pairings of P's relative fundamental weights against per-block sums.
-
-    subs is P.split_by(Q); sums are P-block coordinate sums (of the point,
-    possibly rearranged).  Within a Q-block of size L holding sub-block
-    sizes (m_1..m_t) and sums (s_1..s_t), the weight at cut u pairs to
-    (partial sum) - (partial size / L) * (block total); the returned value
-    is that pairing scaled by L > 0, so signs are preserved and arithmetic
-    stays in integers whenever the sums are integers.
-    """
-    out = []
-    for sub, block_sums in _within_blocks(subs, sums):
-        L, total = sum(sub), sum(block_sums)
-        for psize, psum in zip(itertools.accumulate(sub[:-1]),
-                               itertools.accumulate(block_sums[:-1])):
-            out.append(L * psum - psize * total)
-    return tuple(out)
-
-
-def consecutive_root_gaps(subs, sums):
-    """Simple-root pairings of P relative to Q (subs = P.split_by(Q)):
-    consecutive block-average differences within each Q-block, in block
-    order, scaled by the (positive) product of the two block sizes.
-
-    Yielded lazily, so a sign test stops at its first failing pairing."""
-    return (
-        s[u] * sub[u + 1] - s[u + 1] * sub[u]
-        for sub, s in _within_blocks(subs, sums)
-        for u in range(len(sub) - 1)
-    )
-
-
-def run_totals(subs, sums):
-    """Block sums of Q from P's block sums: one total per run of P-blocks
-    inside a Q-block (subs = P.split_by(Q))."""
-    return tuple(sum(block_sums) for _, block_sums in _within_blocks(subs, sums))
 
 
 def epsilon_between(P, Q):

@@ -16,26 +16,26 @@ one entry per sample.  The public operations read it on one exact point;
 the sweeps here read it on all sampled points at once and only combine
 the boolean columns; so do the canonical-pair oracle's filter, the
 extremal maximizers and the slope sandwich, whose samples are all drawn
-first.  The pair bodies read each subset sum and each gap, constancy and
+first.  Every body reads each subset sum and each gap, constancy and
 leading-sign test once per call, from that call's roots.SubsetTable;
-_e_counts hands e_pair_tests E_ROWS rows at a time, so a table holds few
-columns.  The value classes of canonical_pair and cone_membership are
-read per row as dense ranks (_value_ranks) and matched to each pair's
-rank vector (_pair_ranks); scalar calls only word a failing row.  The
-Levi count reads orderings as chains of prefix sets (_levi_counts), not
-the r! orderings of indicators.ordering_gaps.
+_e_counts and the canonical-pair oracle read their rows in chunks
+(_chunked), so a table holds few columns.  The value classes of
+canonical_pair and cone_membership are read per row as dense ranks
+(_value_ranks) and matched to each pair's rank vector (_pair_ranks);
+scalar calls only word a failing row.  The Levi count reads orderings as
+chains of prefix sets (_levi_counts), not the r! orderings of
+indicators.levi_sum_tau_hat.
 
 Overflow: with M the largest |entry| of a cleared sample, every subset
-sum (the table's among them) is at most n * M, and each swept pairing is
-a difference of two products bounded by n^2 * M, such a sum times a
-block or subset size (at most n): the table's gaps s_S * |T| - s_T * |S|,
-the Langlands, sigma and partition gaps on block sums and run totals,
-the cone tests s * |S| against s_S * |T|, the extremal cross-products
-s_T * |U|, and the oracle's doubled pairings, |d| <= (n - 1) * n * M.
-_columns asserts n^2 * M < 2^62 before any sweep, so every difference
-stays below 2^63.  The Levi sweep takes per-block values and asserts
-M * max size * n * r < 2^62, which is at least n^2 * M: each subset gap
-n * sum(S) - |S| * total and each block's share of it stays below 2^63.
+sum is at most n * M.  Every swept root, weight and cone pairing is
+SubsetTable.pairing(S, T) = s_S * |T| - s_T * |S|, a difference of two
+products bounded by n^2 * M, such a sum times a set size (at most n); so
+are the extremal cross-products s_T * |U|, and the oracle's doubled
+pairings have |d| <= (n - 1) * n * M.  _columns asserts n^2 * M < 2^62
+before any sweep, so every difference stays below 2^63.  The Levi sweep
+takes per-block values and asserts M * max size * n * r < 2^62, which is
+at least n^2 * M: each subset gap n * sum(S) - |S| * total and each
+block's share of it stays below 2^63.
 With M <= 100 * lcm(1..20) both hold for every n used here; tests pin
 each sweep to the scalar operation row by row.
 """
@@ -79,6 +79,7 @@ from .roots import (
 NUMERATOR_BOUND = 100
 DENOMINATOR_BOUND = 20
 E_ROWS = 8192  # rows per e_pair_tests call in _e_counts: bounds its table's columns
+CANONICAL_ROWS = 1024  # rows per _maximal_maximizers call: bounds its pairs' columns
 
 
 @dataclass
@@ -146,10 +147,19 @@ def _columns(points, width, factor):
 
 
 def _signed_counts(terms, samples):
-    """Per sample, the sum of sign over the (sign, gaps) terms whose gaps
-    are all > 0."""
-    signed = (sign * _every((g > 0 for g in gaps), samples) for sign, gaps in terms)
+    """Per sample, the sum of sign over the (sign, tests) terms whose tests
+    all hold."""
+    signed = (sign * _every(tests, samples) for sign, tests in terms)
     return sum(signed, np.zeros(samples, dtype=np.int64))
+
+
+def _chunked(cols, rows, evaluate):
+    """evaluate(columns), a tuple of results whose last axis runs over the
+    samples, on consecutive slices of at most rows samples of the columns
+    (one empty slice when there are none); each result concatenated."""
+    parts = [evaluate(tuple(col[lo:lo + rows] for col in cols))
+             for lo in range(0, max(len(cols[0]), 1), rows)]
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
 def _sweep(rep, points, cases, values, bad, details):
@@ -294,8 +304,9 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
         rep = VerifyReport(identity="canonical-pair", n=n, samples=count)
         points = _draw_cleared(rng, (count, n))
         cols, ranks = _columns(points, n, n**2), _value_ranks(points)
-        best, survivors = _maximal_maximizers(cols, np.maximum.reduce)
-        survivors = np.stack(survivors, axis=1)
+        best, survivors = _chunked(cols, CANONICAL_ROWS,
+                                   lambda part: _maximal_maximizers(part, np.maximum.reduce))
+        survivors = survivors.T  # (samples, pairs)
         paired = _one_matches(survivors, _pair_ranks(n), ranks)
         _, flags = _extremal_maximizers(cols, np.maximum.reduce)
         subsets = np.array([[i in T for i in range(n)] for T, _ in flags])
@@ -357,11 +368,13 @@ def _e_counts(Q, points):
     integer row (samples, Q.n), as two columns; e_pair_tests reads the
     rows E_ROWS at a time."""
     cols = _columns(points, Q.n, Q.n**2)
-    counts = np.zeros(len(points), dtype=np.int64)
-    for lo in range(0, len(points), E_ROWS):
-        part, part_counts = tuple(col[lo:lo + E_ROWS] for col in cols), counts[lo:lo + E_ROWS]
+    def count(part):
+        counts = np.zeros(len(part[0]), dtype=np.int64)
         for _, _, tests in e_pair_tests(Q, part):
-            part_counts += _every(tests, len(part_counts))
+            counts += _every(tests, len(counts))
+        return (counts,)
+
+    (counts,) = _chunked(cols, E_ROWS, count)
     return counts, _every(e_subset_tests(Q, cols), len(points))
 
 
@@ -453,9 +466,9 @@ def _partition_values(Q, cols):
     arthur_partition_report, per sample."""
     samples = len(cols[0])
     part, alternating = np.zeros((2, samples), dtype=np.int64)
-    for tests, sign, gaps in partition_terms(Q, cols):
+    for tests, sign, weights in partition_terms(Q, cols):
         part += _every(tests, samples)
-        alternating += sign * _every((g > 0 for g in gaps), samples)
+        alternating += sign * _every(weights, samples)
     return part, _every(blocks_constant(Q, cols), samples), alternating
 
 

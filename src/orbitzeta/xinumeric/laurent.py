@@ -66,8 +66,12 @@ FLOOR_MARGIN = 10.0
 JSON_DIGITS = 30
 
 
-def _is_exact(value):
-    return isinstance(value, (Fraction, int))
+def as_mpf(value):
+    """Exact rational values (Fractions and ints) as mpf at the working
+    precision; mpf values unchanged."""
+    if isinstance(value, Fraction):
+        return mpf(value.numerator) / value.denominator
+    return mpf(value) if isinstance(value, int) else value
 
 
 class _Pair(NamedTuple):
@@ -279,9 +283,7 @@ class LaurentSeries:
 
 
 def _format_value(value):
-    if _is_exact(value):
-        value = mpf(value.numerator) / value.denominator if isinstance(value, Fraction) else mpf(value)
-    return mpmath.nstr(value, JSON_DIGITS, strip_zeros=False)
+    return mpmath.nstr(as_mpf(value), JSON_DIGITS, strip_zeros=False)
 
 
 @dataclass(frozen=True)

@@ -79,3 +79,13 @@ def test_truncation_suite_fast(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["all_pass"] is True
     assert len(payload["checks"]) == 30
+
+
+def test_truncation_suite_refuses_a_negative_seed(tmp_path, capsys):
+    """A negative --seed is a usage error, exit 2 with one error line and no
+    report; exit 1 means a check failed."""
+    out = tmp_path / "suite.json"
+    assert load_script("truncation_suite").main(["--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be non-negative, got -1\n")
+    assert not out.exists()

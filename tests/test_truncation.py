@@ -37,7 +37,6 @@ from orbitzeta.truncation import (
     compositions,
     cone_accepts,
     cone_membership,
-    consecutive_root_gaps,
     degree_instability,
     e_sum_terms,
     epsilon_between,
@@ -55,7 +54,6 @@ from orbitzeta.truncation import (
     ordered_set_partitions,
     pair_pairing,
     refinements_within,
-    relative_weight_gaps,
     semistandard_all,
     standard_parabolics,
 )
@@ -64,7 +62,6 @@ from orbitzeta.truncation.indicators import (
     blocks_constant,
     e_subset_tests,
     langlands_terms,
-    ordering_gaps,
     sigma_terms,
 )
 from orbitzeta.truncation.instability import cone_tests
@@ -208,6 +205,105 @@ def test_epsilon_between():
 
 
 # ---------------------------------------------------------------------------
+# Fraction block averages: oracles independent of roots.SubsetTable
+# ---------------------------------------------------------------------------
+
+
+def average(H, S):
+    """The exact average of the coordinates of H over the index set S."""
+    return Fraction(sum(H[i] for i in S), len(S))
+
+
+def grouped_sets(P, Q, arr=None):
+    """P's index sets (arr, or P's consecutive blocks), grouped by the
+    Q-block that holds them, in block order."""
+    sets = arr or [tuple(range(a, b)) for a, b in P.intervals]
+    return [[S for S in sets if c <= min(S) < d] for c, d in Q.intervals]
+
+
+def tau_by_averages(P, Q, H, arr=None):
+    """Adjacent block averages strictly decrease inside each Q-block."""
+    return all(average(H, S) > average(H, T)
+               for sets in grouped_sets(P, Q, arr) for S, T in zip(sets, sets[1:]))
+
+
+def weight_margins(P, Q, H, arr=None):
+    """Per cut inside a Q-block, the average of the blocks before it minus
+    the Q-block's average."""
+    return [average(H, sum(sets[:k], ())) - average(H, sum(sets, ()))
+            for sets in grouped_sets(P, Q, arr) for k in range(1, len(sets))]
+
+
+def tau_hat_by_averages(P, Q, H, arr=None):
+    """Every weight margin is > 0."""
+    return all(m > 0 for m in weight_margins(P, Q, H, arr))
+
+
+def chi_by_averages(P, Q, H):
+    """The first block inside each Q-block has average <= 0."""
+    return all(average(H, sets[0]) <= 0 for sets in grouped_sets(P, Q))
+
+
+def levi_by_averages(M, H):
+    """(on a wall, number of block orderings of M whose weight margins in
+    the one-block group are all > 0): a wall is a zero margin.  A margin
+    depends only on the set of blocks before its cut, so each is averaged
+    once."""
+    sets, whole = [tuple(range(a, b)) for a, b in M.intervals], average(H, range(M.n))
+
+    @functools.cache
+    def margin(blocks):
+        return average(H, sum((sets[u] for u in blocks), ())) - whole
+
+    margins = [[margin(tuple(sorted(order[:k]))) for k in range(1, M.r)]
+               for order in itertools.permutations(range(M.r))]
+    return (any(0 in ms for ms in margins), sum(all(m > 0 for m in ms) for ms in margins))
+
+
+def _oracle_points(n):
+    """The battery points of size n and wall rows: ties, zeros, mirrors."""
+    walls = _wall_variants(np.random.default_rng(SEED + n), n, 30).tolist()
+    return [H for H in _battery_points() if len(H) == n] + [tuple(H) for H in walls]
+
+
+def test_type_indicators_match_fraction_averages():
+    """indicator_tau, indicator_tau_hat and indicator_chi for every pair of
+    types with n <= 4, on the battery and wall points, against block
+    averages computed here; a pair that does not refine is refused."""
+    for n in range(1, 5):
+        types = standard_parabolics(n)
+        for H in _oracle_points(n):
+            for P, Q in itertools.product(types, types):
+                if not P.refines(Q):
+                    for indicator in (indicator_tau, indicator_tau_hat, indicator_chi):
+                        with pytest.raises(ValueError, match="does not refine"):
+                            indicator(P, Q, H)
+                    continue
+                assert indicator_tau(P, Q, H) == tau_by_averages(P, Q, H), (P, Q, H)
+                assert indicator_tau_hat(P, Q, H) == tau_hat_by_averages(P, Q, H), (P, Q, H)
+                assert indicator_chi(P, Q, H) == chi_by_averages(P, Q, H), (P, Q, H)
+
+
+def test_levi_count_matches_fraction_averages():
+    """levi_sum_tau_hat for every type with n <= 4 at block-constant points
+    whose block values are battery or wall points: the ordering count off
+    walls, WallError on them."""
+    walls = 0
+    for n in range(1, 5):
+        for M in standard_parabolics(n):
+            for values in _oracle_points(M.r):
+                H = tuple(v for v, m in zip(values, M.blocks) for _ in range(m))
+                on_wall, count = levi_by_averages(M, H)
+                walls += on_wall
+                if on_wall:
+                    with pytest.raises(WallError):
+                        levi_sum_tau_hat(M, H)
+                else:
+                    assert levi_sum_tau_hat(M, H) == count == math.factorial(M.r - 1), (M, H)
+    assert walls > 100
+
+
+# ---------------------------------------------------------------------------
 # tau and tau-hat
 # ---------------------------------------------------------------------------
 
@@ -343,18 +439,19 @@ def semistable_three_ways(Q, H):
 
     Returns (by_degree, by_all_weights, by_corank_one_weights):
     degree <= 0; every relative fundamental-weight pairing over every
-    refinement and rearrangement <= 0; the same restricted to refinements
-    splitting a single block once (one block more than Q).
+    refinement and rearrangement <= 0, read as Fraction averages; the same
+    restricted to refinements splitting a single block once (one block
+    more than Q).
     """
     H = as_exact(H)
     by_degree = degree_instability(Q, H) <= 0
 
-    def destabilized(pairs):
-        return any(g > 0 for _, subs, arr, table in pairs
-                   for g in relative_weight_gaps(subs, tuple(map(table.sum, arr))))
+    def destabilized(Ps):
+        return any(m > 0 for P in Ps for arr in arrangements(P, Q)
+                   for m in weight_margins(P, Q, H, arr))
 
-    by_all = not destabilized(arranged_pairs(Q, H))
-    by_maximal = not destabilized(pair for pair in arranged_pairs(Q, H) if pair[0].r == Q.r + 1)
+    by_all = not destabilized(refinements_within(Q))
+    by_maximal = not destabilized(P for P in refinements_within(Q) if P.r == Q.r + 1)
     return by_degree, by_all, by_maximal
 
 
@@ -578,7 +675,7 @@ def test_scalar_and_vectorized_levi_counts_agree():
     where the scalar sum raises WallError.  Every type with n <= 6, the
     range full_suite sweeps; small values put many rows on walls, where
     the count must still be that of the orderings whose pairings are all
-    > 0 (ordering_gaps)."""
+    > 0, read from Fraction block averages."""
     r = rng()
     walls = 0
     for n in range(1, 7):
@@ -595,8 +692,7 @@ def test_scalar_and_vectorized_levi_counts_agree():
                 try:
                     expected.append((False, levi_sum_tau_hat(p, H)))
                 except WallError:
-                    gaps = ordering_gaps(p.blocks, p.block_sums(H))
-                    expected.append((True, sum(all(g > 0 for g in gs) for _, gs in gaps)))
+                    expected.append(levi_by_averages(p, H))
             counts, wall = _levi_counts(p.blocks, np.asarray(rows, dtype=np.int64))
             for got, on_wall, (want_wall, want) in zip(counts, wall, expected):
                 assert bool(on_wall) == want_wall
@@ -640,12 +736,32 @@ def test_batched_E_matches_scalar_routes_pointwise(monkeypatch):
             assert 0 < subset_ok.sum() < points.shape[0]
 
 
+def _interval(a, b):
+    return tuple(range(a, b))
+
+
+def _root_gaps(P, Q):
+    """(S, T) per pair of adjacent blocks of P inside one block of Q."""
+    return {(_interval(*u), _interval(*v)) for u, v in zip(P.intervals, P.intervals[1:])
+            if any(c <= u[0] and v[1] <= d for c, d in Q.intervals)}
+
+
+def _weight_gaps(P, Q):
+    """(S, T) per cut of P strictly inside a block of Q: the part of the
+    block before the cut, and the whole block."""
+    return {(_interval(c, b), _interval(c, d))
+            for _, b in P.intervals for c, d in Q.intervals if c < b < d}
+
+
 def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
-    """One SubsetTable per arranged_pairs call: on columns below group(5)
-    the slope and partition bodies evaluate each of the 31 subset sums and
-    each of the 180 adjacent (S, T) gaps once per call, again in a second
-    call; the scalar routes evaluate no entry twice, and the canonical-pair
-    oracle reads the 31 sums only."""
+    """One SubsetTable per body call: on columns below group(5) the slope
+    and partition bodies evaluate each of the 31 subset sums and each of
+    the 180 adjacent (S, T) gaps once per call, again in a second call, and
+    the partition body adds exactly the 30 (leading union, whole block)
+    weight gaps; the Langlands and sigma bodies on columns evaluate each
+    entry once per call, their root and weight gaps exactly; the scalar
+    routes evaluate no entry twice, and the canonical-pair oracle reads the
+    31 sums only."""
     evaluated = []
     entry = roots.SubsetTable._entry
 
@@ -656,8 +772,11 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
     Q, rows = group(5), _e_rows(5)
     adjacent = {(arr[u], arr[u + 1]) for P in refinements_within(Q)
                 for arr in arrangements(P, Q) for u in range(P.r - 1)}
+    weights = {(tuple(sorted(itertools.chain(*arr[:u]))), _interval(0, 5))
+               for P in refinements_within(Q) for arr in arrangements(P, Q)
+               for u in range(1, P.r)}
     subsets = {T for k in range(1, 6) for T in itertools.combinations(range(5), k)}
-    assert (len(adjacent), len(subsets)) == (180, 31)
+    assert (len(adjacent), len(weights), len(subsets)) == (180, 30, 31)
 
     def evaluations(run):
         """The entries run evaluates, by kind, after checking that no
@@ -669,16 +788,35 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
                 for kind in ("sum", "gap", "constant", "nonpositive")}
 
     H = tuple(int(v) for v in rows[0])
-    for run in (lambda: _e_counts(Q, rows), lambda: _e_counts(Q, rows[::-1]),
-                lambda: _partition_values(Q, _columns(rows, 5, 25))):
+    for run, gaps in ((lambda: _e_counts(Q, rows), adjacent),
+                      (lambda: _e_counts(Q, rows[::-1]), adjacent),
+                      (lambda: _partition_values(Q, _columns(rows, 5, 25)), adjacent | weights)):
         got = evaluations(run)
         assert got["sum"] == {(S,) for S in subsets}, run
-        assert got["gap"] == adjacent, run
+        assert got["gap"] == gaps, run
         assert got["constant"] == {(S,) for S in subsets if len(S) > 1}, run
     assert got["nonpositive"] == set()
+    cols = _columns(rows, 5, 25)
+    G = group(5)
+    for P in standard_parabolics(5):
+        # Langlands: tau_hat(P within Q) * tau(Q within G); sigma(P1, P):
+        # tau(P1 within Q) * tau_hat(Q within G), over the coarsenings Q of P
+        calls = [((langlands_terms, P), set().union(*(_weight_gaps(P, Q) | _root_gaps(Q, G)
+                                                      for Q in coarsenings_of(P))))]
+        calls += [((sigma_terms, P1, P), set().union(*(_root_gaps(P1, Q) | _weight_gaps(Q, G)
+                                                       for Q in coarsenings_of(P))))
+                  for P1 in refinements_within(P)]
+        for (body, *types), gaps in calls:
+            got = evaluations(lambda: _signed_counts(body(*types, cols), len(rows)))
+            assert len({id(table) for table, _ in evaluated}) <= 1, (body, types)
+            assert got["gap"] == gaps, (body, types)
+            # a sum is built from its leading part's: the prefixes are read too
+            assert got["sum"] == {(S[:k],) for key in gaps for S in key
+                                  for k in range(1, len(S) + 1)}, (body, types)
+            assert got["constant"] == got["nonpositive"] == set()
     for run in (lambda: e_sum_terms(Q, H), lambda: arthur_partition_report(Q, H)):
         got = evaluations(run)
-        assert got["gap"] <= adjacent and got["sum"] <= {(S,) for S in subsets}
+        assert got["gap"] <= adjacent | weights and got["sum"] <= {(S,) for S in subsets}
     got = evaluations(lambda: canonical_pair_brute(H))
     assert got == {"sum": {(S,) for S in subsets}, "gap": set(), "constant": set(),
                    "nonpositive": set()}
