@@ -1,34 +1,30 @@
 """Indicator functions and the alternating-sum identities built from them.
 
-Every indicator reads its sign tests as keys of one roots.SubsetTable per
-call: gap(S, T) for a root or weight pairing, nonpositive(S) for a leading
-sum, constant(S) for semistability.  On an integer point (every point the
-sweeps draw, once cleared) these are integer sign tests; on a rational one
-the same comparisons run on exact Fractions.
-
-Each identity's body (the *_terms and *_tests generators) yields its signs
-and tests lazily, from a point or a tuple of int64 sample columns alike;
-the public functions read it on one exact point with short-circuiting all().
+Every indicator and identity body evaluates its type's roots.SignPlan once
+per call and returns arrays whose first axis runs over its terms, from an
+exact point or from a tuple of int64 sample columns alike (then with a
+second axis over the samples); the public functions read it on one point.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
 from dataclasses import dataclass
 
-from .instability import chamber_tests, subset_sums
+from .instability import subset_sums
 from .roots import (
-    SubsetTable,
     WallError,
-    arranged_pairs,
     as_exact,
-    block_sets,
-    coarsening_splits,
-    epsilon_between,
-    ordering_keys,
-    root_keys,
-    runs,
-    weight_keys,
+    coarsening_plan,
+    constancy_tests,
+    leading_tests,
+    ordering_plan,
+    partition_plan,
+    root_tests,
+    slope_plan,
+    type_plan,
+    weight_tests,
 )
 
 
@@ -37,60 +33,49 @@ def _check_length(H, n):
         raise ValueError("point has %d coordinates, expected %d" % (len(H), n))
 
 
-def _type_table(P, Q, H):
-    """P.split_by(Q), P's index sets and a SubsetTable of the exact point,
-    after checking that P refines Q and that H has Q.n coordinates."""
-    H = as_exact(H)
-    try:
-        subs = P.split_by(Q)
-    except ValueError:
-        raise ValueError("%s does not refine %s" % (P, Q)) from None
+def _type_test(P, Q, tests, H):
+    """1 iff the tests of P relative to Q (roots.type_plan) hold at the
+    exact point, after checking that P refines Q and that H has Q.n
+    coordinates."""
+    H, plan = as_exact(H), type_plan(P, Q, tests)  # split_by refuses a non-refinement
     _check_length(H, Q.n)
-    return subs, block_sets(P), SubsetTable(H)
+    return int(plan.evaluate(H)[0])
 
 
 def indicator_tau(P, Q, H):
     """1 iff every simple-root pairing of P relative to Q is > 0: block
     averages strictly decrease within each ambient block."""
-    subs, sets, table = _type_table(P, Q, H)
-    return 1 if all(itertools.starmap(table.gap, root_keys(subs, sets))) else 0
+    return _type_test(P, Q, root_tests, H)
 
 
 def indicator_tau_hat(P, Q, H):
     """1 iff every fundamental-weight pairing of P relative to Q is > 0:
     the average of each leading run of blocks strictly exceeds the
     ambient block's average."""
-    subs, sets, table = _type_table(P, Q, H)
-    return 1 if all(itertools.starmap(table.gap, weight_keys(subs, sets))) else 0
+    return _type_test(P, Q, weight_tests, H)
 
 
 def indicator_chi(P, Q, H):
     """1 iff the leading sub-block coordinate sum in each ambient block
     is <= 0 (the scaled leading-weight pairing)."""
-    subs, sets, table = _type_table(P, Q, H)
-    return 1 if all(table.nonpositive(run[0]) for run in runs(sets, map(len, subs))) else 0
+    return _type_test(P, Q, leading_tests, H)
 
 
 def e_pair_tests(Q, H):
-    """(P, arrangement, tests) per pair below Q, in arranged_pairs order.
-
-    The pair contributes to the structured slope-truncation sum when every
-    test holds: its chamber tests, and each Q-block's leading arranged sum
-    is <= 0.
-    """
-    for P, subs, arr, table in arranged_pairs(Q, H):
-        leading = (sets[0] for sets in runs(arr, map(len, subs)))
-        yield P, arr, itertools.chain(chamber_tests(subs, arr, table),
-                                      map(table.nonpositive, leading))
+    """(pairs, holds) from roots.slope_plan: per pair (P, arrangement)
+    below Q, whether it contributes to the structured slope-truncation sum
+    (its chamber tests hold and each Q-block's leading sum is <= 0)."""
+    pairs, plan = slope_plan(Q)
+    return pairs, plan.evaluate(H)
 
 
 def e_sum_terms(Q, H):
     """Contributing pairs of the structured slope-truncation sum
-    (e_pair_tests).  At most one pair can contribute; callers assert that.
-    """
+    (e_pair_tests).  At most one pair can contribute; callers assert that."""
     H = as_exact(H)
     _check_length(H, Q.n)
-    return [(P, arr) for P, arr, tests in e_pair_tests(Q, H) if all(tests)]
+    pairs, holds = e_pair_tests(Q, H)
+    return [pair for pair, ok in zip(pairs, holds) if ok]
 
 
 def e_subset_tests(Q, H):
@@ -124,23 +109,18 @@ def indicator_E(Q, H):
     return e_verdict(len(terms), 1 if all(e_subset_tests(Q, as_exact(H))) else 0)
 
 
-def _coarsening_terms(finer, base, inner, outer, H):
-    """(sign(base,Q), tests) per coarsening Q of base: Q's term counts when
-    every test holds, the gaps of the inner keys (root_keys or weight_keys)
-    of finer within Q and then of the outer ones of Q within the group."""
-    table = SubsetTable(H)
-    for Q, subs in coarsening_splits(finer, base):
-        keys = itertools.chain(inner(subs, block_sets(finer)), outer((Q.blocks,), block_sets(Q)))
-        yield epsilon_between(base, Q), itertools.starmap(table.gap, keys)
-
-
-def _signed_sum(terms):
-    return sum(sign for sign, tests in terms if all(tests))
+def signed_count(terms):
+    """The sum of the signs of the (signs, holds) terms that hold: at a
+    point, or per sample on columns."""
+    signs, holds = terms
+    return signs @ holds
 
 
 def sigma_terms(P1, P2, H):
-    """indicator_sigma's terms: tau(P1 within P) * tau_hat(P within G)."""
-    return _coarsening_terms(P1, P2, root_keys, weight_keys, H)
+    """indicator_sigma's (signs, holds) per coarsening P of P2
+    (roots.coarsening_plan): tau(P1 within P) * tau_hat(P within G)."""
+    plan = coarsening_plan(P1, P2, root_tests, weight_tests)
+    return plan.signs, plan.evaluate(H)
 
 
 def indicator_sigma(P1, P2, H):
@@ -154,12 +134,14 @@ def indicator_sigma(P1, P2, H):
     if not P1.refines(P2):
         raise ValueError("%s does not refine %s" % (P1, P2))
     _check_length(H, P2.n)
-    return _signed_sum(sigma_terms(P1, P2, H))
+    return int(signed_count(sigma_terms(P1, P2, H)))
 
 
 def langlands_terms(P, H):
-    """langlands_sum's terms: tau_hat(P within Q) * tau(Q within G)."""
-    return _coarsening_terms(P, P, weight_keys, root_keys, H)
+    """langlands_sum's (signs, holds) per coarsening Q of P
+    (roots.coarsening_plan): tau_hat(P within Q) * tau(Q within G)."""
+    plan = coarsening_plan(P, P, weight_tests, root_tests)
+    return plan.signs, plan.evaluate(H)
 
 
 def langlands_sum(P, H):
@@ -170,7 +152,7 @@ def langlands_sum(P, H):
     if P.r < 2:
         raise ValueError("the sum needs a proper decomposition")
     _check_length(H, P.n)
-    return _signed_sum(langlands_terms(P, H))
+    return int(signed_count(langlands_terms(P, H)))
 
 
 def levi_sum_tau_hat(M, H):
@@ -182,15 +164,15 @@ def levi_sum_tau_hat(M, H):
     """
     H = as_exact(H)
     _check_length(H, M.n)
-    if not all(blocks_constant(M, H)):
+    if not blocks_constant(M, H):
         raise ValueError("point is not block-constant on %s" % (M,))
-    table, count = SubsetTable(H), 0
-    for order, keys in ordering_keys(M):
-        pairings = list(itertools.starmap(table.pairing, keys))
-        if 0 in pairings:
-            raise WallError("ordering %r pairs to zero" % (order,))
-        count += all(p > 0 for p in pairings)
-    return count
+    plan, orders = ordering_plan(M), math.factorial(M.r)
+    holds = plan.evaluate(H)
+    walls = holds[orders:].nonzero()[0]
+    if len(walls):  # the wall terms test the operator.eq tests, in order
+        _, S, _ = [test for test in plan.tests if test[0] is operator.eq][walls[0]]
+        raise WallError("the blocks before a cut, index set %r, pair to zero" % (S,))
+    return int(holds[:orders].sum())
 
 
 @dataclass(frozen=True)
@@ -212,18 +194,19 @@ class ArthurReport:
 
 
 def partition_terms(Q, H):
-    """(chamber tests, sign(P,Q), weight tests) per pair below Q: identity
-    one counts the pairs whose chamber tests all hold, identity two sums
-    the signs of those whose weight gaps all hold."""
-    for P, subs, arr, table in arranged_pairs(Q, H):
-        weights = itertools.starmap(table.gap, weight_keys(subs, arr))
-        yield chamber_tests(subs, arr, table), epsilon_between(P, Q), weights
+    """(chamber holds, signs, weight holds) per pair below Q
+    (roots.partition_plan): identity one counts the pairs whose chamber
+    tests all hold, identity two sums the signs of those whose weight gaps
+    all hold."""
+    plan = partition_plan(Q)
+    holds, pairs = plan.evaluate(H), len(plan.signs) // 2
+    return holds[:pairs], plan.signs[pairs:], holds[pairs:]
 
 
 def blocks_constant(Q, H):
-    """Q-semistability as one test per block of Q: it carries one value
-    (indicator_F's degree route gives the same verdict)."""
-    return map(SubsetTable(H).constant, [tuple(range(a, b)) for a, b in Q.intervals])
+    """Q-semistability: each block of Q carries one value (indicator_F's
+    degree route gives the same verdict), at a point or per sample."""
+    return type_plan(Q, Q, constancy_tests).evaluate(H)[0]
 
 
 def arthur_partition_report(Q, H):
@@ -236,14 +219,9 @@ def arthur_partition_report(Q, H):
     """
     H = as_exact(H)
     _check_length(H, Q.n)
-    partition_sum = 0
-    alternating = 0
-    for tests, sign, weights in partition_terms(Q, H):
-        partition_sum += all(tests)
-        if all(weights):
-            alternating += sign
+    chambers, signs, weights = partition_terms(Q, H)
     return ArthurReport(
-        partition_sum=partition_sum,
-        semistable_direct=1 if all(blocks_constant(Q, H)) else 0,
-        semistable_alternating=alternating,
+        partition_sum=int(chambers.sum()),
+        semistable_direct=int(blocks_constant(Q, H)),
+        semistable_alternating=int(signs @ weights),
     )

@@ -13,19 +13,22 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
+
+import numpy as np
 
 from .roots import (
     SemiStandardParabolic,
     StandardParabolic,
-    SubsetTable,
     WallTie,
-    arranged_pairs,
     as_exact,
-    coarsening_splits,
+    cone_plan,
     doubled_half_sums,
     doubled_relative_rho,
+    fold,
     group,
+    pair_merges,
+    pairing_plan,
     runs,
 )
 
@@ -80,15 +83,18 @@ def _rho_pairing(rho2, sums):
 
 def pair_pairing(P, Q, arrangement, H):
     """Half-sum pairing <rho_P^Q, sums of the rearranged point>."""
-    sums = map(SubsetTable(H).sum, arrangement)
+    sums = [sum(map(H.__getitem__, S)) for S in arrangement]
     return Fraction(_rho_pairing(doubled_relative_rho(P.split_by(Q)), sums), 2)
 
 
 def _doubled_pairs(Q, H):
-    """(refinement, arrangement, doubled pairing) below Q, in arranged_pairs
-    order, at an exact point or on a tuple of sample columns."""
-    for P, subs, arr, table in arranged_pairs(Q, H):
-        yield P, arr, _rho_pairing(doubled_relative_rho(subs), map(table.sum, arr))
+    """(pairs, doubled pairings) below Q, from roots.pairing_plan: the pairs
+    (P, arrangement) and twice each one's half-sum pairing, at an exact
+    point (as objects) or per sample on a tuple of sample columns."""
+    pairs, plan, (positions, weights, runs_) = pairing_plan(Q)
+    sums = np.asarray(plan.sums(H), dtype=None if isinstance(H[0], np.ndarray) else object)
+    weights = weights.reshape((-1,) + (1,) * (sums.ndim - 1))
+    return pairs, fold(np.add, sums[positions] * weights, runs_)
 
 
 def degree_instability(Q, H):
@@ -107,16 +113,6 @@ def indicator_F(P, H):
     """Semistability indicator: 1 iff the instability degree within each
     block is <= 0, i.e. every block of the point is constant."""
     return 1 if degree_instability(P, H) <= 0 else 0
-
-
-def chamber_tests(subs, arr, table):
-    """A pair's arranged block averages strictly decrease within each
-    Q-block (subs = P.split_by(Q), arr the index set per P-block), and the
-    rearranged point is semistable for P's blocks: each test read from the
-    call's SubsetTable."""
-    for sets in runs(arr, map(len, subs)):
-        yield from map(table.gap, sets, sets[1:])
-    yield from (table.constant(S) for S in arr if len(S) > 1)
 
 
 @dataclass(frozen=True)
@@ -150,53 +146,49 @@ def canonical_pair(H):
     Group coordinates by value, classes in descending value order: the
     class sizes are the block type, the class index sets (ascending inside
     each class) concatenate to the permutation, and the degree is the
-    half-sum pairing of the sorted point.  The two characterizing
-    conditions, the pair's chamber tests in the group (each assigned block
-    constant, assigned block averages strictly decreasing), are re-verified
-    exactly before returning.
+    half-sum pairing of the sorted point.  The pair's chamber conditions
+    are re-verified exactly before returning: each class carries one
+    value, and the class values, so the averages, strictly decrease.
     """
     H = as_exact(H)
     if not H:
         raise ValueError("empty point")
     blocks = _value_classes(H)
-    P = StandardParabolic(tuple(len(S) for S in blocks))
-    if not all(chamber_tests((P.blocks,), blocks, SubsetTable(H))):
+    values = [H[S[0]] for S in blocks]
+    if (any(H[i] != v for S, v in zip(blocks, values) for i in S)
+            or any(a <= b for a, b in zip(values, values[1:]))):
         raise AssertionError("value-class pair failed its defining conditions")
+    P = StandardParabolic(tuple(map(len, blocks)))
     degree = pair_pairing(P, group(len(H)), blocks, H)
-    return CanonicalPair(P, tuple(itertools.chain.from_iterable(blocks)), degree)
+    return CanonicalPair(P, tuple(itertools.chain(*blocks)), degree)
 
 
-@lru_cache(maxsize=None)
-def _pair_merges(n):
-    """(P, arrangement, positions of its proper merges) per pair below the
-    group of GL(n), in _doubled_pairs order.  A proper merge is again such a
-    pair: a proper coarsening of P, the index sets of each run united."""
-    pairs = [(P, arr) for P, arr, _ in _doubled_pairs(group(n), range(n))]
-    at = {arr: i for i, (_, arr) in enumerate(pairs)}
-    return tuple((P, arr, [at[tuple(tuple(sorted(itertools.chain(*run)))
-                                    for run in runs(arr, map(len, subs)))]
-                           for _, subs in coarsening_splits(P, P)[:-1]])  # [-1] is P itself
-                 for P, arr in pairs)
+def _maximal_maximizers(H):
+    """Twice the largest half-sum pairing, and per pair in pairing_plan
+    order whether it attains it while none of its proper merges
+    (roots.pair_merges) does; at a point, or per sample on a tuple of
+    sample columns."""
+    _, ds = _doubled_pairs(group(len(H)), H)
+    best = ds.max(axis=0)
+    hits = ds == best
+    return best, hits & ~fold(np.logical_or, hits, pair_merges(len(H)))
 
 
-def _maximal_maximizers(H, top):
-    """Twice the largest half-sum pairing, and per pair in _doubled_pairs
-    order whether it attains it while none of its proper merges does; at a
-    point, or on a tuple of sample columns with top their maximum."""
-    ds = [d for _, _, d in _doubled_pairs(group(len(H)), H)]
-    best = top(ds)
-    hits = [d == best for d in ds]
-    # a hit (True, 1) exceeds the count of its merges' hits only when that is 0
-    return best, [h > sum(hits[j] for j in m) for h, (*_, m) in zip(hits, _pair_merges(len(H)))]
+def maximizer_width(n):
+    """Cells per sample that _maximal_maximizers holds at once on columns:
+    the sums, the weighted gather, and per pair its doubled pairing, hit,
+    merge fold and flag."""
+    pairs, plan, (positions, _, _) = pairing_plan(group(n))
+    return plan.width + len(positions) + 4 * len(pairs)
 
 
 def _select_pair(n, best, survivors):
     """The canonical pair from _maximal_maximizers' doubled maximum and
     survivor flags; WallTie unless exactly one pair survives."""
-    found = list(itertools.compress(_pair_merges(n), survivors))
+    found = list(itertools.compress(pairing_plan(group(n))[0], survivors))
     if len(found) != 1:
         raise WallTie("%d maximal maximizers at degree %s" % (len(found), Fraction(best, 2)))
-    P, arr, _ = found[0]
+    P, arr = found[0]
     return CanonicalPair(P, tuple(itertools.chain.from_iterable(arr)), Fraction(best, 2))
 
 
@@ -209,28 +201,19 @@ def canonical_pair_brute(H):
     against.
     """
     H = as_exact(H)
-    return _select_pair(len(H), *_maximal_maximizers(H, max))
+    return _select_pair(len(H), *_maximal_maximizers(H))
 
 
 def cone_tests(prime, H):
-    """Literal chamber-cone membership tests for an ordered index partition,
-    lazily, at a point or on a tuple of sample columns.
-
-    Strictly decreasing block averages, and for every block S every
-    nonempty proper subset T must have average <= S's, pairing(S, T) >= 0
-    (each such subset is the leading group of some ordered refinement, and
-    those exhaust the refinement weights; the full block passes trivially).
-    """
-    table = SubsetTable(H)
-    yield from map(table.gap, prime.blocks, prime.blocks[1:])
-    for S in prime.blocks:
-        for k in range(1, len(S)):
-            yield from (table.pairing(S, T) >= 0 for T in itertools.combinations(S, k))
+    """Whether the point lies in the chamber cone of the ordered index
+    partition (roots.cone_plan), at a point or per sample on a tuple of
+    sample columns."""
+    return cone_plan(prime).evaluate(H)[0]
 
 
 def cone_accepts(prime, H):
     """True iff the exact point passes every cone_tests test."""
-    return all(cone_tests(prime, as_exact(H)))
+    return bool(cone_tests(prime, as_exact(H)))
 
 
 def cone_membership(H):

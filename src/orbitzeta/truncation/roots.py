@@ -3,32 +3,32 @@
 Points live in Q^n (one rational coordinate per basis line).  A standard
 parabolic is a composition of n: consecutive index blocks.  A semi-standard
 one is an ordered set partition: arbitrary index blocks in a given order.
-The Weyl group is the symmetric group; a coset of permutations modulo the
-block-preserving subgroup is exactly an arrangement assigning index sets to
-blocks, which is the representation used throughout.
+A coset of permutations modulo the block-preserving subgroup is an
+arrangement assigning index sets to blocks, the representation used
+throughout.
 
-Every root and weight sign test compares the averages of two index sets,
-scaled by their sizes: SubsetTable.pairing(S, T) = s_S * |T| - s_T * |S|.
-A restricted simple root pairs adjacent blocks S, T of one ambient block;
-a fundamental weight relative to an ambient block pairs the union S of the
-blocks before its cut with the whole ambient block T.  The *_keys helpers
-list those (S, T) once per type.  The half-sum of radical roots pairs a
-block sum with (n - N_i - N_{i-1})/2, N_i the i-th partial composition sum.
-
-Points are exact: integral coordinates stay Python ints and only genuinely
-rational ones are Fractions (as_exact), so on cleared integer points every
-pairing is integer arithmetic; no floats enter this subpackage.  Half-sums
-are carried doubled, as the integers after - before, and halved once where a
-public value is returned.
+Every root and weight sign test compares pairing(S, T) = s_S * |T| - s_T *
+|S| with 0, s_S the coordinate sum over S: a simple root pairs adjacent
+blocks of one ambient block, a fundamental weight the union of the blocks
+before its cut with the whole ambient block (root_tests, weight_tests).
+Each identity lists its tests once per type in a cached SignPlan (the
+*_plan builders, next to _pairs_below), evaluated on an exact point or on
+int64 sample columns alike.  Points are exact (as_exact: Python ints, and
+Fractions where not integral); no floats enter this subpackage.  Half-sums
+of radical roots are carried doubled, as the integers after - before, and
+halved once where a public value is returned.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
+
+import numpy as np
 
 
 class WallError(ValueError):
@@ -161,34 +161,42 @@ def block_sets(P):
     return tuple(runs(tuple(range(P.n)), P.blocks))
 
 
-@lru_cache(maxsize=None)
-def root_keys(subs, arr):
-    """SubsetTable keys (S, T) of P's simple roots relative to Q, with
-    subs = P.split_by(Q) and arr the index set per P-block: the adjacent
-    sets inside each Q-block."""
-    return tuple(key for sets in runs(arr, map(len, subs)) for key in zip(sets, sets[1:]))
+def root_tests(subs, arr):
+    """P's simple roots relative to Q, with subs = P.split_by(Q) and arr
+    the index set per P-block: a gap, pairing(S, T) > 0, per adjacent sets
+    S, T inside one Q-block."""
+    return [(operator.gt, S, T)
+            for sets in runs(arr, map(len, subs)) for S, T in zip(sets, sets[1:])]
 
 
-@lru_cache(maxsize=None)
-def weight_keys(subs, arr):
-    """SubsetTable keys (S, T) of P's fundamental weights relative to Q
-    (subs and arr as in root_keys): per cut inside a Q-block, S the union
-    of the sets before it and T the whole Q-block."""
-    keys = []
+def weight_tests(subs, arr):
+    """P's fundamental weights relative to Q (subs and arr as in
+    root_tests): per cut inside a Q-block, a gap of the union S of the sets
+    before it against the whole Q-block T."""
+    tests = []
     for sets in runs(arr, map(len, subs)):
         unions = list(itertools.accumulate(sets, lambda S, T: tuple(sorted(S + T))))
-        keys += [(S, unions[-1]) for S in unions[:-1]]
-    return tuple(keys)
+        tests += [(operator.gt, S, unions[-1]) for S in unions[:-1]]
+    return tests
 
 
-@lru_cache(maxsize=None)
-def ordering_keys(M):
-    """(order, weight keys of the ordered blocks inside the one-block
-    group) per ordering of M's blocks."""
-    sets = block_sets(M)
-    return tuple((order, weight_keys((tuple(M.blocks[u] for u in order),),
-                                     tuple(sets[u] for u in order)))
-                 for order in itertools.permutations(range(M.r)))
+def leading_tests(subs, arr):
+    """Each Q-block's leading arranged sum is <= 0 (subs and arr as in
+    root_tests)."""
+    return [(operator.le, sets[0], None) for sets in runs(arr, map(len, subs))]
+
+
+def constancy_tests(subs, arr):
+    """Each arranged set carries one value: each coordinate equals the
+    set's first (subs and arr as in root_tests)."""
+    return [(operator.eq, S[:1], (i,)) for S in arr for i in S[1:]]
+
+
+def chamber_tests(subs, arr):
+    """A pair's chamber tests (subs and arr as in root_tests): its arranged
+    block averages strictly decrease within each Q-block, and each arranged
+    set carries one value (the rearranged point is semistable for P)."""
+    return root_tests(subs, arr) + constancy_tests(subs, arr)
 
 
 @dataclass(frozen=True)
@@ -227,18 +235,10 @@ def ordered_set_partitions(indices, sizes):
     indices = tuple(indices)
     if sum(sizes) != len(indices):
         raise ValueError("sizes must sum to the number of indices")
-
-    def gen(pool, remaining):
-        if not remaining:
-            yield ()
-            return
-        size = remaining[0]
-        for combo in itertools.combinations(pool, size):
-            rest_pool = tuple(i for i in pool if i not in combo)
-            for rest in gen(rest_pool, remaining[1:]):
-                yield (combo,) + rest
-
-    return gen(indices, tuple(sizes))
+    if not sizes:
+        return iter([()])
+    return ((combo,) + rest for combo in itertools.combinations(indices, sizes[0])
+            for rest in ordered_set_partitions([i for i in indices if i not in combo], sizes[1:]))
 
 
 def arrangements(P, Q):
@@ -260,7 +260,7 @@ def arrangements(P, Q):
 
 def semistandard_all(n):
     """Every ordered set partition of {0..n-1} (all semi-standard parabolics)."""
-    return [SemiStandardParabolic(arr) for _, _, arrs in _pairs_below(group(n)) for arr in arrs]
+    return [SemiStandardParabolic(arr) for _, _, arr in _pairs_below(group(n))]
 
 
 def _exact(h):
@@ -282,61 +282,110 @@ def as_exact(point):
 
 @lru_cache(maxsize=None)
 def _pairs_below(Q):
-    """(P, P.split_by(Q), arrangements(P, Q)) per P in refinements_within(Q)."""
-    return tuple(
-        (P, P.split_by(Q), tuple(arrangements(P, Q))) for P in refinements_within(Q)
-    )
+    """(P, P.split_by(Q), arrangement) per pair below Q: P over
+    refinements_within(Q), the arrangement over arrangements(P, Q)."""
+    return tuple((P, subs, arr) for P in refinements_within(Q) for subs in [P.split_by(Q)]
+                 for arr in arrangements(P, Q))
 
 
-def arranged_pairs(Q, H):
-    """Every pair below Q, with one SubsetTable of H for the call.
+def ragged(lists):
+    """Lists of row positions grouped by length once, fold's operand: their
+    number, and per length k the lists' own positions and theirs as k rows."""
+    by_length = {}
+    for at, positions in enumerate(lists):
+        by_length.setdefault(len(positions), []).append(at)
+    return len(lists), [(np.array(ats, np.intp),
+                         np.array([lists[a] for a in ats], np.intp).reshape(len(ats), k).T)
+                        for k, ats in by_length.items()]
 
-    Yields (refinement P, P.split_by(Q), arrangement, table) for P over
-    refinements_within(Q) and the arrangement over arrangements(P, Q), in
-    that order; table.sum(S) is the coordinate sum of H over the index set
-    S assigned to one of P's blocks.  The enumeration is built once per Q;
-    the table is shared by the call's pairs and goes with the call.
+
+def fold(ufunc, values, lists):
+    """Per list of rows (ragged), ufunc folded over those rows of values,
+    k gathers folded in place per list length k (ufunc.reduceat is several
+    times slower on many short lists).  An empty list reads the ufunc's
+    identity on every column: True for logical_and, False for logical_or."""
+    size, groups = lists
+    out = np.empty((size, *values.shape[1:]), values.dtype)
+    for at, index in groups:
+        acc = np.full((len(at), *values.shape[1:]), ufunc.identity, values.dtype)
+        for rows in index:
+            ufunc(acc, values[rows], out=acc)
+        out[at] = acc
+    return out
+
+
+_COMPARISONS = (operator.gt, operator.ge, operator.eq, operator.le)
+
+
+class SignPlan:
+    """One type's sign tests, listed once: the distinct index sets whose
+    sums they read, the distinct tests, and per term its sign and the
+    positions of the tests that must all hold.
+
+    A test (compare, S, T) compares pairing(S, T) = s_S * |T| - s_T * |S|
+    with 0, or s_S alone when T is None: operator.gt for a root or weight
+    gap, ge for a cone test, eq for a wall or for two coordinates of a set
+    that carries one value, le for a leading sum.  sets adds index sets to
+    sum beyond the tests' own.
     """
-    table = SubsetTable(H)
-    for P, subs, arrs in _pairs_below(Q):
-        for arr in arrs:
-            yield P, subs, arr, table
 
+    def __init__(self, terms, signs=None, sets=()):
+        # the tests ordered by comparison, so that each comparison reads one slice
+        self.tests = tuple(sorted(dict.fromkeys(itertools.chain(*terms)),
+                                  key=lambda test: _COMPARISONS.index(test[0])))
+        position = {test: i for i, test in enumerate(self.tests)}
+        self.terms = [[position[test] for test in tests] for tests in terms]
+        self.signs = np.array([1] * len(terms) if signs is None else signs, np.int64)
+        self.sets = tuple(dict.fromkeys(
+            [*sets, *(S for _, *pair in self.tests for S in pair if S is not None)]))
+        width = 1 + max(map(max, self.sets), default=-1)
+        self._members = np.array([[i in S for i in range(width)] for S in self.sets],
+                                 np.int64).reshape(len(self.sets), width)
+        at = {S: i for i, S in enumerate(self.sets)}
+        # pairing(S, T) = s_S * |T| - s_T * |S|, a lone sum as s_S * 1 - s_S * 0
+        self._pairings = [(compare, at[S], 1, at[S], 0) if T is None
+                          else (compare, at[S], len(T), at[T], len(S))
+                          for compare, S, T in self.tests]
+        # contiguous copies: numpy gathers several times slower through strided indices
+        pairings = np.array([p[1:] for p in self._pairings], np.int64).reshape(-1, 4)
+        left, x, right, y = pairings.T.copy()
+        self._columns = left, x[:, None], right, y[:, None]
+        self._compares = [(compare, len(list(group)))
+                          for compare, group in itertools.groupby(t[0] for t in self.tests)]
+        self._terms = ragged(self.terms)
+        # cells per sample that evaluate holds at once, each of at most 8
+        # bytes: the sums, two per test and one per term
+        self.width = len(self.sets) + 2 * len(self.tests) + len(terms)
 
-class SubsetTable:
-    """One call's subset sums and sign tests of H, an exact point or a
-    tuple of int64 sample columns, keyed by index set (ascending tuples).
+    def sums(self, H):
+        """Each set's coordinate sum: a list of exact values at an exact
+        point, an array (sets, samples) on a tuple of int64 columns."""
+        if isinstance(H[0], np.ndarray):
+            return self._members @ np.stack(H)[:self._members.shape[1]]
+        return [sum(map(H.__getitem__, S)) for S in self.sets]
 
-    pairing(S, T) = s_S * |T| - s_T * |S| is computed on each use; every
-    other entry on first use, then kept for the call: sum(S), S[:-1]'s sum
-    plus one coordinate; gap(S, T), pairing(S, T) > 0; constant(S), S
-    carries one value; nonpositive(S), S's sum is <= 0.
-    """
-
-    def __init__(self, H):
-        self.H, self.entries = H, {}
-
-    def _entry(self, key, evaluate):
-        if key not in self.entries:
-            self.entries[key] = evaluate()
-        return self.entries[key]
-
-    def sum(self, S):
-        return self._entry(("sum", S), lambda: self.sum(S[:-1]) + self.H[S[-1]]
-                           if len(S) > 1 else self.H[S[0]])
-
-    def pairing(self, S, T):
-        return self.sum(S) * len(T) - self.sum(T) * len(S)
-
-    def gap(self, S, T):
-        return self._entry(("gap", S, T), lambda: self.pairing(S, T) > 0)
-
-    def constant(self, S):
-        return self._entry(("constant", S), lambda: reduce(
-            operator.and_, (self.H[i] == self.H[S[0]] for i in S[1:]), True))
-
-    def nonpositive(self, S):
-        return self._entry(("nonpositive", S), lambda: self.sum(S) <= 0)
+    def evaluate(self, H):
+        """Per term whether all its tests hold: an array (terms,) at an
+        exact point, (terms, samples) on a tuple of int64 columns.  Each
+        sum and each test is evaluated once.  Every test is homogeneous of
+        degree one, so an exact point is first cleared to integers."""
+        if not isinstance(H[0], np.ndarray):
+            scale = math.lcm(*(h.denominator for h in H))
+            sums = self.sums([h.numerator * (scale // h.denominator) for h in H])
+            tests = [compare(sums[a] * x - sums[b] * y, 0)
+                     for compare, a, x, b, y in self._pairings]
+            return np.array([all(map(tests.__getitem__, term)) for term in self.terms], bool)
+        sums = self.sums(H)
+        left, x, right, y = self._columns
+        values, subtrahend = sums[left], sums[right]  # in place: fewer fresh pages per chunk
+        values *= x
+        subtrahend *= y
+        values -= subtrahend
+        tests, lo = np.empty(values.shape, bool), 0
+        for compare, count in self._compares:
+            tests[lo:lo + count] = compare(values[lo:lo + count], 0)
+            lo += count
+        return fold(np.logical_and, tests, self._terms)
 
 
 def doubled_half_sums(sizes):
@@ -359,3 +408,95 @@ def doubled_relative_rho(subs):
 def epsilon_between(P, Q):
     """Sign (-1)^(r(P) - r(Q)) for P refining Q."""
     return -1 if (P.r - Q.r) % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def type_plan(P, Q, tests):
+    """One term, the tests of P relative to Q: root_tests (tau),
+    weight_tests (tau_hat), leading_tests (chi) or constancy_tests."""
+    return SignPlan([tests(P.split_by(Q), block_sets(P))])
+
+
+@lru_cache(maxsize=None)
+def slope_plan(Q):
+    """(pairs, plan): per pair (P, arrangement) below Q, in _pairs_below
+    order, its chamber tests and then its leading sums."""
+    pairs = _pairs_below(Q)
+    plan = SignPlan([chamber_tests(subs, arr) + leading_tests(subs, arr) for _, subs, arr in pairs])
+    return tuple((P, arr) for P, _, arr in pairs), plan
+
+
+@lru_cache(maxsize=None)
+def partition_plan(Q):
+    """Per pair below Q its chamber tests (the partition identity), then
+    per pair its weight gaps with sign(P, Q) (the alternating identity)."""
+    pairs = _pairs_below(Q)
+    return SignPlan([chamber_tests(subs, arr) for _, subs, arr in pairs]
+                    + [weight_tests(subs, arr) for _, subs, arr in pairs],
+                    [1] * len(pairs) + [epsilon_between(P, Q) for P, _, _ in pairs])
+
+
+@lru_cache(maxsize=None)
+def coarsening_plan(finer, base, inner, outer):
+    """Per coarsening Q of base, with sign(base, Q): the inner tests
+    (root_tests or weight_tests) of finer within Q, then the outer ones of
+    Q within the group."""
+    splits = coarsening_splits(finer, base)
+    return SignPlan([inner(subs, block_sets(finer)) + outer((Q.blocks,), block_sets(Q))
+                     for Q, subs in splits],
+                    [epsilon_between(base, Q) for Q, _ in splits])
+
+
+@lru_cache(maxsize=None)
+def ordering_plan(M):
+    """Per ordering of M's blocks (itertools.permutations order) the weight
+    tests of the ordered blocks in the one-block group; then one wall term,
+    pairing(S, T) == 0, per distinct weight pairing (S, T) of those."""
+    sets = block_sets(M)
+    orders = [weight_tests((tuple(M.blocks[u] for u in order),), tuple(sets[u] for u in order))
+              for order in itertools.permutations(range(M.r))]
+    walls = dict.fromkeys((S, T) for _, S, T in itertools.chain.from_iterable(orders))
+    return SignPlan(orders + [[(operator.eq, S, T)] for S, T in walls])
+
+
+@lru_cache(maxsize=None)
+def cone_plan(prime):
+    """The chamber-cone tests of an ordered index partition, one term:
+    strictly decreasing block averages, and for every block S every
+    nonempty proper subset T has average <= S's, pairing(S, T) >= 0 (each
+    such T leads some ordered refinement, and those exhaust the refinement
+    weights; the full block passes trivially)."""
+    blocks = prime.blocks
+    return SignPlan([root_tests((tuple(map(len, blocks)),), blocks)
+                     + [(operator.ge, S, T) for S in blocks
+                        for k in range(1, len(S)) for T in itertools.combinations(S, k)]])
+
+
+@lru_cache(maxsize=None)
+def pairing_plan(Q):
+    """(pairs, plan, rho): the pairs (P, arrangement) below Q in
+    _pairs_below order, a plan of the sums of their arranged sets, and
+    rho: the positions of all pairs' sets among those sums, their
+    doubled_relative_rho weights, and per pair its run of them (ragged)."""
+    pairs = _pairs_below(Q)
+    plan = SignPlan((), sets=[S for _, _, arr in pairs for S in arr])
+    at = {S: i for i, S in enumerate(plan.sets)}
+    ends = itertools.accumulate(len(arr) for _, _, arr in pairs)
+    rho = (np.array([at[S] for _, _, arr in pairs for S in arr], np.intp),
+           np.array([w for _, subs, _ in pairs for w in doubled_relative_rho(subs)], np.int64),
+           ragged([range(end - len(arr), end) for (_, _, arr), end in zip(pairs, ends)]))
+    return tuple((P, arr) for P, _, arr in pairs), plan, rho
+
+
+@lru_cache(maxsize=None)
+def pair_merges(n):
+    """Per pair below the group of GL(n), in pairing_plan order, the
+    positions of its proper merges (ragged): again such pairs, each a
+    proper coarsening of P with the index sets of each run united."""
+    pairs = _pairs_below(group(n))
+    # each index set as a bit mask: a run's united set is the sum of its masks
+    masks = [tuple(sum(1 << i for i in S) for S in arr) for _, _, arr in pairs]
+    at = {mask: i for i, mask in enumerate(masks)}
+    return ragged([[at[tuple(map(sum, runs(mask, map(len, subs))))]
+                    for _, subs in coarsening_splits(P, P)[:-1]]  # [-1] is P itself
+                   for (P, _, _), mask in zip(pairs, masks)])

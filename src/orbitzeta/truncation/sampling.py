@@ -10,34 +10,22 @@ point, wall point and random choice, so every run is reproducible; sample
 rows stay int64 arrays, and a failure records its point as a list of
 Python ints.
 
-Every sign-test identity has one body in indicators or instability that
-yields its signs and tests from a point or from a tuple of int64 columns,
-one entry per sample.  The public operations read it on one exact point;
-the sweeps here read it on all sampled points at once and only combine
-the boolean columns; so do the canonical-pair oracle's filter, the
-extremal maximizers and the slope sandwich, whose samples are all drawn
-first.  Every body reads each subset sum and each gap, constancy and
-leading-sign test once per call, from that call's roots.SubsetTable;
-_e_counts and the canonical-pair oracle read their rows in chunks
-(_chunked), so a table holds few columns.  The value classes of
-canonical_pair and cone_membership are read per row as dense ranks
-(_value_ranks) and matched to each pair's rank vector (_pair_ranks);
-scalar calls only word a failing row.  The Levi count reads orderings as
-chains of prefix sets (_levi_counts), not the r! orderings of
-indicators.levi_sum_tau_hat.
+The sweeps read the same bodies as the public operations (indicators,
+instability), on a tuple of int64 columns, one entry per sample: all
+sampled points at once, the large plans in chunks of at most CHUNK_CELLS
+cells (_chunked).  Value classes are read per row as dense ranks
+(_value_ranks, _pair_ranks), and the Levi count as chains of prefix sets
+(_levi_counts); scalar calls only word a failing row.
 
-Overflow: with M the largest |entry| of a cleared sample, every subset
-sum is at most n * M.  Every swept root, weight and cone pairing is
-SubsetTable.pairing(S, T) = s_S * |T| - s_T * |S|, a difference of two
-products bounded by n^2 * M, such a sum times a set size (at most n); so
-are the extremal cross-products s_T * |U|, and the oracle's doubled
-pairings have |d| <= (n - 1) * n * M.  _columns asserts n^2 * M < 2^62
-before any sweep, so every difference stays below 2^63.  The Levi sweep
-takes per-block values and asserts M * max size * n * r < 2^62, which is
-at least n^2 * M: each subset gap n * sum(S) - |S| * total and each
-block's share of it stays below 2^63.
-With M <= 100 * lcm(1..20) both hold for every n used here; tests pin
-each sweep to the scalar operation row by row.
+Overflow: with M the largest |entry| of a cleared sample, every subset sum
+is at most n * M, so each product s_S * |T| of a pairing a plan evaluates,
+each extremal cross-product s_T * |U| and each doubled pairing of the
+canonical-pair oracle (at most (n - 1) * n * M, partial sums included) is
+at most n^2 * M.  _columns asserts n^2 * M < 2^62 before any sweep, so
+every difference stays below 2^63.  The Levi sweep takes per-block
+values and asserts M * max size * n * r < 2^62, at least n^2 * M: each
+subset gap n * sum(S) - |S| * total and each block's share of it stays
+below 2^63.  With M <= 100 * lcm(1..20) both hold for every n used here.
 """
 
 from __future__ import annotations
@@ -57,29 +45,34 @@ from .indicators import (
     langlands_terms,
     partition_terms,
     sigma_terms,
+    signed_count,
 )
 from .instability import (
     _extremal_maximizers,
     _maximal_maximizers,
-    _pair_merges,
     _select_pair,
     cone_tests,
     extremal_max_pair,
+    maximizer_width,
 )
 from .roots import (
     StandardParabolic,
     WallTie,
+    constancy_tests,
     group,
     minimal_parabolic,
+    pairing_plan,
+    partition_plan,
     refinements_within,
     semistandard_all,
+    slope_plan,
     standard_parabolics,
+    type_plan,
 )
 
 NUMERATOR_BOUND = 100
 DENOMINATOR_BOUND = 20
-E_ROWS = 8192  # rows per e_pair_tests call in _e_counts: bounds its table's columns
-CANONICAL_ROWS = 1024  # rows per _maximal_maximizers call: bounds its pairs' columns
+CHUNK_CELLS = 2**18  # bounds the cells a chunk of samples holds at once (_chunked)
 
 
 @dataclass
@@ -129,14 +122,6 @@ def _draw_cleared(rng, shape):
     return nums * (lcms[:, None] // dens)
 
 
-def _every(flags, samples):
-    """all() of each sample's entries over a stream of boolean columns."""
-    out = np.ones(samples, dtype=bool)
-    for flag in flags:
-        out &= flag
-    return out
-
-
 def _columns(points, width, factor):
     """Integer sample rows (samples, width) as the tuple of their int64
     columns, after the overflow guard factor * max|entry| < 2^62 (above)."""
@@ -146,17 +131,13 @@ def _columns(points, width, factor):
     return tuple(rows.T)
 
 
-def _signed_counts(terms, samples):
-    """Per sample, the sum of sign over the (sign, tests) terms whose tests
-    all hold."""
-    signed = (sign * _every(tests, samples) for sign, tests in terms)
-    return sum(signed, np.zeros(samples, dtype=np.int64))
-
-
-def _chunked(cols, rows, evaluate):
+def _chunked(cols, width, evaluate):
     """evaluate(columns), a tuple of results whose last axis runs over the
-    samples, on consecutive slices of at most rows samples of the columns
-    (one empty slice when there are none); each result concatenated."""
+    samples, on consecutive slices of the columns (one empty slice when
+    there are none); each result concatenated.  A slice holds
+    CHUNK_CELLS // width samples, at least one, width the cells per sample
+    that evaluate holds at once (roots.SignPlan.width)."""
+    rows = max(1, CHUNK_CELLS // width)
     parts = [evaluate(tuple(col[lo:lo + rows] for col in cols))
              for lo in range(0, max(len(cols[0]), 1), rows)]
     return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
@@ -192,7 +173,7 @@ def verify_langlands(max_n=4, samples=10000, sampled_n=(4, 5), seed=20260816):
     return [
         _sweep(VerifyReport("langlands-vanishing", n, len(points), stats={"mode": mode}),
                points, [P for P in standard_parabolics(n) if P.r >= 2],
-               lambda P, cols: (_signed_counts(langlands_terms(P, cols), len(cols[0])),),
+               lambda P, cols: (signed_count(langlands_terms(P, cols)),),
                lambda v: v != 0,
                lambda P, v: "type %s sums to %d" % (P, v))
         for n, points, mode in sweeps
@@ -278,10 +259,10 @@ def _value_ranks(rows):
 
 @functools.lru_cache(maxsize=None)
 def _pair_ranks(n):
-    """The pairs' rank vectors (pairs, n), in _pair_merges order, which is
+    """The pairs' rank vectors (pairs, n), in pairing_plan order, which is
     also semistandard_all's: entry i is the position of index i's block."""
     return np.array([[j for _, j in sorted((i, j) for j, S in enumerate(arr) for i in S)]
-                     for _, arr, _ in _pair_merges(n)], dtype=np.int64).reshape(-1, n)
+                     for _, arr in pairing_plan(group(n))[0]], dtype=np.int64).reshape(-1, n)
 
 
 def _one_matches(flags, table, rows):
@@ -304,8 +285,7 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
         rep = VerifyReport(identity="canonical-pair", n=n, samples=count)
         points = _draw_cleared(rng, (count, n))
         cols, ranks = _columns(points, n, n**2), _value_ranks(points)
-        best, survivors = _chunked(cols, CANONICAL_ROWS,
-                                   lambda part: _maximal_maximizers(part, np.maximum.reduce))
+        best, survivors = _chunked(cols, maximizer_width(n), _maximal_maximizers)
         survivors = survivors.T  # (samples, pairs)
         paired = _one_matches(survivors, _pair_ranks(n), ranks)
         _, flags = _extremal_maximizers(cols, np.maximum.reduce)
@@ -354,7 +334,7 @@ def verify_cones(n=3, samples=1000, seed=20260816):
                              _wall_variants(rng, n, max(1, samples // 20))])
     rep = VerifyReport(identity="cone-partition", n=n, samples=len(points))
     cols = _columns(points, n, n**2)
-    accepted = np.stack([_every(cone_tests(pp, cols), len(points)) for pp in all_primes], axis=1)
+    accepted = np.stack([cone_tests(prime, cols) for prime in all_primes], axis=1)
     member = _one_matches(accepted, _pair_ranks(n), _value_ranks(points))
     for H, count in zip(points[~member].tolist(), accepted[~member].sum(axis=1)):
         rep.fail(H, "%d cones accept the point" % count if count != 1
@@ -366,16 +346,12 @@ def verify_cones(n=3, samples=1000, seed=20260816):
 def _e_counts(Q, points):
     """(len(e_sum_terms), all(e_subset_tests)) in the type Q for every
     integer row (samples, Q.n), as two columns; e_pair_tests reads the
-    rows E_ROWS at a time."""
+    rows in chunks (_chunked)."""
     cols = _columns(points, Q.n, Q.n**2)
-    def count(part):
-        counts = np.zeros(len(part[0]), dtype=np.int64)
-        for _, _, tests in e_pair_tests(Q, part):
-            counts += _every(tests, len(counts))
-        return (counts,)
-
-    (counts,) = _chunked(cols, E_ROWS, count)
-    return counts, _every(e_subset_tests(Q, cols), len(points))
+    (counts,) = _chunked(cols, slope_plan(Q)[1].width,
+                         lambda part: (e_pair_tests(Q, part)[1].sum(axis=0),))
+    every = functools.reduce(np.logical_and, e_subset_tests(Q, cols), np.ones(len(points), bool))
+    return counts, every
 
 
 def _sandwich_sides(rows):
@@ -447,7 +423,7 @@ def verify_sigma(max_n=4, samples=1000, focus_samples=10000, seed=20260816):
 
     def sweep(rep, pairs, details):
         return _sweep(rep, _draw_cleared(rng, (rep.samples, rep.n)), pairs,
-                      lambda pair, cols: (_signed_counts(sigma_terms(*pair, cols), len(cols[0])),),
+                      lambda pair, cols: (signed_count(sigma_terms(*pair, cols)),),
                       lambda v: (v != 0) & (v != 1), details)
 
     reports = []
@@ -463,13 +439,12 @@ def verify_sigma(max_n=4, samples=1000, focus_samples=10000, seed=20260816):
 
 def _partition_values(Q, cols):
     """(partition_sum, semistable_direct, semistable_alternating) of
-    arthur_partition_report, per sample."""
-    samples = len(cols[0])
-    part, alternating = np.zeros((2, samples), dtype=np.int64)
-    for tests, sign, weights in partition_terms(Q, cols):
-        part += _every(tests, samples)
-        alternating += sign * _every(weights, samples)
-    return part, _every(blocks_constant(Q, cols), samples), alternating
+    arthur_partition_report, per sample, read in chunks (_chunked)."""
+    def values(part):
+        chambers, signs, weights = partition_terms(Q, part)
+        return chambers.sum(axis=0), blocks_constant(Q, part), signs @ weights
+
+    return _chunked(cols, partition_plan(Q).width + type_plan(Q, Q, constancy_tests).width, values)
 
 
 def verify_partition(max_n=4, samples=1000, seed=20260816):

@@ -10,6 +10,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 import time
 import warnings
@@ -63,24 +64,26 @@ from orbitzeta.truncation.indicators import (
     e_subset_tests,
     langlands_terms,
     sigma_terms,
+    signed_count,
 )
 from orbitzeta.truncation.instability import cone_tests
 from orbitzeta.truncation.roots import (
-    arranged_pairs,
     doubled_half_sums,
     doubled_relative_rho,
+    pair_merges,
+    pairing_plan,
+    ragged,
     runs,
+    slope_plan,
 )
 from orbitzeta.truncation.sampling import (
     _columns,
     _draw_cleared,
     _e_counts,
-    _every,
     _levi_counts,
     _pair_ranks,
     _partition_values,
     _sandwich_sides,
-    _signed_counts,
     _value_ranks,
     _wall_variants,
     full_suite,
@@ -94,7 +97,6 @@ from orbitzeta.truncation.sampling import (
 )
 
 SEED = 20260816
-_PAIR_MERGES = instability._pair_merges
 
 
 def rng():
@@ -205,7 +207,7 @@ def test_epsilon_between():
 
 
 # ---------------------------------------------------------------------------
-# Fraction block averages: oracles independent of roots.SubsetTable
+# Fraction block averages: oracles independent of roots.SignPlan
 # ---------------------------------------------------------------------------
 
 
@@ -386,7 +388,7 @@ def test_degree_zero_iff_constant():
     r = rng()
     for H in _battery_points():
         for Q in standard_parabolics(len(H)):
-            assert indicator_F(Q, H) == all(blocks_constant(Q, H)), (Q, H)
+            assert indicator_F(Q, H) == blocks_constant(Q, H), (Q, H)
         Q = r.choice(standard_parabolics(len(H)))
         assert indicator_F(Q, H) == arthur_partition_report(Q, H).semistable_direct
 
@@ -722,11 +724,11 @@ def test_batched_E_matches_scalar_routes_pointwise(monkeypatch):
     sum (its term count) and the scalar subset route (its verdict), for
     every type with n <= 5; the rows are read 64 at a time, so the last
     call gets a short remainder."""
-    monkeypatch.setattr(sampling, "E_ROWS", 64)
     for n in range(1, 6):
         points = _e_rows(n)
         assert points.shape[0] % 64
         for Q in standard_parabolics(n):
+            monkeypatch.setattr(sampling, "CHUNK_CELLS", 64 * slope_plan(Q)[1].width)
             counts, subset_ok = _e_counts(Q, points)
             assert counts.shape == subset_ok.shape == (points.shape[0],)
             for row, got_count, got_ok in zip(points, counts, subset_ok):
@@ -754,21 +756,22 @@ def _weight_gaps(P, Q):
 
 
 def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
-    """One SubsetTable per body call: on columns below group(5) the slope
-    and partition bodies evaluate each of the 31 subset sums and each of
-    the 180 adjacent (S, T) gaps once per call, again in a second call, and
-    the partition body adds exactly the 30 (leading union, whole block)
-    weight gaps; the Langlands and sigma bodies on columns evaluate each
-    entry once per call, their root and weight gaps exactly; the scalar
-    routes evaluate no entry twice, and the canonical-pair oracle reads the
-    31 sums only."""
+    """Each body call evaluates its roots.SignPlan, which lists each sum and
+    each test once: on columns below group(5) the slope and partition
+    bodies evaluate each of the 31 subset sums and each of the 180 adjacent
+    (S, T) gaps once per call, again in a second call, and the partition
+    body adds exactly the 30 (leading union, whole block) weight gaps; the
+    Langlands and sigma bodies on columns evaluate their root and weight
+    gaps exactly, and the sums those read; the scalar routes evaluate no
+    entry twice, and the canonical-pair oracle reads the 31 sums only."""
     evaluated = []
-    entry = roots.SubsetTable._entry
+    sums = roots.SignPlan.sums
 
-    def counting(self, key, evaluate):
-        return entry(self, key, lambda: (evaluated.append((self, key)), evaluate())[1])
+    def counting(self, H):
+        evaluated.append(self)
+        return sums(self, H)
 
-    monkeypatch.setattr(roots.SubsetTable, "_entry", counting)
+    monkeypatch.setattr(roots.SignPlan, "sums", counting)
     Q, rows = group(5), _e_rows(5)
     adjacent = {(arr[u], arr[u + 1]) for P in refinements_within(Q)
                 for arr in arrangements(P, Q) for u in range(P.r - 1)}
@@ -776,26 +779,35 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
                for P in refinements_within(Q) for arr in arrangements(P, Q)
                for u in range(1, P.r)}
     subsets = {T for k in range(1, 6) for T in itertools.combinations(range(5), k)}
+    equal = {((i,), (j,)) for i, j in itertools.combinations(range(5), 2)}
     assert (len(adjacent), len(weights), len(subsets)) == (180, 30, 31)
+    kinds = {operator.gt: "gap", operator.ge: "cone", operator.eq: "equal",
+             operator.le: "leading"}
 
     def evaluations(run):
-        """The entries run evaluates, by kind, after checking that no
-        table evaluates one twice."""
+        """The entries of the plans run evaluates, by kind, after checking
+        that no plan lists an entry twice."""
         evaluated.clear()
         run()
-        assert len(evaluated) == len({(id(table), key) for table, key in evaluated})
-        return {kind: {key[1:] for _, key in evaluated if key[0] == kind}
-                for kind in ("sum", "gap", "constant", "nonpositive")}
+        got = {kind: set() for kind in ("sum", *kinds.values())}
+        for plan in evaluated:
+            assert len(set(plan.sets)) == len(plan.sets)
+            assert len(set(plan.tests)) == len(plan.tests)
+            got["sum"] |= set(plan.sets)
+            for compare, S, T in plan.tests:
+                got[kinds[compare]].add(S if T is None else (S, T))
+        return got
 
     H = tuple(int(v) for v in rows[0])
-    for run, gaps in ((lambda: _e_counts(Q, rows), adjacent),
-                      (lambda: _e_counts(Q, rows[::-1]), adjacent),
-                      (lambda: _partition_values(Q, _columns(rows, 5, 25)), adjacent | weights)):
+    for run, plans, gaps, leading in (
+            (lambda: _e_counts(Q, rows), 1, adjacent, subsets),
+            (lambda: _e_counts(Q, rows[::-1]), 1, adjacent, subsets),
+            (lambda: _partition_values(Q, _columns(rows, 5, 25)), 2, adjacent | weights, set())):
         got = evaluations(run)
-        assert got["sum"] == {(S,) for S in subsets}, run
-        assert got["gap"] == gaps, run
-        assert got["constant"] == {(S,) for S in subsets if len(S) > 1}, run
-    assert got["nonpositive"] == set()
+        # one slope plan, or the partition and blocks plans, once per chunk
+        assert len({id(plan) for plan in evaluated}) == plans, run
+        assert got == {"sum": subsets, "gap": gaps, "cone": set(), "equal": equal,
+                       "leading": leading}, run
     cols = _columns(rows, 5, 25)
     G = group(5)
     for P in standard_parabolics(5):
@@ -807,19 +819,16 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
                                                        for Q in coarsenings_of(P))))
                   for P1 in refinements_within(P)]
         for (body, *types), gaps in calls:
-            got = evaluations(lambda: _signed_counts(body(*types, cols), len(rows)))
-            assert len({id(table) for table, _ in evaluated}) <= 1, (body, types)
-            assert got["gap"] == gaps, (body, types)
-            # a sum is built from its leading part's: the prefixes are read too
-            assert got["sum"] == {(S[:k],) for key in gaps for S in key
-                                  for k in range(1, len(S) + 1)}, (body, types)
-            assert got["constant"] == got["nonpositive"] == set()
+            got = evaluations(lambda: signed_count(body(*types, cols)))
+            assert len(evaluated) == 1, (body, types)
+            assert got == {"sum": {S for key in gaps for S in key}, "gap": gaps, "cone": set(),
+                           "equal": set(), "leading": set()}, (body, types)
     for run in (lambda: e_sum_terms(Q, H), lambda: arthur_partition_report(Q, H)):
         got = evaluations(run)
-        assert got["gap"] <= adjacent | weights and got["sum"] <= {(S,) for S in subsets}
+        assert got["gap"] <= adjacent | weights and got["sum"] <= subsets
     got = evaluations(lambda: canonical_pair_brute(H))
-    assert got == {"sum": {(S,) for S in subsets}, "gap": set(), "constant": set(),
-                   "nonpositive": set()}
+    assert got == {"sum": subsets, "gap": set(), "cone": set(), "equal": set(),
+                   "leading": set()}
 
 
 def test_E_is_every_coordinate_nonpositive():
@@ -892,17 +901,17 @@ COLUMN_ROUTES = {
     "langlands_sum": (
         range(2, 6),
         lambda n: [P for P in standard_parabolics(n) if P.r >= 2],
-        lambda P, cols: (_signed_counts(langlands_terms(P, cols), len(cols[0])),),
+        lambda P, cols: (signed_count(langlands_terms(P, cols)),),
         lambda P, H: (langlands_sum(P, H),),
     ),
     "indicator_sigma": (
         range(2, 5),
         _sigma_pairs,
-        lambda pair, cols: (_signed_counts(sigma_terms(*pair, cols), len(cols[0])),),
+        lambda pair, cols: (signed_count(sigma_terms(*pair, cols)),),
         lambda pair, H: (indicator_sigma(*pair, H),),
     ),
     "arthur_partition_report": (
-        range(2, 6),
+        range(1, 6),
         standard_parabolics,
         _partition_values,
         lambda Q, H: dataclasses.astuple(arthur_partition_report(Q, H)),
@@ -910,7 +919,7 @@ COLUMN_ROUTES = {
     "cone_accepts": (
         range(1, 5),
         semistandard_all,
-        lambda prime, cols: (_every(cone_tests(prime, cols), len(cols[0])),),
+        lambda prime, cols: (cone_tests(prime, cols),),
         lambda prime, H: (cone_accepts(prime, H),),
     ),
 }
@@ -987,13 +996,29 @@ def _cones_loop(points):
 
 
 def _drop_first(body):
-    """The body without its first term or test."""
-    return lambda *args: itertools.islice(body(*args), 1, None)
+    """The body without its first term: each of its per-term arrays loses
+    its first entry."""
+    return lambda *args: tuple(part[1:] for part in body(*args))
 
 
 def _negated(body):
     """The body with every sign flipped."""
-    return lambda *args: ((-sign, gaps) for sign, gaps in body(*args))
+    def broken(*args):
+        signs, holds = body(*args)
+        return -signs, holds
+    return broken
+
+
+def _one_block_negated(body):
+    """The cone body with the verdict of the one-block cone negated."""
+    return lambda prime, H: ~body(prime, H) if len(prime.blocks) == 1 else body(prime, H)
+
+
+def _never_first(holds):
+    """The per-term holds with the first term failing on every row."""
+    holds = holds.copy()
+    holds[0] = False
+    return holds
 
 
 def test_sweep_failures_match_per_sample_loops(monkeypatch):
@@ -1005,7 +1030,7 @@ def test_sweep_failures_match_per_sample_loops(monkeypatch):
         (indicators, "langlands_terms", _drop_first),
         (indicators, "sigma_terms", _negated),
         (indicators, "partition_terms", _drop_first),
-        (instability, "cone_tests", _drop_first),
+        (instability, "cone_tests", _one_block_negated),
     ):
         broken = mutate(getattr(module, name))
         monkeypatch.setattr(module, name, broken)
@@ -1052,14 +1077,19 @@ def _first_raise(evaluate, rows):
 
 
 def _first_never(body):
-    """The body with the first pair's tests replaced by one that fails."""
-    return lambda Q, H: ((P, arr, iter([False]) if i == 0 else tests)
-                         for i, (P, arr, tests) in enumerate(body(Q, H)))
+    """The body with the first pair's tests failing."""
+    def broken(Q, H):
+        pairs, holds = body(Q, H)
+        return pairs, _never_first(holds)
+    return broken
 
 
 def _doubled(body):
-    """The body with every pair yielded twice, each copy with its own tests."""
-    return lambda Q, H: ((P, arr, t) for P, arr, tests in body(Q, H) for t in itertools.tee(tests))
+    """The body with every pair listed twice."""
+    def broken(Q, H):
+        pairs, holds = body(Q, H)
+        return pairs + pairs, np.concatenate([holds, holds])
+    return broken
 
 
 def _break_e_pairs(monkeypatch, mutate):
@@ -1185,8 +1215,8 @@ def _canonical_columns(n, rows):
     """The canonical-pair filter on the int64 columns of the rows, as
     verify_canonical reads it: the doubled maximum, and the survivor flags
     as an array (samples, pairs)."""
-    best, survivors = instability._maximal_maximizers(_columns(rows, n, n * n), np.maximum.reduce)
-    return best, np.stack(survivors, axis=1)
+    best, survivors = instability._maximal_maximizers(_columns(rows, n, n * n))
+    return best, survivors.T
 
 
 def _column_extremal(n, rows):
@@ -1201,8 +1231,7 @@ def _column_extremal(n, rows):
 def _self_merging(n):
     """A broken merge table: every odd position is its own merge, so it
     never survives, and every even one has no merges."""
-    table = _PAIR_MERGES(n)
-    return tuple((P, arr, [i] if i % 2 else []) for i, (P, arr, _) in enumerate(table))
+    return ragged([[i] if i % 2 else [] for i in range(pair_merges(n)[0])])
 
 
 def _outcome_kind(got, H):
@@ -1213,7 +1242,7 @@ def _outcome_kind(got, H):
 
 @pytest.mark.parametrize(
     "sizes, table",
-    [(range(2, 6), _PAIR_MERGES), (range(2, 5), _self_merging)],
+    [(range(2, 6), pair_merges), (range(2, 5), _self_merging)],
     ids=["merges", "self-merging"],
 )
 def test_column_oracle_matches_canonical_pair_brute(monkeypatch, sizes, table):
@@ -1221,13 +1250,13 @@ def test_column_oracle_matches_canonical_pair_brute(monkeypatch, sizes, table):
     wall rows, against canonical_pair_brute: the selected pair with its
     degree, or the WallTie text with its survivor count.  With the broken
     table, rows of no survivor, of several and of a wrong pair all occur."""
-    monkeypatch.setattr(instability, "_pair_merges", table)
+    monkeypatch.setattr(instability, "pair_merges", table)
     kinds = set()
     for n in sizes:
         rows = _canonical_rows(n)
         assert len(rows) >= 1000
         best, survivors = _canonical_columns(n, rows)
-        assert best.shape == (len(rows),) and survivors.shape == (len(rows), len(table(n)))
+        assert best.shape == (len(rows),) and survivors.shape == (len(rows), table(n)[0])
         for row, got_best, got_survivors in zip(rows, best, survivors):
             H = tuple(int(v) for v in row)
             got = _brute_outcome(
@@ -1238,32 +1267,40 @@ def test_column_oracle_matches_canonical_pair_brute(monkeypatch, sizes, table):
     assert kinds == (want if table is _self_merging else {"pair"}), kinds
 
 
+def _listed(lists):
+    """The ragged lists of positions, rebuilt from their groups by length."""
+    size, groups = lists
+    listed = {}
+    for at, index in groups:
+        listed.update(zip(at.tolist(), map(tuple, index.T.tolist())))
+    return [listed[a] for a in range(size)]
+
+
 def test_merge_table_matches_run_arithmetic():
     """Each pair's listed merges are its proper run compositions, in
     compositions order: the merged type has the run sizes, the merged
     index sets unite each run, and the merge's doubled pairing equals the
     half-sums of the run sizes against the run totals."""
     for n in range(1, 5):
-        table = instability._pair_merges(n)
-        assert [(P, arr) for P, arr, _ in table] == [
+        pairs, table = pairing_plan(group(n))[0], _listed(pair_merges(n))
+        assert list(pairs) == [
             (P, arr) for P in refinements_within(group(n)) for arr in arrangements(P, group(n))
         ]
         points = [H for H in _battery_points() if len(H) == n]
-        pairs = [list(instability._doubled_pairs(group(n), H)) for H in points]
-        sums = [[tuple(map(table.sum, arr)) for *_, arr, table in arranged_pairs(group(n), H)]
-                for H in points]
-        for i, (P, arr, merges) in enumerate(table):
+        doubled = [instability._doubled_pairs(group(n), H)[1] for H in points]
+        sums = [[tuple(sum(H[i] for i in S) for S in arr) for _, arr in pairs] for H in points]
+        for i, ((P, arr), merges) in enumerate(zip(pairs, table)):
             lengths = compositions(P.r)[:-1]
             assert len(merges) == len(lengths)
             for m, lens in zip(merges, lengths):
-                Q, merged, _ = table[m]
+                Q, merged = pairs[m]
                 sizes = tuple(sum(run) for run in runs(P.blocks, lens))
                 assert Q.blocks == sizes
                 assert merged == tuple(
                     tuple(sorted(itertools.chain(*run))) for run in runs(arr, lens))
-                for ds, point_sums in zip(pairs, sums):
+                for ds, point_sums in zip(doubled, sums):
                     totals = [sum(run) for run in runs(point_sums[i], lens)]
-                    assert ds[m][2] == instability._rho_pairing(doubled_half_sums(sizes), totals)
+                    assert ds[m] == instability._rho_pairing(doubled_half_sums(sizes), totals)
 
 
 def _canonical_loop(points):
@@ -1295,7 +1332,7 @@ def test_canonical_sweep_failures_match_per_sample_loop(monkeypatch):
     per-sample loop over canonical_pair_brute finds, in point order with
     the same text: here the WallTie rows whose canonical pair sits at an
     odd position."""
-    monkeypatch.setattr(instability, "_pair_merges", _self_merging)
+    monkeypatch.setattr(instability, "pair_merges", _self_merging)
     plan = ((2, 60), (3, 60), (4, 40))
     gen = np.random.default_rng(5)
     points = [_draw_cleared(gen, (count, n)).tolist() for n, count in plan]
@@ -1314,13 +1351,13 @@ def _rank_vector(blocks, n):
 def test_rank_route_matches_value_classes():
     """The dense ranks of each row name the value classes of canonical_pair
     and of cone_membership, and the pair table gives each pair's rank
-    vector in _pair_merges order, which is semistandard_all's; row by row
+    vector in pairing_plan order, which is semistandard_all's; row by row
     on drawn, tied, zero, mirrored, constant and battery rows."""
     for n in range(1, 6):
         rows = _canonical_rows(n)
         primes = semistandard_all(n)
         table = _pair_ranks(n)
-        assert table.tolist() == [_rank_vector(arr, n) for _, arr, _ in _PAIR_MERGES(n)]
+        assert table.tolist() == [_rank_vector(arr, n) for _, arr in pairing_plan(group(n))[0]]
         assert table.tolist() == [_rank_vector(pp.blocks, n) for pp in primes]
         position = {pp: p for p, pp in enumerate(primes)}
         for row, ranks in zip(rows, _value_ranks(rows)):
@@ -1510,6 +1547,9 @@ def arthur_partition_check(Q, H):
 def test_arthur_identities():
     g = group(2)
     assert arthur_partition_check(g, (Fraction(1), Fraction(-1)))
+    # n = 1: one pair, with no chamber and no weight test, holds everywhere
+    for h in (-3, 0, Fraction(5, 2)):
+        assert arthur_partition_report(group(1), (h,)) == ArthurReport(1, 1, 1)
     r = rng()
     for n in range(2, 5):
         for _ in range(40):
@@ -1649,6 +1689,22 @@ def test_levi_sum_gated_through_eight():
     assert elapsed < 20.0, elapsed
 
 
+def test_slope_and_partition_identities_gated_at_six():
+    """The slope sweep at 2,000 samples per size (no sandwich) and both
+    partition identities at 200 samples per type, for every n <= 6.  About
+    0.8 s from a cold interpreter on one CPU of a 2-vCPU host; the bound
+    leaves wide headroom."""
+    start = time.perf_counter()
+    reports = verify_E(max_n=6, samples=2000, sandwich_samples=0)
+    reports += verify_partition(max_n=6, samples=200)
+    elapsed = time.perf_counter() - start
+    assert [(r.identity, r.n, r.samples) for r in reports] == (
+        [("slope-indicator", n, 2000) for n in range(1, 7)] + [("slope-sandwich", 6, 0)]
+        + [("partition-identities", n, 200) for n in range(2, 7)])
+    assert all(r.ok for r in reports), [r.failures for r in reports if not r.ok]
+    assert elapsed < 5.0, elapsed
+
+
 def test_sweep_with_no_cases_passes():
     """n = 1 has no proper type, so its Langlands sweep tests nothing."""
     reports = verify_langlands(max_n=1, samples=20, sampled_n=(1,))
@@ -1784,7 +1840,8 @@ def degree_pairs(Q, H):
 
     The trivial pair (Q, identity) is among them, with pairing exactly 0.
     """
-    return [(P, arr, Fraction(d, 2)) for P, arr, d in instability._doubled_pairs(Q, as_exact(H))]
+    pairs, doubled = instability._doubled_pairs(Q, as_exact(H))
+    return [(P, arr, Fraction(d, 2)) for (P, arr), d in zip(pairs, doubled)]
 
 
 def _levi_sum_on_blocks(M, H):
