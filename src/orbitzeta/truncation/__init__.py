@@ -1,11 +1,12 @@
 """Exact rational truncation combinatorics for block decompositions.
 
 roots: compositions, standard and semi-standard block data, rearrangement
-enumeration, the half-sums, and each identity's sign tests per type, listed
-once in a SignPlan.  instability: degrees of instability, canonical destabilizing pairs,
-chamber cones, and extremal maximizers.  indicators: the step functions
-built from root pairings and their alternating-sum identities.  sampling:
-seeded bulk verification sweeps over random rational points.
+enumeration, the half-sums, and each identity's sign tests per type as the
+integer form rows of a SignPlan.  instability: degrees of instability,
+canonical destabilizing pairs, chamber cones, and extremal maximizers.
+indicators: the step functions built from root pairings and their
+alternating-sum identities.  sampling: seeded bulk verification sweeps over
+random rational points.
 """
 
 from .indicators import (

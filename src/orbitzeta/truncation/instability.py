@@ -4,7 +4,8 @@ The degree of a point relative to a block decomposition is the largest
 half-sum pairing over refinements and rearrangements.  Sorting a block in
 descending order and grouping equal values realizes the maximum, which is
 what the fast paths below exploit; the brute-force enumerations stay
-available as the oracles they are tested against.
+available as the oracles they are tested against, each pair's doubled
+pairing one integer form (roots.pairing_plan).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .roots import (
     doubled_relative_rho,
     fold,
     group,
+    operand,
     pair_merges,
     pairing_plan,
     runs,
@@ -91,10 +93,8 @@ def _doubled_pairs(Q, H):
     """(pairs, doubled pairings) below Q, from roots.pairing_plan: the pairs
     (P, arrangement) and twice each one's half-sum pairing, at an exact
     point (as objects) or per sample on a tuple of sample columns."""
-    pairs, plan, (positions, weights, runs_) = pairing_plan(Q)
-    sums = np.asarray(plan.sums(H), dtype=None if isinstance(H[0], np.ndarray) else object)
-    weights = weights.reshape((-1,) + (1,) * (sums.ndim - 1))
-    return pairs, fold(np.add, sums[positions] * weights, runs_)
+    pairs, _, forms = pairing_plan(Q)
+    return pairs, forms @ operand(H)
 
 
 def degree_instability(Q, H):
@@ -176,10 +176,9 @@ def _maximal_maximizers(H):
 
 def maximizer_width(n):
     """Cells per sample that _maximal_maximizers holds at once on columns:
-    the sums, the weighted gather, and per pair its doubled pairing, hit,
-    merge fold and flag."""
-    pairs, plan, (positions, _, _) = pairing_plan(group(n))
-    return plan.width + len(positions) + 4 * len(pairs)
+    the operand, and per pair its doubled pairing, hit, merge fold and
+    flag."""
+    return n + 4 * len(pairing_plan(group(n))[0])
 
 
 def _select_pair(n, best, survivors):

@@ -11,9 +11,10 @@ Every root and weight sign test compares pairing(S, T) = s_S * |T| - s_T *
 |S| with 0, s_S the coordinate sum over S: a simple root pairs adjacent
 blocks of one ambient block, a fundamental weight the union of the blocks
 before its cut with the whole ambient block (root_tests, weight_tests).
-Each identity lists its tests once per type in a cached SignPlan (the
-*_plan builders, next to _pairs_below), evaluated on an exact point or on
-int64 sample columns alike.  Points are exact (as_exact: Python ints, and
+Each pairing is an integer linear form in the point: each identity lists
+its tests once per type as the rows of a cached SignPlan (the *_plan
+builders, next to _pairs_below), one matrix product on an exact point or
+on int64 sample columns alike.  Points are exact (as_exact: Python ints, and
 Fractions where not integral); no floats enter this subpackage.  Half-sums
 of radical roots are carried doubled, as the integers after - before, and
 halved once where a public value is returned.
@@ -74,11 +75,6 @@ class StandardParabolic:
     def intervals(self):
         """Half-open index intervals (start, stop) per block."""
         return tuple((r.start, r.stop) for r in runs(range(self.n), self.blocks))
-
-    @property
-    def rho_values(self):
-        """Per-block value of the half-sum of radical roots (block-constant)."""
-        return tuple(Fraction(d, 2) for d in doubled_half_sums(self.blocks))
 
     def refines(self, other):
         """True when this composition splits each block of the other."""
@@ -300,87 +296,70 @@ def ragged(lists):
 
 
 def fold(ufunc, values, lists):
-    """Per list of rows (ragged), ufunc folded over those rows of values,
-    k gathers folded in place per list length k (ufunc.reduceat is several
+    """Per list of rows (ragged), ufunc folded over those rows of values:
+    one gather and one reduction per list length (ufunc.reduceat is several
     times slower on many short lists).  An empty list reads the ufunc's
     identity on every column: True for logical_and, False for logical_or."""
     size, groups = lists
     out = np.empty((size, *values.shape[1:]), values.dtype)
     for at, index in groups:
-        acc = np.full((len(at), *values.shape[1:]), ufunc.identity, values.dtype)
-        for rows in index:
-            ufunc(acc, values[rows], out=acc)
-        out[at] = acc
+        out[at] = ufunc.reduce(values[index], axis=0)
     return out
+
+
+def operand(H):
+    """A point as the right operand of a form matrix: int64 sample columns
+    stacked as an array (coordinates, samples), or an exact point as an
+    object vector of its Python values."""
+    return np.stack(H) if isinstance(H[0], np.ndarray) else np.array(H, object)
 
 
 _COMPARISONS = (operator.gt, operator.ge, operator.eq, operator.le)
 
 
 class SignPlan:
-    """One type's sign tests, listed once: the distinct index sets whose
-    sums they read, the distinct tests, and per term its sign and the
-    positions of the tests that must all hold.
+    """One type's sign tests, listed once: the distinct tests, each a row of
+    one integer form matrix, and per term its sign and the positions of the
+    tests that must all hold.
 
     A test (compare, S, T) compares pairing(S, T) = s_S * |T| - s_T * |S|
     with 0, or s_S alone when T is None: operator.gt for a root or weight
     gap, ge for a cone test, eq for a wall or for two coordinates of a set
-    that carries one value, le for a leading sum.  sets adds index sets to
-    sum beyond the tests' own.
+    that carries one value, le for a leading sum.  Each is linear in the
+    point, so its row of forms holds the coefficients |T| * 1_S - |S| * 1_T,
+    or 1_S: the hyperplane normals of the type's arrangement.
     """
 
-    def __init__(self, terms, signs=None, sets=()):
+    def __init__(self, terms, signs=None):
         # the tests ordered by comparison, so that each comparison reads one slice
         self.tests = tuple(sorted(dict.fromkeys(itertools.chain(*terms)),
                                   key=lambda test: _COMPARISONS.index(test[0])))
         position = {test: i for i, test in enumerate(self.tests)}
         self.terms = [[position[test] for test in tests] for tests in terms]
         self.signs = np.array([1] * len(terms) if signs is None else signs, np.int64)
-        self.sets = tuple(dict.fromkeys(
-            [*sets, *(S for _, *pair in self.tests for S in pair if S is not None)]))
-        width = 1 + max(map(max, self.sets), default=-1)
-        self._members = np.array([[i in S for i in range(width)] for S in self.sets],
-                                 np.int64).reshape(len(self.sets), width)
-        at = {S: i for i, S in enumerate(self.sets)}
-        # pairing(S, T) = s_S * |T| - s_T * |S|, a lone sum as s_S * 1 - s_S * 0
-        self._pairings = [(compare, at[S], 1, at[S], 0) if T is None
-                          else (compare, at[S], len(T), at[T], len(S))
-                          for compare, S, T in self.tests]
-        # contiguous copies: numpy gathers several times slower through strided indices
-        pairings = np.array([p[1:] for p in self._pairings], np.int64).reshape(-1, 4)
-        left, x, right, y = pairings.T.copy()
-        self._columns = left, x[:, None], right, y[:, None]
+        width = 1 + max((max(S + (T or ())) for _, S, T in self.tests), default=-1)
+        self.forms = np.zeros((len(self.tests), width), np.int64)
+        for row, (_, S, T) in zip(self.forms, self.tests):
+            row[list(S)] = 1 if T is None else len(T)
+            if T is not None:
+                row[list(T)] -= len(S)
         self._compares = [(compare, len(list(group)))
                           for compare, group in itertools.groupby(t[0] for t in self.tests)]
         self._terms = ragged(self.terms)
         # cells per sample that evaluate holds at once, each of at most 8
-        # bytes: the sums, two per test and one per term
-        self.width = len(self.sets) + 2 * len(self.tests) + len(terms)
-
-    def sums(self, H):
-        """Each set's coordinate sum: a list of exact values at an exact
-        point, an array (sets, samples) on a tuple of int64 columns."""
-        if isinstance(H[0], np.ndarray):
-            return self._members @ np.stack(H)[:self._members.shape[1]]
-        return [sum(map(H.__getitem__, S)) for S in self.sets]
+        # bytes: the operand, per test its value and verdict, and one per
+        # term; the one-byte verdicts leave room for fold's gather of them
+        self.width = width + 2 * len(self.tests) + len(terms)
 
     def evaluate(self, H):
         """Per term whether all its tests hold: an array (terms,) at an
-        exact point, (terms, samples) on a tuple of int64 columns.  Each
-        sum and each test is evaluated once.  Every test is homogeneous of
-        degree one, so an exact point is first cleared to integers."""
+        exact point, (terms, samples) on a tuple of int64 columns.  Every
+        test is forms @ operand: the stacked columns, or the exact point
+        cleared to integers (each test is homogeneous of degree one)."""
         if not isinstance(H[0], np.ndarray):
             scale = math.lcm(*(h.denominator for h in H))
-            sums = self.sums([h.numerator * (scale // h.denominator) for h in H])
-            tests = [compare(sums[a] * x - sums[b] * y, 0)
-                     for compare, a, x, b, y in self._pairings]
-            return np.array([all(map(tests.__getitem__, term)) for term in self.terms], bool)
-        sums = self.sums(H)
-        left, x, right, y = self._columns
-        values, subtrahend = sums[left], sums[right]  # in place: fewer fresh pages per chunk
-        values *= x
-        subtrahend *= y
-        values -= subtrahend
+            H = [h.numerator * (scale // h.denominator) for h in H]
+        values = self.forms @ operand(H)[:self.forms.shape[1]]
         tests, lo = np.empty(values.shape, bool), 0
         for compare, count in self._compares:
             tests[lo:lo + count] = compare(values[lo:lo + count], 0)
@@ -474,18 +453,16 @@ def cone_plan(prime):
 
 @lru_cache(maxsize=None)
 def pairing_plan(Q):
-    """(pairs, plan, rho): the pairs (P, arrangement) below Q in
-    _pairs_below order, a plan of the sums of their arranged sets, and
-    rho: the positions of all pairs' sets among those sums, their
-    doubled_relative_rho weights, and per pair its run of them (ragged)."""
+    """(pairs, ranks, forms): the pairs (P, arrangement) below Q in
+    _pairs_below order, and per pair and coordinate the position of the
+    arranged set that holds it (ranks) and that set's doubled_relative_rho
+    weight (forms), so that forms @ point is each pair's doubled pairing."""
     pairs = _pairs_below(Q)
-    plan = SignPlan((), sets=[S for _, _, arr in pairs for S in arr])
-    at = {S: i for i, S in enumerate(plan.sets)}
-    ends = itertools.accumulate(len(arr) for _, _, arr in pairs)
-    rho = (np.array([at[S] for _, _, arr in pairs for S in arr], np.intp),
-           np.array([w for _, subs, _ in pairs for w in doubled_relative_rho(subs)], np.int64),
-           ragged([range(end - len(arr), end) for (_, _, arr), end in zip(pairs, ends)]))
-    return tuple((P, arr) for P, _, arr in pairs), plan, rho
+    ranks, forms = np.zeros((2, len(pairs), Q.n), np.int64)
+    for rank, form, (_, subs, arr) in zip(ranks, forms, pairs):
+        for j, (S, weight) in enumerate(zip(arr, doubled_relative_rho(subs))):
+            rank[list(S)], form[list(S)] = j, weight
+    return tuple((P, arr) for P, _, arr in pairs), ranks, forms
 
 
 @lru_cache(maxsize=None)

@@ -14,15 +14,15 @@ The sweeps read the same bodies as the public operations (indicators,
 instability), on a tuple of int64 columns, one entry per sample: all
 sampled points at once, the large plans in chunks of at most CHUNK_CELLS
 cells (_chunked).  Value classes are read per row as dense ranks
-(_value_ranks, _pair_ranks), and the Levi count as chains of prefix sets
-(_levi_counts); scalar calls only word a failing row.
+(_value_ranks, against roots.pairing_plan's), and the Levi count as chains
+of prefix sets (_levi_counts); scalar calls only word a failing row.
 
-Overflow: with M the largest |entry| of a cleared sample, every subset sum
-is at most n * M, so each product s_S * |T| of a pairing a plan evaluates,
-each extremal cross-product s_T * |U| and each doubled pairing of the
-canonical-pair oracle (at most (n - 1) * n * M, partial sums included) is
-at most n^2 * M.  _columns asserts n^2 * M < 2^62 before any sweep, so
-every difference stays below 2^63.  The Levi sweep takes per-block
+Overflow: with M the largest |entry| of a cleared sample, each sign test is
+a form row of absolute sum at most n^2 / 2 (|S| <= n for a lone sum), each
+doubled pairing of the canonical-pair oracle one of at most n * (n - 1),
+and each extremal cross-product s_T * |U| at most n^2 * M, so every partial
+sum is at most n^2 * M.  _columns asserts n^2 * M < 2^62 before any sweep,
+so every difference stays below 2^63.  The Levi sweep takes per-block
 values and asserts M * max size * n * r < 2^62, at least n^2 * M: each
 subset gap n * sum(S) - |S| * total and each block's share of it stays
 below 2^63.  With M <= 100 * lcm(1..20) both hold for every n used here.
@@ -257,14 +257,6 @@ def _value_ranks(rows):
     return ranks
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_ranks(n):
-    """The pairs' rank vectors (pairs, n), in pairing_plan order, which is
-    also semistandard_all's: entry i is the position of index i's block."""
-    return np.array([[j for _, j in sorted((i, j) for j, S in enumerate(arr) for i in S)]
-                     for _, arr in pairing_plan(group(n))[0]], dtype=np.int64).reshape(-1, n)
-
-
 def _one_matches(flags, table, rows):
     """Per sample, whether exactly one case of flags (samples, cases) holds
     and that case's row of table equals the sample's row of rows."""
@@ -287,7 +279,7 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
         cols, ranks = _columns(points, n, n**2), _value_ranks(points)
         best, survivors = _chunked(cols, maximizer_width(n), _maximal_maximizers)
         survivors = survivors.T  # (samples, pairs)
-        paired = _one_matches(survivors, _pair_ranks(n), ranks)
+        paired = _one_matches(survivors, pairing_plan(group(n))[1], ranks)
         _, flags = _extremal_maximizers(cols, np.maximum.reduce)
         subsets = np.array([[i in T for i in range(n)] for T, _ in flags])
         projected = _one_matches(np.stack([win for _, win in flags], axis=1), subsets, ranks == 0)
@@ -335,7 +327,7 @@ def verify_cones(n=3, samples=1000, seed=20260816):
     rep = VerifyReport(identity="cone-partition", n=n, samples=len(points))
     cols = _columns(points, n, n**2)
     accepted = np.stack([cone_tests(prime, cols) for prime in all_primes], axis=1)
-    member = _one_matches(accepted, _pair_ranks(n), _value_ranks(points))
+    member = _one_matches(accepted, pairing_plan(group(n))[1], _value_ranks(points))
     for H, count in zip(points[~member].tolist(), accepted[~member].sum(axis=1)):
         rep.fail(H, "%d cones accept the point" % count if count != 1
                  else "fast membership disagrees")

@@ -140,10 +140,6 @@ class XiPointExpansion:
     errors: tuple
     config: PrecisionConfig
 
-    @property
-    def has_principal_part(self):
-        return self.point == 1
-
 
 _expansion_cache = {}
 _series_cache = {}

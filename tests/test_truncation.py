@@ -68,20 +68,23 @@ from orbitzeta.truncation.indicators import (
 )
 from orbitzeta.truncation.instability import cone_tests
 from orbitzeta.truncation.roots import (
+    constancy_tests,
     doubled_half_sums,
     doubled_relative_rho,
+    leading_tests,
     pair_merges,
     pairing_plan,
     ragged,
+    root_tests,
     runs,
     slope_plan,
+    weight_tests,
 )
 from orbitzeta.truncation.sampling import (
     _columns,
     _draw_cleared,
     _e_counts,
     _levi_counts,
-    _pair_ranks,
     _partition_values,
     _sandwich_sides,
     _value_ranks,
@@ -130,21 +133,26 @@ def test_parabolic_validation():
     assert str(p) == "(2,1)"
 
 
+def rho_values(P):
+    """Per-block value of P's half-sum of radical roots (block-constant)."""
+    return tuple(Fraction(d, 2) for d in doubled_half_sums(P.blocks))
+
+
 def test_rho_values_minimal_gl2():
     b = minimal_parabolic(2)
-    assert b.rho_values == (Fraction(1, 2), Fraction(-1, 2))
+    assert rho_values(b) == (Fraction(1, 2), Fraction(-1, 2))
 
 
 def test_rho_values_sum_to_zero_weighted():
     for n in range(1, 6):
         for p in standard_parabolics(n):
-            assert sum(v * m for v, m in zip(p.rho_values, p.blocks)) == 0
+            assert sum(v * m for v, m in zip(rho_values(p), p.blocks)) == 0
 
 
 def relative_rho_values(P, Q):
     """Half-sum values of P relative to Q, aligned with P's blocks.
 
-    For Q the full group this reduces to P.rho_values.
+    For Q the full group this reduces to rho_values(P).
     """
     return tuple(Fraction(d, 2) for d in doubled_relative_rho(P.split_by(Q)))
 
@@ -152,7 +160,7 @@ def relative_rho_values(P, Q):
 def test_relative_rho_against_full_group():
     for n in range(1, 6):
         for p in standard_parabolics(n):
-            assert relative_rho_values(p, group(n)) == p.rho_values
+            assert relative_rho_values(p, group(n)) == rho_values(p)
 
 
 def test_coarsenings_are_the_types_a_parabolic_refines():
@@ -756,22 +764,21 @@ def _weight_gaps(P, Q):
 
 
 def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
-    """Each body call evaluates its roots.SignPlan, which lists each sum and
-    each test once: on columns below group(5) the slope and partition
-    bodies evaluate each of the 31 subset sums and each of the 180 adjacent
-    (S, T) gaps once per call, again in a second call, and the partition
-    body adds exactly the 30 (leading union, whole block) weight gaps; the
-    Langlands and sigma bodies on columns evaluate their root and weight
-    gaps exactly, and the sums those read; the scalar routes evaluate no
-    entry twice, and the canonical-pair oracle reads the 31 sums only."""
+    """Each body call evaluates its roots.SignPlan, which lists each test
+    once: on columns below group(5) the slope and partition bodies evaluate
+    each of the 180 adjacent (S, T) gaps once per call, again in a second
+    call, and the partition body adds exactly the 30 (leading union, whole
+    block) weight gaps; the Langlands and sigma bodies on columns evaluate
+    their root and weight gaps exactly; the scalar routes evaluate no test
+    twice, and the canonical-pair oracle evaluates no plan."""
     evaluated = []
-    sums = roots.SignPlan.sums
+    evaluate = roots.SignPlan.evaluate
 
     def counting(self, H):
         evaluated.append(self)
-        return sums(self, H)
+        return evaluate(self, H)
 
-    monkeypatch.setattr(roots.SignPlan, "sums", counting)
+    monkeypatch.setattr(roots.SignPlan, "evaluate", counting)
     Q, rows = group(5), _e_rows(5)
     adjacent = {(arr[u], arr[u + 1]) for P in refinements_within(Q)
                 for arr in arrangements(P, Q) for u in range(P.r - 1)}
@@ -785,15 +792,13 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
              operator.le: "leading"}
 
     def evaluations(run):
-        """The entries of the plans run evaluates, by kind, after checking
-        that no plan lists an entry twice."""
+        """The tests of the plans run evaluates, by kind, after checking
+        that no plan lists a test twice."""
         evaluated.clear()
         run()
-        got = {kind: set() for kind in ("sum", *kinds.values())}
+        got = {kind: set() for kind in kinds.values()}
         for plan in evaluated:
-            assert len(set(plan.sets)) == len(plan.sets)
             assert len(set(plan.tests)) == len(plan.tests)
-            got["sum"] |= set(plan.sets)
             for compare, S, T in plan.tests:
                 got[kinds[compare]].add(S if T is None else (S, T))
         return got
@@ -806,8 +811,7 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
         got = evaluations(run)
         # one slope plan, or the partition and blocks plans, once per chunk
         assert len({id(plan) for plan in evaluated}) == plans, run
-        assert got == {"sum": subsets, "gap": gaps, "cone": set(), "equal": equal,
-                       "leading": leading}, run
+        assert got == {"gap": gaps, "cone": set(), "equal": equal, "leading": leading}, run
     cols = _columns(rows, 5, 25)
     G = group(5)
     for P in standard_parabolics(5):
@@ -821,14 +825,59 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
         for (body, *types), gaps in calls:
             got = evaluations(lambda: signed_count(body(*types, cols)))
             assert len(evaluated) == 1, (body, types)
-            assert got == {"sum": {S for key in gaps for S in key}, "gap": gaps, "cone": set(),
-                           "equal": set(), "leading": set()}, (body, types)
+            assert got == {"gap": gaps, "cone": set(), "equal": set(),
+                           "leading": set()}, (body, types)
     for run in (lambda: e_sum_terms(Q, H), lambda: arthur_partition_report(Q, H)):
         got = evaluations(run)
-        assert got["gap"] <= adjacent | weights and got["sum"] <= subsets
-    got = evaluations(lambda: canonical_pair_brute(H))
-    assert got == {"sum": subsets, "gap": set(), "cone": set(), "equal": set(),
-                   "leading": set()}
+        assert got["gap"] <= adjacent | weights and got["leading"] <= subsets
+    evaluations(lambda: canonical_pair_brute(H))
+    assert evaluated == []
+
+
+def _every_plan(n):
+    """Every roots.SignPlan the identity bodies build for points of size n:
+    the slope, partition and ordering plans per type, the coarsening plans
+    and type plans per nested pair, and the cone plan per ordered partition."""
+    types = standard_parabolics(n)
+    nested = [(P, Q) for Q in types for P in refinements_within(Q)]
+    yield from (slope_plan(Q)[1] for Q in types)
+    yield from (roots.partition_plan(Q) for Q in types)
+    yield from (roots.ordering_plan(M) for M in types)
+    yield from (roots.coarsening_plan(P, Q, inner, outer) for P, Q in nested
+                for inner, outer in ((root_tests, weight_tests), (weight_tests, root_tests)))
+    yield from (roots.type_plan(P, Q, tests) for P, Q in nested
+                for tests in (root_tests, weight_tests, leading_tests, constancy_tests))
+    yield from (roots.cone_plan(prime) for prime in semistandard_all(n))
+
+
+def _dot(forms, H):
+    """Each row of the form matrix against the exact point, in Python."""
+    return [sum(c * h for c, h in zip(row, H)) for row in forms.tolist()]
+
+
+def test_sign_plan_forms_are_the_pairings():
+    """Every plan's form rows for n <= 5 are the pairings of its tests at
+    exact points, some with coordinates beyond 2^63, some fractional:
+    row . H == s_S * |T| - s_T * |S|, or s_S for a lone sum, and each
+    row's absolute sum is at most n^2 / 2, or |S| <= n for a lone sum.
+    pairing_plan's forms give twice pair_pairing, each row's absolute sum
+    at most n(n - 1)."""
+    gen = random.Random(SEED)
+    for n in range(1, 6):
+        points = [tuple(gen.randint(-2**70, 2**70) for _ in range(n)), rand_point(gen, n),
+                  tuple(gen.randint(-3, 3) for _ in range(n))]
+        for plan in _every_plan(n):
+            for (_, S, T), size in zip(plan.tests, np.abs(plan.forms).sum(axis=1).tolist()):
+                assert size == len(S) if T is None else 2 * size <= n * n, (S, T)
+            for H in points:
+                sums = {S: sum(H[i] for i in S) for _, *pair in plan.tests for S in pair if S}
+                want = [sums[S] if T is None else sums[S] * len(T) - sums[T] * len(S)
+                        for _, S, T in plan.tests]
+                assert _dot(plan.forms, H) == want, (plan.tests, H)
+        pairs, _, forms = pairing_plan(group(n))
+        assert np.abs(forms).sum(axis=1).max() <= n * (n - 1)
+        for H in points:
+            assert _dot(forms, H) == [2 * pair_pairing(P, group(n), arr, H) for P, arr in pairs]
 
 
 def test_E_is_every_coordinate_nonpositive():
@@ -1350,13 +1399,13 @@ def _rank_vector(blocks, n):
 
 def test_rank_route_matches_value_classes():
     """The dense ranks of each row name the value classes of canonical_pair
-    and of cone_membership, and the pair table gives each pair's rank
-    vector in pairing_plan order, which is semistandard_all's; row by row
+    and of cone_membership, and pairing_plan's ranks give each pair's rank
+    vector in its pair order, which is semistandard_all's; row by row
     on drawn, tied, zero, mirrored, constant and battery rows."""
     for n in range(1, 6):
         rows = _canonical_rows(n)
         primes = semistandard_all(n)
-        table = _pair_ranks(n)
+        table = pairing_plan(group(n))[1]
         assert table.tolist() == [_rank_vector(arr, n) for _, arr in pairing_plan(group(n))[0]]
         assert table.tolist() == [_rank_vector(pp.blocks, n) for pp in primes]
         position = {pp: p for p, pp in enumerate(primes)}
@@ -1388,12 +1437,16 @@ def _classes_swapped(ranks):
 def test_broken_rank_route_fails_both_sweeps(monkeypatch, table_too):
     """With the two largest value classes swapped in the rows' ranks, every
     row of two or more classes fails the canonical sweep's pair check and
-    the cone sweep's membership check.  With the pair table swapped alike,
+    the cone sweep's membership check.  With pairing_plan's ranks swapped alike,
     the pairs and cones still match, and the extremal projection check
     fails those rows instead."""
     monkeypatch.setattr(sampling, "_value_ranks", lambda rows: _classes_swapped(_value_ranks(rows)))
     if table_too:
-        monkeypatch.setattr(sampling, "_pair_ranks", lambda n: _classes_swapped(_pair_ranks(n)))
+        def swapped_plan(Q):
+            pairs, ranks, forms = pairing_plan(Q)
+            return pairs, _classes_swapped(ranks), forms
+
+        monkeypatch.setattr(sampling, "pairing_plan", swapped_plan)
     seed, plan = 5, ((1, 20), (2, 60), (3, 60), (4, 40))
     gen = np.random.default_rng(seed)
     drawn = [_draw_cleared(gen, (count, n)).tolist() for n, count in plan]

