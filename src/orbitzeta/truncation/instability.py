@@ -23,12 +23,13 @@ from .roots import (
     StandardParabolic,
     WallTie,
     as_exact,
+    cleared,
     cone_plan,
     doubled_half_sums,
     doubled_relative_rho,
     fold,
+    form_values,
     group,
-    operand,
     pair_merges,
     pairing_plan,
     runs,
@@ -91,10 +92,10 @@ def pair_pairing(P, Q, arrangement, H):
 
 def _doubled_pairs(Q, H):
     """(pairs, doubled pairings) below Q, from roots.pairing_plan: the pairs
-    (P, arrangement) and twice each one's half-sum pairing, at an exact
-    point (as objects) or per sample on a tuple of sample columns."""
+    (P, arrangement) and twice each one's half-sum pairing (form_values), at
+    an integer point or, exact in float64, per sample on int64 columns."""
     pairs, _, forms = pairing_plan(Q)
-    return pairs, forms @ operand(H)
+    return pairs, form_values(forms, H)
 
 
 def degree_instability(Q, H):
@@ -197,10 +198,11 @@ def canonical_pair_brute(H):
     maximum.  Raises WallTie if that filter leaves more than one pair.
 
     Exponential in n; this is the oracle the fast construction is tested
-    against.
+    against.  The point is cleared to integers (roots.cleared) once.
     """
-    H = as_exact(H)
-    return _select_pair(len(H), *_maximal_maximizers(H))
+    scale, H = cleared(as_exact(H))
+    best, survivors = _maximal_maximizers(H)
+    return _select_pair(len(H), Fraction(best, scale), survivors)
 
 
 def cone_tests(prime, H):

@@ -13,11 +13,11 @@ blocks of one ambient block, a fundamental weight the union of the blocks
 before its cut with the whole ambient block (root_tests, weight_tests).
 Each pairing is an integer linear form in the point: each identity lists
 its tests once per type as the rows of a cached SignPlan (the *_plan
-builders, next to _pairs_below), one matrix product on an exact point or
-on int64 sample columns alike.  Points are exact (as_exact: Python ints, and
-Fractions where not integral); no floats enter this subpackage.  Half-sums
-of radical roots are carried doubled, as the integers after - before, and
-halved once where a public value is returned.
+builders, next to _pairs_below), one matrix product (form_values) on an
+exact point or on int64 sample columns, there in float64, exact below 2^53.
+Points are exact (as_exact: Python ints, and Fractions where not integral).
+Half-sums of radical roots are carried doubled, as the integers after -
+before, and halved once where a public value is returned.
 """
 
 from __future__ import annotations
@@ -307,11 +307,20 @@ def fold(ufunc, values, lists):
     return out
 
 
-def operand(H):
-    """A point as the right operand of a form matrix: int64 sample columns
-    stacked as an array (coordinates, samples), or an exact point as an
-    object vector of its Python values."""
-    return np.stack(H) if isinstance(H[0], np.ndarray) else np.array(H, object)
+def cleared(H):
+    """(scale, integers): the lcm of an exact point's denominators, and the
+    point multiplied by it as Python ints."""
+    scale = math.lcm(*(h.denominator for h in H))
+    return scale, [h.numerator * (scale // h.denominator) for h in H]
+
+
+def form_values(forms, H):
+    """forms @ H: an object product at a point of Python ints; on int64
+    sample columns one float64 BLAS product, exact since every product and
+    partial sum is an integer below 2^53 (sampling._columns' guard)."""
+    if isinstance(H[0], np.ndarray):
+        return forms.astype(np.float64) @ np.stack(H, dtype=np.float64)[:forms.shape[1]]
+    return forms @ np.array(H, object)[:forms.shape[1]]
 
 
 _COMPARISONS = (operator.gt, operator.ge, operator.eq, operator.le)
@@ -327,7 +336,8 @@ class SignPlan:
     gap, ge for a cone test, eq for a wall or for two coordinates of a set
     that carries one value, le for a leading sum.  Each is linear in the
     point, so its row of forms holds the coefficients |T| * 1_S - |S| * 1_T,
-    or 1_S: the hyperplane normals of the type's arrangement.
+    or 1_S: the hyperplane normals of the type's arrangement, of absolute
+    sum at most n^2 / 2 (or |S|), so form_values is exact on columns.
     """
 
     def __init__(self, terms, signs=None):
@@ -354,12 +364,9 @@ class SignPlan:
     def evaluate(self, H):
         """Per term whether all its tests hold: an array (terms,) at an
         exact point, (terms, samples) on a tuple of int64 columns.  Every
-        test is forms @ operand: the stacked columns, or the exact point
-        cleared to integers (each test is homogeneous of degree one)."""
-        if not isinstance(H[0], np.ndarray):
-            scale = math.lcm(*(h.denominator for h in H))
-            H = [h.numerator * (scale // h.denominator) for h in H]
-        values = self.forms @ operand(H)[:self.forms.shape[1]]
+        test is form_values on the columns or on the point cleared to
+        integers (each test is homogeneous of degree one)."""
+        values = form_values(self.forms, H if isinstance(H[0], np.ndarray) else cleared(H)[1])
         tests, lo = np.empty(values.shape, bool), 0
         for compare, count in self._compares:
             tests[lo:lo + count] = compare(values[lo:lo + count], 0)

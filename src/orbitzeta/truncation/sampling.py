@@ -17,15 +17,15 @@ cells (_chunked).  Value classes are read per row as dense ranks
 (_value_ranks, against roots.pairing_plan's), and the Levi count as chains
 of prefix sets (_levi_counts); scalar calls only word a failing row.
 
-Overflow: with M the largest |entry| of a cleared sample, each sign test is
-a form row of absolute sum at most n^2 / 2 (|S| <= n for a lone sum), each
-doubled pairing of the canonical-pair oracle one of at most n * (n - 1),
-and each extremal cross-product s_T * |U| at most n^2 * M, so every partial
-sum is at most n^2 * M.  _columns asserts n^2 * M < 2^62 before any sweep,
-so every difference stays below 2^63.  The Levi sweep takes per-block
-values and asserts M * max size * n * r < 2^62, at least n^2 * M: each
-subset gap n * sum(S) - |S| * total and each block's share of it stays
-below 2^63.  With M <= 100 * lcm(1..20) both hold for every n used here.
+Exactness: with M the largest |entry| of a cleared sample, each sign test
+is a form row of absolute sum at most n^2 / 2 (|S| <= n for a lone sum),
+each doubled pairing of the canonical-pair oracle one of at most n(n - 1),
+and each extremal cross-product s_T * |U| at most n^2 * M.  _columns asserts
+n^2 * M < 2^53 before any sweep, so every product and partial sum is an
+integer below 2^53, which roots.form_values' float64 products hold exactly
+in any summation order.  The Levi sweep asserts M * max size * n * r < 2^53
+on per-block values, bounding each subset gap n * sum(S) - |S| * total and
+each block's share of it.  M <= 100 * lcm(1..20) < 2^34.5 meets both.
 """
 
 from __future__ import annotations
@@ -73,6 +73,13 @@ from .roots import (
 NUMERATOR_BOUND = 100
 DENOMINATOR_BOUND = 20
 CHUNK_CELLS = 2**18  # bounds the cells a chunk of samples holds at once (_chunked)
+# a bit per prime power up to DENOMINATOR_BOUND: each d's mask, each mask's primes' product
+_POWERS = [2, 4, 8, 16, 3, 9, 5, 7, 11, 13, 17, 19]
+_PRIMES = [2, 2, 2, 2, 3, 3, 5, 7, 11, 13, 17, 19]
+_DENOMINATOR_MASKS = np.array([sum(1 << k for k, q in enumerate(_POWERS) if d % q == 0)
+                               for d in range(DENOMINATOR_BOUND + 1)], np.int16)
+_MASK_PRODUCTS = functools.reduce(lambda table, p: np.concatenate([table, table * p]),
+                                  _PRIMES, np.ones(1, np.int64))
 
 
 @dataclass
@@ -113,20 +120,19 @@ def _draw_cleared(rng, shape):
     """Rows of sampled rationals, each cleared to integers by its lcm.
 
     Draws every numerator, then every denominator, from the numpy generator.
-    The row lcms are folded column by column, which gives np.lcm.reduce's
-    values and dtype faster than its reduction along rows.
+    A row's lcm has the OR of its denominators' prime-power masks (a column
+    fold), and lcm / d the primes' product on the bits OR ^ mask[d].
     """
     nums = rng.integers(-NUMERATOR_BOUND, NUMERATOR_BOUND + 1, size=shape)
-    dens = rng.integers(1, DENOMINATOR_BOUND + 1, size=shape)
-    lcms = functools.reduce(np.lcm, dens.T)
-    return nums * (lcms[:, None] // dens)
+    masks = _DENOMINATOR_MASKS[rng.integers(1, DENOMINATOR_BOUND + 1, size=shape)]
+    return nums * _MASK_PRODUCTS[functools.reduce(np.bitwise_or, masks.T)[:, None] ^ masks]
 
 
 def _columns(points, width, factor):
     """Integer sample rows (samples, width) as the tuple of their int64
-    columns, after the overflow guard factor * max|entry| < 2^62 (above)."""
+    columns, after the exactness guard factor * max|entry| < 2^53 (above)."""
     rows = np.asarray(points, dtype=np.int64).reshape(-1, width)
-    if int(np.abs(rows).max(initial=0)) * factor >= 2**62:
+    if int(np.abs(rows).max(initial=0)) * factor >= 2**53:
         raise OverflowError("cleared integers too large for int64 evaluation")
     return tuple(rows.T)
 

@@ -880,6 +880,38 @@ def test_sign_plan_forms_are_the_pairings():
             assert _dot(forms, H) == [2 * pair_pairing(P, group(n), arr, H) for P, arr in pairs]
 
 
+def _guard_rows(n, gen):
+    """Integer rows of size n at the exactness guard of _columns, limit =
+    _guard_limit(n * n): every sign pattern of limit - 1, and near ties
+    +-(limit - 2) + e, e a unit vector, its negative or a random vector in
+    {-1, 0, 1}^n, where a pairing's terms reach about 2^51 while its value
+    is 0, +-1 or a few units."""
+    top = _guard_limit(n * n) - 1
+    rows = [[sign * top for sign in signs] for signs in itertools.product((1, -1), repeat=n)]
+    steps = [[int(i == j) * s for j in range(n)] for i in range(n) for s in (1, -1)]
+    steps += [[gen.choice((-1, 0, 1)) for _ in range(n)] for _ in range(4)]
+    rows += [[sign * (top - 1) + e for e in step] for sign in (1, -1) for step in steps]
+    return np.array(rows, dtype=np.int64)
+
+
+def test_column_route_is_exact_at_the_guard():
+    """Every plan for n <= 5 and pairing_plan(group(n)) on int64 columns at
+    the exactness guard (_guard_rows): the float64 form values and the
+    verdicts equal the exact-point route's, row by row."""
+    gen = random.Random(SEED)
+    for n in range(1, 6):
+        rows = _guard_rows(n, gen)
+        cols, points = _columns(rows, n, n * n), [tuple(map(int, row)) for row in rows]
+        for plan in _every_plan(n):
+            values = roots.form_values(plan.forms, cols).T.tolist()
+            assert values == [roots.form_values(plan.forms, H).tolist() for H in points], plan.tests
+            want = np.stack([plan.evaluate(H) for H in points], axis=-1)
+            assert np.array_equal(plan.evaluate(cols), want), plan.tests
+        _, doubled = instability._doubled_pairs(group(n), cols)
+        assert doubled.T.tolist() == [instability._doubled_pairs(group(n), H)[1].tolist()
+                                      for H in points], n
+
+
 def test_E_is_every_coordinate_nonpositive():
     """Singletons are among the scanned subsets, so the slope indicator of
     every type is "every coordinate <= 0": on every drawn and wall row
@@ -1510,9 +1542,9 @@ def test_passing_sweeps_make_no_scalar_call(monkeypatch):
 
 
 def _guard_limit(factor):
-    """The least magnitude whose int64 guard bound, magnitude * factor,
-    reaches 2^62."""
-    return -(-(2**62) // factor)
+    """The least magnitude whose exactness guard bound, magnitude * factor,
+    reaches 2^53."""
+    return -(-(2**53) // factor)
 
 
 @pytest.mark.parametrize("r", [9, 10])
@@ -1707,8 +1739,9 @@ def test_draw_cleared_matches_per_row_lcm():
 
 
 def test_draw_cleared_column_fold_matches_lcm_reduce():
-    """_draw_cleared's column fold of the row lcms against np.lcm.reduce
-    along rows, on the same draws: widths 1 to 8, values and dtype."""
+    """_draw_cleared's prime-power masks, the row lcm's mask an OR folded
+    column by column, against np.lcm.reduce along rows on the same draws:
+    widths 1 to 8, values and dtype."""
     for width in range(1, 9):
         for samples in (1, 2000):
             got = _draw_cleared(np.random.default_rng(SEED + width), (samples, width))
