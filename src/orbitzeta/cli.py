@@ -37,8 +37,6 @@ from .xinumeric import (
     residue_at_zero,
 )
 from .xinumeric.laurent import as_mpf
-from .truncation import cone_accepts, cone_membership, semistandard_all
-from .truncation.sampling import verify_cones
 
 ANCHOR_TOLERANCE = mpmath.mpf("1e-8")
 # residues and the pole survey gate pole orders and anchors up to this size
@@ -225,6 +223,8 @@ def _chamber_rows(n):
     """One row per ordered index partition with a representative point:
     block j gets value (r - j), descending, so the representative must be
     accepted by exactly its own cone."""
+    from .truncation import cone_accepts, cone_membership, semistandard_all
+
     rows = [["blocks", "representative", "accepted", "membership_match"]]
     for prime in semistandard_all(n):
         H = [0] * n
@@ -240,7 +240,9 @@ def _chamber_rows(n):
 
 def cmd_verify_cones(args):
     """Randomized cone-partition sweep (JSON/table) or exhaustive chamber
-    audit (CSV)."""
+    audit (CSV).  The truncation layer (and numpy) loads only here."""
+    from .truncation.sampling import verify_cones
+
     n = args.n if args.n is not None else 3
     if not 1 <= n <= 5:
         raise UsageError("verify-cones needs --n between 1 and 5")

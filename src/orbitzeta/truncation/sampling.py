@@ -133,7 +133,7 @@ def _columns(points, width, factor):
     columns, after the exactness guard factor * max|entry| < 2^53 (above)."""
     rows = np.asarray(points, dtype=np.int64).reshape(-1, width)
     if int(np.abs(rows).max(initial=0)) * factor >= 2**53:
-        raise OverflowError("cleared integers too large for int64 evaluation")
+        raise OverflowError("cleared integers too large for exact float64 evaluation")
     return tuple(rows.T)
 
 

@@ -160,8 +160,9 @@ def expansion_at(point, config=None):
     Coefficient k and its error do not depend on how many are built, so a
     higher order is a slice of what is there or a rebuild with that prefix.
 
-    The caches and mpmath's working precision are process-global, so the
-    numeric layer is for single-threaded use.
+    The caches, laurent_expand's product memo (one config at a time) and
+    mpmath's working precision are process-global, so the numeric layer is
+    for single-threaded use.
     """
     config = config or PrecisionConfig.default()
     if point < 1:

@@ -4,8 +4,11 @@ One series engine serves two coefficient rings.  A factor xi(a + b*s) with
 a >= 2 contributes the Taylor series of xi at a; a factor with a = 1
 contributes exactly 1/(b*s) plus the Taylor series of the regular part at 1.
 expand() multiplies these factor series per monomial and sums the terms
-once per degree; monomials that share a factor prefix, adjacent in the
-sorted term order, share its product.  laurent_expand runs it over
+once per degree, keeping each factor's window and each product that is a
+strict prefix of a monomial in a memo keyed by factor tuple.  laurent_expand
+holds one process-global memo for the last config it expanded at (a window
+depends only on the config and the factors), single-threaded like the
+kernel's tables.  laurent_expand runs it over
 (value, error) coefficients: principal-part coefficients are exact
 rationals, everything else is a big float carrying an absolute-error bound:
 the tables' errors, propagated, plus a bound on every rounding at the
@@ -47,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -372,56 +374,64 @@ def factor_series(a, b, length, ring, taylor):
     return LaurentSeries(0, tuple(taylor(a, b, length)))
 
 
-def expand(expression, length, ring, taylor):
+def expand(expression, length, ring, taylor, memo=None):
     """Laurent series of a nonzero XiExpression over one coefficient ring.
 
     Each monomial's factor series, stored to `length` orders, are multiplied
     left to right, and the products, weighted by the monomials'
-    coefficients, are summed once per degree.  ring is the coefficient ring
-    (see the module docstring); taylor is as in factor_series.  Each
-    distinct factor's series is built and lifted once per call, every
-    product and the sum run on native windows, and ring elements are built
-    only for the returned coefficients.  An expression with no terms raises
-    ValueError.
+    coefficients, are summed once per degree in the sorted term order.
+    ring is the coefficient ring (see the module docstring); taylor is as in
+    factor_series.  Every product and the sum run on native windows, and
+    ring elements are built only for the returned coefficients.  An
+    expression with no terms raises ValueError.
 
-    Products are shared along the term order: prefix[i] holds the product
-    of the series of the current monomial's first i + 1 factors, and the
-    next monomial keeps the entries of the factor prefix it has in common
-    with it and multiplies out only the rest.  Every product is the one a
-    fresh left fold of that monomial would make, in any term order; the
-    sorted order (by length, then factors) only makes common prefixes
-    adjacent, so that each is multiplied once.  Every window stores
-    `length` orders, so the sum's window is the `length` orders from the
-    lowest min_degree.
+    memo maps a factor tuple to its (min_degree, native window); None means
+    a fresh dict for this call.  On a miss a monomial's longest prefix in
+    the memo is multiplied by each further factor's window in turn.  Single
+    factors are always kept, a product only when it is a strict prefix of a
+    monomial of this expression, so each distinct prefix is multiplied at
+    most once per memo.  A shared memo must hold windows of the same length,
+    ring, taylor and working precision; every product is the one a fresh
+    left fold makes, so the result does not depend on what the memo held.
+    Every window stores `length` orders, so the sum's window is the
+    `length` orders from the lowest min_degree.
     """
+    memo = {} if memo is None else memo
+    monomials = expression.sorted_terms()
+    kept = {m[:i] for m, _ in monomials for i in range(2, len(m))}
 
-    def lifted(f):
-        series = factor_series(f.a, f.b, length, ring, taylor)
-        return series.min_degree, ring.lift(series.coeffs)
+    def single(f):
+        if (f,) not in memo:
+            series = factor_series(f.a, f.b, length, ring, taylor)
+            memo[(f,)] = series.min_degree, ring.lift(series.coeffs)
+        return memo[(f,)]
 
-    series_of = cache(lifted)
-    unit = 0, ring.lift((ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
     terms = []
-    factors, prefix = (), []
-    for monomial, coeff in expression.sorted_terms():
-        shared = 0
-        for f, g in zip(factors, monomial):
-            if f != g:
-                break
-            shared += 1
-        factors = monomial
-        del prefix[shared:]
-        for f in factors[shared:]:
-            degree, window = series_of(f)
-            if prefix:
-                low, product = prefix[-1]
-                degree, window = low + degree, ring.convolve(product, window)
-            prefix.append((degree, window))
-        terms.append((coeff, *(prefix[-1] if prefix else unit)))
+    for monomial, coeff in monomials:
+        if not monomial:
+            unit = (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1)
+            terms.append((coeff, 0, ring.lift(unit)))
+            continue
+        # the longest product in the memo, then one convolve per further factor
+        i = len(monomial)
+        while i > 1 and monomial[:i] not in memo:
+            i -= 1
+        degree, window = memo[monomial[:i]] if i > 1 else single(monomial[0])
+        for j in range(i, len(monomial)):
+            low, last = single(monomial[j])
+            degree, window = degree + low, ring.convolve(window, last)
+            if monomial[: j + 1] in kept:
+                memo[monomial[: j + 1]] = degree, window
+        terms.append((coeff, degree, window))
     if not terms:
         raise ValueError("cannot expand an expression with no terms")
     lo = min(degree for _, degree, _ in terms)
     return LaurentSeries(lo, tuple(ring.weighted_sum(terms, lo, lo + length - 1)))
+
+
+# laurent_expand's product memo, {config: memo} for the last config expanded:
+# a window depends only on the config and the factors
+_PRODUCTS = {}
 
 
 def laurent_expand(expression, config=None):
@@ -430,6 +440,7 @@ def laurent_expand(expression, config=None):
     The certified window is [-q, K - q] where q is the largest polar-factor
     count of any monomial and K the configured expansion order; the order
     must exceed q by at least 2 or the expansion is refused outright.
+    Products come from the memo of the last config expanded (see expand).
     """
     config = config or PrecisionConfig.default()
     length = config.expansion_order + 1
@@ -449,5 +460,7 @@ def laurent_expand(expression, config=None):
             for k, (c, e) in enumerate(zip(table.coefficients[:count], table.errors))
         ]
 
+    if config not in _PRODUCTS:
+        _PRODUCTS.clear()
     with mp.workdps(config.internal_dps):
-        return expand(expression, length, _Approx, taylor)
+        return expand(expression, length, _Approx, taylor, _PRODUCTS.setdefault(config, {}))

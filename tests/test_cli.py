@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import orbitzeta
 from orbitzeta import __version__
 from orbitzeta.cli import main
 
@@ -81,6 +86,25 @@ def test_residues_requires_n(capsys):
     code, _, err = run(capsys, "residues")
     assert code == 2
     assert "residues" in err
+
+
+def test_residues_run_leaves_the_truncation_layer_unloaded():
+    """Only the cone commands import the truncation layer, and with it
+    numpy; a residues run in a fresh interpreter loads neither."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import orbitzeta.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = orbitzeta.cli.main(['residues', '--n', '3', '--format', 'json'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert 'orbitzeta.truncation' not in sys.modules\n"
+    )
+    src = str(pathlib.Path(orbitzeta.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

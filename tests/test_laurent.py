@@ -23,7 +23,7 @@ from orbitzeta.xinumeric import (
 )
 from orbitzeta.xinumeric.formal import _symbols
 from orbitzeta.xinumeric.kernel import expansion_at
-from orbitzeta.xinumeric.laurent import _Approx, expand, factor_series
+from orbitzeta.xinumeric.laurent import _PRODUCTS, _Approx, expand, factor_series
 
 CFG = PrecisionConfig.default(working_digits=30, expansion_order=8)
 
@@ -425,8 +425,8 @@ def test_shared_products_do_not_depend_on_term_order():
         assert expand(Ordered(order), 4, FormalPoly, _symbols) == want
 
 
-def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
-    """One native window product per distinct factor prefix of length >= 2."""
+def count_convolves(monkeypatch):
+    """Count every native window product of either ring in calls[0]."""
     calls = [0]
     for ring in (_Approx, FormalPoly):
 
@@ -435,15 +435,51 @@ def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
             return convolve(a, b)
 
         monkeypatch.setattr(ring, "convolve", counting)
+    return calls
+
+
+def test_expand_multiplies_each_factor_prefix_once(monkeypatch):
+    """One native window product per distinct factor prefix of length >= 2."""
+    calls = count_convolves(monkeypatch)
     for expr in _expressions_through(6):
         prefixes = {m[:i] for m in expr.terms for i in range(2, len(m) + 1)}
         for run in (
-            lambda: laurent_expand(expr, CFG),
+            lambda: _PRODUCTS.clear() or laurent_expand(expr, CFG),
             lambda: expand(expr, expr.max_polar_count(), FormalPoly, _symbols),
         ):
             calls[0] = 0
             run()
             assert calls[0] == len(prefixes), expr
+
+
+def test_repeated_expansion_multiplies_only_unkept_full_products(monkeypatch):
+    """laurent_expand keeps single factors and strict prefixes for its
+    config, so a repeat multiplies out only the full products that are no
+    monomial's strict prefix, and returns the same bits."""
+    calls = count_convolves(monkeypatch)
+    for expr in _expressions_through(6) + list(SYNTHETIC):
+        cfg = CFG.for_orbit_size(expr.max_polar_count())
+        strict = {m[:i] for m in expr.terms for i in range(2, len(m))}
+        unkept = {m for m in expr.terms if len(m) >= 2 and m not in strict}
+        _PRODUCTS.clear()
+        first = bits(laurent_expand(expr, cfg))
+        calls[0] = 0
+        assert bits(laurent_expand(expr, cfg)) == first, expr
+        assert calls[0] == len(unkept), expr
+
+
+def test_switching_config_and_back_keeps_the_naive_bits():
+    """Each config change replaces laurent_expand's memo; every expansion,
+    before and after a change and after changing back, equals the naive
+    fold at its config bit for bit."""
+    other = PrecisionConfig.default(working_digits=20, expansion_order=8)
+    exprs = [h_orbit(Partition((2, 1))), z_orbit(Partition((3, 1))), *SYNTHETIC]
+    for cfg in (CFG, other, CFG, other):
+        for expr in exprs:
+            with mp.workdps(cfg.internal_dps):
+                want = naive_expand(expr, cfg.expansion_order + 1, _Approx, numeric_taylor(cfg))
+            assert bits(laurent_expand(expr, cfg)) == bits(want), (cfg, expr)
+        assert list(_PRODUCTS) == [cfg]
 
 
 def test_expand_refuses_an_expression_with_no_terms():
