@@ -11,9 +11,12 @@ Routes kept deliberately independent:
 - Taylor coefficients at integer points come from the same summation in
   power-series mode (F. Johansson, "Rigorous high-precision computation of
   the Hurwitz zeta function and its derivatives", Numer. Algorithms 69
-  (2015)): real arithmetic, one log per summed term, and a bound on the
-  error of every coefficient.  Trapezoid quadrature of the Cauchy integral
-  on a small circle is its test oracle (tests/contour_oracle.py);
+  (2015)): real interval arithmetic on raw (lo, hi) endpoint pairs, one
+  log per summed term, the values that do not depend on the point shared
+  per precision and cutoff, and a bound on the error of every coefficient.
+  Trapezoid quadrature of the Cauchy integral on a small circle is its
+  accuracy oracle (tests/contour_oracle.py), and the same build in
+  mpmath's iv context its bit-for-bit oracle (tests/interval_oracle.py);
 - derivative values can be cross-checked through central finite differences
   with Richardson extrapolation, which shares no code with the series route;
 - the finite part at the pole z = 1 can be cross-checked through a direct
@@ -33,9 +36,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
-from mpmath import iv, mp, mpc, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    fnone, fone, from_float, mpf_euler, mpf_pi, mpf_shift, mpi_add, mpi_delta, mpi_div, mpi_exp,
+    mpi_log, mpi_loggamma, mpi_mid, mpi_mul, mpi_neg, mpi_sub, round_ceiling, round_floor, to_float,
+)
 
 from .config import GUARD_DIGITS, ExpansionOrderError, PrecisionConfig, PrecisionError
+from .intervals import ONE, ZERO, fold_sum, ival, series_mul
 
 
 class ValueWithError(NamedTuple):
@@ -159,6 +167,8 @@ def expansion_at(point, config=None):
     one pass over j builds max(order + 1, _MIN_TERMS) coefficients.
     Coefficient k and its error do not depend on how many are built, so a
     higher order is a slice of what is there or a rebuild with that prefix.
+    The enclosures every point shares are cached per (binary precision,
+    cutoff) in _shared_cache.
 
     The caches, laurent_expand's product memo (one config at a time) and
     mpmath's working precision are process-global, so the numeric layer is
@@ -187,47 +197,54 @@ def _xi_series(point, digits, size):
     """Coefficients 0..size-1 of xi(point + u), or of xi(1 + u) - 1/u at
     point 1, each with an error bound.
 
-    Everything runs in interval arithmetic, so rounding is enclosed; the
-    value is an enclosure's midpoint and the error its width.  The Gamma
-    factor pi^(-s/2) Gamma(s/2) is exp of its log series at x = point/2:
-    loggamma(x) - x log pi, then (digamma(x) - log pi) u/2, then
-    polygamma(m-1, x) (u/2)^m/m! = (-1)^m/m sum_{i>=point, i=point mod 2}
-    i^-m u^m, whose tail is a multiple of zeta(m).  mpmath's zeta(m) is
-    taken as accurate to 16 units in the last place.
+    Everything runs in interval arithmetic on raw (lo, hi) endpoint pairs,
+    through mpmath.libmp's mpi_* functions at mp.prec, so rounding is
+    enclosed; the value is an enclosure's midpoint and the error its width.
+    The Gamma factor pi^(-s/2) Gamma(s/2) is exp of its log series at
+    x = point/2: loggamma(x) - x log pi, then (digamma(x) - log pi) u/2,
+    then polygamma(m-1, x) (u/2)^m/m! = (-1)^m/m sum_{i>=point,
+    i=point mod 2} i^-m u^m, whose tail is a multiple of zeta(m).  mpmath's
+    zeta(m) is taken as accurate to 16 units in the last place.
     """
     cutoff, terms = _em_plan(point, digits)
-    saved = iv.prec
-    try:
-        with mp.workdps(digits + 10):
-            iv.prec = mp.prec
-            x = iv.mpf(point) / 2
-            odd = point % 2
-            below = range(2 - odd, point, 2)
-            log_pi = iv.log(iv.pi)
-            logs = [
-                iv.loggamma(x) - x * log_pi if point > 1 else iv.mpf(0),
-                (sum(iv.mpf(2) / i for i in below) - iv.euler - 2 * odd * iv.log(2) - log_pi) / 2,
-            ]
-            for m in range(2, size + 1):
-                half = iv.mpf(1) / 2**m
-                tail = _enclose(mpmath.zeta(m)) * (1 - half if odd else half)
-                logs.append((-1) ** m * (tail - sum(iv.mpf(1) / i**m for i in below)) / m)
-            gamma = [iv.exp(logs[0])]
-            for k in range(1, size + 1):
-                gamma.append(sum(j * logs[j] * gamma[k - j] for j in range(1, k + 1)) / k)
-            xi = _mul(gamma, _zeta_series(point, cutoff, terms, size))
-            if point == 1:
-                # xi(1 + u) - 1/u = (G(u) - 1)/u + G(u) zeta_reg(1 + u), as G(0) = 1
-                xi = [c + g for c, g in zip(xi, gamma[1:])]
-            return tuple(mpf(c.mid) for c in xi), tuple(float(c.delta) for c in xi)
-    finally:
-        iv.prec = saved
+    with mp.workdps(digits + 10):
+        prec = mp.prec
+        shared = _shared(prec, cutoff, size, terms)
+        ints, two = shared.ints, shared.ints[2]
+        x = mpi_div(ival(point, prec), two, prec)
+        odd = point % 2
+        below = range(2 - odd, point, 2)
+        log_pi = shared.log_pi
+        first = fold_sum((mpi_div(two, ival(i, prec), prec) for i in below), prec)
+        for sub in (shared.euler, mpi_mul(ival(2 * odd, prec), shared.log_two, prec), log_pi):
+            first = mpi_sub(first, sub, prec)
+        logs = [
+            mpi_sub(mpi_loggamma(x, prec), mpi_mul(x, log_pi, prec), prec) if point > 1 else ZERO,
+            mpi_div(first, two, prec),
+        ]
+        for m in range(2, size + 1):
+            half = mpi_div(ONE, ival(2**m, prec), prec)
+            tail = mpi_mul(shared.zetas[m], mpi_sub(ONE, half, prec) if odd else half, prec)
+            part = fold_sum((mpi_div(ONE, ival(i**m, prec), prec) for i in below), prec)
+            signed = mpi_mul(ival((-1) ** m, prec), mpi_sub(tail, part, prec), prec)
+            logs.append(mpi_div(signed, ints[m], prec))
+        gamma = [mpi_exp(logs[0], prec)]
+        for k in range(1, size + 1):
+            products = (mpi_mul(mpi_mul(ints[j], logs[j], prec), gamma[k - j], prec)
+                        for j in range(1, k + 1))
+            gamma.append(mpi_div(fold_sum(products, prec), ints[k], prec))
+        xi = series_mul(gamma, _zeta_series(point, cutoff, terms, size), prec)
+        if point == 1:
+            # xi(1 + u) - 1/u = (G(u) - 1)/u + G(u) zeta_reg(1 + u), as G(0) = 1
+            xi = [mpi_add(c, g, prec) for c, g in zip(xi, gamma[1:])]
+        return (tuple(mpf(mpi_mid(c, prec)) for c in xi),
+                tuple(to_float(mpi_delta(c, prec)) for c in xi))
 
 
 def _zeta_series(point, cutoff, terms, size):
     """Enclosures of coefficients 0..size-1 of zeta(point + u), or of
-    zeta(1 + u) - 1/u at point 1, by Euler-Maclaurin in power-series mode
-    (F. Johansson, Numer. Algorithms 69 (2015)):
+    zeta(1 + u) - 1/u at point 1, at mp.prec, by Euler-Maclaurin in
+    power-series mode (F. Johansson, Numer. Algorithms 69 (2015)):
 
         zeta(s) = sum_{j<N} j^-s + N^(1-s) [1/(s-1) + 1/(2N)
                   + sum_{k<=M} B_2k/(2k)! (s)_(2k-1) N^-2k] + R(s),
@@ -235,30 +252,39 @@ def _zeta_series(point, cutoff, terms, size):
     with j^-s = j^-point exp(-u log j), N^(1-s) = N^(1-point) N^-u, and
     (s)_(2k-1) a polynomial in u with integer coefficients.
     """
-    sums = [iv.mpf(1)] + [iv.mpf(0)] * (size - 1)
+    prec = mp.prec
+    shared = _shared(prec, cutoff, size, terms)
+    ints = shared.ints
+    sums = [ONE] + [ZERO] * (size - 1)
     for j in range(2, cutoff):
-        term, step = iv.mpf(1) / j**point, -iv.log(j)
+        term, step = mpi_div(ONE, ival(j**point, prec), prec), shared.steps[j - 2]
         for m in range(size):
-            sums[m] += term
-            term = term * step / (m + 1)
-    decay = [iv.mpf(1)]  # N^-u, one coefficient longer for the shift at 1
-    for m in range(1, size + 1):
-        decay.append(decay[-1] * -iv.log(cutoff) / m)
-    bracket = [iv.mpf(1) / (2 * cutoff)] + [iv.mpf(0)] * (size - 1)
+            sums[m] = mpi_add(sums[m], term, prec)
+            term = mpi_div(mpi_mul(term, step, prec), ints[m + 1], prec)
+    bracket = [mpi_div(ONE, ival(2 * cutoff, prec), prec)] + [ZERO] * (size - 1)
     rising = [point, 1] + [0] * (size - 2)
     for k in range(1, terms + 1):
-        weight = _enclose(_bernoulli_ratio(k)) / cutoff ** (2 * k)
-        bracket = [b + weight * r for b, r in zip(bracket, rising)]
+        weight = shared.weights[k]
+        bracket = [mpi_add(b, mpi_mul(weight, ival(r, prec), prec), prec)
+                   for b, r in zip(bracket, rising)]
         for c in (point + 2 * k - 1, point + 2 * k):
             rising = [c * rising[0]] + [c * r + lower for r, lower in zip(rising[1:], rising)]
+    decay = shared.decay  # N^-u, one coefficient longer for the shift at 1
     if point == 1:
         # N^-u/u = 1/u + sum_m decay[m+1] u^m, and the 1/u is the pole, kept exact
-        tail = [t + d for t, d in zip(_mul(decay, bracket), decay[1:])]
+        tail = [mpi_add(t, d, prec) for t, d in zip(series_mul(decay, bracket, prec), decay[1:])]
     else:
-        bracket = [b + iv.mpf((-1) ** m) / (point - 1) ** (m + 1) for m, b in enumerate(bracket)]
-        tail = [t / cutoff ** (point - 1) for t in _mul(decay, bracket)]
+        pole = [mpi_div(ival((-1) ** m, prec), ival((point - 1) ** (m + 1), prec), prec)
+                for m in range(size)]
+        bracket = [mpi_add(b, p, prec) for b, p in zip(bracket, pole)]
+        scale = ival(cutoff ** (point - 1), prec)
+        tail = [mpi_div(t, scale, prec) for t in series_mul(decay, bracket, prec)]
     radii = [math.exp(b) for b in _remainder_log_bounds(point, cutoff, terms, size)]
-    return [s + t + iv.mpf([-r, r]) for s, t, r in zip(sums, tail, radii)]
+    return [
+        mpi_add(mpi_add(s, t, prec), (from_float(-r, prec, round_floor),
+                                      from_float(r, prec, round_ceiling)), prec)
+        for s, t, r in zip(sums, tail, radii)
+    ]
 
 
 def _em_plan(point, digits):
@@ -307,14 +333,49 @@ def _remainder_log_bounds(point, cutoff, terms, size):
     return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
 
 
-def _enclose(value):
-    """Interval around an mpf taken as accurate to 16 units in the last place."""
-    return iv.mpf(value) * (1 + iv.mpf([-1, 1]) * mpmath.ldexp(1, 4 - mp.prec))
+class _Shared:
+    """Enclosures at one precision and cutoff N that every point's table
+    uses: small integers, -log j for 2 <= j <= N, log pi, Euler's gamma,
+    log 2, zeta(m) for m >= 2, the N^-u series and the correction weights
+    B_2k/(2k)! N^-2k.  The lists grow on demand, and an entry comes from
+    the same calls whenever it is made, so no table's bits depend on which
+    tables were built before it.  Built inside mp.workdps at prec."""
+
+    def __init__(self, prec, cutoff):
+        self.prec, self.cutoff = prec, cutoff
+        self.steps = [mpi_neg(mpi_log(ival(j, prec), prec), prec) for j in range(2, cutoff + 1)]
+        self.log_pi = mpi_log((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), prec)
+        self.euler = (mpf_euler(prec, round_floor), mpf_euler(prec, round_ceiling))
+        self.log_two = mpi_log(ival(2, prec), prec)
+        ulp = mpf_shift(fone, 4 - prec)  # mpmath's values are taken as accurate to 16 ulps
+        self.slack = mpi_add(ONE, mpi_mul((fnone, fone), (ulp, ulp), prec), prec)
+        self.ints, self.zetas, self.decay, self.weights = [], [None, None], [ONE], [None]
+
+    def enclose(self, value):
+        return mpi_mul((value._mpf_, value._mpf_), self.slack, self.prec)
+
+    def grow(self, size, terms):
+        prec, ints, decay = self.prec, self.ints, self.decay
+        ints.extend(ival(i, prec) for i in range(len(ints), size + 1))
+        self.zetas.extend(self.enclose(mpmath.zeta(m)) for m in range(len(self.zetas), size + 1))
+        for m in range(len(decay), size + 1):
+            decay.append(mpi_div(mpi_mul(decay[-1], self.steps[-1], prec), ints[m], prec))
+        for k in range(len(self.weights), terms + 1):
+            power = ival(self.cutoff ** (2 * k), prec)
+            self.weights.append(mpi_div(self.enclose(_bernoulli_ratio(k)), power, prec))
 
 
-def _mul(a, b):
-    """Truncated product of two series, to the shorter length."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]
+_shared_cache = {}
+
+
+def _shared(prec, cutoff, size, terms):
+    """The _Shared enclosures at (prec, cutoff), grown to a table of size
+    coefficients with terms corrections."""
+    shared = _shared_cache.get((prec, cutoff))
+    if shared is None:
+        shared = _shared_cache[prec, cutoff] = _Shared(prec, cutoff)
+    shared.grow(size, terms)
+    return shared
 
 
 def xi_value(point, derivative_order=0, config=None):

@@ -45,6 +45,22 @@ def test_pole_survey_small_sizes(tmp_path, capsys):
         assert twelve(row["residue"]) == twelve(archived[name]["residue"]), name
 
 
+def test_pole_survey_reproduces_the_archive(tmp_path, capsys):
+    """--max-n 6 rewrites reports/pole_survey.json field for field but the
+    timings: residues, residue errors, anchors and their differences, and
+    every deep-audit magnitude and noise floor."""
+    out = tmp_path / "survey.json"
+    assert load_script("pole_survey").main(["--max-n", "6", "--out", str(out)]) == 0
+
+    def untimed(path):
+        payload = json.loads(path.read_text())
+        for size in payload["sizes"].values():
+            del size["seconds"]
+        return payload
+
+    assert untimed(out) == untimed(ROOT / "reports" / "pole_survey.json")
+
+
 def test_survey_and_residues_share_one_gate(tmp_path, capsys, monkeypatch):
     """With no anchor tolerance both the survey and `residues --n 3` exit 1
     and list the same (2,1) anchor failure."""

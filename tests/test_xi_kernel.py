@@ -4,14 +4,17 @@ Oracles here are closed forms assembled from library constants (pi, euler,
 Catalan-free zeta derivatives), the library zeta itself, which shares no
 code with the Euler-Maclaurin summation under test, and contour-quadrature
 Taylor tables (contour_oracle.py), which share no power-series arithmetic
-with the series route.
+with the series route.  The same series build written in mpmath's iv
+context (interval_oracle.py) pins its raw endpoint arithmetic bit for bit.
 """
 
+import random
+import time
 from dataclasses import replace
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from orbitzeta.xinumeric import (
     GUARD_DIGITS,
@@ -30,6 +33,7 @@ from orbitzeta.xinumeric import (
 )
 
 import contour_oracle
+import interval_oracle
 
 CFG30 = PrecisionConfig.default(working_digits=30)
 
@@ -347,6 +351,60 @@ def test_bernoulli_table_keeps_xi_point_bits(monkeypatch):
         monkeypatch.setattr(kernel, "_bernoulli_ratio", direct)
         computed = [xi_point(z, 40) for z in points] + [xi_point(z, 35) for z in points]
     assert tabled == computed
+
+
+def test_raw_endpoint_route_matches_the_iv_oracle_bit_for_bit(monkeypatch):
+    """Every coefficient and error of kernel._xi_series equals the iv-context
+    build of interval_oracle exactly: points 1..10, internal digits 35, 45,
+    60 and 95, sizes 16 and 17, in two shuffled orders from empty caches.
+    About 13 s on one CPU of a 2-vCPU host; the bound leaves wide headroom."""
+    cases = [(d, size, point) for d in (35, 45, 60, 95) for size in (16, 17) for point in range(1, 11)]
+    start = time.perf_counter()
+    for seed in (1, 2):
+        random.Random(seed).shuffle(cases)
+        monkeypatch.setattr(kernel, "_series_cache", {})
+        monkeypatch.setattr(kernel, "_shared_cache", {})
+        for digits, size, point in cases:
+            values, errors = kernel._xi_series(point, digits, size)
+            want_values, want_errors = interval_oracle.xi_series(point, digits, size)
+            assert [v._mpf_ for v in values] == [v._mpf_ for v in want_values], (digits, size, point)
+            assert errors == want_errors, (digits, size, point)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 90.0, elapsed
+
+
+def test_table_build_is_independent_of_iv_precision(monkeypatch):
+    """A build makes no iv-context interval, so its bits do not depend on
+    the iv.prec it finds, and it leaves iv.prec as it was; a build refused
+    with PrecisionError leaves iv.prec and mp.prec as they were too."""
+
+    def build():
+        for cache in ("_expansion_cache", "_series_cache", "_shared_cache"):
+            monkeypatch.setattr(kernel, cache, {})
+        tables = [expansion_at(point, CFG30) for point in (1, 2, 5)]
+        return [([c._mpf_ for c in t.coefficients], t.errors) for t in tables]
+
+    def no_iv(*args):
+        raise AssertionError("iv-context conversion during a table build")
+
+    saved = iv.prec
+    try:
+        iv.prec = 53
+        default = build()
+        assert iv.prec == 53
+        monkeypatch.setattr(type(iv), "convert", no_iv)
+        iv.prec = 61
+        assert build() == default
+        assert iv.prec == 61
+        mp_prec = mp.prec
+        with pytest.raises(PrecisionError):
+            expansion_at(2, PrecisionConfig(working_digits=320, expansion_order=3))
+        monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 1)
+        with pytest.raises(PrecisionError):
+            expansion_at(2, PrecisionConfig.default(working_digits=40))
+        assert (iv.prec, mp.prec) == (61, mp_prec)
+    finally:
+        iv.prec = saved
 
 
 # ---------------------------------------------------------------------------
