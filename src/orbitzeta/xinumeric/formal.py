@@ -6,9 +6,10 @@ A factor xi(1 + b*s) expands to 1/(b*s) + sum_k t[1;k] (b*s)^k with the
 principal part exact; a factor xi(a + b*s), a >= 2, expands to
 sum_k t[a;k] (b*s)^k.  The expansion is laurent.expand, the same engine the
 numeric route uses, run over FormalPoly coefficients instead of (value,
-error) pairs: its windows hold integer numerators over one denominator, so
-products and the per-degree sum are integer arithmetic, and each output
-coefficient's Fractions are built once.  SparsePoly's +, * and scale stay
+error) pairs: its windows hold integer numerators over one denominator,
+keyed by monomials packed into one int each, so products and the per-degree
+sum are integer arithmetic, and each output coefficient's monomials and
+Fractions are built once.  SparsePoly's +, * and scale stay
 the definition the tests pin these window operations to.  Checking that
 every s^-k coefficient with k >= 2 is the zero polynomial proves the
 cancellation for every possible value of the underlying transcendental
@@ -18,6 +19,7 @@ constants, not merely to working precision.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,14 +47,19 @@ class FormalPoly(SparsePoly):
         return cls._of({((a, k),): Fraction(coeff)})
 
     # native windows (see laurent): one integer denominator and, per
-    # coefficient, a list of (monomial, integer numerator) terms
+    # coefficient, a dict from packed monomial to integer numerator, in
+    # which a numerator may be zero.  They are exact only while no
+    # exponent exceeds SLOT_MAX: a larger one carries into the next
+    # slot unnoticed.  formal_cancellation_check, the one caller, makes
+    # sure of that by refusing monomials of more than SLOT_MAX factors.
 
     @staticmethod
     def lift(coeffs):
         """Native window: every coefficient over the lcm of all denominators."""
         den = math.lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
         return den, [
-            [(m, c.numerator * den // c.denominator) for m, c in p.terms.items()] for p in coeffs
+            {_pack(m): c.numerator * den // c.denominator for m, c in p.terms.items()}
+            for p in coeffs
         ]
 
     @staticmethod
@@ -61,28 +68,57 @@ class FormalPoly(SparsePoly):
         (da, xs), (db, ys) = a, b
         out = []
         for j in range(min(len(xs), len(ys))):
-            terms = {}
-            for x, y in zip(xs[: j + 1], reversed(ys[: j + 1])):
-                for m1, c1 in x:
-                    for m2, c2 in y:
-                        m = tuple(sorted(m1 + m2))
-                        terms[m] = terms.get(m, 0) + c1 * c2
-            out.append([(m, c) for m, c in terms.items() if c])
+            terms = defaultdict(int)
+            for x, y in zip(xs[: j + 1], ys[j::-1]):
+                for m2, c2 in y.items():
+                    for m1, c1 in x.items():
+                        terms[m1 + m2] += c1 * c2
+            out.append(terms)
         return da * db, out
 
     @classmethod
     def weighted_sum(cls, terms, lo, hi):
         """Coefficients lo..hi of the sum of the (coefficient, min_degree,
         native window) terms: every weight and numerator cleared over one
-        lcm, integer sums, and one Fraction per output term."""
+        lcm, integer sums, and one unpacked monomial and Fraction per
+        output term."""
         den = math.lcm(*(c.denominator * d for c, _, (d, _) in terms))
-        sums = [{} for _ in range(lo, hi + 1)]
+        sums = [defaultdict(int) for _ in range(lo, hi + 1)]
         for c, m, (d, window) in terms:
             weight = c.numerator * (den // (c.denominator * d))
             for acc, entry in zip(sums[m - lo :], window):
-                for monomial, v in entry:
-                    acc[monomial] = acc.get(monomial, 0) + weight * v
-        return [cls._of({m: Fraction(v, den) for m, v in acc.items() if v}) for acc in sums]
+                for monomial, v in entry.items():
+                    acc[monomial] += weight * v
+        return [
+            cls._of({_unpack(m): Fraction(v, den) for m, v in acc.items() if v}) for acc in sums
+        ]
+
+
+class SlotOverflowError(ValueError):
+    """A monomial of more than SLOT_MAX factors, whose packed exponents
+    could outgrow a slot."""
+
+
+# Packed monomials, in native windows only: t[a;k] owns a SLOT_BITS-bit
+# exponent slot of one int, so a monomial product is one addition.  An
+# exponent is at most an expression monomial's factor count.  The slot
+# table {(a, k): shift} is process-global and grows on demand.
+SLOT_BITS = 6
+SLOT_MAX = (1 << SLOT_BITS) - 1
+_SLOTS = {}
+
+
+def _pack(monomial):
+    packed = 0
+    for atom in monomial:
+        packed += 1 << _SLOTS.setdefault(atom, SLOT_BITS * len(_SLOTS))
+    return packed
+
+
+def _unpack(packed):
+    """The sorted-tuple monomial of a packed one."""
+    atoms = (a for a, shift in _SLOTS.items() for _ in range(packed >> shift & SLOT_MAX))
+    return tuple(sorted(atoms))
 
 
 def _symbols(a, b, count):
@@ -130,7 +166,8 @@ def formal_cancellation_check(expression):
     Expands the expression with symbolic Taylor coefficients and reports, for
     every degree from -pole_bound to -1, whether the coefficient is the zero
     polynomial.  A True verdict holds regardless of the numeric values of
-    the symbols; a False verdict names the surviving polynomial.
+    the symbols; a False verdict names the surviving polynomial.  A
+    monomial of more than SLOT_MAX factors raises SlotOverflowError.
     """
     q_max = expression.max_polar_count()
     if q_max == 0 or expression.is_zero:
@@ -142,6 +179,8 @@ def formal_cancellation_check(expression):
             formal_pole_order=0,
             all_deep_vanish=True,
         )
+    if max(map(len, expression.terms)) > SLOT_MAX:
+        raise SlotOverflowError("a monomial exceeds %d factors" % SLOT_MAX)
     acc = expand(expression, q_max, FormalPoly, _symbols)
 
     verdicts = []

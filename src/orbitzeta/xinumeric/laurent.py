@@ -27,10 +27,14 @@ from the lifted factor series to the last sum:
       coefficient, a degree below a window adding an exact zero.
 The scalar operations stay the definition, and tests pin the native ones
 to them bit for bit: _Approx's +, * and scale, and SparsePoly's +, * and
-scale for FormalPoly.  _Approx's native entry is (Fraction or None, raw mpf
-tuple, error, magnitude), on which its operations replay the scalar ones
-with mpmath's libmp; FormalPoly's native window is one integer denominator
-and lists of integer-numerator terms.
+scale for FormalPoly.  _Approx's native entry is (Fraction or None, m, e,
+error, |float(value)|), the value being the Fraction or else m 2^e for a
+signed int m, trailing zeros allowed (an exact value's m 2^e is its
+round-down value, as mpmath converts it); one fused fold replays the
+scalar * and + on it in integer fixed point, rounding as mpmath's libmp
+does.  FormalPoly's native window is one integer denominator and, per
+coefficient, a dict from packed monomials (one int, a 6-bit exponent slot
+per symbol) to integer numerators.
 
 Series windows: a series stores a contiguous block of coefficients starting
 at min_degree.  Products of series with the same relative length keep that
@@ -50,12 +54,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_add, mpf_mul, round_down, to_float
+from mpmath.libmp import from_man_exp, from_rational, round_down
 
 from .config import ExpansionOrderError, PrecisionConfig
 from .kernel import expansion_at
@@ -139,23 +142,29 @@ class _Approx(_Pair):
     @staticmethod
     def lift(coeffs):
         """Native window of a sequence of coefficients."""
-        prec, rounding = mp._prec_rounding
-        return [
-            _entry(v, None, e, prec, rounding) if type(v) is Fraction
-            else _entry(None, v._mpf_, e, prec, rounding)
-            for v, e in coeffs
-        ]
+        prec = mp.prec
+        out = []
+        for v, e in coeffs:
+            if type(v) is Fraction:
+                out.append((v, *_fixed(v, prec), e, abs(float(v))))
+            else:
+                sign, man, exp, _ = v._mpf_
+                out.append((None, -man if sign else man, exp, e, abs(float(v))))
+        return out
 
     @staticmethod
     def convolve(a, b):
         """Native window product: entry j is the fold a[0]*b[j] + ... +
         a[j]*b[0] of * and +, for each j below the shorter window."""
-        prec, rounding = mp._prec_rounding
+        prec = mp.prec
         out = []
         for j in range(min(len(a), len(b))):
-            xs, ys = a[: j + 1], reversed(b[: j + 1])
-            products = map(_product, xs, ys, repeat(prec), repeat(rounding))
-            out.append(_entry(*_fold(products, prec, rounding), prec, rounding))
+            q, m, e, error = _dot(zip(a[: j + 1], b[j::-1]), prec)
+            if q is None:
+                # the magnitude rounds m to 53 bits first, as to_float does
+                out.append((None, m, e, error, abs(math.ldexp(*_round(m, e, 53)))))
+            else:
+                out.append((q, *_fixed(q, prec), error, abs(float(q))))
         return out
 
     @staticmethod
@@ -164,62 +173,72 @@ class _Approx(_Pair):
         native window) terms: each degree folds every window's entry scaled
         by its coefficient with +, in term order, a degree below a window
         adding an exact zero.  Builds one _Approx per degree."""
-        prec, rounding = mp._prec_rounding
-        weights = [(_entry(c, None, 0.0, prec, rounding), m, w) for c, m, w in terms]
-        zero = (Fraction(0), None, 0.0)
+        prec = mp.prec
+        weights = [((c, *_fixed(c, prec), 0.0, abs(float(c))), m, w) for c, m, w in terms]
+        zero = (Fraction(0), 0, 0, 0.0, 0.0)
         out = []
         for d in range(lo, hi + 1):
-            scaled = (
-                _product(w[d - m], c, prec, rounding) if d >= m else zero for c, m, w in weights
-            )
-            q, r, error = _fold(scaled, prec, rounding)
-            out.append(_Approx(q if r is None else mp.make_mpf(r), error))
+            q, m, e, error = _dot(((w[d - m] if d >= m else zero, c) for c, m, w in weights), prec)
+            out.append(_Approx(mp.make_mpf(from_man_exp(m, e)) if q is None else q, error))
         return out
 
 
-# _product and _fold replay _Approx.__mul__ and __add__ on native entries,
-# bit for bit: the same libmp operations at the working precision and
-# rounding (a Fraction meeting an mpf is rounded down first, as mpmath
-# converts it), the same float error expressions in the same order.  Their
-# partial results are (Fraction or None, raw mpf or None, error).
+def _fixed(q, prec):
+    """(m, e) of an exact q rounded down to prec bits."""
+    sign, man, exp, _ = from_rational(q.numerator, q.denominator, prec, round_down)
+    return -man if sign else man, exp
 
 
-def _raw(q, prec):
-    return from_rational(q.numerator, q.denominator, prec, round_down)
+def _round(p, e, prec):
+    """p 2^e rounded to prec bits, to nearest with ties to even, as (m, e)."""
+    n = p.bit_length() - prec
+    if n <= 0:
+        return p, e
+    t = p >> (n - 1)
+    if t & 1 and (t & 2 or p & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, e + n
+    return t >> 1, e + n
 
 
-def _entry(q, r, error, prec, rounding):
-    """Native entry of an exact value q, or of a raw mpf r when q is None."""
-    if q is None:
-        return None, r, error, abs(to_float(r, rnd=rounding))
-    return q, _raw(q, prec), error, abs(float(q))
-
-
-def _product(x, y, prec, rounding):
-    xq, xr, ex, fx = x
-    yq, yr, ey, fy = y
-    error = fx * ey + fy * ex + ex * ey
-    if xq is None or yq is None:
-        # one rounding of the product, one of a rational factor's conversion
-        return None, mpf_mul(xr, yr, prec, rounding), error + math.ldexp(fx * fy, 2 - prec)
-    return xq * yq, None, error
-
-
-def _fold(terms, prec, rounding):
-    """The + fold of a nonempty iterator of partial results."""
-    q, r, error = next(terms)
-    for tq, tr, terror in terms:
+def _dot(pairs, prec):
+    """The + fold of the products x*y over a nonempty iterator of native
+    entry pairs, as (Fraction or None, m, e, error), m None if exact.  It
+    replays _Approx.__mul__ and __add__ bit for bit: each product and
+    partial sum is rounded to nearest, ties to even, at prec bits, as
+    mpmath's correctly rounding mpf_mul and mpf_add do, and each error
+    term is the scalar one's float expression in the scalar order."""
+    error = None
+    for (xq, xm, xe, ex, fx), (yq, ym, ye, ey, fy) in pairs:
+        terror = fx * ey + fy * ex + ex * ey
+        if xq is None or yq is None:
+            # one rounding of the product, one of a rational factor's conversion
+            tq, (tm, te) = None, _round(xm * ym, xe + ye, prec)
+            terror += math.ldexp(fx * fy, 2 - prec)
+        else:
+            tq, tm, te = xq * yq, None, None
+        if error is None:
+            q, m, e, error = tq, tm, te, terror
+            continue
         error += terror
-        if r is None and tr is None:
+        if q is not None and tq is not None:
             q += tq
             continue
-        r = mpf_add(r or _raw(q, prec), tr or _raw(tq, prec), prec, rounding)
-        error += math.ldexp(1.0, r[2] + r[3] - prec)
-        for exact in (q, tq):
-            if exact:
-                error += math.ldexp(abs(float(exact)), -prec)
+        if q is not None:
+            m, e = _fixed(q, prec)
+        if tq is not None:
+            tm, te = _fixed(tq, prec)
+        # the exact sum, rounded once; m 2^e lies below 2^(e + bitlength),
+        # and a zero sum counts as 2^0, as mpmath's zero has e = bc = 0
+        d = e - te
+        p, e = ((m << d) + tm, te) if d > 0 else (m + (tm << -d), e)
+        m, e = _round(p, e, prec)
+        error += math.ldexp(1.0, (e + m.bit_length() if m else 0) - prec)
+        if q:
+            error += math.ldexp(abs(float(q)), -prec)
+        if tq:
+            error += math.ldexp(abs(float(tq)), -prec)
         q = None
-    return q, r, error
+    return q, m, e, error
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,6 +82,28 @@ def test_residues_size_four_reports_without_gating(capsys):
     assert len(payload["orbits"]) == 5
 
 
+def test_residues_gate_fires_on_a_residue_just_off_its_anchor(capsys, monkeypatch):
+    """Every anchor moved by 1e-6, far above ANCHOR_TOLERANCE (1e-8) and far
+    below any loose tolerance such as 1e-2: `residues --n 3` exits 1 and
+    names both anchored orbits."""
+    import mpmath
+
+    from orbitzeta import cli
+
+    real = cli.residue_anchor
+
+    def shifted(parts, digits):
+        anchor = real(parts, digits)
+        return None if anchor is None else anchor + mpmath.mpf("1e-6")
+
+    monkeypatch.setattr(cli, "residue_anchor", shifted)
+    code, out, _ = run(capsys, "residues", "--n", "3")
+    assert code == 1
+    failed = sorted(line.split(":")[1].strip() for line in out.splitlines()
+                    if "residue off anchor" in line)
+    assert failed == ["1,1,1", "2,1"]
+
+
 def test_residues_requires_n(capsys):
     code, _, err = run(capsys, "residues")
     assert code == 2

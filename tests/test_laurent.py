@@ -9,6 +9,7 @@ from functools import reduce
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, from_rational, round_down, to_rational
 
 from orbitzeta.partitions import Partition
 from orbitzeta.xi_algebra import XiExpression, XiFactor, h_orbit, z_orbit
@@ -21,7 +22,7 @@ from orbitzeta.xinumeric import (
     laurent_expand,
     residue_at_zero,
 )
-from orbitzeta.xinumeric.formal import _symbols
+from orbitzeta.xinumeric.formal import SLOT_MAX, SlotOverflowError, _symbols, _unpack
 from orbitzeta.xinumeric.kernel import expansion_at
 from orbitzeta.xinumeric.laurent import _PRODUCTS, _Approx, expand, factor_series
 
@@ -501,10 +502,14 @@ def test_expand_refuses_an_expression_with_no_terms():
 
 def numeric_coeffs(window):
     """The _Approx coefficients of a native numeric window; each entry's
-    magnitude must be |float(value)|."""
+    magnitude must be |float(value)|, and an exact value's (m, e) its
+    round-down value at the working precision."""
     out = []
-    for q, r, error, magnitude in window:
-        value = mp.make_mpf(r) if q is None else q
+    for q, m, e, error, magnitude in window:
+        raw = from_man_exp(m, e)
+        if q is not None:
+            assert raw == from_rational(q.numerator, q.denominator, mp.prec, round_down), q
+        value = mp.make_mpf(raw) if q is None else q
         assert magnitude == abs(float(value)), (value, magnitude)
         out.append(_Approx(value, error))
     return tuple(out)
@@ -513,7 +518,9 @@ def numeric_coeffs(window):
 def formal_coeffs(window):
     """The FormalPoly coefficients of a native formal window."""
     den, entries = window
-    return tuple(FormalPoly({m: Fraction(c, den) for m, c in entry}) for entry in entries)
+    return tuple(
+        FormalPoly({_unpack(m): Fraction(c, den) for m, c in entry.items()}) for entry in entries
+    )
 
 
 def scalar_weighted_sum(terms, lo, hi, zero):
@@ -547,13 +554,26 @@ def _numeric_entry(rng):
 def _numeric_windows(rng):
     """Windows of Fractions (zero included), full-precision mpfs over a
     wide exponent range, zero mpfs and mixes, with zero and nonzero errors
-    and unequal lengths; built at the working precision."""
+    and unequal lengths; built at the working precision.  Fixed cases, in
+    products with each other and with the random windows: summands whose
+    tops lie more than prec + 100 bits apart (mpmath's sticky-bit path in
+    mpf_add), in both orders and signs; products on an exact half-ulp tie,
+    an odd prec-bit integer times 3, rounding up and down to even; and
+    sums cancelling to zero."""
     F, M = Fraction, mpmath.mpf
+    half = 2 ** (mp.prec - 1)
+    tiny = mpmath.ldexp(M(1) / 7, -(mp.prec + 150))
     fixed = [
         [F(1, 2), F(0), F(-3, 7)],
         [F(2), F(5, 3), F(0), F(-5, 3)],
         [M(1) / 3, M(-2) / 7, M(0), mpmath.ldexp(M(5) / 11, -200)],
         [F(1, 3), M(1) / 3, F(-1, 3), M(-1) / 3, F(0)],
+        [M(1) / 3, tiny, -tiny, M(-2) / 3],
+        [tiny, M(1) / 3, -tiny, M(1) / 5],
+        [M(1), M(-1), M(1), M(1)],
+        [M(half + 1), M(-(half + 3)), M(2 * half - 1), M(1)],
+        [M(3), M(3), M(1) / 2, M(-3)],
+        [M(1) / 3, M(1) / 3, M(2) / 7, M(-2) / 7],
     ]
     windows = [[_Approx(v, 0.0) for v in w] for w in fixed]
     windows.append([_Approx(v, 1e-40 * k) for k, v in enumerate(fixed[3])])
@@ -616,6 +636,109 @@ def test_numeric_weighted_sum_equals_the_scalar_fold(dps):
             assert bits(got) == bits(want), terms
             checked += sum(m > lo for _, m, _ in terms)
     assert checked > 100
+
+
+def exact(value):
+    """A Fraction or mpf value as an exact Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*to_rational(value._mpf_))
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_numeric_window_errors_bound_every_rounding(dps):
+    """On windows of exactly representable values, dyadic Fractions and
+    mpfs with full prec-bit mantissas, all with error 0, and dyadic
+    weights, every entry of convolve and weighted_sum lies within its
+    stated error of the exact rational result: the error bounds each
+    rounding of a product and of a sum.  Non-dyadic Fractions are left to
+    test_fraction_summand_error_covers_its_conversion, which fails."""
+    F = Fraction
+    rng = random.Random(70 + dps)
+    with mp.workdps(dps):
+
+        def value():
+            if rng.random() < 0.25:
+                return F(rng.randint(-20, 20), 2 ** rng.randint(0, 6))
+            man = rng.choice((1, -1)) * (rng.getrandbits(mp.prec) | 1 << (mp.prec - 1) | 1)
+            return mpmath.ldexp(mpmath.mpf(man), rng.randint(-80, 10) - mp.prec)
+
+        windows = [[_Approx(value(), 0.0) for _ in range(rng.randint(1, 8))] for _ in range(20)]
+        rounded = 0
+
+        def check(got, want):
+            nonlocal rounded
+            value, error = got
+            assert abs(exact(value) - want) <= F(error), (value, want, error)
+            rounded += exact(value) != want
+
+        for a in windows:
+            for b in windows:
+                got = numeric_coeffs(_Approx.convolve(_Approx.lift(a), _Approx.lift(b)))
+                for j, entry in enumerate(got):
+                    products = (exact(a[i].value) * exact(b[j - i].value) for i in range(j + 1))
+                    check(entry, sum(products))
+        coeffs = [F(1), F(-3, 8), F(10**12), F(1, 2**40)]
+        for _ in range(100):
+            lo, hi = -2, rng.randint(-2, 3)
+            terms = _weighted_terms(rng, lo, hi, lambda k: rng.choice(windows)[:k], coeffs)
+            terms = [(c, m, w) for c, m, w in terms if len(w) > hi - m]
+            if not terms:
+                continue
+            got = _Approx.weighted_sum([(c, m, _Approx.lift(w)) for c, m, w in terms], lo, hi)
+            for d, entry in zip(range(lo, hi + 1), got):
+                check(entry, sum(c * exact(w[d - m].value) for c, m, w in terms if d >= m))
+    assert rounded > 500
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND line on _Approx.__add__: a Fraction summand's round-down "
+    "conversion loses up to 2|q| 2^-prec, but its error term is |q| 2^-prec",
+)
+def test_fraction_summand_error_covers_its_conversion():
+    """The non-dyadic case the window bound test above leaves out: an mpf
+    and a Fraction, -1/25 and 1/25 at 53 bits, cancel in _Approx.__add__,
+    which the fused window fold replays, and the stated error must still
+    cover the exact sum's distance (6.1e-18, stated 4.4e-18)."""
+    with mp.workdps(15):
+        x = _Approx(-mpmath.mpf(1) / 25, 0.0)
+        total = x + _Approx(Fraction(1, 25), 0.0)
+        assert abs(exact(total.value) - (exact(x.value) + Fraction(1, 25))) <= Fraction(total.error)
+
+
+def test_packed_monomials_reach_the_slot_limit_and_refuse_beyond_it():
+    """Packed window products and sums equal SparsePoly's * and + with an
+    exponent at the slot limit beside other symbols, and so does expand
+    on an expression whose coefficients reach it.  A monomial of more
+    factors than the limit, which could carry one slot into the next, is
+    refused by formal_cancellation_check before any expansion."""
+    t = FormalPoly.variable
+
+    def power(a, k, e):
+        return reduce(operator.mul, [t(a, k)] * e)
+
+    assert SLOT_MAX == 63
+    a = [power(1, 0, 62) * t(2, 1), t(1, 0, 3) + t(2, 1), FormalPoly.constant(Fraction(1, 5))]
+    b = [t(1, 0, Fraction(1, 2)), power(2, 1, 62) + t(1, 0), t(3, 4)]
+    product = scalar_window_product(a, b)
+    assert ((1, 0),) * 63 + ((2, 1),) in product[0].terms
+    assert ((1, 0),) * 62 + ((2, 1),) * 63 in product[1].terms
+    native = FormalPoly.convolve(FormalPoly.lift(a), FormalPoly.lift(b))
+    assert formal_coeffs(native) == product
+    terms = [(Fraction(2, 3), -1, product), (Fraction(-1, 7), 0, b)]
+    native_terms = [(Fraction(2, 3), -1, native), (Fraction(-1, 7), 0, FormalPoly.lift(b))]
+    want = scalar_weighted_sum(terms, -1, 1, FormalPoly.zero())
+    assert tuple(FormalPoly.weighted_sum(native_terms, -1, 1)) == want
+
+    expr = xi_sum((1, [(1, 1)] + [(2, 1)] * 62), (-2, [(2, 1)] * 63))
+    series = expand(expr, 3, FormalPoly, _symbols)
+    assert ((2, 0),) * 63 in series.coefficient(0).terms
+    assert series == naive_expand(expr, 3, FormalPoly, _symbols)
+    assert formal_cancellation_check(expr).pole_bound == 1
+    # t[2;0]^64 would overflow its slot into the next one's
+    with pytest.raises(SlotOverflowError, match="a monomial exceeds 63 factors"):
+        formal_cancellation_check(XiExpression.monomial([(1, 1)] + [(2, 1)] * 64))
 
 
 def _formal_polys():

@@ -3,13 +3,16 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import mpmath
+import pytest
 
 from orbitzeta import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+DATA = ROOT / "tests" / "data"
 
 
 def load_script(name):
@@ -105,3 +108,61 @@ def test_truncation_suite_refuses_a_negative_seed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: seed must be non-negative, got -1\n")
     assert not out.exists()
+
+
+def test_bench_reads_a_saved_pair_of_runs(tmp_path, monkeypatch):
+    """scripts/bench.py makes a workload record from the saved output of one
+    untraced and one traced series-warm run, without running the
+    benchmark, and writes it to BENCH_<label>.json; runs that disagree, or
+    output without its two last lines, are refused.  The file names the
+    checkout's HEAD and the tree hashes its src/ and perfbench/ get once
+    the measured edits are committed."""
+    bench = load_script("bench")
+    untraced, traced = (
+        bench.parse_run((DATA / ("series_warm_trace%d.out" % t)).read_text()) for t in (0, 1)
+    )
+    entry = bench.workload_entry(untraced, traced)
+    assert entry["digest"].startswith("a83417b8")
+    assert entry["correct"] and entry["failed"] == 0 and entry["attempted"] > 0
+    assert set(entry["end_to_end"]) == {"setup_s", "wall_s", "items_per_s", "peak_rss_mb"}
+    assert entry["end_to_end"]["wall_s"]["unit"] == "s"
+    layers = {"laurent.laurent_expand.self_s", "formal.formal_cancellation_check.busy_s"}
+    assert layers <= set(entry["per_layer"]) and "trace.overhead" in entry["per_layer"]
+    with pytest.raises(bench.BenchError, match="an untraced and a traced run"):
+        bench.workload_entry(traced, untraced)
+    with pytest.raises(bench.BenchError, match="digest differs"):
+        bench.workload_entry(untraced, (dict(traced[0], digest="0"), traced[1]))
+    with pytest.raises(bench.BenchError, match="fewer than two lines"):
+        bench.parse_run("one line\n")
+
+    def saved(tree, workload, seconds, trace):
+        return (untraced, traced)[trace]
+
+    def git(*args):
+        cmd = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org", *args]
+        return subprocess.run(cmd, cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    # a checkout with one workload and one uncommitted edit under src/
+    spec = {"run_seconds": 20, "workloads": [{"name": "series-warm"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    for name in ("src/a.py", "perfbench/run.py"):
+        (tmp_path / name).parent.mkdir()
+        (tmp_path / name).write_text("x = 1\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    base = git("rev-parse", "HEAD").strip()
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    monkeypatch.setattr(bench, "run_workload", saved)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    assert bench.main(["--label", "saved"]) == 0
+    payload = json.loads((tmp_path / "BENCH_saved.json").read_text())
+    assert payload["fingerprint"] == untraced[0]["fingerprint"]
+    del entry["fingerprint"]
+    assert payload["workloads"] == {"series-warm": entry}
+    assert payload["commit"] == base and payload["seed"] == 1
+    git("commit", "-q", "-am", "edit")
+    for d in ("src", "perfbench"):
+        assert payload["source"][d] == git("rev-parse", "HEAD:" + d).strip()
+    assert git("status", "--porcelain") == "?? BENCH_saved.json\n"
+    assert bench.main(["--label", "no/label"]) == 2

@@ -276,6 +276,20 @@ def _oracle_points(n):
     return [H for H in _battery_points() if len(H) == n] + [tuple(H) for H in walls]
 
 
+def test_wall_variants_follow_each_base_row_with_its_walls():
+    """Each base row is followed by itself with H[1] = H[0], the zero row,
+    and itself with the mirrored pair H[-1] = -H[0], in that order; size 1
+    has base rows only."""
+    for n in range(2, 7):
+        rows = _wall_variants(np.random.default_rng(SEED + n), n, 12)
+        assert rows.shape == (48, n)
+        base, tied, zero, mirrored = rows.reshape(12, 4, n).transpose(1, 0, 2)
+        assert (tied[:, 1] == base[:, 0]).all() and (np.delete(tied - base, 1, axis=1) == 0).all()
+        assert not zero.any()
+        assert (mirrored[:, -1] == -base[:, 0]).all() and (mirrored[:, :-1] == base[:, :-1]).all()
+    assert _wall_variants(np.random.default_rng(SEED), 1, 5).shape == (5, 1)
+
+
 def test_type_indicators_match_fraction_averages():
     """indicator_tau, indicator_tau_hat and indicator_chi for every pair of
     types with n <= 4, on the battery and wall points, against block
