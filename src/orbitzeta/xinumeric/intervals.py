@@ -1,37 +1,115 @@
-"""Raw interval arithmetic on (lo, hi) pairs of mpmath.libmp mpf tuples.
+"""Interval arithmetic on plain Python ints.
 
-An enclosure here is the pair an mpmath iv-context number keeps as its
-_mpi_, and the arithmetic is mpmath.libmp's mpi_* functions at an explicit
-binary precision.  Without the iv wrappers (operand conversion, result
-objects, the global iv.prec), the same mpi_* calls in the same order give
-the bits the iv operators give.
+An enclosure is a triple (lo, hi, e) of ints, the interval [lo 2^e, hi 2^e].
+Each operation forms its exact result in ints (a quotient as the floor and
+ceiling of m 2^s / d, with more than prec bits) and rounds lo down, m >> n,
+and hi up, -(-m >> n), to prec bits, n = m.bit_length() - prec.  mpmath's
+mpf_add, mpf_mul and mpf_div round correctly and its mpi_* functions return
+the rounded hull of the exact result, so each operation has the bits of the
+matching mpi_* call at prec, and the folds those of the calls in the same
+order.  Transcendental functions stay on mpmath, behind from_mpi and to_mpi.
 """
 
 from __future__ import annotations
 
-from mpmath.libmp import fone, from_int, fzero, mpi_add, mpi_mul, round_ceiling, round_floor
+from itertools import repeat
 
-ONE, ZERO = (fone, fone), (fzero, fzero)
+from mpmath.libmp import from_man_exp, mpi_exp
+
+ONE, ZERO = (1, 1, 0), (0, 0, 0)
+
+
+def _outward(lo, hi, e, prec):
+    """[lo, hi] 2^e with lo rounded down and hi up to prec bits."""
+    n, k = lo.bit_length() - prec, hi.bit_length() - prec
+    if n == k:
+        return (lo >> n, -(-hi >> n), e + n) if n > 0 else (lo, hi, e)
+    n, k = n if n > 0 else 0, k if k > 0 else 0
+    m = n if n < k else k
+    return lo >> n << n - m, -(-hi >> k) << k - m, e + m
 
 
 def ival(n, prec):
-    """Enclosure of an integer, as the iv context converts an int operand:
-    exact when n has at most prec bits."""
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+    """Enclosure of an integer: exact when n has at most prec bits."""
+    return _outward(n, n, 0, prec)
 
 
-def fold_sum(enclosures, prec):
-    """Sum of enclosures folded from an exact 0 in order, as Python's sum
-    folds iv numbers."""
-    total = ZERO
-    for e in enclosures:
-        total = mpi_add(total, e, prec)
-    return total
+def from_mpi(x):
+    """Enclosure of an mpmath.libmp (lo, hi) pair of finite mpf tuples."""
+    (s, a, e, _), (t, b, f, _) = x
+    a, b = -a if s else a, -b if t else b
+    return (a, b << f - e, e) if e < f else (a << e - f, b, f)
+
+
+def to_mpi(x):
+    return from_man_exp(x[0], x[2]), from_man_exp(x[1], x[2])
+
+
+def neg(x):
+    return -x[1], -x[0], x[2]
+
+
+def add(x, y, prec):
+    return fold_sum((y,), prec, x)
+
+
+def mul(x, y, prec):
+    (a, b, e), (c, d, f) = x, y
+    a, b, flip = (-b, -a, True) if b <= 0 else (a, b, False)
+    c, d, flip = (-d, -c, not flip) if d <= 0 else (c, d, flip)
+    if a < 0 and c < 0:
+        lo, hi = min(a * d, b * c), max(a * c, b * d)
+    else:
+        lo, hi = a * (c if a >= 0 else d) if c >= 0 else b * c, b * d
+    return _outward(-hi, -lo, e + f, prec) if flip else _outward(lo, hi, e + f, prec)
+
+
+def div(x, y, prec):
+    """x / y for an enclosure y > 0."""
+    (a, b, e), (c, d, f) = x, y
+    s = prec + 1 + d.bit_length() - (a if a.bit_length() < b.bit_length() else b).bit_length()
+    return _outward((a << s) // (d if a >= 0 else c), -((-b << s) // (c if b >= 0 else d)),
+                    e - f - s, prec)
+
+
+def fold_sum(enclosures, prec, total=ZERO):
+    """Enclosures added to total in order, as Python's sum folds iv numbers."""
+    lo, hi, e = total
+    for c, d, f in enclosures:
+        if e < f:
+            lo, hi = lo + (c << f - e), hi + (d << f - e)
+        else:
+            lo, hi, e = (lo << e - f) + c, (hi << e - f) + d, f
+        lo, hi, e = _outward(lo, hi, e, prec)
+    return lo, hi, e
+
+
+def dot(xs, ys, prec, total=ZERO):
+    """total + x0 y0 + x1 y1 + ..., each product and sum rounded in turn."""
+    return fold_sum(map(mul, xs, ys, repeat(prec)), prec, total)
 
 
 def series_mul(a, b, prec):
     """Truncated product of two series of enclosures, to the shorter length."""
-    return [
-        fold_sum((mpi_mul(a[i], b[k - i], prec) for i in range(k + 1)), prec)
-        for k in range(min(len(a), len(b)))
-    ]
+    return [dot(a[:k + 1], b[k::-1], prec) for k in range(min(len(a), len(b)))]
+
+
+def series_exp(c, prec):
+    """exp of a series of enclosures: exp(c_0) by mpmath, then k g_k = sum_j (j c_j) g_(k-j)."""
+    scaled = [mul(ival(j, prec), x, prec) for j, x in enumerate(c)]
+    g = [from_mpi(mpi_exp(to_mpi(c[0]), prec))]
+    for k in range(1, len(c)):
+        g.append(div(dot(scaled[1:k + 1], g[::-1], prec), ival(k, prec), prec))
+    return g
+
+
+def exp_terms(c, step, count, prec):
+    """c step^m / m! for m < count, each term as (term * step) / m, for
+    enclosures c > 0 >= step: the signs alternate, so |term| is kept."""
+    (a, b, e), (p, q, f) = c, neg(step)
+    terms = [c]
+    for m in range(1, count):
+        a, b, e = _outward(a * p, b * q, e + f, prec)
+        a, b, e = div((a, b, e), (m, m, 0), prec)
+        terms.append((-b, -a, e) if m % 2 else (a, b, e))
+    return terms

@@ -11,9 +11,10 @@ Routes kept deliberately independent:
 - Taylor coefficients at integer points come from the same summation in
   power-series mode (F. Johansson, "Rigorous high-precision computation of
   the Hurwitz zeta function and its derivatives", Numer. Algorithms 69
-  (2015)): real interval arithmetic on raw (lo, hi) endpoint pairs, one
-  log per summed term, the values that do not depend on the point shared
-  per precision and cutoff, and a bound on the error of every coefficient.
+  (2015)): real interval arithmetic on plain ints (.intervals), with the
+  bits of mpmath's mpi_* functions, one log per summed term, the values
+  that do not depend on the point shared per precision and cutoff, and a
+  bound on the error of every coefficient.
   Trapezoid quadrature of the Cauchy integral on a small circle is its
   accuracy oracle (tests/contour_oracle.py), and the same build in
   mpmath's iv context its bit-for-bit oracle (tests/interval_oracle.py);
@@ -30,6 +31,7 @@ principal part 1/(z-1) is carried exactly and never enters a series.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,12 +40,15 @@ from typing import NamedTuple
 import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    fnone, fone, from_float, mpf_euler, mpf_pi, mpf_shift, mpi_add, mpi_delta, mpi_div, mpi_exp,
-    mpi_log, mpi_loggamma, mpi_mid, mpi_mul, mpi_neg, mpi_sub, round_ceiling, round_floor, to_float,
+    from_float, mpf_euler, mpf_pi, mpi_delta, mpi_log, mpi_loggamma, mpi_mid, round_ceiling,
+    round_floor, to_float,
 )
 
 from .config import GUARD_DIGITS, ExpansionOrderError, PrecisionConfig, PrecisionError
-from .intervals import ONE, ZERO, fold_sum, ival, series_mul
+from .intervals import (
+    ONE, ZERO, add, div, dot, exp_terms, fold_sum, from_mpi, ival, mul, neg, series_exp, series_mul,
+    to_mpi,
+)
 
 
 class ValueWithError(NamedTuple):
@@ -157,6 +162,10 @@ _MIN_TERMS = 16
 # the Euler-Maclaurin cutoff starts here and doubles at most this often
 _FIRST_CUTOFF = 8
 _CUTOFF_DOUBLINGS = 6
+# the remainder bound's circles r = 1/4..4, and what its terms share: logs and lgamma(point + r)
+_RADII = [(i / 4, math.log(i / 4)) for i in range(1, 17)]
+_lgammas = functools.cache(lambda point: [math.lgamma(point + r) for r, _ in _RADII])
+_LOG_PI2_3, _LOG_2PI = math.log(math.pi**2 / 3), math.log(2 * math.pi)
 
 
 def expansion_at(point, config=None):
@@ -197,9 +206,9 @@ def _xi_series(point, digits, size):
     """Coefficients 0..size-1 of xi(point + u), or of xi(1 + u) - 1/u at
     point 1, each with an error bound.
 
-    Everything runs in interval arithmetic on raw (lo, hi) endpoint pairs,
-    through mpmath.libmp's mpi_* functions at mp.prec, so rounding is
-    enclosed; the value is an enclosure's midpoint and the error its width.
+    Everything runs on the int enclosures of .intervals at mp.prec, so
+    rounding is enclosed; the value is an enclosure's midpoint and the
+    error its width, both taken through mpmath.libmp's mpi_mid and mpi_delta.
     The Gamma factor pi^(-s/2) Gamma(s/2) is exp of its log series at
     x = point/2: loggamma(x) - x log pi, then (digamma(x) - log pi) u/2,
     then polygamma(m-1, x) (u/2)^m/m! = (-1)^m/m sum_{i>=point,
@@ -211,38 +220,35 @@ def _xi_series(point, digits, size):
         prec = mp.prec
         shared = _shared(prec, cutoff, size, terms)
         ints, two = shared.ints, shared.ints[2]
-        x = mpi_div(ival(point, prec), two, prec)
+        x = div(ival(point, prec), two, prec)
         odd = point % 2
         below = range(2 - odd, point, 2)
         log_pi = shared.log_pi
-        first = fold_sum((mpi_div(two, ival(i, prec), prec) for i in below), prec)
-        for sub in (shared.euler, mpi_mul(ival(2 * odd, prec), shared.log_two, prec), log_pi):
-            first = mpi_sub(first, sub, prec)
+        first = fold_sum((div(two, ival(i, prec), prec) for i in below), prec)
+        for term in (shared.euler, mul(ival(2 * odd, prec), shared.log_two, prec), log_pi):
+            first = add(first, neg(term), prec)
         logs = [
-            mpi_sub(mpi_loggamma(x, prec), mpi_mul(x, log_pi, prec), prec) if point > 1 else ZERO,
-            mpi_div(first, two, prec),
+            add(from_mpi(mpi_loggamma(to_mpi(x), prec)), neg(mul(x, log_pi, prec)), prec)
+            if point > 1 else ZERO,
+            div(first, two, prec),
         ]
         for m in range(2, size + 1):
-            half = mpi_div(ONE, ival(2**m, prec), prec)
-            tail = mpi_mul(shared.zetas[m], mpi_sub(ONE, half, prec) if odd else half, prec)
-            part = fold_sum((mpi_div(ONE, ival(i**m, prec), prec) for i in below), prec)
-            signed = mpi_mul(ival((-1) ** m, prec), mpi_sub(tail, part, prec), prec)
-            logs.append(mpi_div(signed, ints[m], prec))
-        gamma = [mpi_exp(logs[0], prec)]
-        for k in range(1, size + 1):
-            products = (mpi_mul(mpi_mul(ints[j], logs[j], prec), gamma[k - j], prec)
-                        for j in range(1, k + 1))
-            gamma.append(mpi_div(fold_sum(products, prec), ints[k], prec))
+            half = div(ONE, ival(2**m, prec), prec)
+            tail = mul(shared.zetas[m], add(ONE, neg(half), prec) if odd else half, prec)
+            part = fold_sum((div(ONE, ival(i**m, prec), prec) for i in below), prec)
+            signed = mul(ival((-1) ** m, prec), add(tail, neg(part), prec), prec)
+            logs.append(div(signed, ints[m], prec))
+        gamma = series_exp(logs, prec)
         xi = series_mul(gamma, _zeta_series(point, cutoff, terms, size), prec)
         if point == 1:
             # xi(1 + u) - 1/u = (G(u) - 1)/u + G(u) zeta_reg(1 + u), as G(0) = 1
-            xi = [mpi_add(c, g, prec) for c, g in zip(xi, gamma[1:])]
-        return (tuple(mpf(mpi_mid(c, prec)) for c in xi),
-                tuple(to_float(mpi_delta(c, prec)) for c in xi))
+            xi = [add(c, g, prec) for c, g in zip(xi, gamma[1:])]
+        return (tuple(mpf(mpi_mid(to_mpi(c), prec)) for c in xi),
+                tuple(to_float(mpi_delta(to_mpi(c), prec)) for c in xi))
 
 
 def _zeta_series(point, cutoff, terms, size):
-    """Enclosures of coefficients 0..size-1 of zeta(point + u), or of
+    """Int enclosures of coefficients 0..size-1 of zeta(point + u), or of
     zeta(1 + u) - 1/u at point 1, at mp.prec, by Euler-Maclaurin in
     power-series mode (F. Johansson, Numer. Algorithms 69 (2015)):
 
@@ -254,37 +260,30 @@ def _zeta_series(point, cutoff, terms, size):
     """
     prec = mp.prec
     shared = _shared(prec, cutoff, size, terms)
-    ints = shared.ints
-    sums = [ONE] + [ZERO] * (size - 1)
-    for j in range(2, cutoff):
-        term, step = mpi_div(ONE, ival(j**point, prec), prec), shared.steps[j - 2]
-        for m in range(size):
-            sums[m] = mpi_add(sums[m], term, prec)
-            term = mpi_div(mpi_mul(term, step, prec), ints[m + 1], prec)
-    bracket = [mpi_div(ONE, ival(2 * cutoff, prec), prec)] + [ZERO] * (size - 1)
-    rising = [point, 1] + [0] * (size - 2)
+    # sums[m] is one fold over j and bracket[m] one over k, each in the order of the sum
+    sums = [fold_sum(column, prec) for column in zip(*(
+        exp_terms(div(ONE, ival(j**point, prec), prec), shared.steps[j - 1], size, prec)
+        for j in range(1, cutoff)))]
+    columns, rising = [], [point, 1] + [0] * (size - 2)
     for k in range(1, terms + 1):
-        weight = shared.weights[k]
-        bracket = [mpi_add(b, mpi_mul(weight, ival(r, prec), prec), prec)
-                   for b, r in zip(bracket, rising)]
+        columns.append([ival(r, prec) for r in rising])
         for c in (point + 2 * k - 1, point + 2 * k):
             rising = [c * rising[0]] + [c * r + lower for r, lower in zip(rising[1:], rising)]
+    bracket = [dot(shared.weights[1:], column, prec, start) for start, column in zip(
+        [div(ONE, ival(2 * cutoff, prec), prec)] + [ZERO] * (size - 1), zip(*columns))]
     decay = shared.decay  # N^-u, one coefficient longer for the shift at 1
     if point == 1:
         # N^-u/u = 1/u + sum_m decay[m+1] u^m, and the 1/u is the pole, kept exact
-        tail = [mpi_add(t, d, prec) for t, d in zip(series_mul(decay, bracket, prec), decay[1:])]
+        tail = [add(t, d, prec) for t, d in zip(series_mul(decay, bracket, prec), decay[1:])]
     else:
-        pole = [mpi_div(ival((-1) ** m, prec), ival((point - 1) ** (m + 1), prec), prec)
+        pole = [div(ival((-1) ** m, prec), ival((point - 1) ** (m + 1), prec), prec)
                 for m in range(size)]
-        bracket = [mpi_add(b, p, prec) for b, p in zip(bracket, pole)]
+        bracket = [add(b, p, prec) for b, p in zip(bracket, pole)]
         scale = ival(cutoff ** (point - 1), prec)
-        tail = [mpi_div(t, scale, prec) for t in series_mul(decay, bracket, prec)]
+        tail = [div(t, scale, prec) for t in series_mul(decay, bracket, prec)]
     radii = [math.exp(b) for b in _remainder_log_bounds(point, cutoff, terms, size)]
-    return [
-        mpi_add(mpi_add(s, t, prec), (from_float(-r, prec, round_floor),
-                                      from_float(r, prec, round_ceiling)), prec)
-        for s, t, r in zip(sums, tail, radii)
-    ]
+    return [add(add(s, t, prec), from_mpi((from_float(-r), from_float(r))), prec)
+            for s, t, r in zip(sums, tail, radii)]
 
 
 def _em_plan(point, digits):
@@ -317,17 +316,18 @@ def _remainder_log_bounds(point, cutoff, terms, size):
     N^-(l + 2M + 1) on the circle |s - point| = r, h = point + r, l = point - r.
     Cauchy's estimate divides by r^k; the least over r = 1/4..4 is taken.
     """
+    log_n = math.log(cutoff)
     on_circles = [
         (
             math.log((point + r + 2 * terms + 1) / (point - r + 2 * terms + 1))
-            + math.log(math.pi**2 / 3)
-            - (2 * terms + 2) * math.log(2 * math.pi)
+            + _LOG_PI2_3
+            - (2 * terms + 2) * _LOG_2PI
             + math.lgamma(point + r + 2 * terms + 1)
-            - math.lgamma(point + r)
-            - (point - r + 2 * terms + 1) * math.log(cutoff),
-            math.log(r),
+            - lgamma_h
+            - (point - r + 2 * terms + 1) * log_n,
+            log_r,
         )
-        for r in (i / 4 for i in range(1, 17))
+        for (r, log_r), lgamma_h in zip(_RADII, _lgammas(point))
         if r < point + 2 * terms
     ]
     return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
@@ -335,7 +335,7 @@ def _remainder_log_bounds(point, cutoff, terms, size):
 
 class _Shared:
     """Enclosures at one precision and cutoff N that every point's table
-    uses: small integers, -log j for 2 <= j <= N, log pi, Euler's gamma,
+    uses: small integers, -log j for 1 <= j <= N, log pi, Euler's gamma,
     log 2, zeta(m) for m >= 2, the N^-u series and the correction weights
     B_2k/(2k)! N^-2k.  The lists grow on demand, and an entry comes from
     the same calls whenever it is made, so no table's bits depend on which
@@ -343,26 +343,27 @@ class _Shared:
 
     def __init__(self, prec, cutoff):
         self.prec, self.cutoff = prec, cutoff
-        self.steps = [mpi_neg(mpi_log(ival(j, prec), prec), prec) for j in range(2, cutoff + 1)]
-        self.log_pi = mpi_log((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)), prec)
-        self.euler = (mpf_euler(prec, round_floor), mpf_euler(prec, round_ceiling))
-        self.log_two = mpi_log(ival(2, prec), prec)
-        ulp = mpf_shift(fone, 4 - prec)  # mpmath's values are taken as accurate to 16 ulps
-        self.slack = mpi_add(ONE, mpi_mul((fnone, fone), (ulp, ulp), prec), prec)
-        self.ints, self.zetas, self.decay, self.weights = [], [None, None], [ONE], [None]
+        logs = [from_mpi(mpi_log(to_mpi(ival(j, prec)), prec)) for j in range(1, cutoff + 1)]
+        self.steps = [neg(log) for log in logs]
+        pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+        self.log_pi = from_mpi(mpi_log(pi, prec))
+        self.euler = from_mpi((mpf_euler(prec, round_floor), mpf_euler(prec, round_ceiling)))
+        self.log_two = logs[1]
+        self.slack = add(ONE, (-1, 1, 4 - prec), prec)  # mpmath's values: accurate to 16 ulps
+        self.ints, self.zetas, self.decay, self.weights = [], [None, None], [], [None]
 
     def enclose(self, value):
-        return mpi_mul((value._mpf_, value._mpf_), self.slack, self.prec)
+        return mul(from_mpi((value._mpf_, value._mpf_)), self.slack, self.prec)
 
     def grow(self, size, terms):
-        prec, ints, decay = self.prec, self.ints, self.decay
+        prec, ints = self.prec, self.ints
         ints.extend(ival(i, prec) for i in range(len(ints), size + 1))
         self.zetas.extend(self.enclose(mpmath.zeta(m)) for m in range(len(self.zetas), size + 1))
-        for m in range(len(decay), size + 1):
-            decay.append(mpi_div(mpi_mul(decay[-1], self.steps[-1], prec), ints[m], prec))
+        if len(self.decay) <= size:
+            self.decay = exp_terms(ONE, self.steps[-1], size + 1, prec)
         for k in range(len(self.weights), terms + 1):
             power = ival(self.cutoff ** (2 * k), prec)
-            self.weights.append(mpi_div(self.enclose(_bernoulli_ratio(k)), power, prec))
+            self.weights.append(div(self.enclose(_bernoulli_ratio(k)), power, prec))
 
 
 _shared_cache = {}

@@ -1,28 +1,34 @@
-"""The Taylor-table build in mpmath's iv context: the oracle for the raw
+"""The Taylor-table build in mpmath's iv context: the oracle for the int
 endpoint route of kernel._xi_series.
 
 The same power-series Euler-Maclaurin sum, written with iv.mpf operators.
-Each iv operator calls one mpmath.libmp mpi_* function at iv.prec, so the
-kernel's raw (lo, hi) route, making the same calls in the same order, must
-agree with this one bit for bit.  The plan (_em_plan), the remainder bounds
-and the Bernoulli table are the kernel's own; only the interval arithmetic
-is written out here.
+Each iv operator calls one mpmath.libmp mpi_* function at iv.prec, and
+each int operation of the kernel's route has the bits of that call, so the
+kernel, making its operations in the same order, must agree with this one
+bit for bit.  The plan and the remainder bounds are
+written out here too, as plain float expressions evaluated term by term, so
+the kernel's plan, which hoists what does not depend on the term count, is
+pinned to them; the Bernoulli table and the cutoff constants are the
+kernel's own.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 from mpmath import iv, mp, mpf
 
-from orbitzeta.xinumeric.kernel import _bernoulli_ratio, _em_plan, _remainder_log_bounds
+from orbitzeta.xinumeric import kernel
+from orbitzeta.xinumeric.config import PrecisionError
+from orbitzeta.xinumeric.kernel import _bernoulli_ratio
 
 
 def xi_series(point, digits, size):
     """Coefficients 0..size-1 of xi(point + u), or of xi(1 + u) - 1/u at
     point 1, with errors: kernel._xi_series in the iv context."""
-    cutoff, terms = _em_plan(point, digits)
+    cutoff, terms = em_plan(point, digits)
     saved = iv.prec
     try:
         with mp.workdps(digits + 10):
@@ -75,8 +81,49 @@ def zeta_series(point, cutoff, terms, size):
     else:
         bracket = [b + iv.mpf((-1) ** m) / (point - 1) ** (m + 1) for m, b in enumerate(bracket)]
         tail = [t / cutoff ** (point - 1) for t in _mul(decay, bracket)]
-    radii = [math.exp(b) for b in _remainder_log_bounds(point, cutoff, terms, size)]
+    radii = [math.exp(b) for b in remainder_log_bounds(point, cutoff, terms, size)]
     return [s + t + iv.mpf([-r, r]) for s, t, r in zip(sums, tail, radii)]
+
+
+def em_plan(point, digits):
+    """Cutoff N and correction count M for the power-series sum at a point:
+    the least M whose remainder bound at coefficient 0 reaches
+    10^-(digits + 2).  When the bound turns upward first, the corrections
+    cannot reach it at this N, and N doubles.  Errors are floats, so a
+    target below the least normal float is refused."""
+    log_target = -(digits + 2) * math.log(10)
+    if log_target < math.log(sys.float_info.min):
+        raise PrecisionError("errors at %d digits underflow a float" % digits)
+    cutoff = kernel._FIRST_CUTOFF
+    for _ in range(kernel._CUTOFF_DOUBLINGS + 1):
+        previous, terms = math.inf, 1
+        while (bound := remainder_log_bounds(point, cutoff, terms, 1)[0]) < previous:
+            if bound <= log_target:
+                return cutoff, terms
+            previous, terms = bound, terms + 1
+        cutoff *= 2
+    raise PrecisionError("Euler-Maclaurin series cannot reach %d digits at %d" % (digits, point))
+
+
+def remainder_log_bounds(point, cutoff, terms, size):
+    """Logs of bounds on the u^k coefficients, k < size, of R(point + u),
+    the remainder after M = terms corrections at cutoff N: Backlund's bound
+    on the circles |s - point| = r = 1/4..4, divided by r^k (Cauchy), the
+    least over r taken."""
+    on_circles = [
+        (
+            math.log((point + r + 2 * terms + 1) / (point - r + 2 * terms + 1))
+            + math.log(math.pi**2 / 3)
+            - (2 * terms + 2) * math.log(2 * math.pi)
+            + math.lgamma(point + r + 2 * terms + 1)
+            - math.lgamma(point + r)
+            - (point - r + 2 * terms + 1) * math.log(cutoff),
+            math.log(r),
+        )
+        for r in (i / 4 for i in range(1, 17))
+        if r < point + 2 * terms
+    ]
+    return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
 
 
 def _enclose(value):

@@ -5,9 +5,11 @@ Catalan-free zeta derivatives), the library zeta itself, which shares no
 code with the Euler-Maclaurin summation under test, and contour-quadrature
 Taylor tables (contour_oracle.py), which share no power-series arithmetic
 with the series route.  The same series build written in mpmath's iv
-context (interval_oracle.py) pins its raw endpoint arithmetic bit for bit.
+context (interval_oracle.py) pins its int endpoint arithmetic bit for bit,
+and the plan written out term by term there pins the kernel's plan.
 """
 
+import math
 import random
 import time
 from dataclasses import replace
@@ -371,6 +373,46 @@ def test_raw_endpoint_route_matches_the_iv_oracle_bit_for_bit(monkeypatch):
             assert errors == want_errors, (digits, size, point)
     elapsed = time.perf_counter() - start
     assert elapsed < 90.0, elapsed
+
+
+def test_raw_endpoint_route_matches_the_iv_oracle_at_high_precision(monkeypatch):
+    """The same bit-for-bit check at internal digits 200 and 280, points 1,
+    2 and 9, size 16: cutoff 128 with 93 to 181 corrections, whose weights
+    divide by enclosures of cutoff^(2k) wider than the precision.  About
+    2 s on one CPU of a 2-vCPU host; the bound leaves wide headroom."""
+    monkeypatch.setattr(kernel, "_series_cache", {})
+    monkeypatch.setattr(kernel, "_shared_cache", {})
+    start = time.perf_counter()
+    for digits in (200, 280):
+        for point in (1, 2, 9):
+            values, errors = kernel._xi_series(point, digits, 16)
+            want_values, want_errors = interval_oracle.xi_series(point, digits, 16)
+            assert [v._mpf_ for v in values] == [v._mpf_ for v in want_values], (digits, point)
+            assert errors == want_errors, (digits, point)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 40.0, elapsed
+
+
+def test_em_plan_matches_the_oracle_plan(monkeypatch):
+    """The kernel's plan, with what does not depend on the term count
+    hoisted, gives the (cutoff, terms) of the oracle's term-by-term plan and
+    the bits of its 16 remainder bounds and radii, at points 1..12 and
+    internal digits 20 to 280; both refuse the same plans."""
+    for point in range(1, 13):
+        for digits in (20, 35, 45, 60, 95, 150, 200, 280):
+            plan = kernel._em_plan(point, digits)
+            assert plan == interval_oracle.em_plan(point, digits), (point, digits)
+            got = kernel._remainder_log_bounds(point, *plan, 16)
+            want = interval_oracle.remainder_log_bounds(point, *plan, 16)
+            assert [b.hex() for b in got] == [b.hex() for b in want], (point, digits)
+            assert [math.exp(b).hex() for b in got] == [math.exp(b).hex() for b in want]
+    for plan in (kernel._em_plan, interval_oracle.em_plan):
+        with pytest.raises(PrecisionError, match="underflow"):
+            plan(2, 320 + GUARD_DIGITS)
+    monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 1)
+    for plan in (kernel._em_plan, interval_oracle.em_plan):
+        with pytest.raises(PrecisionError, match="cannot reach"):
+            plan(2, 40 + GUARD_DIGITS)
 
 
 def test_table_build_is_independent_of_iv_precision(monkeypatch):
