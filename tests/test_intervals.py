@@ -33,7 +33,7 @@ def value(rng, prec, sign=None, exp=None):
 
 def interval(rng, prec, kind=None):
     """A random (lo, hi) mpf pair: positive, negative, straddling 0, a
-    point, or with a zero endpoint."""
+    point, with a zero endpoint, or between two values of any sign and size."""
     kind = kind or rng.choice(("pos", "neg", "straddle", "point", "zero_lo", "zero_hi", "wide"))
     exp = rng.randint(-2 * prec, prec)
     if kind == "point":
