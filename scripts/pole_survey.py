@@ -22,7 +22,6 @@ from orbitzeta import __version__
 from orbitzeta.cli import GATED_MAX_N, RESIDUES_MAX_N, orbit_residue
 from orbitzeta.partitions import enumerate_classes, partitions_of
 from orbitzeta.xinumeric import PrecisionConfig
-from orbitzeta.xinumeric.laurent import as_mpf
 
 
 def survey(max_n, base):
@@ -30,7 +29,7 @@ def survey(max_n, base):
     gate failures."""
     sizes = {}
     gate_failures = []
-    with mp.workdps(base.working_digits + 15):
+    with mp.workdps(base.internal_dps):
         for n in range(1, max_n + 1):
             cfg = base.for_orbit_size(n)
             rows = []
@@ -42,7 +41,7 @@ def survey(max_n, base):
                     "partition": str(p),
                     "classes": len(enumerate_classes(p)),
                     "pole_order": rr.pole_order,
-                    "residue": mpmath.nstr(as_mpf(rr.residue), 15),
+                    "residue": mpmath.nstr(rr.residue, 15),
                     "residue_error": "%.3e" % rr.residue_error,
                     "formal_deep_vanish": formal.all_deep_vanish,
                     "deep_audit": rr.to_json()["audit"],

@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 import mpmath
 
@@ -36,7 +35,6 @@ from .xinumeric import (
     residue_anchor,
     residue_at_zero,
 )
-from .xinumeric.laurent import as_mpf
 
 ANCHOR_TOLERANCE = mpmath.mpf("1e-8")
 # residues and the pole survey gate pole orders and anchors up to this size
@@ -121,7 +119,7 @@ def orbit_residue(p, config):
     formal = formal_cancellation_check(h)
     rr = residue_at_zero(laurent_expand(h, config))
     anchor = residue_anchor(p.parts, config.working_digits)
-    diff = None if anchor is None else abs(as_mpf(rr.residue) - anchor)
+    diff = None if anchor is None else abs(rr.residue - anchor)
     failures = []
     if p.n <= GATED_MAX_N:
         if rr.pole_order != 1:
@@ -153,7 +151,7 @@ def cmd_residues(args):
             "symbolic": str(h),
             "formal": formal.to_json(),
             "pole_order": rr.pole_order,
-            "residue": mpmath.nstr(as_mpf(rr.residue), 12),
+            "residue": mpmath.nstr(rr.residue, 12),
             "residue_error": "%.3e" % rr.residue_error,
         }
         if anchor is not None and n <= GATED_MAX_N:
@@ -288,8 +286,7 @@ def cmd_expand(args):
     lines = ["%s for %s" % ("sum" if args.what == "h" else "product", p)]
     for d in series.degrees():
         c, err = series.coefficient(d)
-        shown = str(c) if isinstance(c, Fraction) else mpmath.nstr(c, 12)
-        lines.append("  s^%-3d %s  +/- %s" % (d, shown, "%.3e" % err))
+        lines.append("  s^%-3d %s  +/- %s" % (d, mpmath.nstr(c, 12), "%.3e" % err))
     lines.append("pole order: %s" % rr.pole_order)
     return 0, _emit(payload, args.fmt, lines)
 

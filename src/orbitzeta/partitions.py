@@ -52,10 +52,6 @@ class Partition:
         """The integer being partitioned (sum of parts)."""
         return sum(self.parts)
 
-    def multiplicity(self, i):
-        """Number of parts equal to i."""
-        return sum(1 for p in self.parts if p == i)
-
     def conjugate(self):
         """Transpose partition: k-th part counts parts >= k."""
         if not self.parts:

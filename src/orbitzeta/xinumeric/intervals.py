@@ -8,6 +8,10 @@ mpf_add, mpf_mul and mpf_div round correctly and its mpi_* functions return
 the rounded hull of the exact result, so each operation has the bits of the
 matching mpi_* call at prec, and the folds those of the calls in the same
 order.  Transcendental functions stay on mpmath, behind from_mpi and to_mpi.
+
+exact_dot is the one exception: it rounds once per result, not once per
+operation, and so has no mpi_* counterpart.  It serves the Laurent ring;
+the Taylor tables, whose bits the iv-context oracle pins, do not use it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,31 @@ def fold_sum(enclosures, prec, total=ZERO):
 def dot(xs, ys, prec, total=ZERO):
     """total + x0 y0 + x1 y1 + ..., each product and sum rounded in turn."""
     return fold_sum(map(mul, xs, ys, repeat(prec)), prec, total)
+
+
+def exact_dot(pairs, prec):
+    """Enclosure of x0 y0 + x1 y1 + ... over (x, y) pairs of enclosures:
+    each product's hull and their sum formed exactly, then rounded outward
+    once to prec bits."""
+    lo = hi = e = 0
+    for (a, b, f), (c, d, g) in pairs:
+        if a >= 0 and c >= 0:
+            p, q = a * c, b * d
+        elif b <= 0 and d <= 0:
+            p, q = b * d, a * c
+        elif a >= 0 and d <= 0:
+            p, q = b * c, a * d
+        elif b <= 0 and c >= 0:
+            p, q = a * d, b * c
+        else:  # a factor straddles 0
+            corners = a * c, a * d, b * c, b * d
+            p, q = min(corners), max(corners)
+        f += g
+        if e < f:
+            lo, hi = lo + (p << f - e), hi + (q << f - e)
+        else:
+            lo, hi, e = (lo << e - f) + p, (hi << e - f) + q, f
+    return _outward(lo, hi, e, prec)
 
 
 def series_mul(a, b, prec):

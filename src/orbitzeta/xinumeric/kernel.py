@@ -146,12 +146,15 @@ class XiPointExpansion:
     coefficients[k] is the k-th Taylor coefficient (derivative / k!) of xi at
     the point when point >= 2, and of xi(z) - 1/(z-1) when point == 1.  The
     principal part at 1 is exact: residue 1, never part of the series.
+    enclosures[k] is the int enclosure (lo, hi, e) of .intervals that
+    coefficients[k] and errors[k] are the midpoint and width of.
     """
 
     point: int
     coefficients: tuple
     errors: tuple
     config: PrecisionConfig
+    enclosures: tuple
 
 
 _expansion_cache = {}
@@ -162,9 +165,8 @@ _MIN_TERMS = 16
 # the Euler-Maclaurin cutoff starts here and doubles at most this often
 _FIRST_CUTOFF = 8
 _CUTOFF_DOUBLINGS = 6
-# the remainder bound's circles r = 1/4..4, and what its terms share: logs and lgamma(point + r)
+# the remainder bound's circles r = 1/4..4 with their logs, and constants of its terms
 _RADII = [(i / 4, math.log(i / 4)) for i in range(1, 17)]
-_lgammas = functools.cache(lambda point: [math.lgamma(point + r) for r, _ in _RADII])
 _LOG_PI2_3, _LOG_2PI = math.log(math.pi**2 / 3), math.log(2 * math.pi)
 
 
@@ -191,20 +193,21 @@ def expansion_at(point, config=None):
     if hit is None:
         size = config.expansion_order + 1
         series_key = (point, config.internal_dps)
-        built = _series_cache.get(series_key, ((), ()))
+        built = _series_cache.get(series_key, ((), (), ()))
         if len(built[0]) < size:
             built = _series_cache[series_key] = _xi_series(
                 point, config.internal_dps, max(size, _MIN_TERMS)
             )
         hit = _expansion_cache[key] = XiPointExpansion(
-            point=point, coefficients=built[0][:size], errors=built[1][:size], config=config
+            point=point, coefficients=built[0][:size], errors=built[1][:size], config=config,
+            enclosures=built[2][:size],
         )
     return hit
 
 
 def _xi_series(point, digits, size):
     """Coefficients 0..size-1 of xi(point + u), or of xi(1 + u) - 1/u at
-    point 1, each with an error bound.
+    point 1, as (values, errors, enclosures).
 
     Everything runs on the int enclosures of .intervals at mp.prec, so
     rounding is enclosed; the value is an enclosure's midpoint and the
@@ -244,7 +247,7 @@ def _xi_series(point, digits, size):
             # xi(1 + u) - 1/u = (G(u) - 1)/u + G(u) zeta_reg(1 + u), as G(0) = 1
             xi = [add(c, g, prec) for c, g in zip(xi, gamma[1:])]
         return (tuple(mpf(mpi_mid(to_mpi(c), prec)) for c in xi),
-                tuple(to_float(mpi_delta(to_mpi(c), prec)) for c in xi))
+                tuple(to_float(mpi_delta(to_mpi(c), prec)) for c in xi), tuple(xi))
 
 
 def _zeta_series(point, cutoff, terms, size):
@@ -295,10 +298,11 @@ def _em_plan(point, digits):
     log_target = -(digits + 2) * math.log(10)
     if log_target < math.log(sys.float_info.min):
         raise PrecisionError("errors at %d digits underflow a float" % digits)
+    circles = functools.cache(functools.partial(_circles, point))  # shared by the cutoffs
     cutoff = _FIRST_CUTOFF
     for _ in range(_CUTOFF_DOUBLINGS + 1):
         previous, terms = math.inf, 1
-        while (bound := _remainder_log_bounds(point, cutoff, terms, 1)[0]) < previous:
+        while (bound := _log_bounds(circles(terms), cutoff, 1)[0]) < previous:
             if bound <= log_target:
                 return cutoff, terms
             previous, terms = bound, terms + 1
@@ -316,21 +320,34 @@ def _remainder_log_bounds(point, cutoff, terms, size):
     N^-(l + 2M + 1) on the circle |s - point| = r, h = point + r, l = point - r.
     Cauchy's estimate divides by r^k; the least over r = 1/4..4 is taken.
     """
+    return _log_bounds(_circles(point, terms), cutoff, size)
+
+
+def _log_bounds(circles, cutoff, size):
+    """_remainder_log_bounds from the _circles of its point and term count."""
     log_n = math.log(cutoff)
-    on_circles = [
+    on_circles = [(prefix - power * log_n, log_r) for prefix, power, log_r in circles]
+    return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
+
+
+def _circles(point, terms):
+    """Per circle of _remainder_log_bounds: the log of its bound but the
+    N^-(l + 2M + 1) factor, the power l + 2M + 1, and log r.  Python sums
+    left to right, so the bound minus power * log N has the bits of the
+    whole sum."""
+    return [
         (
             math.log((point + r + 2 * terms + 1) / (point - r + 2 * terms + 1))
             + _LOG_PI2_3
             - (2 * terms + 2) * _LOG_2PI
             + math.lgamma(point + r + 2 * terms + 1)
-            - lgamma_h
-            - (point - r + 2 * terms + 1) * log_n,
+            - math.lgamma(point + r),
+            point - r + 2 * terms + 1,
             log_r,
         )
-        for (r, log_r), lgamma_h in zip(_RADII, _lgammas(point))
+        for r, log_r in _RADII
         if r < point + 2 * terms
     ]
-    return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
 
 
 class _Shared:

@@ -8,12 +8,12 @@ once per degree, keeping each factor's window and each product that is a
 strict prefix of a monomial in a memo keyed by factor tuple.  laurent_expand
 holds one process-global memo for the last config it expanded at (a window
 depends only on the config and the factors), single-threaded like the
-kernel's tables.  laurent_expand runs it over
-(value, error) coefficients: principal-part coefficients are exact
-rationals, everything else is a big float carrying an absolute-error bound:
-the tables' errors, propagated, plus a bound on every rounding at the
-working precision.  formal_cancellation_check (formal.py) runs it over
-FormalPoly, with the Taylor coefficients left symbolic.
+kernel's tables.  laurent_expand runs it over Ball coefficients: a value,
+the exact midpoint of an enclosure of the coefficient, and an error, its
+radius rounded up to a float, so every coefficient lies within its error of
+its value; a coefficient is exact exactly when its error is 0.
+formal_cancellation_check (formal.py) runs it over FormalPoly, with the
+Taylor coefficients left symbolic.
 
 Ring contract.  A coefficient ring gives constant(q) and zero() as ring
 elements, and three operations on native windows, the form expand works in
@@ -25,16 +25,15 @@ from the lifted factor series to the last sum:
       window) triples in term order, one ring element per degree in
       [lo, hi]: the fold with + of each window's entry scaled by its
       coefficient, a degree below a window adding an exact zero.
-The scalar operations stay the definition, and tests pin the native ones
-to them bit for bit: _Approx's +, * and scale, and SparsePoly's +, * and
-scale for FormalPoly.  _Approx's native entry is (Fraction or None, m, e,
-error, |float(value)|), the value being the Fraction or else m 2^e for a
-signed int m, trailing zeros allowed (an exact value's m 2^e is its
-round-down value, as mpmath converts it); one fused fold replays the
-scalar * and + on it in integer fixed point, rounding as mpmath's libmp
-does.  FormalPoly's native window is one integer denominator and, per
-coefficient, a dict from packed monomials (one int, a 6-bit exponent slot
-per symbol) to integer numerators.
+Each ring has a reference the tests pin its window operations to.  For
+Ball it is exact rational arithmetic on box corners: a native entry is the
+int enclosure (lo, hi, e) of .intervals at the working precision, lift
+widens each ball to its box [value - error, value + error] rounded outward,
+and every entry of convolve and weighted_sum is intervals.exact_dot, the
+exact sum of its products' exact hulls rounded outward once.  For
+FormalPoly it is SparsePoly's +, * and scale; its native window is one
+integer denominator and, per coefficient, a dict from packed monomials
+(one int, a 6-bit exponent slot per symbol) to integer numerators.
 
 Series windows: a series stores a contiguous block of coefficients starting
 at min_degree.  Products of series with the same relative length keep that
@@ -58,9 +57,10 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_down
+from mpmath.libmp import from_man_exp
 
 from .config import ExpansionOrderError, PrecisionConfig
+from .intervals import _outward, div, exact_dot, ival, mul
 from .kernel import expansion_at
 
 # pole-order detection: coefficients below 10^3 * error are cancellation noise
@@ -71,174 +71,78 @@ FLOOR_MARGIN = 10.0
 JSON_DIGITS = 30
 
 
-def as_mpf(value):
-    """Exact rational values (Fractions and ints) as mpf at the working
-    precision; mpf values unchanged."""
-    if isinstance(value, Fraction):
-        return mpf(value.numerator) / value.denominator
-    return mpf(value) if isinstance(value, int) else value
+class Ball(NamedTuple):
+    """Numeric series coefficient: an mpf value and a float error such that
+    the coefficient lies in [value - error, value + error].
 
-
-class _Pair(NamedTuple):
-    """The fields of _Approx."""
+    lift, convolve and weighted_sum are the ring's window operations (see
+    the module docstring), on int enclosures at the working precision.
+    """
 
     value: object
     error: float
 
-
-class _Approx(_Pair):
-    """Numeric series coefficient: exact Fraction or mpf value, absolute error.
-
-    A pair, so LaurentSeries.coefficient still unpacks as, indexes as and
-    compares equal to (value, error); + and * are coefficient arithmetic with
-    error propagation, not tuple concatenation and repetition.  Each
-    operation that yields an mpf adds a bound on its own rounding at the
-    working precision to the error.  lift, convolve and weighted_sum are the
-    ring's window operations (see the module docstring), on native entries
-    at the working precision and rounding.
-    """
-
-    __slots__ = ()
-
     @classmethod
     def constant(cls, q):
-        return cls(q, 0.0)
+        return _ball(_quotient(Fraction(q), mp.prec))
 
     @classmethod
     def zero(cls):
-        return cls(Fraction(0), 0.0)
-
-    def __add__(self, other):
-        x, y = self.value, other.value
-        z = x + y
-        error = self.error + other.error
-        if type(z) is not Fraction:
-            # z = m 2^e with a bc-bit mantissa m lies below 2^(e + bc), so the
-            # sum rounded it by at most 2^(e + bc - prec); a rational summand
-            # was rounded once more, by |summand| 2^-prec, on conversion
-            prec = mp.prec
-            _, _, e, bc = z._mpf_
-            error += math.ldexp(1.0, e + bc - prec)
-            for q in (x, y):
-                if type(q) is Fraction and q:
-                    error += math.ldexp(abs(float(q)), -prec)
-        return _Approx(z, error)
-
-    def __mul__(self, other):
-        x, ex = self
-        y, ey = other
-        fx, fy = abs(float(x)), abs(float(y))
-        z = x * y
-        error = fx * ey + fy * ex + ex * ey
-        if type(z) is not Fraction:
-            # one rounding of the product, one of a rational factor's
-            # conversion, each at most |z| 2^-prec; four units cover both
-            error += math.ldexp(fx * fy, 2 - mp.prec)
-        return _Approx(z, error)
-
-    def scale(self, q):
-        return self * _Approx(q, 0.0)
+        return cls(mpf(0), 0.0)
 
     @staticmethod
     def lift(coeffs):
-        """Native window of a sequence of coefficients."""
-        prec = mp.prec
-        out = []
-        for v, e in coeffs:
-            if type(v) is Fraction:
-                out.append((v, *_fixed(v, prec), e, abs(float(v))))
-            else:
-                sign, man, exp, _ = v._mpf_
-                out.append((None, -man if sign else man, exp, e, abs(float(v))))
-        return out
+        """Native window: each ball's box, rounded outward."""
+        return [_box(c, mp.prec) for c in coeffs]
 
     @staticmethod
     def convolve(a, b):
-        """Native window product: entry j is the fold a[0]*b[j] + ... +
-        a[j]*b[0] of * and +, for each j below the shorter window."""
+        """Native window product: entry j encloses a[0]*b[j] + ... +
+        a[j]*b[0], rounded once, for each j below the shorter window."""
         prec = mp.prec
-        out = []
-        for j in range(min(len(a), len(b))):
-            q, m, e, error = _dot(zip(a[: j + 1], b[j::-1]), prec)
-            if q is None:
-                # the magnitude rounds m to 53 bits first, as to_float does
-                out.append((None, m, e, error, abs(math.ldexp(*_round(m, e, 53)))))
-            else:
-                out.append((q, *_fixed(q, prec), error, abs(float(q))))
-        return out
+        return [exact_dot(zip(a[: j + 1], b[j::-1]), prec) for j in range(min(len(a), len(b)))]
 
     @staticmethod
     def weighted_sum(terms, lo, hi):
-        """Coefficients lo..hi of the sum of the (coefficient, min_degree,
-        native window) terms: each degree folds every window's entry scaled
-        by its coefficient with +, in term order, a degree below a window
-        adding an exact zero.  Builds one _Approx per degree."""
+        """Balls lo..hi of the sum of the (coefficient, min_degree, native
+        window) terms: each degree encloses the sum of every window's entry
+        times an enclosure of its coefficient, rounded once."""
         prec = mp.prec
-        weights = [((c, *_fixed(c, prec), 0.0, abs(float(c))), m, w) for c, m, w in terms]
-        zero = (Fraction(0), 0, 0, 0.0, 0.0)
-        out = []
-        for d in range(lo, hi + 1):
-            q, m, e, error = _dot(((w[d - m] if d >= m else zero, c) for c, m, w in weights), prec)
-            out.append(_Approx(mp.make_mpf(from_man_exp(m, e)) if q is None else q, error))
-        return out
+        weights = [(_quotient(c, prec), m, w) for c, m, w in terms]
+        return [
+            _ball(exact_dot(((w[d - m], c) for c, m, w in weights if d >= m), prec))
+            for d in range(lo, hi + 1)
+        ]
 
 
-def _fixed(q, prec):
-    """(m, e) of an exact q rounded down to prec bits."""
-    sign, man, exp, _ = from_rational(q.numerator, q.denominator, prec, round_down)
-    return -man if sign else man, exp
+def _quotient(q, prec):
+    """Enclosure of a Fraction."""
+    return div(ival(q.numerator, prec), ival(q.denominator, prec), prec)
 
 
-def _round(p, e, prec):
-    """p 2^e rounded to prec bits, to nearest with ties to even, as (m, e)."""
-    n = p.bit_length() - prec
-    if n <= 0:
-        return p, e
-    t = p >> (n - 1)
-    if t & 1 and (t & 2 or p & ((1 << (n - 1)) - 1)):
-        return (t >> 1) + 1, e + n
-    return t >> 1, e + n
+def _box(ball, prec):
+    """Enclosure of [value - error, value + error], rounded outward."""
+    (sign, man, e, _), (r, d) = ball.value._mpf_, ball.error.as_integer_ratio()
+    man, f = -man if sign else man, 1 - d.bit_length()  # error = r 2^f
+    if e > f:
+        man, e = man << e - f, f
+    else:
+        r <<= f - e
+    return _outward(man - r, man + r, e, prec)
 
 
-def _dot(pairs, prec):
-    """The + fold of the products x*y over a nonempty iterator of native
-    entry pairs, as (Fraction or None, m, e, error), m None if exact.  It
-    replays _Approx.__mul__ and __add__ bit for bit: each product and
-    partial sum is rounded to nearest, ties to even, at prec bits, as
-    mpmath's correctly rounding mpf_mul and mpf_add do, and each error
-    term is the scalar one's float expression in the scalar order."""
-    error = None
-    for (xq, xm, xe, ex, fx), (yq, ym, ye, ey, fy) in pairs:
-        terror = fx * ey + fy * ex + ex * ey
-        if xq is None or yq is None:
-            # one rounding of the product, one of a rational factor's conversion
-            tq, (tm, te) = None, _round(xm * ym, xe + ye, prec)
-            terror += math.ldexp(fx * fy, 2 - prec)
-        else:
-            tq, tm, te = xq * yq, None, None
-        if error is None:
-            q, m, e, error = tq, tm, te, terror
-            continue
-        error += terror
-        if q is not None and tq is not None:
-            q += tq
-            continue
-        if q is not None:
-            m, e = _fixed(q, prec)
-        if tq is not None:
-            tm, te = _fixed(tq, prec)
-        # the exact sum, rounded once; m 2^e lies below 2^(e + bitlength),
-        # and a zero sum counts as 2^0, as mpmath's zero has e = bc = 0
-        d = e - te
-        p, e = ((m << d) + tm, te) if d > 0 else (m + (tm << -d), e)
-        m, e = _round(p, e, prec)
-        error += math.ldexp(1.0, (e + m.bit_length() if m else 0) - prec)
-        if q:
-            error += math.ldexp(abs(float(q)), -prec)
-        if tq:
-            error += math.ldexp(abs(float(tq)), -prec)
-        q = None
-    return q, m, e, error
+def _ball(x):
+    """Ball of an enclosure: its exact midpoint, and its radius rounded up
+    to a float."""
+    lo, hi, e = x
+    r, f = hi - lo, e - 1
+    n = r.bit_length() - 53
+    if n > 0:
+        r, f = -(-r >> n), f + n
+    error = math.ldexp(r, f)
+    if math.ldexp(error, -f) < r:  # a subnormal, rounded down
+        error = math.nextafter(error, math.inf)
+    return Ball(mp.make_mpf(from_man_exp(lo + hi, e - 1)), error)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,8 +150,8 @@ class LaurentSeries:
     """Finite block of Laurent coefficients over one coefficient ring.
 
     coeffs[i] is the coefficient of s^(min_degree + i).  The numeric ring's
-    coefficients are (value, error) pairs; classify, is_zero_to_precision
-    and to_json apply to that ring only.
+    coefficients are Balls, (value, error) pairs; classify,
+    is_zero_to_precision and to_json apply to that ring only.
     """
 
     min_degree: int
@@ -304,7 +208,7 @@ class LaurentSeries:
 
 
 def _format_value(value):
-    return mpmath.nstr(as_mpf(value), JSON_DIGITS, strip_zeros=False)
+    return mpmath.nstr(value, JSON_DIGITS, strip_zeros=False)
 
 
 @dataclass(frozen=True)
@@ -318,7 +222,7 @@ class ResidueReport:
     """
 
     pole_order: object  # int or None
-    residue: object  # mpf or Fraction
+    residue: object  # mpf
     residue_error: float
     is_zero: bool
     indeterminate_degrees: tuple
@@ -358,10 +262,7 @@ def residue_at_zero(series):
     if indeterminate:
         pole_order = None
 
-    if -1 >= series.min_degree and -1 <= series.top_degree:
-        residue, residue_error = series.coefficient(-1)
-    else:
-        residue, residue_error = Fraction(0), 0.0
+    residue, residue_error = series.coefficient(-1)
 
     audit = []
     if pole_order is not None:
@@ -454,7 +355,7 @@ _PRODUCTS = {}
 
 
 def laurent_expand(expression, config=None):
-    """Expand a XiExpression at s = 0 into a LaurentSeries of (value, error) pairs.
+    """Expand a XiExpression at s = 0 into a LaurentSeries of Ball (value, error) pairs.
 
     The certified window is [-q, K - q] where q is the largest polar-factor
     count of any monomial and K the configured expansion order; the order
@@ -464,7 +365,7 @@ def laurent_expand(expression, config=None):
     config = config or PrecisionConfig.default()
     length = config.expansion_order + 1
     if expression.is_zero:
-        return LaurentSeries(0, (_Approx.zero(),) * length)
+        return LaurentSeries(0, (Ball.zero(),) * length)
     q_max = expression.max_polar_count()
     if config.expansion_order < q_max + 2:
         raise ExpansionOrderError(
@@ -473,13 +374,11 @@ def laurent_expand(expression, config=None):
         )
 
     def taylor(a, b, count):
-        table = expansion_at(a, config)
-        return [
-            _Approx(c, e).scale(b**k)
-            for k, (c, e) in enumerate(zip(table.coefficients[:count], table.errors))
-        ]
+        prec = mp.prec
+        enclosures = expansion_at(a, config).enclosures[:count]
+        return [_ball(mul(c, ival(b**k, prec), prec)) for k, c in enumerate(enclosures)]
 
     if config not in _PRODUCTS:
         _PRODUCTS.clear()
     with mp.workdps(config.internal_dps):
-        return expand(expression, length, _Approx, taylor, _PRODUCTS.setdefault(config, {}))
+        return expand(expression, length, Ball, taylor, _PRODUCTS.setdefault(config, {}))

@@ -43,6 +43,7 @@ def expansion_at(point, config):
             coefficients=tuple(contour.coefficients[:size]),
             errors=tuple(contour.errors[:size]),
             config=config,
+            enclosures=(),  # quadrature encloses nothing
         )
     return hit
 

@@ -1,5 +1,6 @@
 """The Taylor-table build in mpmath's iv context: the oracle for the int
-endpoint route of kernel._xi_series.
+endpoint route of kernel._xi_series; and exact_dot in Fractions, the
+oracle for intervals.exact_dot and the Laurent ring built on it.
 
 The same power-series Euler-Maclaurin sum, written with iv.mpf operators.
 Each iv operator calls one mpmath.libmp mpi_* function at iv.prec, and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 from mpmath import iv, mp, mpf
@@ -134,3 +136,37 @@ def _enclose(value):
 def _mul(a, b):
     """Truncated product of two series, to the shorter length."""
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]
+
+
+def endpoints(x):
+    """The endpoints of an int enclosure (lo, hi, e) as Fractions."""
+    lo, hi, e = x
+    unit = Fraction(2) ** e
+    return lo * unit, hi * unit
+
+
+def rounded_out(lo, hi, prec):
+    """Fractions lo <= hi rounded down and up to prec bits, each in its own
+    binade."""
+    return _rounded(lo, prec, math.floor), _rounded(hi, prec, math.ceil)
+
+
+def _rounded(q, prec, to_int):
+    if not q:
+        return q
+    k = abs(q.numerator).bit_length() - q.denominator.bit_length()
+    if abs(q) < Fraction(2) ** k:
+        k -= 1  # now 2^k <= |q| < 2^(k+1)
+    unit = Fraction(2) ** (k + 1 - prec)
+    return to_int(q / unit) * unit
+
+
+def exact_dot(pairs, prec):
+    """Endpoints of x0 y0 + x1 y1 + ... over (x, y) pairs of int
+    enclosures: each product's four-corner hull, the exact sum of the
+    hulls, rounded outward once to prec bits."""
+    lo = hi = Fraction(0)
+    for x, y in pairs:
+        corners = [p * q for p in endpoints(x) for q in endpoints(y)]
+        lo, hi = lo + min(corners), hi + max(corners)
+    return rounded_out(lo, hi, prec)

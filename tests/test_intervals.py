@@ -6,10 +6,13 @@ and fixed ones at 53, 150, 333 and 1000 bits, including exponent gaps
 beyond mpmath's sticky-bit threshold (prec + 100 and more), exact
 cancellation, zero endpoints, products of intervals that straddle 0, signed
 numerators over positive divisors, and integers wider than prec.
+exact_dot, which rounds once, is pinned to the Fraction reference of
+interval_oracle instead, on the same kinds of operands.
 """
 
 import random
 
+import interval_oracle
 import pytest
 from mpmath.libmp import (
     fzero, from_int, from_man_exp, mpf_cmp, mpf_neg, mpi_add, mpi_div, mpi_mul, mpi_sub,
@@ -143,3 +146,24 @@ def test_folds_match_the_mpi_calls_in_order(prec):
             terms.append(term)
             term = mpi_div(mpi_mul(term, step, prec), (from_int(m), from_int(m)), prec)
         assert [ia.to_mpi(t) for t in ia.exp_terms(enc(c), enc(step), 11, prec)] == terms
+
+
+@pytest.mark.parametrize("prec", (53, 150, 333))
+def test_exact_dot_matches_the_fraction_reference(prec):
+    """exact_dot against the exact sum of each product's four-corner hull,
+    rounded outward once: the operand pairs above (zero-width boxes, boxes
+    straddling 0 on both sides, negative endpoints, gaps above prec + 100)
+    in sums of 0 to 8 products, and boxes whose ints are wider than prec."""
+    rng = random.Random(prec + 4)
+    pairs = [(enc(x), enc(y)) for x, y in operand_pairs(prec)]
+
+    def wide():
+        lo, hi = sorted(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 3 * prec)) for _ in "lh")
+        return lo, hi, rng.randint(-2 * prec, prec)
+
+    pairs += [(wide(), wide()) for _ in range(100)]
+    sums = [[]] + [pairs[i : i + 1] for i in range(len(fixed_cases(prec)))]
+    sums += [rng.sample(pairs, rng.randint(1, 8)) for _ in range(300)]
+    for terms in sums:
+        got = interval_oracle.endpoints(ia.exact_dot(terms, prec))
+        assert got == interval_oracle.exact_dot(terms, prec), terms

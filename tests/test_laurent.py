@@ -1,15 +1,17 @@
 """Laurent expansion at the origin, residues, and formal pole certificates."""
 
+import math
 import operator
 import random
 import time
 from fractions import Fraction
 from functools import reduce
 
+import interval_oracle
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, round_down, to_rational
+from mpmath.libmp import to_rational
 
 from orbitzeta.partitions import Partition
 from orbitzeta.xi_algebra import XiExpression, XiFactor, h_orbit, z_orbit
@@ -20,11 +22,15 @@ from orbitzeta.xinumeric import (
     PrecisionConfig,
     formal_cancellation_check,
     laurent_expand,
+    residue_anchor,
     residue_at_zero,
 )
 from orbitzeta.xinumeric.formal import SLOT_MAX, SlotOverflowError, _symbols, _unpack
+from orbitzeta.xinumeric.intervals import ival, mul
 from orbitzeta.xinumeric.kernel import expansion_at
-from orbitzeta.xinumeric.laurent import _PRODUCTS, _Approx, expand, factor_series
+from orbitzeta.xinumeric.laurent import (
+    _PRODUCTS, Ball, _ball, _box, _quotient, expand, factor_series,
+)
 
 CFG = PrecisionConfig.default(working_digits=30, expansion_order=8)
 
@@ -47,12 +53,13 @@ def assert_close(x, target, tol):
 
 
 def test_polar_factor_leading_coefficient_is_exact():
+    """The principal part 1/b lies in its ball, which is exact, radius 0,
+    for b = 1, 2, 4."""
     for b in range(1, 7):
         series = laurent_expand(single_factor(1, b), CFG)
         value, error = series.coefficient(-1)
-        assert value == Fraction(1, b)
-        assert isinstance(value, Fraction)
-        assert error == 0.0
+        assert abs(exact(value) - Fraction(1, b)) <= Fraction(error)
+        assert (error == 0.0) == (b in (1, 2, 4)), (b, error)
         assert series.min_degree == -1
 
 
@@ -144,12 +151,22 @@ def test_insufficient_order_is_refused():
 
 
 def test_series_scale_and_add_error_tracking():
+    """A series weighted by 2 and by -2 and summed: every ball holds 0."""
     series = laurent_expand(single_factor(1, 1), CFG)
-    doubled = series_add(series_scale(series, Fraction(2)), series_scale(series, Fraction(-2)))
-    assert all(
-        doubled.coefficient(d)[0] == 0 or abs(float(doubled.coefficient(d)[0])) < 1e-30
-        for d in doubled.degrees()
-    )
+    with mp.workdps(CFG.internal_dps):
+        window = Ball.lift(series.coeffs)
+        total = Ball.weighted_sum([(Fraction(2), -1, window), (Fraction(-2), -1, window)], -1, 7)
+    assert all(abs(value) <= error < 1e-30 for value, error in total)
+
+
+def test_residue_balls_contain_their_anchors():
+    """The residue balls of 1^2..1^6 and (2,1) contain the closed-form
+    anchors, computed 40 digits further."""
+    for parts in [(1,) * n for n in range(2, 7)] + [(2, 1)]:
+        cfg = PrecisionConfig(working_digits=30).for_orbit_size(len(parts))
+        rr = residue_at_zero(laurent_expand(h_orbit(Partition(parts)), cfg))
+        anchor = residue_anchor(parts, cfg.working_digits + 40)
+        assert abs(exact(rr.residue) - exact(anchor)) <= Fraction(rr.residue_error), parts
 
 
 def test_formally_vanishing_coefficients_lie_within_their_errors():
@@ -328,9 +345,9 @@ def series_scale(x, q):
 
 
 def naive_expand(expression, length, ring, taylor):
-    """Oracle for expand: every monomial's factor series folded afresh from
-    the left, scaled and summed in the sorted term order, all with the
-    ring's scalar operations."""
+    """Oracle for expand over FormalPoly: every monomial's factor series
+    folded afresh from the left, scaled and summed in the sorted term
+    order, all with the ring's scalar operations."""
     unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
     acc = None
     for monomial, coeff in expression.sorted_terms():
@@ -340,22 +357,33 @@ def naive_expand(expression, length, ring, taylor):
     return acc
 
 
+def fresh_expand(expression, length, ring, taylor):
+    """Oracle for expand's memo over Ball, which has no scalar operations:
+    every monomial's lifted factor windows convolved afresh from the left,
+    then one weighted_sum in the sorted term order."""
+    unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
+    terms = []
+    for monomial, coeff in expression.sorted_terms():
+        factors = [factor_series(f.a, f.b, length, ring, taylor) for f in monomial] or [unit]
+        window = reduce(ring.convolve, [ring.lift(f.coeffs) for f in factors])
+        terms.append((coeff, sum(f.min_degree for f in factors), window))
+    lo = min(degree for _, degree, _ in terms)
+    return LaurentSeries(lo, tuple(ring.weighted_sum(terms, lo, lo + length - 1)))
+
+
 def numeric_taylor(config):
     """The Taylor data laurent_expand feeds to expand."""
 
     def taylor(a, b, count):
-        table = expansion_at(a, config)
-        return [
-            _Approx(c, e).scale(b**k)
-            for k, (c, e) in enumerate(zip(table.coefficients[:count], table.errors))
-        ]
+        enclosures = expansion_at(a, config).enclosures[:count]
+        return [_ball(mul(c, ival(b**k, mp.prec), mp.prec)) for k, c in enumerate(enclosures)]
 
     return taylor
 
 
 def bits(series):
-    """Every bit of a numeric series: mpf mantissas and exponents, exact
-    rationals, errors as float.hex."""
+    """Every bit of a numeric series: mpf mantissas and exponents, errors
+    as float.hex."""
     return series.min_degree, [
         (getattr(v, "_mpf_", v), type(v), float.hex(e)) for v, e in series.coeffs
     ]
@@ -391,15 +419,16 @@ def _expressions_through(n):
 def test_shared_products_equal_the_naive_fold():
     """expand shares factor-prefix products across monomials and sums each
     degree once on native windows; the result is bit-identical to folding
-    each monomial afresh with the scalar operations, in both rings, for
-    every h and z with n <= 7 (about 2.5 s on one CPU)."""
+    each monomial afresh, with the window operations over Ball and with
+    the scalar operations over FormalPoly, for every h and z with n <= 7
+    (about 2.5 s on one CPU)."""
     for expr in _expressions_through(7) + list(SYNTHETIC):
         # z of (7) has 7 polar factors and needs order 9
         cfg = PrecisionConfig.default(
             working_digits=30, expansion_order=max(8, expr.max_polar_count() + 2)
         )
         with mp.workdps(cfg.internal_dps):
-            want = bits(naive_expand(expr, cfg.expansion_order + 1, _Approx, numeric_taylor(cfg)))
+            want = bits(fresh_expand(expr, cfg.expansion_order + 1, Ball, numeric_taylor(cfg)))
         assert bits(laurent_expand(expr, cfg)) == want, expr
         length = expr.max_polar_count() + 2
         formal = expand(expr, length, FormalPoly, _symbols)
@@ -429,7 +458,7 @@ def test_shared_products_do_not_depend_on_term_order():
 def count_convolves(monkeypatch):
     """Count every native window product of either ring in calls[0]."""
     calls = [0]
-    for ring in (_Approx, FormalPoly):
+    for ring in (Ball, FormalPoly):
 
         def counting(a, b, convolve=ring.convolve):
             calls[0] += 1
@@ -471,14 +500,14 @@ def test_repeated_expansion_multiplies_only_unkept_full_products(monkeypatch):
 
 def test_switching_config_and_back_keeps_the_naive_bits():
     """Each config change replaces laurent_expand's memo; every expansion,
-    before and after a change and after changing back, equals the naive
+    before and after a change and after changing back, equals the fresh
     fold at its config bit for bit."""
     other = PrecisionConfig.default(working_digits=20, expansion_order=8)
     exprs = [h_orbit(Partition((2, 1))), z_orbit(Partition((3, 1))), *SYNTHETIC]
     for cfg in (CFG, other, CFG, other):
         for expr in exprs:
             with mp.workdps(cfg.internal_dps):
-                want = naive_expand(expr, cfg.expansion_order + 1, _Approx, numeric_taylor(cfg))
+                want = fresh_expand(expr, cfg.expansion_order + 1, Ball, numeric_taylor(cfg))
             assert bits(laurent_expand(expr, cfg)) == bits(want), (cfg, expr)
         assert list(_PRODUCTS) == [cfg]
 
@@ -486,33 +515,235 @@ def test_switching_config_and_back_keeps_the_naive_bits():
 def test_expand_refuses_an_expression_with_no_terms():
     """expand has no series to return for the zero expression; both callers
     answer it before expanding."""
-    for ring, taylor in ((_Approx, numeric_taylor(CFG)), (FormalPoly, _symbols)):
+    for ring, taylor in ((Ball, numeric_taylor(CFG)), (FormalPoly, _symbols)):
         with pytest.raises(ValueError, match="no terms"):
             expand(XiExpression.zero(), 4, ring, taylor)
     zero = XiExpression.zero()
-    assert laurent_expand(zero, CFG) == LaurentSeries(0, (_Approx.zero(),) * 9)
+    assert laurent_expand(zero, CFG) == LaurentSeries(0, (Ball.zero(),) * 9)
     report = formal_cancellation_check(zero)
     assert (report.pole_bound, report.verdicts, report.all_deep_vanish) == (0, (), True)
 
 
 # ---------------------------------------------------------------------------
-# native window operations against the scalar folds
+# native window operations against their references
 # ---------------------------------------------------------------------------
 
 
-def numeric_coeffs(window):
-    """The _Approx coefficients of a native numeric window; each entry's
-    magnitude must be |float(value)|, and an exact value's (m, e) its
-    round-down value at the working precision."""
-    out = []
-    for q, m, e, error, magnitude in window:
-        raw = from_man_exp(m, e)
-        if q is not None:
-            assert raw == from_rational(q.numerator, q.denominator, mp.prec, round_down), q
-        value = mp.make_mpf(raw) if q is None else q
-        assert magnitude == abs(float(value)), (value, magnitude)
-        out.append(_Approx(value, error))
-    return tuple(out)
+def assert_ball_of(ball, lo, hi):
+    """ball is the ball of the box [lo, hi] (Fractions): its value the exact
+    midpoint, its error the half-width rounded up to the next float."""
+    value, error = ball
+    half = (hi - lo) / 2
+    assert exact(value) == (lo + hi) / 2, (ball, lo, hi)
+    assert type(error) is float and Fraction(error) >= half, (ball, lo, hi)
+    assert error == 0.0 or Fraction(math.nextafter(error, 0.0)) < half, (ball, lo, hi)
+
+
+def assert_box_of(box, ball, prec):
+    """box is ball's box: [value - error, value + error] rounded outward to
+    prec bits."""
+    value, error = exact(ball.value), Fraction(ball.error)
+    want = interval_oracle.rounded_out(value - error, value + error, prec)
+    assert interval_oracle.endpoints(box) == want, (ball, box)
+
+
+def test_ball_and_box_conversions_enclose():
+    """Boxes of every sign, width and exponent, subnormal radii included,
+    read back as the ball of their exact midpoint and half-width rounded
+    up; balls with full-precision values and errors above, at and far
+    below an ulp lift to their outward-rounded boxes, which contain them."""
+    rng = random.Random(3)
+    boxes = [(0, 0, 0), (5, 5, -3), (-7, -7, 40), (0, 3, -1100), (-1, 1, -1074)]
+    for _ in range(400):
+        lo = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300))
+        boxes.append((lo, lo + rng.getrandbits(rng.randint(0, 120)), rng.randint(-400, 200)))
+    for box in boxes:
+        assert_ball_of(_ball(box), *interval_oracle.endpoints(box))
+    for dps in (15, 40):
+        with mp.workdps(dps):
+            balls = [Ball.zero(), Ball(mpmath.mpf(1), 0.0), Ball(mpmath.mpf(1), 1e-300)]
+            for _ in range(400):
+                value = _ball_entry(rng).value
+                ulp = float(abs(value)) * 2.0**-mp.prec
+                error = rng.choice((0.0, ulp, rng.uniform(0, 1e6) * ulp, rng.uniform(0, 1e-6) * ulp))
+                balls.append(Ball(value, error))
+            lifted = Ball.lift(balls)
+            for ball, box in zip(balls, lifted):
+                assert_box_of(box, ball, mp.prec)
+                assert_ball_of(_ball(box), *interval_oracle.endpoints(box))
+
+
+def _ball_entry(rng):
+    """A Fraction's ball (dyadic or not), a zero, or a full-precision mpf
+    over a wide exponent range, with a zero or nonzero error."""
+    M = mpmath.mpf
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Ball.constant(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+    if kind == 1:
+        value = M(0)
+    else:
+        value = mpmath.ldexp(M(rng.randint(-(10**60), 10**60)) / rng.randint(1, 10**40), -rng.randint(0, 300))
+    return Ball(value, rng.choice((0.0, rng.uniform(0, 1e-30), rng.uniform(0, 1e-60))))
+
+
+def _numeric_windows(rng):
+    """Windows of Fraction balls (zero included), full-precision mpfs over
+    a wide exponent range, zero mpfs and mixes, with zero and nonzero
+    errors and unequal lengths; built at the working precision.  Fixed
+    cases, in products with each other and with the random windows:
+    summands whose tops lie more than prec + 100 bits apart, in both
+    orders and signs; odd prec-bit integers; and sums cancelling to
+    zero."""
+    F, M = Fraction, mpmath.mpf
+    half = 2 ** (mp.prec - 1)
+    tiny = mpmath.ldexp(M(1) / 7, -(mp.prec + 150))
+    fixed = [
+        [F(1, 2), F(0), F(-3, 7)],
+        [F(2), F(5, 3), F(0), F(-5, 3)],
+        [M(1) / 3, M(-2) / 7, M(0), mpmath.ldexp(M(5) / 11, -200)],
+        [F(1, 3), M(1) / 3, F(-1, 3), M(-1) / 3, F(0)],
+        [M(1) / 3, tiny, -tiny, M(-2) / 3],
+        [tiny, M(1) / 3, -tiny, M(1) / 5],
+        [M(1), M(-1), M(1), M(1)],
+        [M(half + 1), M(-(half + 3)), M(2 * half - 1), M(1)],
+        [M(3), M(3), M(1) / 2, M(-3)],
+        [M(1) / 3, M(1) / 3, M(2) / 7, M(-2) / 7],
+    ]
+
+    def ball(v, error=0.0):
+        return Ball.constant(v) if isinstance(v, Fraction) else Ball(v, error)
+
+    windows = [[ball(v) for v in w] for w in fixed]
+    windows.append([ball(v, 1e-40 * k) for k, v in enumerate(fixed[2])])
+    windows += [[_ball_entry(rng) for _ in range(rng.randint(1, 8))] for _ in range(25)]
+    return windows
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_numeric_convolve_equals_the_scalar_double_loop(dps):
+    """Ball.convolve on lifted windows against the double loop of exact
+    rational arithmetic on box corners (interval_oracle.exact_dot), bit for
+    bit, for every ordered pair of windows."""
+    with mp.workdps(dps):
+        windows = _numeric_windows(random.Random(dps))
+        lifted = [Ball.lift(w) for w in windows]
+        for a in lifted:
+            for b in lifted:
+                got = Ball.convolve(a, b)
+                assert len(got) == min(len(a), len(b))
+                for j, box in enumerate(got):
+                    want = interval_oracle.exact_dot(zip(a[: j + 1], b[j::-1]), mp.prec)
+                    assert interval_oracle.endpoints(box) == want, (a, b, j)
+
+
+def _weighted_terms(rng, lo, hi, window, coeffs):
+    """1 to 6 (coefficient, min_degree, window) terms whose windows start
+    at or above lo and reach hi or beyond."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        m = rng.randint(lo, hi)
+        terms.append((rng.choice(coeffs), m, window(hi - m + 1 + rng.randint(0, 2))))
+    return terms
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_numeric_weighted_sum_equals_the_scalar_fold(dps):
+    """Ball.weighted_sum on lifted windows against the fold of exact
+    rational arithmetic on box corners, each entry times the enclosure of
+    its weight, read back as a ball, bit for bit: windows starting above lo
+    (an exact zero below them), the unit monomial's window, Fraction-only
+    windows, zero mpfs, Fraction/mpf mixes, zero and nonzero errors, and
+    weights wider than the precision."""
+    F, M = Fraction, mpmath.mpf
+    rng = random.Random(100 + dps)
+    kinds = [
+        lambda k: [Ball.constant(F(1))] + [Ball.zero()] * (k - 1),
+        lambda k: [Ball.constant(F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(k)],
+        lambda k: [Ball(M(0), rng.choice((0.0, 1e-35))) for _ in range(k)],
+        lambda k: [_ball_entry(rng) for _ in range(k)],
+    ]
+    coeffs = [F(1), F(-1), F(3, 7), F(-22, 5), F(10**12, 7), F(1, 3**40)]
+    checked = 0
+    with mp.workdps(dps):
+        for case in range(200):
+            lo = rng.randint(-3, 0)
+            hi = lo + rng.randint(0, 5)
+            kind = kinds[case % len(kinds)] if case < 40 else (lambda k: rng.choice(kinds)(k))
+            terms = [(c, m, Ball.lift(w)) for c, m, w in _weighted_terms(rng, lo, hi, kind, coeffs)]
+            got = Ball.weighted_sum(terms, lo, hi)
+            assert len(got) == hi - lo + 1
+            for d, ball in zip(range(lo, hi + 1), got):
+                pairs = [(w[d - m], _quotient(c, mp.prec)) for c, m, w in terms if d >= m]
+                assert_ball_of(ball, *interval_oracle.exact_dot(pairs, mp.prec))
+            checked += sum(m > lo for _, m, _ in terms)
+    assert checked > 100
+
+
+def exact(value):
+    """An mpf value as an exact Fraction."""
+    return Fraction(*to_rational(value._mpf_))
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_numeric_window_errors_bound_every_rounding(dps):
+    """Every entry of convolve and weighted_sum on lifted windows encloses
+    the exact result at any point of the input balls: for random windows
+    of Fraction balls (dyadic or not), full-precision mpfs and zeros, each
+    with its error, and rational weights (dyadic or not), the exact
+    products and weighted sums at the values and at random ends of every
+    input ball lie within the output's error of its value."""
+    F = Fraction
+    rng = random.Random(70 + dps)
+    with mp.workdps(dps):
+        windows = _numeric_windows(rng)
+        inside = 0
+
+        def points(window):
+            """The values, then two random choices of an end of each ball."""
+            yield [exact(v) for v, _ in window]
+            for _ in range(2):
+                yield [exact(v) + rng.choice((-1, 1)) * F(e) for v, e in window]
+
+        def check(ball, want):
+            nonlocal inside
+            value, error = ball
+            assert abs(exact(value) - want) <= F(error), (ball, want)
+            inside += 1
+
+        for a in windows:
+            for b in windows:
+                got = Ball.convolve(Ball.lift(a), Ball.lift(b))
+                for x, y in zip(points(a), points(b)):
+                    for j, box in enumerate(got):
+                        check(_ball(box), sum(x[i] * y[j - i] for i in range(j + 1)))
+        coeffs = [F(1), F(-3, 8), F(10**12), F(1, 2**40), F(1, 3), F(-22, 7)]
+        for _ in range(100):
+            lo, hi = -2, rng.randint(-2, 3)
+            terms = _weighted_terms(rng, lo, hi, lambda k: rng.choice(windows)[:k], coeffs)
+            terms = [(c, m, w) for c, m, w in terms if len(w) > hi - m]
+            if not terms:
+                continue
+            got = Ball.weighted_sum([(c, m, Ball.lift(w)) for c, m, w in terms], lo, hi)
+            values = [(c, m, next(points(w))) for c, m, w in terms]
+            for d, ball in zip(range(lo, hi + 1), got):
+                check(ball, sum(c * x[d - m] for c, m, x in values if d >= m))
+    assert inside > 5000
+
+
+def test_fraction_summand_error_covers_its_conversion():
+    """An mpf and a Fraction, -1/25 and 1/25 at 53 bits, cancel, whether the
+    Fraction enters as a constant ball or as a weight, and the error still
+    covers the exact sum's distance."""
+    with mp.workdps(15):
+        x = Ball(-mpmath.mpf(1) / 25, 0.0)
+        want = exact(x.value) + Fraction(1, 25)
+        for terms in (
+            [(Fraction(1), 0, Ball.lift([x])), (Fraction(1), 0, Ball.lift([Ball.constant(Fraction(1, 25))]))],
+            [(Fraction(1), 0, Ball.lift([x])), (Fraction(1, 25), 0, Ball.lift([Ball.constant(1)]))],
+        ):
+            (value, error), = Ball.weighted_sum(terms, 0, 0)
+            assert error > 0 and abs(exact(value) - want) <= Fraction(error)
 
 
 def formal_coeffs(window):
@@ -535,176 +766,6 @@ def scalar_weighted_sum(terms, lo, hi, zero):
             acc = x if acc is None else acc + x
         out.append(acc)
     return tuple(out)
-
-
-def _numeric_entry(rng):
-    """A Fraction, a zero mpf or a full-precision mpf over a wide exponent
-    range, with a zero or nonzero error."""
-    F, M = Fraction, mpmath.mpf
-    kind = rng.randrange(4)
-    if kind == 0:
-        value = F(rng.randint(-20, 20), rng.randint(1, 12))
-    elif kind == 1:
-        value = M(0)
-    else:
-        value = mpmath.ldexp(M(rng.randint(-(10**60), 10**60)) / rng.randint(1, 10**40), -rng.randint(0, 300))
-    return _Approx(value, rng.choice((0.0, rng.uniform(0, 1e-30), rng.uniform(0, 1e-60))))
-
-
-def _numeric_windows(rng):
-    """Windows of Fractions (zero included), full-precision mpfs over a
-    wide exponent range, zero mpfs and mixes, with zero and nonzero errors
-    and unequal lengths; built at the working precision.  Fixed cases, in
-    products with each other and with the random windows: summands whose
-    tops lie more than prec + 100 bits apart (mpmath's sticky-bit path in
-    mpf_add), in both orders and signs; products on an exact half-ulp tie,
-    an odd prec-bit integer times 3, rounding up and down to even; and
-    sums cancelling to zero."""
-    F, M = Fraction, mpmath.mpf
-    half = 2 ** (mp.prec - 1)
-    tiny = mpmath.ldexp(M(1) / 7, -(mp.prec + 150))
-    fixed = [
-        [F(1, 2), F(0), F(-3, 7)],
-        [F(2), F(5, 3), F(0), F(-5, 3)],
-        [M(1) / 3, M(-2) / 7, M(0), mpmath.ldexp(M(5) / 11, -200)],
-        [F(1, 3), M(1) / 3, F(-1, 3), M(-1) / 3, F(0)],
-        [M(1) / 3, tiny, -tiny, M(-2) / 3],
-        [tiny, M(1) / 3, -tiny, M(1) / 5],
-        [M(1), M(-1), M(1), M(1)],
-        [M(half + 1), M(-(half + 3)), M(2 * half - 1), M(1)],
-        [M(3), M(3), M(1) / 2, M(-3)],
-        [M(1) / 3, M(1) / 3, M(2) / 7, M(-2) / 7],
-    ]
-    windows = [[_Approx(v, 0.0) for v in w] for w in fixed]
-    windows.append([_Approx(v, 1e-40 * k) for k, v in enumerate(fixed[3])])
-    windows += [[_numeric_entry(rng) for _ in range(rng.randint(1, 8))] for _ in range(25)]
-    return windows
-
-
-@pytest.mark.parametrize("dps", [15, 40])
-def test_numeric_convolve_equals_the_scalar_double_loop(dps):
-    """_Approx.convolve on lifted windows against the fold of
-    _Approx.__mul__ and __add__, bit for bit, for every ordered pair of
-    windows; lift keeps every bit of its window."""
-    with mp.workdps(dps):
-        windows = _numeric_windows(random.Random(dps))
-        lifted = [_Approx.lift(w) for w in windows]
-        for a, native in zip(windows, lifted):
-            assert bits(LaurentSeries(0, numeric_coeffs(native))) == bits(LaurentSeries(0, a))
-        for a, na in zip(windows, lifted):
-            for b, nb in zip(windows, lifted):
-                got = LaurentSeries(0, numeric_coeffs(_Approx.convolve(na, nb)))
-                want = LaurentSeries(0, scalar_window_product(a, b))
-                assert bits(got) == bits(want), (a, b)
-
-
-def _weighted_terms(rng, lo, hi, window, coeffs):
-    """1 to 6 (coefficient, min_degree, window) terms whose windows start
-    at or above lo and reach hi or beyond."""
-    terms = []
-    for _ in range(rng.randint(1, 6)):
-        m = rng.randint(lo, hi)
-        terms.append((rng.choice(coeffs), m, window(hi - m + 1 + rng.randint(0, 2))))
-    return terms
-
-
-@pytest.mark.parametrize("dps", [15, 40])
-def test_numeric_weighted_sum_equals_the_scalar_fold(dps):
-    """_Approx.weighted_sum on lifted windows against the fold of
-    _Approx.scale and __add__, bit for bit: windows starting above lo (an
-    exact zero below them), the unit monomial's window, Fraction-only
-    windows, zero mpfs, Fraction/mpf mixes, zero and nonzero errors."""
-    F, M = Fraction, mpmath.mpf
-    rng = random.Random(100 + dps)
-    kinds = [
-        lambda k: [_Approx.constant(F(1))] + [_Approx.zero()] * (k - 1),
-        lambda k: [_Approx(F(rng.randint(-9, 9), rng.randint(1, 9)), 0.0) for _ in range(k)],
-        lambda k: [_Approx(M(0), rng.choice((0.0, 1e-35))) for _ in range(k)],
-        lambda k: [_numeric_entry(rng) for _ in range(k)],
-    ]
-    coeffs = [F(1), F(-1), F(3, 7), F(-22, 5), F(10**12, 7), F(1, 3**40)]
-    checked = 0
-    with mp.workdps(dps):
-        for case in range(200):
-            lo = rng.randint(-3, 0)
-            hi = lo + rng.randint(0, 5)
-            kind = kinds[case % len(kinds)] if case < 40 else (lambda k: rng.choice(kinds)(k))
-            terms = _weighted_terms(rng, lo, hi, kind, coeffs)
-            native = [(c, m, _Approx.lift(w)) for c, m, w in terms]
-            got = LaurentSeries(lo, tuple(_Approx.weighted_sum(native, lo, hi)))
-            want = LaurentSeries(lo, scalar_weighted_sum(terms, lo, hi, _Approx.zero()))
-            assert bits(got) == bits(want), terms
-            checked += sum(m > lo for _, m, _ in terms)
-    assert checked > 100
-
-
-def exact(value):
-    """A Fraction or mpf value as an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*to_rational(value._mpf_))
-
-
-@pytest.mark.parametrize("dps", [15, 40])
-def test_numeric_window_errors_bound_every_rounding(dps):
-    """On windows of exactly representable values, dyadic Fractions and
-    mpfs with full prec-bit mantissas, all with error 0, and dyadic
-    weights, every entry of convolve and weighted_sum lies within its
-    stated error of the exact rational result: the error bounds each
-    rounding of a product and of a sum.  Non-dyadic Fractions are left to
-    test_fraction_summand_error_covers_its_conversion, which fails."""
-    F = Fraction
-    rng = random.Random(70 + dps)
-    with mp.workdps(dps):
-
-        def value():
-            if rng.random() < 0.25:
-                return F(rng.randint(-20, 20), 2 ** rng.randint(0, 6))
-            man = rng.choice((1, -1)) * (rng.getrandbits(mp.prec) | 1 << (mp.prec - 1) | 1)
-            return mpmath.ldexp(mpmath.mpf(man), rng.randint(-80, 10) - mp.prec)
-
-        windows = [[_Approx(value(), 0.0) for _ in range(rng.randint(1, 8))] for _ in range(20)]
-        rounded = 0
-
-        def check(got, want):
-            nonlocal rounded
-            value, error = got
-            assert abs(exact(value) - want) <= F(error), (value, want, error)
-            rounded += exact(value) != want
-
-        for a in windows:
-            for b in windows:
-                got = numeric_coeffs(_Approx.convolve(_Approx.lift(a), _Approx.lift(b)))
-                for j, entry in enumerate(got):
-                    products = (exact(a[i].value) * exact(b[j - i].value) for i in range(j + 1))
-                    check(entry, sum(products))
-        coeffs = [F(1), F(-3, 8), F(10**12), F(1, 2**40)]
-        for _ in range(100):
-            lo, hi = -2, rng.randint(-2, 3)
-            terms = _weighted_terms(rng, lo, hi, lambda k: rng.choice(windows)[:k], coeffs)
-            terms = [(c, m, w) for c, m, w in terms if len(w) > hi - m]
-            if not terms:
-                continue
-            got = _Approx.weighted_sum([(c, m, _Approx.lift(w)) for c, m, w in terms], lo, hi)
-            for d, entry in zip(range(lo, hi + 1), got):
-                check(entry, sum(c * exact(w[d - m].value) for c, m, w in terms if d >= m))
-    assert rounded > 500
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="CHANGES.md FOUND line on _Approx.__add__: a Fraction summand's round-down "
-    "conversion loses up to 2|q| 2^-prec, but its error term is |q| 2^-prec",
-)
-def test_fraction_summand_error_covers_its_conversion():
-    """The non-dyadic case the window bound test above leaves out: an mpf
-    and a Fraction, -1/25 and 1/25 at 53 bits, cancel in _Approx.__add__,
-    which the fused window fold replays, and the stated error must still
-    cover the exact sum's distance (6.1e-18, stated 4.4e-18)."""
-    with mp.workdps(15):
-        x = _Approx(-mpmath.mpf(1) / 25, 0.0)
-        total = x + _Approx(Fraction(1, 25), 0.0)
-        assert abs(exact(total.value) - (exact(x.value) + Fraction(1, 25))) <= Fraction(total.error)
 
 
 def test_packed_monomials_reach_the_slot_limit_and_refuse_beyond_it():
