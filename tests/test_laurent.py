@@ -725,9 +725,9 @@ def test_numeric_window_errors_bound_every_rounding(dps):
             if not terms:
                 continue
             got = Ball.weighted_sum([(c, m, Ball.lift(w)) for c, m, w in terms], lo, hi)
-            values = [(c, m, next(points(w))) for c, m, w in terms]
-            for d, ball in zip(range(lo, hi + 1), got):
-                check(ball, sum(c * x[d - m] for c, m, x in values if d >= m))
+            for xs in zip(*(points(w) for _, _, w in terms)):
+                for d, ball in zip(range(lo, hi + 1), got):
+                    check(ball, sum(c * x[d - m] for (c, m, _), x in zip(terms, xs) if d >= m))
     assert inside > 5000
 
 
