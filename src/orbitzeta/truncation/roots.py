@@ -5,7 +5,7 @@ parabolic is a composition of n: consecutive index blocks.  A semi-standard
 one is an ordered set partition: arbitrary index blocks in a given order.
 A coset of permutations modulo the block-preserving subgroup is an
 arrangement assigning index sets to blocks, the representation used
-throughout.
+throughout.  The plan builders hold an index set as one int bit mask.
 
 Every root and weight sign test compares pairing(S, T) = s_S * |T| - s_T *
 |S| with 0, s_S the coordinate sum over S: a simple root pairs adjacent
@@ -13,8 +13,9 @@ blocks of one ambient block, a fundamental weight the union of the blocks
 before its cut with the whole ambient block (root_tests, weight_tests).
 Each pairing is an integer linear form in the point: each identity lists
 its tests once per type as the rows of a cached SignPlan (the *_plan
-builders, next to _pairs_below), one matrix product (form_values) on an
-exact point or on int64 sample columns, there in float64, exact below 2^53.
+builders, below a type from the masks of all arrangements of each
+refinement at once), one matrix product (form_values) on an exact point or
+on int64 sample columns, there in float64, exact below 2^53.
 Points are exact (as_exact: Python ints, and Fractions where not integral).
 Half-sums of radical roots are carried doubled, as the integers after -
 before, and halved once where a public value is returned.
@@ -41,15 +42,12 @@ class WallTie(ValueError):
 
 
 def compositions(n):
-    """All compositions of n (ordered tuples of positive parts), 2^(n-1) many."""
+    """All compositions of n (ordered tuples of positive parts), 2^(n-1) many:
+    for cuts with bit i set, a part ends after coordinate i."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    for cuts in range(1 << (n - 1)):
-        # bit pos set: a part ends after coordinate pos
-        ends = [pos + 1 for pos in range(n - 1) if cuts >> pos & 1] + [n]
-        out.append(tuple(b - a for a, b in zip([0] + ends, ends)))
-    return out
+    return [tuple(b - a for a, b in itertools.pairwise([0, *(i + 1 for i in index_set(cuts)), n]))
+            for cuts in range(1 << (n - 1))]
 
 
 @dataclass(frozen=True)
@@ -78,21 +76,17 @@ class StandardParabolic:
 
     def refines(self, other):
         """True when this composition splits each block of the other."""
-        return self._split(other) is not None
+        try:
+            return bool(self.split_by(other))
+        except ValueError:
+            return False
 
     def split_by(self, coarser):
-        """Sub-compositions of this refinement inside each block of coarser."""
-        out = self._split(coarser)
-        if out is None:
-            raise ValueError("%r does not refine %r" % (self.blocks, coarser.blocks))
-        return out
-
-    def _split(self, coarser):
-        """split_by's value, or None when this does not refine coarser: its
-        cuts must be among this one's, at the same total."""
+        """Sub-compositions of this refinement inside each block of coarser,
+        whose cuts must be among this one's, at the same total."""
         ends, cuts = (list(itertools.accumulate(c.blocks)) for c in (self, coarser))
         if ends[-1] != cuts[-1] or not set(cuts) <= set(ends):
-            return None
+            raise ValueError("%r does not refine %r" % (self.blocks, coarser.blocks))
         stops = [ends.index(c) + 1 for c in cuts]
         return tuple(self.blocks[a:b] for a, b in zip([0] + stops, stops))
 
@@ -112,9 +106,7 @@ def minimal_parabolic(n):
 @lru_cache(maxsize=None)
 def standard_parabolics(n):
     """All standard parabolics of GL(n), coarsest-first deterministic order."""
-    return tuple(
-        StandardParabolic(c) for c in sorted(compositions(n), key=lambda c: (len(c), c))
-    )
+    return tuple(StandardParabolic(c) for c in sorted(compositions(n), key=lambda c: (len(c), c)))
 
 
 def refinements_within(coarser):
@@ -125,42 +117,35 @@ def refinements_within(coarser):
 
 def runs(items, lengths):
     """Consecutive runs of a sequence with the given lengths, lazily."""
-    start = 0
-    for m in lengths:
-        yield items[start : start + m]
-        start += m
+    return (items[a:b] for a, b in itertools.pairwise(itertools.accumulate(lengths, initial=0)))
 
 
 @lru_cache(maxsize=None)
 def coarsenings_of(finer):
-    """All standard parabolics the given one refines (itself included).
-
-    A coarsening merges runs of adjacent blocks; the run lengths range over
-    compositions(finer.r), in that order.  Built once per parabolic.
-    """
-    return tuple(
-        StandardParabolic(tuple(sum(run) for run in runs(finer.blocks, lengths)))
-        for lengths in compositions(finer.r)
-    )
-
-
-@lru_cache(maxsize=None)
-def coarsening_splits(finer, base):
-    """(Q, finer.split_by(Q)) for each Q in coarsenings_of(base), where
-    finer refines base.  Built once per pair."""
-    return tuple((Q, finer.split_by(Q)) for Q in coarsenings_of(base))
+    """All standard parabolics the given one refines (itself included): a
+    coarsening merges runs of adjacent blocks, whose lengths range over
+    compositions(finer.r), in that order.  Built once per parabolic."""
+    return tuple(StandardParabolic(tuple(sum(run) for run in runs(finer.blocks, lengths)))
+                 for lengths in compositions(finer.r))
 
 
 @lru_cache(maxsize=None)
 def block_sets(P):
-    """P's blocks as ascending index tuples (its identity arrangement)."""
-    return tuple(runs(tuple(range(P.n)), P.blocks))
+    """P's blocks as index-set masks (its identity arrangement)."""
+    return tuple((1 << b) - (1 << a) for a, b in P.intervals)
+
+
+@lru_cache(maxsize=None)
+def index_set(mask):
+    """The ascending index tuple of a bit mask (bit i for index i)."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def root_tests(subs, arr):
     """P's simple roots relative to Q, with subs = P.split_by(Q) and arr
-    the index set per P-block: a gap, pairing(S, T) > 0, per adjacent sets
-    S, T inside one Q-block."""
+    the index-set mask per P-block (ints for one arrangement, or int array
+    rows with one column per arrangement): a gap, pairing(S, T) > 0, per
+    adjacent sets S, T inside one Q-block."""
     return [(operator.gt, S, T)
             for sets in runs(arr, map(len, subs)) for S, T in zip(sets, sets[1:])]
 
@@ -169,30 +154,25 @@ def weight_tests(subs, arr):
     """P's fundamental weights relative to Q (subs and arr as in
     root_tests): per cut inside a Q-block, a gap of the union S of the sets
     before it against the whole Q-block T."""
-    tests = []
-    for sets in runs(arr, map(len, subs)):
-        unions = list(itertools.accumulate(sets, lambda S, T: tuple(sorted(S + T))))
-        tests += [(operator.gt, S, unions[-1]) for S in unions[:-1]]
-    return tests
+    return [(operator.gt, S, unions[-1]) for sets in runs(arr, map(len, subs))
+            for unions in [list(itertools.accumulate(sets, operator.or_))] for S in unions[:-1]]
 
 
 def leading_tests(subs, arr):
-    """Each Q-block's leading arranged sum is <= 0 (subs and arr as in
-    root_tests)."""
+    """Each Q-block's leading arranged sum is <= 0 (as in root_tests)."""
     return [(operator.le, sets[0], None) for sets in runs(arr, map(len, subs))]
 
 
 def constancy_tests(subs, arr):
-    """Each arranged set carries one value: each coordinate equals the
-    set's first (subs and arr as in root_tests)."""
-    return [(operator.eq, S[:1], (i,)) for S in arr for i in S[1:]]
-
-
-def chamber_tests(subs, arr):
-    """A pair's chamber tests (subs and arr as in root_tests): its arranged
-    block averages strictly decrease within each Q-block, and each arranged
-    set carries one value (the rearranged point is semistable for P)."""
-    return root_tests(subs, arr) + constancy_tests(subs, arr)
+    """Each arranged set carries one value: each further coordinate equals
+    the set's lowest (subs and arr as in root_tests)."""
+    tests = []
+    for S, size in zip(arr, itertools.chain.from_iterable(subs)):
+        lowest = S & -S
+        for _ in range(size - 1):
+            S = S & S - 1  # the set without its lowest index
+            tests.append((operator.eq, lowest, S & -S))
+    return tests
 
 
 @dataclass(frozen=True)
@@ -226,37 +206,55 @@ class SemiStandardParabolic:
         return "|".join("{%s}" % ",".join(str(i) for i in blk) for blk in self.blocks)
 
 
+@lru_cache(maxsize=None)
+def _partitions(mask, sizes):
+    """ordered_set_partitions of mask's indices, one row of part masks each."""
+    if not sizes:
+        return np.zeros((1, 0), np.int64)
+    firsts = [sum(1 << i for i in S) for S in itertools.combinations(index_set(mask), sizes[0])]
+    rests = [_partitions(mask ^ S, sizes[1:]) for S in firsts]
+    return np.concatenate([np.repeat(firsts, list(map(len, rests)))[:, None],
+                           np.concatenate(rests)], axis=1)
+
+
 def ordered_set_partitions(indices, sizes):
     """All ways to split the index tuple into ordered parts of the given sizes."""
     indices = tuple(indices)
     if sum(sizes) != len(indices):
         raise ValueError("sizes must sum to the number of indices")
-    if not sizes:
-        return iter([()])
-    return ((combo,) + rest for combo in itertools.combinations(indices, sizes[0])
-            for rest in ordered_set_partitions([i for i in indices if i not in combo], sizes[1:]))
+    return (tuple(tuple(map(indices.__getitem__, index_set(S))) for S in row)
+            for row in _partitions((1 << len(indices)) - 1, tuple(sizes)).tolist())
+
+
+@lru_cache(maxsize=None)
+def _arranged(P, Q):
+    """(P.split_by(Q), arrangements(P, Q) as masks, a row per block of P and
+    a column per arrangement; Python ints beyond 30 indices, for SignPlan)."""
+    subs, masks = P.split_by(Q), np.zeros((1, 0), np.int64 if Q.n <= 30 else object)
+    for (a, b), sub in zip(Q.intervals, subs):
+        block = _partitions((1 << b - a) - 1, sub).astype(masks.dtype) << a
+        masks = np.concatenate([masks.repeat(len(block), axis=0),
+                                np.resize(block, (len(masks) * len(block), len(sub)))], axis=1)
+    return subs, masks.T
 
 
 def arrangements(P, Q):
-    """Cosets of block permutations: assignments of index sets to P's blocks.
+    """Cosets of block permutations: assignments of index sets to P's blocks,
+    P refining Q, each Q-block's indices distributed among the P-blocks it
+    contains, as tuples of index tuples aligned with P.blocks (for Q the
+    full group, all ordered set partitions with part sizes P.blocks)."""
+    yield from (tuple(map(index_set, row)) for row in _arranged(P, Q)[1].T.tolist())
 
-    P must refine Q; each Q-block's indices are distributed among the
-    P-blocks it contains.  Yields tuples of index tuples aligned with
-    P.blocks.  For Q the full group this enumerates all ordered set
-    partitions with part sizes P.blocks.
-    """
-    subs = P.split_by(Q)
-    per_block = [
-        list(ordered_set_partitions(range(a, b), sub))
-        for (a, b), sub in zip(Q.intervals, subs)
-    ]
-    for combo in itertools.product(*per_block):
-        yield tuple(itertools.chain.from_iterable(combo))
+
+@lru_cache(maxsize=None)
+def _pairs_below(Q):
+    """(P, arrangement) per pair below Q, in refinements_within(Q) order."""
+    return tuple((P, arr) for P in refinements_within(Q) for arr in arrangements(P, Q))
 
 
 def semistandard_all(n):
     """Every ordered set partition of {0..n-1} (all semi-standard parabolics)."""
-    return [SemiStandardParabolic(arr) for _, _, arr in _pairs_below(group(n))]
+    return [SemiStandardParabolic(arr) for _, arr in _pairs_below(group(n))]
 
 
 def _exact(h):
@@ -268,38 +266,19 @@ def _exact(h):
 
 
 def as_exact(point):
-    """Validate and convert a point to exact coordinates.
-
-    Integral values (ints, numpy integers, Fractions with denominator 1)
-    become Python ints; every other value becomes a Fraction.
-    """
+    """Validate and convert a point to exact coordinates: integral values
+    (ints, numpy integers, Fractions with denominator 1) become Python ints,
+    every other value a Fraction."""
     return tuple(_exact(h) for h in point)
 
 
-@lru_cache(maxsize=None)
-def _pairs_below(Q):
-    """(P, P.split_by(Q), arrangement) per pair below Q: P over
-    refinements_within(Q), the arrangement over arrangements(P, Q)."""
-    return tuple((P, subs, arr) for P in refinements_within(Q) for subs in [P.split_by(Q)]
-                 for arr in arrangements(P, Q))
-
-
-def ragged(lists):
-    """Lists of row positions grouped by length once, fold's operand: their
-    number, and per length k the lists' own positions and theirs as k rows."""
-    by_length = {}
-    for at, positions in enumerate(lists):
-        by_length.setdefault(len(positions), []).append(at)
-    return len(lists), [(np.array(ats, np.intp),
-                         np.array([lists[a] for a in ats], np.intp).reshape(len(ats), k).T)
-                        for k, ats in by_length.items()]
-
-
 def fold(ufunc, values, lists):
-    """Per list of rows (ragged), ufunc folded over those rows of values:
-    one gather and one reduction per list length (ufunc.reduceat is several
-    times slower on many short lists).  An empty list reads the ufunc's
-    identity on every column: True for logical_and, False for logical_or."""
+    """Per list of rows, ufunc folded over those rows of values (lists, or
+    ragged: their number, per length k their positions and theirs as k
+    rows): one gather and one reduction per list length (ufunc.reduceat is
+    several times slower on many short lists).  An empty list reads the
+    ufunc's identity on every column: True for logical_and, False for
+    logical_or."""
     size, groups = lists
     out = np.empty((size, *values.shape[1:]), values.dtype)
     for at, index in groups:
@@ -338,28 +317,41 @@ class SignPlan:
     point, so its row of forms holds the coefficients |T| * 1_S - |S| * 1_T,
     or 1_S: the hyperplane normals of the type's arrangement, of absolute
     sum at most n^2 / 2 (or |S|), so form_values is exact on columns.
+    Builders pass batches of tests on masks: one term of ints, or one per column of mask rows.
     """
 
-    def __init__(self, terms, signs=None):
-        # the tests ordered by comparison, so that each comparison reads one slice
-        self.tests = tuple(sorted(dict.fromkeys(itertools.chain(*terms)),
-                                  key=lambda test: _COMPARISONS.index(test[0])))
-        position = {test: i for i, test in enumerate(self.tests)}
-        self.terms = [[position[test] for test in tests] for tests in terms]
-        self.signs = np.array([1] * len(terms) if signs is None else signs, np.int64)
+    def __init__(self, n, terms, signs=None):
+        keys, batches = [], []
+        for tests in terms:
+            batch = [_COMPARISONS.index(compare) | S << 2 | (0 if T is None else T) << 2 + n
+                     for compare, S, T in tests]
+            columns = batch and isinstance(batch[0], np.ndarray)  # one term per column
+            keys += np.ravel(batch, "F").tolist() if columns else batch
+            batches.append((len(batch), len(batch[0]) if columns else 1))  # empty (P = Q): one term
+        tests = sorted(dict.fromkeys(keys), key=lambda key: key & 3)  # by comparison: a slice each
+        self.tests = tuple((_COMPARISONS[key & 3], index_set(key >> 2 & (1 << n) - 1),
+                            index_set(key >> 2 + n) or None) for key in tests)
         width = 1 + max((max(S + (T or ())) for _, S, T in self.tests), default=-1)
-        self.forms = np.zeros((len(self.tests), width), np.int64)
-        for row, (_, S, T) in zip(self.forms, self.tests):
-            row[list(S)] = 1 if T is None else len(T)
-            if T is not None:
-                row[list(T)] -= len(S)
-        self._compares = [(compare, len(list(group)))
-                          for compare, group in itertools.groupby(t[0] for t in self.tests)]
-        self._terms = ragged(self.terms)
-        # cells per sample that evaluate holds at once, each of at most 8
-        # bytes: the operand, per test its value and verdict, and one per
-        # term; the one-byte verdicts leave room for fold's gather of them
-        self.width = width + 2 * len(self.tests) + len(terms)
+        rows = [[0] * width for _ in tests]
+        for row, (_, S, T) in zip(rows, self.tests):
+            for i in S:
+                row[i] = len(T) if T else 1
+            for i in T or ():
+                row[i] -= len(S)
+        self.forms = np.array(rows, np.int64).reshape(len(rows), width)
+        positions, groups, at = map(dict(zip(tests, itertools.count())).__getitem__, keys), {}, 0
+        for k, count in batches:  # the terms' positions as rows, per test count
+            ats, lists = groups.setdefault(k, ([], []))
+            ats += range(at, at + count)
+            lists += itertools.islice(positions, k * count)
+            at += count
+        self._terms = at, [(np.array(ats, np.intp), np.array(lists, np.intp).reshape(len(ats), k).T)
+                           for k, (ats, lists) in groups.items()]
+        self.signs = np.array([1] * at if signs is None else signs, np.int64)
+        self._compares = [(c, len(list(g))) for c, g in itertools.groupby(t[0] for t in self.tests)]
+        # cells per sample that evaluate holds at once, of at most 8 bytes each: the operand,
+        # per test its value and verdict, one per term (room for fold's gather of the verdicts)
+        self.width = width + 2 * len(tests) + at
 
     def evaluate(self, H):
         """Per term whether all its tests hold: an array (terms,) at an
@@ -400,26 +392,30 @@ def epsilon_between(P, Q):
 def type_plan(P, Q, tests):
     """One term, the tests of P relative to Q: root_tests (tau),
     weight_tests (tau_hat), leading_tests (chi) or constancy_tests."""
-    return SignPlan([tests(P.split_by(Q), block_sets(P))])
+    return SignPlan(Q.n, [tests(P.split_by(Q), block_sets(P))])
 
 
 @lru_cache(maxsize=None)
 def slope_plan(Q):
     """(pairs, plan): per pair (P, arrangement) below Q, in _pairs_below
-    order, its chamber tests and then its leading sums."""
-    pairs = _pairs_below(Q)
-    plan = SignPlan([chamber_tests(subs, arr) + leading_tests(subs, arr) for _, subs, arr in pairs])
-    return tuple((P, arr) for P, _, arr in pairs), plan
+    order, its chamber tests (root and constancy tests: the rearranged point
+    lies in the chamber and is semistable for P), then its leading sums."""
+    return _pairs_below(Q), SignPlan(Q.n, [
+        root_tests(subs, arr) + constancy_tests(subs, arr) + leading_tests(subs, arr)
+        for P in refinements_within(Q) for subs, arr in [_arranged(P, Q)]])
 
 
 @lru_cache(maxsize=None)
 def partition_plan(Q):
-    """Per pair below Q its chamber tests (the partition identity), then
-    per pair its weight gaps with sign(P, Q) (the alternating identity)."""
-    pairs = _pairs_below(Q)
-    return SignPlan([chamber_tests(subs, arr) for _, subs, arr in pairs]
-                    + [weight_tests(subs, arr) for _, subs, arr in pairs],
-                    [1] * len(pairs) + [epsilon_between(P, Q) for P, _, _ in pairs])
+    """Per pair below Q its chamber tests (as in slope_plan: the partition
+    identity), then per pair its weight gaps with sign(P, Q) (the
+    alternating identity)."""
+    types = [(P, *_arranged(P, Q)) for P in refinements_within(Q)]
+    return SignPlan(Q.n, [root_tests(subs, arr) + constancy_tests(subs, arr)
+                          for _, subs, arr in types]
+                    + [weight_tests(subs, arr) for _, subs, arr in types],
+                    np.repeat([1] * len(types) + [epsilon_between(P, Q) for P, _, _ in types],
+                              [arr.shape[-1] for _, _, arr in types] * 2))
 
 
 @lru_cache(maxsize=None)
@@ -427,9 +423,9 @@ def coarsening_plan(finer, base, inner, outer):
     """Per coarsening Q of base, with sign(base, Q): the inner tests
     (root_tests or weight_tests) of finer within Q, then the outer ones of
     Q within the group."""
-    splits = coarsening_splits(finer, base)
-    return SignPlan([inner(subs, block_sets(finer)) + outer((Q.blocks,), block_sets(Q))
-                     for Q, subs in splits],
+    splits = [(Q, finer.split_by(Q)) for Q in coarsenings_of(base)]
+    return SignPlan(finer.n, [inner(subs, block_sets(finer)) + outer((Q.blocks,), block_sets(Q))
+                              for Q, subs in splits],
                     [epsilon_between(base, Q) for Q, _ in splits])
 
 
@@ -442,7 +438,7 @@ def ordering_plan(M):
     orders = [weight_tests((tuple(M.blocks[u] for u in order),), tuple(sets[u] for u in order))
               for order in itertools.permutations(range(M.r))]
     walls = dict.fromkeys((S, T) for _, S, T in itertools.chain.from_iterable(orders))
-    return SignPlan(orders + [[(operator.eq, S, T)] for S, T in walls])
+    return SignPlan(M.n, orders + [[(operator.eq, S, T)] for S, T in walls])
 
 
 @lru_cache(maxsize=None)
@@ -452,10 +448,11 @@ def cone_plan(prime):
     nonempty proper subset T has average <= S's, pairing(S, T) >= 0 (each
     such T leads some ordered refinement, and those exhaust the refinement
     weights; the full block passes trivially)."""
-    blocks = prime.blocks
-    return SignPlan([root_tests((tuple(map(len, blocks)),), blocks)
-                     + [(operator.ge, S, T) for S in blocks
-                        for k in range(1, len(S)) for T in itertools.combinations(S, k)]])
+    blocks = [sum(1 << i for i in S) for S in prime.blocks]
+    return SignPlan(prime.n, [root_tests((tuple(map(len, prime.blocks)),), blocks)
+                              + [(operator.ge, S, sum(1 << i for i in T)) for S in blocks
+                                 for k in range(1, S.bit_count())
+                                 for T in itertools.combinations(index_set(S), k)]])
 
 
 @lru_cache(maxsize=None)
@@ -464,23 +461,26 @@ def pairing_plan(Q):
     _pairs_below order, and per pair and coordinate the position of the
     arranged set that holds it (ranks) and that set's doubled_relative_rho
     weight (forms), so that forms @ point is each pair's doubled pairing."""
-    pairs = _pairs_below(Q)
-    ranks, forms = np.zeros((2, len(pairs), Q.n), np.int64)
-    for rank, form, (_, subs, arr) in zip(ranks, forms, pairs):
-        for j, (S, weight) in enumerate(zip(arr, doubled_relative_rho(subs))):
-            rank[list(S)], form[list(S)] = j, weight
-    return tuple((P, arr) for P, _, arr in pairs), ranks, forms
+    ranks, forms = np.concatenate([np.tensordot([range(P.r), doubled_relative_rho(subs)], bits, 1)
+                                   for P in refinements_within(Q) for subs, arr in [_arranged(P, Q)]
+                                   for bits in [arr[..., None] >> np.arange(Q.n) & 1]], axis=1)
+    return _pairs_below(Q), ranks, forms
 
 
 @lru_cache(maxsize=None)
 def pair_merges(n):
     """Per pair below the group of GL(n), in pairing_plan order, the
     positions of its proper merges (ragged): again such pairs, each a
-    proper coarsening of P with the index sets of each run united."""
-    pairs = _pairs_below(group(n))
-    # each index set as a bit mask: a run's united set is the sum of its masks
-    masks = [tuple(sum(1 << i for i in S) for S in arr) for _, _, arr in pairs]
-    at = {mask: i for i, mask in enumerate(masks)}
-    return ragged([[at[tuple(map(sum, runs(mask, map(len, subs))))]
-                    for _, subs in coarsening_splits(P, P)[:-1]]  # [-1] is P itself
-                   for (P, _, _), mask in zip(pairs, masks)])
+    proper coarsening of P with the index sets of each run united.  A pair
+    is found by its ranks as base-n digits, a merge by the pair's sets'
+    digits read against their runs under a proper composition of P.r."""
+    _, ranks, _ = pairing_plan(group(n))
+    digits, blocks = n ** np.arange(n), ranks.max(axis=1) + 1
+    codes = ranks @ digits
+    order, out = np.argsort(codes), []
+    for r in dict.fromkeys(blocks.tolist()):
+        at = np.flatnonzero(blocks == r)
+        cuts = np.array([np.repeat(np.arange(len(c)), c) for c in compositions(r)[:-1]], np.int64)
+        sets = (ranks[at, None] == np.arange(r)[:, None]) @ digits  # each set's digits per pair
+        out.append((at, order[np.searchsorted(codes, cuts.reshape(-1, r) @ sets.T, sorter=order)]))
+    return len(codes), out
