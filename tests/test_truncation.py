@@ -1000,8 +1000,8 @@ def test_pairs_below_the_group_are_the_ordered_set_partitions():
 
 def test_cold_slope_counts_at_seven_build_their_plan_quickly():
     """A cold 10-row _e_counts(group(7), ...) in a fresh interpreter, plan
-    build included (47,293 pairs, 2,080 tests), takes under 0.6 s: 0.13 to
-    0.28 s on a 2-vCPU host, against 0.87 to 1.37 s with the tuple-interning
+    build included (47,293 pairs, 2,080 tests), takes under 0.6 s: 0.18 to
+    0.28 s on a 2-vCPU host, against 0.92 to 1.32 s with the tuple-interning
     builders; both routes agree on every row."""
     script = (
         "import json, time\n"
