@@ -957,8 +957,9 @@ def _same_plan(got, want):
 def test_mask_builders_match_the_tuple_oracle():
     """The bit-mask builders make every plan that tests/plan_oracle.py
     builds from index tuples, field for field: every plan of _every_plan(n)
-    for n <= 5, the slope and partition plans of every type with n = 6,
-    and for n <= 6 pairing_plan (pairs, ranks, forms) and pair_merges; the
+    for n <= 5, the slope and partition plans of every type with n = 6 and
+    of two sparse types with n = 31 and 70, and for n <= 6 pairing_plan
+    (pairs, ranks, forms) and pair_merges; the
     compositions, the arrangements below every type and the ordered set
     partitions under them match too."""
     for n in range(1, 6):
@@ -967,7 +968,9 @@ def test_mask_builders_match_the_tuple_oracle():
         for Q in standard_parabolics(n):
             for P in refinements_within(Q):
                 assert list(arrangements(P, Q)) == list(plan_oracle.arrangements(P, Q))
-    for Q in standard_parabolics(6):
+    # past 30 indices the masks and keys are Python ints
+    for Q in standard_parabolics(6) + (StandardParabolic((1,) * 29 + (2,)),
+                                       StandardParabolic((2, 1, 3) + (1,) * 64)):
         (pairs, got), (want_pairs, want) = slope_plan(Q), plan_oracle.slope_plan(Q)
         assert pairs == want_pairs
         _same_plan(got, want)
@@ -1000,9 +1003,10 @@ def test_pairs_below_the_group_are_the_ordered_set_partitions():
 
 def test_cold_slope_counts_at_seven_build_their_plan_quickly():
     """A cold 10-row _e_counts(group(7), ...) in a fresh interpreter, plan
-    build included (47,293 pairs, 2,080 tests), takes under 0.6 s: 0.18 to
-    0.28 s on a 2-vCPU host, against 0.92 to 1.32 s with the tuple-interning
-    builders; both routes agree on every row."""
+    build included (47,293 pairs, 2,080 tests), takes under 0.8 s: 0.18 to
+    0.28 s on a 2-vCPU host (0.25 to 0.31 s beside another busy process),
+    against 0.92 to 1.32 s with the tuple-interning builders; both routes
+    agree on every row."""
     script = (
         "import json, time\n"
         "import numpy as np\n"
@@ -1020,7 +1024,7 @@ def test_cold_slope_counts_at_seven_build_their_plan_quickly():
     assert done.returncode == 0, done.stderr
     seconds, counts, every = json.loads(done.stdout)
     assert counts[:3] == [1, 1, 1] and counts == [int(ok) for ok in every], (counts, every)
-    assert seconds < 0.6, seconds
+    assert seconds < 0.8, seconds
 
 
 def test_chunk_sizes_stay_as_stated():
