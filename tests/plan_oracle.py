@@ -6,8 +6,9 @@ the direct way: each index set an ascending tuple, the pairs enumerated
 through ordered_set_partitions, each test a (compare, S, T) tuple of index
 tuples interned through a dict, each form row set by fancy assignment, the
 pairing ranks and forms one arranged set at a time, and each proper merge
-looked up by the run sums of the pair's masks.  roots must build every
-plan of this module field for field.
+looked up by the run sums of the pair's masks, on compositions, runs,
+refinements and coarsenings of its own.  roots must build every plan of
+this module field for field.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import numpy as np
 
 from orbitzeta.truncation import roots
 from orbitzeta.truncation.roots import (
-    coarsenings_of,
+    StandardParabolic,
     doubled_relative_rho,
     epsilon_between,
     group,
-    refinements_within,
-    runs,
 )
 
 
@@ -37,6 +36,23 @@ def compositions(n):
         ends = [pos + 1 for pos in range(n - 1) if cuts >> pos & 1] + [n]
         out.append(tuple(b - a for a, b in zip([0] + ends, ends)))
     return out
+
+
+def runs(items, lengths):
+    start = 0
+    for m in lengths:
+        yield items[start : start + m]
+        start += m
+
+
+def refinements_within(coarser):
+    return [StandardParabolic(tuple(itertools.chain.from_iterable(combo)))
+            for combo in itertools.product(*(compositions(b) for b in coarser.blocks))]
+
+
+def coarsenings_of(finer):
+    return tuple(StandardParabolic(tuple(sum(run) for run in runs(finer.blocks, lengths)))
+                 for lengths in compositions(finer.r))
 
 
 def ordered_set_partitions(indices, sizes):
