@@ -8,6 +8,7 @@ second axis over the samples); the public functions read it on one point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from .instability import subset_sums
 from .roots import (
     WallError,
+    _pairs_below,
     as_exact,
     coarsening_plan,
     constancy_tests,
@@ -62,20 +64,19 @@ def indicator_chi(P, Q, H):
 
 
 def e_pair_tests(Q, H):
-    """(pairs, holds) from roots.slope_plan: per pair (P, arrangement)
-    below Q, whether it contributes to the structured slope-truncation sum
-    (its chamber tests hold and each Q-block's leading sum is <= 0)."""
-    pairs, plan = slope_plan(Q)
-    return pairs, plan.evaluate(H)
+    """Per pair (P, arrangement) below Q (roots.slope_plan), whether it
+    contributes to the structured slope-truncation sum (its chamber tests
+    hold and each Q-block's leading sum is <= 0)."""
+    return slope_plan(Q).evaluate(H)
 
 
 def e_sum_terms(Q, H):
-    """Contributing pairs of the structured slope-truncation sum
-    (e_pair_tests).  At most one pair can contribute; callers assert that."""
+    """Contributing pairs (P, arrangement) of the structured
+    slope-truncation sum (e_pair_tests), named by roots._pairs_below.  At
+    most one pair can contribute; callers assert that."""
     H = as_exact(H)
     _check_length(H, Q.n)
-    pairs, holds = e_pair_tests(Q, H)
-    return [pair for pair, ok in zip(pairs, holds) if ok]
+    return list(itertools.compress(_pairs_below(Q), e_pair_tests(Q, H)))
 
 
 def e_subset_tests(Q, H):

@@ -22,6 +22,7 @@ from .roots import (
     SemiStandardParabolic,
     StandardParabolic,
     WallTie,
+    _pairs_below,
     as_exact,
     cleared,
     cone_plan,
@@ -88,14 +89,6 @@ def pair_pairing(P, Q, arrangement, H):
     """Half-sum pairing <rho_P^Q, sums of the rearranged point>."""
     sums = [sum(map(H.__getitem__, S)) for S in arrangement]
     return Fraction(_rho_pairing(doubled_relative_rho(P.split_by(Q)), sums), 2)
-
-
-def _doubled_pairs(Q, H):
-    """(pairs, doubled pairings) below Q, from roots.pairing_plan: the pairs
-    (P, arrangement) and twice each one's half-sum pairing (form_values), at
-    an integer point or, exact in float64, per sample on int64 columns."""
-    pairs, _, forms = pairing_plan(Q)
-    return pairs, form_values(forms, H)
 
 
 def degree_instability(Q, H):
@@ -165,11 +158,11 @@ def canonical_pair(H):
 
 
 def _maximal_maximizers(H):
-    """Twice the largest half-sum pairing, and per pair in pairing_plan
-    order whether it attains it while none of its proper merges
-    (roots.pair_merges) does; at a point, or per sample on a tuple of
-    sample columns."""
-    _, ds = _doubled_pairs(group(len(H)), H)
+    """Twice the largest half-sum pairing (form_values of pairing_plan's
+    forms), and per pair in pairing_plan order whether it attains it while
+    none of its proper merges (roots.pair_merges) does; at an integer
+    point, or per sample on a tuple of int64 columns."""
+    ds = form_values(pairing_plan(group(len(H)))[1], H)
     best = ds.max(axis=0)
     hits = ds == best
     return best, hits & ~fold(np.logical_or, hits, pair_merges(len(H)))
@@ -179,13 +172,14 @@ def maximizer_width(n):
     """Cells per sample that _maximal_maximizers holds at once on columns:
     the operand, and per pair its doubled pairing, hit, merge fold and
     flag."""
-    return n + 4 * len(pairing_plan(group(n))[0])
+    return n + 4 * len(pairing_plan(group(n))[1])
 
 
 def _select_pair(n, best, survivors):
     """The canonical pair from _maximal_maximizers' doubled maximum and
-    survivor flags; WallTie unless exactly one pair survives."""
-    found = list(itertools.compress(pairing_plan(group(n))[0], survivors))
+    survivor flags, named by roots._pairs_below; WallTie unless exactly
+    one pair survives."""
+    found = list(itertools.compress(_pairs_below(group(n)), survivors))
     if len(found) != 1:
         raise WallTie("%d maximal maximizers at degree %s" % (len(found), Fraction(best, 2)))
     P, arr = found[0]

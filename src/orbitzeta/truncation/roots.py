@@ -15,7 +15,8 @@ Each pairing is an integer linear form in the point: each identity lists
 its tests once per type as the rows of a cached SignPlan (the *_plan
 builders, below a type from the masks of all arrangements of each
 refinement at once), one matrix product (form_values) on an exact point or
-on int64 sample columns, there in float64, exact below 2^53.
+on int64 sample columns, there in float64, exact below 2^53.  Below a
+type, plans and bodies hold a row per pair: _pairs_below names them.
 Points are exact (as_exact: Python ints, and Fractions where not integral).
 Half-sums of radical roots are carried doubled, as the integers after -
 before, and halved once where a public value is returned.
@@ -248,7 +249,8 @@ def arrangements(P, Q):
 
 @lru_cache(maxsize=None)
 def _pairs_below(Q):
-    """(P, arrangement) per pair below Q, in refinements_within(Q) order."""
+    """(P, arrangement) per pair below Q, in refinements_within(Q) order:
+    the order of the rows of slope_plan's terms and of pairing_plan."""
     return tuple((P, arr) for P in refinements_within(Q) for arr in arrangements(P, Q))
 
 
@@ -397,10 +399,10 @@ def type_plan(P, Q, tests):
 
 @lru_cache(maxsize=None)
 def slope_plan(Q):
-    """(pairs, plan): per pair (P, arrangement) below Q, in _pairs_below
-    order, its chamber tests (root and constancy tests: the rearranged point
-    lies in the chamber and is semistable for P), then its leading sums."""
-    return _pairs_below(Q), SignPlan(Q.n, [
+    """Per pair (P, arrangement) below Q, in _pairs_below order, one term:
+    its chamber tests (root and constancy tests: the rearranged point lies
+    in the chamber and is semistable for P), then its leading sums."""
+    return SignPlan(Q.n, [
         root_tests(subs, arr) + constancy_tests(subs, arr) + leading_tests(subs, arr)
         for P in refinements_within(Q) for subs, arr in [_arranged(P, Q)]])
 
@@ -457,24 +459,24 @@ def cone_plan(prime):
 
 @lru_cache(maxsize=None)
 def pairing_plan(Q):
-    """(pairs, ranks, forms): the pairs (P, arrangement) below Q in
-    _pairs_below order, and per pair and coordinate the position of the
-    arranged set that holds it (ranks) and that set's doubled_relative_rho
-    weight (forms), so that forms @ point is each pair's doubled pairing."""
+    """(ranks, forms): per pair (P, arrangement) below Q, in _pairs_below
+    order, a row with per coordinate the position of the arranged set that
+    holds it (ranks) and that set's doubled_relative_rho weight (forms),
+    so that forms @ point is each pair's doubled pairing."""
     ranks, forms = np.concatenate([np.tensordot([range(P.r), doubled_relative_rho(subs)], bits, 1)
                                    for P in refinements_within(Q) for subs, arr in [_arranged(P, Q)]
                                    for bits in [arr[..., None] >> np.arange(Q.n) & 1]], axis=1)
-    return _pairs_below(Q), ranks, forms
+    return ranks, forms
 
 
 @lru_cache(maxsize=None)
 def pair_merges(n):
     """Per pair below the group of GL(n), in pairing_plan order, the
-    positions of its proper merges (ragged): again such pairs, each a
-    proper coarsening of P with the index sets of each run united.  A pair
-    is found by its ranks as base-n digits, a merge by the pair's sets'
+    positions of its proper merges (ragged): again its rows, each a proper
+    coarsening of P with the index sets of each run united.  A pair is
+    found by its ranks as base-n digits, a merge by the pair's sets'
     digits read against their runs under a proper composition of P.r."""
-    _, ranks, _ = pairing_plan(group(n))
+    ranks, _ = pairing_plan(group(n))
     digits, blocks = n ** np.arange(n), ranks.max(axis=1) + 1
     codes = ranks @ digits
     order, out = np.argsort(codes), []

@@ -285,7 +285,7 @@ def verify_canonical(sample_plan=((2, 1000), (3, 2000), (4, 3000), (5, 4000)),
         cols, ranks = _columns(points, n, n**2), _value_ranks(points)
         best, survivors = _chunked(cols, maximizer_width(n), _maximal_maximizers)
         survivors = survivors.T  # (samples, pairs)
-        paired = _one_matches(survivors, pairing_plan(group(n))[1], ranks)
+        paired = _one_matches(survivors, pairing_plan(group(n))[0], ranks)
         _, flags = _extremal_maximizers(cols, np.maximum.reduce)
         subsets = np.array([[i in T for i in range(n)] for T, _ in flags])
         projected = _one_matches(np.stack([win for _, win in flags], axis=1), subsets, ranks == 0)
@@ -333,7 +333,7 @@ def verify_cones(n=3, samples=1000, seed=20260816):
     rep = VerifyReport(identity="cone-partition", n=n, samples=len(points))
     cols = _columns(points, n, n**2)
     accepted = np.stack([cone_tests(prime, cols) for prime in all_primes], axis=1)
-    member = _one_matches(accepted, pairing_plan(group(n))[1], _value_ranks(points))
+    member = _one_matches(accepted, pairing_plan(group(n))[0], _value_ranks(points))
     for H, count in zip(points[~member].tolist(), accepted[~member].sum(axis=1)):
         rep.fail(H, "%d cones accept the point" % count if count != 1
                  else "fast membership disagrees")
@@ -346,8 +346,8 @@ def _e_counts(Q, points):
     integer row (samples, Q.n), as two columns; e_pair_tests reads the
     rows in chunks (_chunked)."""
     cols = _columns(points, Q.n, Q.n**2)
-    (counts,) = _chunked(cols, slope_plan(Q)[1].width,
-                         lambda part: (e_pair_tests(Q, part)[1].sum(axis=0),))
+    (counts,) = _chunked(cols, slope_plan(Q).width,
+                         lambda part: (e_pair_tests(Q, part).sum(axis=0),))
     every = functools.reduce(np.logical_and, e_subset_tests(Q, cols), np.ones(len(points), bool))
     return counts, every
 

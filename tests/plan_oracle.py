@@ -154,9 +154,8 @@ def type_plan(P, Q, tests):
 
 
 def slope_plan(Q):
-    pairs = pairs_below(Q)
-    plan = SignPlan([chamber_tests(subs, arr) + leading_tests(subs, arr) for _, subs, arr in pairs])
-    return tuple((P, arr) for P, _, arr in pairs), plan
+    return SignPlan([chamber_tests(subs, arr) + leading_tests(subs, arr)
+                     for _, subs, arr in pairs_below(Q)])
 
 
 def partition_plan(Q):
@@ -195,7 +194,7 @@ def pairing_plan(Q):
     for rank, form, (_, subs, arr) in zip(ranks, forms, pairs):
         for j, (S, weight) in enumerate(zip(arr, doubled_relative_rho(subs))):
             rank[list(S)], form[list(S)] = j, weight
-    return tuple((P, arr) for P, _, arr in pairs), ranks, forms
+    return ranks, forms
 
 
 def pair_merges(n):

@@ -8,7 +8,6 @@ assertion; nothing here loosens what the unit suites already enforce.
 import json
 import pathlib
 import time
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
@@ -41,8 +40,6 @@ def mono(*pairs):
 
 
 def as_mpf(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.re(mpmath.mpc(x))
 
 

@@ -755,7 +755,7 @@ def test_batched_E_matches_scalar_routes_pointwise(monkeypatch):
         points = _e_rows(n)
         assert points.shape[0] % 64
         for Q in standard_parabolics(n):
-            monkeypatch.setattr(sampling, "CHUNK_CELLS", 64 * slope_plan(Q)[1].width)
+            monkeypatch.setattr(sampling, "CHUNK_CELLS", 64 * slope_plan(Q).width)
             counts, subset_ok = _e_counts(Q, points)
             assert counts.shape == subset_ok.shape == (points.shape[0],)
             for row, got_count, got_ok in zip(points, counts, subset_ok):
@@ -860,7 +860,7 @@ def _every_plan(n, builders=roots):
     with builders=plan_oracle, the oracle's plans in the same order."""
     types = standard_parabolics(n)
     nested = [(P, Q) for Q in types for P in refinements_within(Q)]
-    yield from (builders.slope_plan(Q)[1] for Q in types)
+    yield from (builders.slope_plan(Q) for Q in types)
     yield from (builders.partition_plan(Q) for Q in types)
     yield from (builders.ordering_plan(M) for M in types)
     yield from (builders.coarsening_plan(P, Q, inner, outer) for P, Q in nested
@@ -894,10 +894,11 @@ def test_sign_plan_forms_are_the_pairings():
                 want = [sums[S] if T is None else sums[S] * len(T) - sums[T] * len(S)
                         for _, S, T in plan.tests]
                 assert _dot(plan.forms, H) == want, (plan.tests, H)
-        pairs, _, forms = pairing_plan(group(n))
+        _, forms = pairing_plan(group(n))
         assert np.abs(forms).sum(axis=1).max() <= n * (n - 1)
         for H in points:
-            assert _dot(forms, H) == [2 * pair_pairing(P, group(n), arr, H) for P, arr in pairs]
+            assert _dot(forms, H) == [2 * pair_pairing(P, group(n), arr, H)
+                                      for P, arr in roots._pairs_below(group(n))]
 
 
 def _guard_rows(n, gen):
@@ -927,9 +928,9 @@ def test_column_route_is_exact_at_the_guard():
             assert values == [roots.form_values(plan.forms, H).tolist() for H in points], plan.tests
             want = np.stack([plan.evaluate(H) for H in points], axis=-1)
             assert np.array_equal(plan.evaluate(cols), want), plan.tests
-        _, doubled = instability._doubled_pairs(group(n), cols)
-        assert doubled.T.tolist() == [instability._doubled_pairs(group(n), H)[1].tolist()
-                                      for H in points], n
+        _, forms = pairing_plan(group(n))
+        assert roots.form_values(forms, cols).T.tolist() == [
+            roots.form_values(forms, H).tolist() for H in points], n
 
 
 def _same_arrays(got, want):
@@ -954,14 +955,19 @@ def _same_plan(got, want):
     _same_ragged(got._terms, want._terms)
 
 
+def _oracle_pairs(Q):
+    """tests/plan_oracle.py's pairs below Q, as (P, arrangement)."""
+    return tuple((P, arr) for P, _, arr in plan_oracle.pairs_below(Q))
+
+
 def test_mask_builders_match_the_tuple_oracle():
     """The bit-mask builders make every plan that tests/plan_oracle.py
     builds from index tuples, field for field: every plan of _every_plan(n)
     for n <= 5, the slope and partition plans of every type with n = 6 and
     of two sparse types with n = 31 and 70, and for n <= 6 pairing_plan
-    (pairs, ranks, forms) and pair_merges; the
-    compositions, the arrangements below every type and the ordered set
-    partitions under them match too."""
+    (ranks, forms) and pair_merges; the pairs below each of those types
+    (roots._pairs_below), the compositions, the arrangements below every
+    type and the ordered set partitions under them match too."""
     for n in range(1, 6):
         for got, want in zip(_every_plan(n), _every_plan(n, plan_oracle), strict=True):
             _same_plan(got, want)
@@ -971,14 +977,12 @@ def test_mask_builders_match_the_tuple_oracle():
     # past 30 indices the masks and keys are Python ints
     for Q in standard_parabolics(6) + (StandardParabolic((1,) * 29 + (2,)),
                                        StandardParabolic((2, 1, 3) + (1,) * 64)):
-        (pairs, got), (want_pairs, want) = slope_plan(Q), plan_oracle.slope_plan(Q)
-        assert pairs == want_pairs
-        _same_plan(got, want)
+        assert roots._pairs_below(Q) == _oracle_pairs(Q)
+        _same_plan(slope_plan(Q), plan_oracle.slope_plan(Q))
         _same_plan(roots.partition_plan(Q), plan_oracle.partition_plan(Q))
     for n in range(1, 7):
-        got, want = pairing_plan(group(n)), plan_oracle.pairing_plan(group(n))
-        assert got[0] == want[0]
-        _same_arrays(got[1:], want[1:])
+        assert roots._pairs_below(group(n)) == _oracle_pairs(group(n))
+        _same_arrays(pairing_plan(group(n)), plan_oracle.pairing_plan(group(n)))
         _same_ragged(pair_merges(n), plan_oracle.pair_merges(n))
         assert compositions(n) == plan_oracle.compositions(n)
         for sizes in compositions(n) + [(0, n), (n, 0)]:
@@ -1001,12 +1005,55 @@ def test_pairs_below_the_group_are_the_ordered_set_partitions():
             assert all(list(S) == sorted(S) for S in arr)
 
 
+def test_sweeps_build_no_pair_tuples():
+    """The sweeps read plans and bodies as arrays: with every cache of
+    roots cleared, verify_E, verify_partition, verify_canonical,
+    verify_langlands, verify_sigma and verify_levi_sum pass at small
+    sample counts and leave roots._pairs_below's cache empty, since only a
+    named pair (e_sum_terms, _select_pair, semistandard_all) needs it."""
+    for cached in vars(roots).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    reports = (verify_E(max_n=4, samples=200, sandwich_samples=100)
+               + verify_partition(samples=50)
+               + verify_canonical(sample_plan=((2, 100), (3, 100), (4, 100)))
+               + verify_langlands(max_n=3, samples=100)
+               + verify_sigma(samples=50, focus_samples=100)
+               + verify_levi_sum(max_n=4, samples=100))
+    assert all(rep.ok for rep in reports)
+    assert roots._pairs_below.cache_info().currsize == 0
+
+
+def test_each_named_pair_is_the_one_whose_tests_hold():
+    """e_sum_terms names pairs from roots._pairs_below and reads their
+    holds from roots.slope_plan, so the two must stay aligned.  For every
+    type Q with n <= 5, on 40 rows with every coordinate <= 0 (drawn, and
+    small with ties), E holds and exactly one pair (P, arr) contributes:
+    at the rearranged point H' (arr's index sets in order) P's blocks are
+    constant, their averages strictly decrease inside each Q-block
+    (indicator_tau) and each Q-block's leading block sums to <= 0
+    (indicator_chi), checked through the scalar type plans."""
+    for n in range(1, 6):
+        gen = np.random.default_rng(SEED + n)
+        rows = np.concatenate([-np.abs(_draw_cleared(gen, (20, n))),
+                               gen.integers(-3, 1, size=(20, n))])
+        for Q in standard_parabolics(n):
+            for row in rows:
+                H = tuple(int(v) for v in row)
+                ((P, arr),) = e_sum_terms(Q, H)
+                arranged = tuple(H[i] for S in arr for i in S)
+                assert blocks_constant(P, arranged), (Q, H)
+                assert indicator_tau(P, Q, arranged) == indicator_chi(P, Q, arranged) == 1, (Q, H)
+
+
 def test_cold_slope_counts_at_seven_build_their_plan_quickly():
     """A cold 10-row _e_counts(group(7), ...) in a fresh interpreter, plan
-    build included (47,293 pairs, 2,080 tests), takes under 0.8 s: 0.18 to
-    0.28 s on a 2-vCPU host (0.25 to 0.31 s beside another busy process),
-    against 0.92 to 1.32 s with the tuple-interning builders; both routes
-    agree on every row."""
+    build included (2,080 tests in 47,293 pair terms), takes under 0.5 s:
+    0.100 to 0.159 s over 12 runs on a 2-vCPU host (0.096 to 0.161 s over
+    10 beside another busy process), against 0.16 to 0.29 s while the
+    plan also built the pair tuples and 0.92 to 1.32 s with the
+    tuple-interning builders.  Both routes agree on every row, and no
+    (P, arrangement) tuple is built."""
     script = (
         "import json, time\n"
         "import numpy as np\n"
@@ -1015,16 +1062,19 @@ def test_cold_slope_counts_at_seven_build_their_plan_quickly():
         "rows[:3] = -np.abs(rows[:3])\n"
         "start = time.perf_counter()\n"
         "counts, every = sampling._e_counts(roots.group(7), rows)\n"
-        "print(json.dumps([time.perf_counter() - start, counts.tolist(), every.tolist()]))\n"
+        "seconds = time.perf_counter() - start\n"
+        "named = roots._pairs_below.cache_info().currsize\n"
+        "print(json.dumps([seconds, counts.tolist(), every.tolist(), named]))\n"
     )
     src = str(pathlib.Path(roots.__file__).resolve().parents[2])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    seconds, counts, every = json.loads(done.stdout)
+    seconds, counts, every, named = json.loads(done.stdout)
     assert counts[:3] == [1, 1, 1] and counts == [int(ok) for ok in every], (counts, every)
-    assert seconds < 0.8, seconds
+    assert named == 0
+    assert seconds < 0.5, seconds
 
 
 def test_chunk_sizes_stay_as_stated():
@@ -1032,8 +1082,8 @@ def test_chunk_sizes_stay_as_stated():
     sweep reads it 265 rows per chunk, and the canonical-pair oracle reads
     120: a builder change cannot move the chunking, or the page-fault
     margin below twice CHUNK_CELLS, unnoticed."""
-    pairs, plan = slope_plan(group(5))
-    assert (len(plan.tests), len(pairs), plan.width) == (221, 541, 988)
+    plan = slope_plan(group(5))
+    assert (len(plan.tests), len(plan.signs), plan.width) == (221, 541, 988)
     cols = _columns(np.zeros((700, 5), np.int64), 5, 25)
     for width, rows in ((plan.width, 265), (instability.maximizer_width(5), 120)):
         sizes = []
@@ -1288,17 +1338,16 @@ def _first_raise(evaluate, rows):
 
 def _first_never(body):
     """The body with the first pair's tests failing."""
-    def broken(Q, H):
-        pairs, holds = body(Q, H)
-        return pairs, _never_first(holds)
-    return broken
+    return lambda Q, H: _never_first(body(Q, H))
 
 
-def _doubled(body):
-    """The body with every pair listed twice."""
+def _overlapping(body):
+    """The body with each pair holding also wherever the one before it
+    does, the first wherever the last does (a type with one pair is left
+    as it is)."""
     def broken(Q, H):
-        pairs, holds = body(Q, H)
-        return pairs + pairs, np.concatenate([holds, holds])
+        holds = body(Q, H)
+        return holds | np.roll(holds, 1, axis=0)
     return broken
 
 
@@ -1310,7 +1359,7 @@ def _break_e_pairs(monkeypatch, mutate):
 
 @pytest.mark.parametrize(
     "mutate, text",
-    [(_doubled, "structured sum produced 2 overlapping terms"),
+    [(_overlapping, "structured sum produced 2 overlapping terms"),
      (_first_never, "the two routes disagree: sum=0 subsets=1")],
     ids=["overlapping", "disagree"],
 )
@@ -1332,12 +1381,13 @@ def test_sandwich_raises_the_loops_first_verdict(monkeypatch, mutate, text):
 
 
 def test_sandwich_raises_in_row_then_side_order(monkeypatch):
-    """Pairs doubled below proper types, the first pair failing below the
-    one-block ones: at (-1,-2,-3) with type (1,2) the lower side overlaps
-    and the upper side disagrees.  The sandwich raises the loop's text:
-    lower before upper within a row, an earlier row before a later one."""
+    """Each pair holding also where the one before it does below proper
+    types, the first pair failing below the one-block ones: at (-1,-2,-3)
+    with type (1,2) the lower side overlaps and the upper side disagrees.
+    The sandwich raises the loop's text: lower before upper within a row,
+    an earlier row before a later one."""
     _break_e_pairs(monkeypatch, lambda body: lambda Q, H: (
-        (_doubled if Q.r >= 2 else _first_never)(body)(Q, H)))
+        (_overlapping if Q.r >= 2 else _first_never)(body)(Q, H)))
     P = StandardParabolic((1, 2))
     both, upper_only = (P, (-1, -2, -3)), (P, (-1, 5, 0))
     for rows, text in (([both], "structured sum produced 2 overlapping terms"),
@@ -1370,7 +1420,7 @@ def test_slope_sweep_lists_failures_when_no_pair_is_left(monkeypatch):
     """With e_pair_tests dropping its first pair in both its scalar and its
     column use, n = 1 has no pair left: the batched sweep counts zero terms
     on a zero column and lists the failures the per-sample loop finds."""
-    _break_e_pairs(monkeypatch, _drop_first)
+    _break_e_pairs(monkeypatch, lambda body: lambda Q, H: body(Q, H)[1:])
     seed, samples = 5, 20
     points = _draw_cleared(np.random.default_rng(seed), (samples, 1))
     rep = verify_E(max_n=1, samples=samples, sandwich_samples=0, seed=seed)[0]
@@ -1492,12 +1542,12 @@ def test_merge_table_matches_run_arithmetic():
     index sets unite each run, and the merge's doubled pairing equals the
     half-sums of the run sizes against the run totals."""
     for n in range(1, 5):
-        pairs, table = pairing_plan(group(n))[0], _listed(pair_merges(n))
+        pairs, table = roots._pairs_below(group(n)), _listed(pair_merges(n))
         assert list(pairs) == [
             (P, arr) for P in refinements_within(group(n)) for arr in arrangements(P, group(n))
         ]
         points = [H for H in _battery_points() if len(H) == n]
-        doubled = [instability._doubled_pairs(group(n), H)[1] for H in points]
+        doubled = [roots.form_values(pairing_plan(group(n))[1], H) for H in points]
         sums = [[tuple(sum(H[i] for i in S) for S in arr) for _, arr in pairs] for H in points]
         for i, ((P, arr), merges) in enumerate(zip(pairs, table)):
             lengths = compositions(P.r)[:-1]
@@ -1566,8 +1616,8 @@ def test_rank_route_matches_value_classes():
     for n in range(1, 6):
         rows = _canonical_rows(n)
         primes = semistandard_all(n)
-        table = pairing_plan(group(n))[1]
-        assert table.tolist() == [_rank_vector(arr, n) for _, arr in pairing_plan(group(n))[0]]
+        table = pairing_plan(group(n))[0]
+        assert table.tolist() == [_rank_vector(arr, n) for _, arr in roots._pairs_below(group(n))]
         assert table.tolist() == [_rank_vector(pp.blocks, n) for pp in primes]
         position = {pp: p for p, pp in enumerate(primes)}
         for row, ranks in zip(rows, _value_ranks(rows)):
@@ -1604,8 +1654,8 @@ def test_broken_rank_route_fails_both_sweeps(monkeypatch, table_too):
     monkeypatch.setattr(sampling, "_value_ranks", lambda rows: _classes_swapped(_value_ranks(rows)))
     if table_too:
         def swapped_plan(Q):
-            pairs, ranks, forms = pairing_plan(Q)
-            return pairs, _classes_swapped(ranks), forms
+            ranks, forms = pairing_plan(Q)
+            return _classes_swapped(ranks), forms
 
         monkeypatch.setattr(sampling, "pairing_plan", swapped_plan)
     seed, plan = 5, ((1, 20), (2, 60), (3, 60), (4, 40))
@@ -2055,8 +2105,8 @@ def degree_pairs(Q, H):
 
     The trivial pair (Q, identity) is among them, with pairing exactly 0.
     """
-    pairs, doubled = instability._doubled_pairs(Q, as_exact(H))
-    return [(P, arr, Fraction(d, 2)) for (P, arr), d in zip(pairs, doubled)]
+    doubled = roots.form_values(pairing_plan(Q)[1], as_exact(H))
+    return [(P, arr, Fraction(d, 2)) for (P, arr), d in zip(roots._pairs_below(Q), doubled)]
 
 
 def _levi_sum_on_blocks(M, H):
