@@ -2,11 +2,12 @@
 
 roots: compositions, standard and semi-standard block data, rearrangement
 enumeration, the half-sums, and each identity's sign tests per type as the
-integer form rows of a SignPlan.  instability: degrees of instability,
-canonical destabilizing pairs, chamber cones, and extremal maximizers.
-indicators: the step functions built from root pairings and their
-alternating-sum identities.  sampling: seeded bulk verification sweeps over
-random rational points.
+integer form rows of a SignPlan.  verdicts: sign-test verdicts packed 8
+samples per byte, folded per term and counted.  instability: degrees of
+instability, canonical destabilizing pairs, chamber cones, and extremal
+maximizers.  indicators: the step functions built from root pairings and
+their alternating-sum identities.  sampling: seeded bulk verification
+sweeps over random rational points.
 """
 
 from .indicators import (

@@ -3,7 +3,9 @@
 Every indicator and identity body evaluates its type's roots.SignPlan once
 per call and returns arrays whose first axis runs over its terms, from an
 exact point or from a tuple of int64 sample columns alike (then with a
-second axis over the samples); the public functions read it on one point.
+second axis over the samples, the plan's packed verdicts unpacked once;
+e_pair_tests keeps them packed, for sampling to count); the public
+functions read it on one point.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .roots import (
     type_plan,
     weight_tests,
 )
+from .verdicts import unpacked
 
 
 def _check_length(H, n):
@@ -41,7 +44,7 @@ def _type_test(P, Q, tests, H):
     coordinates."""
     H, plan = as_exact(H), type_plan(P, Q, tests)  # split_by refuses a non-refinement
     _check_length(H, Q.n)
-    return int(plan.evaluate(H)[0])
+    return int(plan.holds(H)[0])
 
 
 def indicator_tau(P, Q, H):
@@ -66,7 +69,8 @@ def indicator_chi(P, Q, H):
 def e_pair_tests(Q, H):
     """Per pair (P, arrangement) below Q (roots.slope_plan), whether it
     contributes to the structured slope-truncation sum (its chamber tests
-    hold and each Q-block's leading sum is <= 0)."""
+    hold and each Q-block's leading sum is <= 0), packed along the
+    samples (verdicts.packed): a row of bytes per pair."""
     return slope_plan(Q).evaluate(H)
 
 
@@ -76,7 +80,7 @@ def e_sum_terms(Q, H):
     most one pair can contribute; callers assert that."""
     H = as_exact(H)
     _check_length(H, Q.n)
-    return list(itertools.compress(_pairs_below(Q), e_pair_tests(Q, H)))
+    return list(itertools.compress(_pairs_below(Q), unpacked(e_pair_tests(Q, H), 1)[:, 0]))
 
 
 def e_subset_tests(Q, H):
@@ -121,7 +125,7 @@ def sigma_terms(P1, P2, H):
     """indicator_sigma's (signs, holds) per coarsening P of P2
     (roots.coarsening_plan): tau(P1 within P) * tau_hat(P within G)."""
     plan = coarsening_plan(P1, P2, root_tests, weight_tests)
-    return plan.signs, plan.evaluate(H)
+    return plan.signs, plan.holds(H)
 
 
 def indicator_sigma(P1, P2, H):
@@ -142,7 +146,7 @@ def langlands_terms(P, H):
     """langlands_sum's (signs, holds) per coarsening Q of P
     (roots.coarsening_plan): tau_hat(P within Q) * tau(Q within G)."""
     plan = coarsening_plan(P, P, weight_tests, root_tests)
-    return plan.signs, plan.evaluate(H)
+    return plan.signs, plan.holds(H)
 
 
 def langlands_sum(P, H):
@@ -168,7 +172,7 @@ def levi_sum_tau_hat(M, H):
     if not blocks_constant(M, H):
         raise ValueError("point is not block-constant on %s" % (M,))
     plan, orders = ordering_plan(M), math.factorial(M.r)
-    holds = plan.evaluate(H)
+    holds = plan.holds(H)
     walls = holds[orders:].nonzero()[0]
     if len(walls):  # the wall terms test the operator.eq tests, in order
         _, S, _ = [test for test in plan.tests if test[0] is operator.eq][walls[0]]
@@ -200,14 +204,14 @@ def partition_terms(Q, H):
     tests all hold, identity two sums the signs of those whose weight gaps
     all hold."""
     plan = partition_plan(Q)
-    holds, pairs = plan.evaluate(H), len(plan.signs) // 2
+    holds, pairs = plan.holds(H), len(plan.signs) // 2
     return holds[:pairs], plan.signs[pairs:], holds[pairs:]
 
 
 def blocks_constant(Q, H):
     """Q-semistability: each block of Q carries one value (indicator_F's
     degree route gives the same verdict), at a point or per sample."""
-    return type_plan(Q, Q, constancy_tests).evaluate(H)[0]
+    return type_plan(Q, Q, constancy_tests).holds(H)[0]
 
 
 def arthur_partition_report(Q, H):

@@ -26,15 +26,16 @@ from .roots import (
     as_exact,
     cleared,
     cone_plan,
+    cones_plan,
     doubled_half_sums,
     doubled_relative_rho,
-    fold,
     form_values,
     group,
     pair_merges,
     pairing_plan,
     runs,
 )
+from .verdicts import fold, packed, packed_cells, unpacked
 
 MAX_SUBSET_BLOCK = 22  # 2^22 subset scans are the ceiling for literal routes
 
@@ -160,19 +161,24 @@ def canonical_pair(H):
 def _maximal_maximizers(H):
     """Twice the largest half-sum pairing (form_values of pairing_plan's
     forms), and per pair in pairing_plan order whether it attains it while
-    none of its proper merges (roots.pair_merges) does; at an integer
-    point, or per sample on a tuple of int64 columns."""
+    none of its proper merges (roots.pair_merges) does, the merges folded
+    on packed hits; at an integer point, or per sample on a tuple of int64
+    columns."""
     ds = form_values(pairing_plan(group(len(H)))[1], H)
     best = ds.max(axis=0)
-    hits = ds == best
-    return best, hits & ~fold(np.logical_or, hits, pair_merges(len(H)))
+    hits = (ds == best).reshape(len(ds), -1)  # a point is one sample
+    bits = packed(hits)
+    flags = unpacked(bits & ~fold(np.bitwise_or, bits, pair_merges(len(H))), hits.shape[1])
+    return best, flags.reshape(ds.shape)
 
 
 def maximizer_width(n):
-    """Cells per sample that _maximal_maximizers holds at once on columns:
-    the operand, and per pair its doubled pairing, hit, merge fold and
-    flag."""
-    return n + 4 * len(pairing_plan(group(n))[1])
+    """Cells of 8 bytes per sample that _maximal_maximizers holds at once
+    on columns: the operand, per pair its doubled pairing, its hit folded
+    over its merges (verdicts.packed_cells), and a byte and two bits for its
+    flag, packed and unpacked."""
+    pairs = len(pairing_plan(group(n))[1])
+    return n + pairs + packed_cells(pairs, pair_merges(n)) + -(-10 * pairs // 64)
 
 
 def _select_pair(n, best, survivors):
@@ -203,7 +209,14 @@ def cone_tests(prime, H):
     """Whether the point lies in the chamber cone of the ordered index
     partition (roots.cone_plan), at a point or per sample on a tuple of
     sample columns."""
-    return cone_plan(prime).evaluate(H)[0]
+    return cone_plan(prime).holds(H)[0]
+
+
+def all_cone_tests(n, H):
+    """Per ordered index partition of n indices, in semistandard_all
+    order, whether the point lies in its chamber cone (roots.cones_plan):
+    cone_tests of every partition from one plan."""
+    return cones_plan(n).holds(H)
 
 
 def cone_accepts(prime, H):

@@ -15,7 +15,8 @@ Each pairing is an integer linear form in the point: each identity lists
 its tests once per type as the rows of a cached SignPlan (the *_plan
 builders, below a type from the masks of all arrangements of each
 refinement at once), one matrix product (form_values) on an exact point or
-on int64 sample columns, there in float64, exact below 2^53.  Below a
+on int64 sample columns, there in float64, exact below 2^53, its
+verdicts packed along the samples and folded per term (verdicts).  Below a
 type, plans and bodies hold a row per pair: _pairs_below names them.
 Points are exact (as_exact: Python ints, and Fractions where not integral).
 Half-sums of radical roots are carried doubled, as the integers after -
@@ -32,6 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .verdicts import fold, packed, packed_cells, unpacked
 
 
 class WallError(ValueError):
@@ -274,20 +277,6 @@ def as_exact(point):
     return tuple(_exact(h) for h in point)
 
 
-def fold(ufunc, values, lists):
-    """Per list of rows, ufunc folded over those rows of values (lists, or
-    ragged: their number, per length k their positions and theirs as k
-    rows): one gather and one reduction per list length (ufunc.reduceat is
-    several times slower on many short lists).  An empty list reads the
-    ufunc's identity on every column: True for logical_and, False for
-    logical_or."""
-    size, groups = lists
-    out = np.empty((size, *values.shape[1:]), values.dtype)
-    for at, index in groups:
-        out[at] = ufunc.reduce(values[index], axis=0)
-    return out
-
-
 def cleared(H):
     """(scale, integers): the lcm of an exact point's denominators, and the
     point multiplied by it as Python ints."""
@@ -351,21 +340,36 @@ class SignPlan:
                            for k, (ats, lists) in groups.items()]
         self.signs = np.array([1] * at if signs is None else signs, np.int64)
         self._compares = [(c, len(list(g))) for c, g in itertools.groupby(t[0] for t in self.tests)]
-        # cells per sample that evaluate holds at once, of at most 8 bytes each: the operand,
-        # per test its value and verdict, one per term (room for fold's gather of the verdicts)
-        self.width = width + 2 * len(tests) + at
+        # cells of 8 bytes per sample that evaluate holds at once: the operand, per test its
+        # value, and the verdicts packed and folded
+        self.width = width + len(tests) + packed_cells(len(tests), self._terms)
 
     def evaluate(self, H):
-        """Per term whether all its tests hold: an array (terms,) at an
-        exact point, (terms, samples) on a tuple of int64 columns.  Every
-        test is form_values on the columns or on the point cleared to
-        integers (each test is homogeneous of degree one)."""
-        values = form_values(self.forms, H if isinstance(H[0], np.ndarray) else cleared(H)[1])
+        """Per term whether all its tests hold, packed (terms, bytes): one
+        sample at an exact point, one per entry of a tuple of int64
+        columns.  Every test is form_values on the columns or on the point
+        cleared to integers (each test is homogeneous of degree one)."""
+        columns = isinstance(H[0], np.ndarray)
+        values = form_values(self.forms, H if columns else cleared(H)[1])
+        values = values if columns else values[:, None]  # a point is one sample
         tests, lo = np.empty(values.shape, bool), 0
         for compare, count in self._compares:
             tests[lo:lo + count] = compare(values[lo:lo + count], 0)
             lo += count
-        return fold(np.logical_and, tests, self._terms)
+        return fold(np.bitwise_and, packed(tests), self._terms)
+
+    def holds(self, H):
+        """evaluate(H) unpacked: per term whether all its tests hold, an
+        array (terms,) at an exact point, (terms, samples) on columns."""
+        columns = isinstance(H[0], np.ndarray)
+        holds = unpacked(self.evaluate(H), len(H[0]) if columns else 1)
+        return holds if columns else holds[:, 0]
+
+    def cells(self, term_bits):
+        """Cells of 8 bytes per sample that a caller of evaluate holds at
+        once when it holds term_bits bits per term beyond the result: 8 for
+        holds, fewer for a count over the packed terms."""
+        return self.width + -(-term_bits * len(self.signs) // 64)
 
 
 def doubled_half_sums(sizes):
@@ -443,18 +447,37 @@ def ordering_plan(M):
     return SignPlan(M.n, orders + [[(operator.eq, S, T)] for S, T in walls])
 
 
+def chamber_cone_tests(subs, arr):
+    """The chamber-cone tests of arranged sets (subs and arr as in
+    root_tests): strictly decreasing averages of adjacent sets, and for
+    every set S every nonempty proper subset T has average <= S's,
+    pairing(S, T) >= 0 (each such T leads some ordered refinement, and
+    those exhaust the refinement weights; the full set passes trivially),
+    the subsets of each size in combinations order of S's indices."""
+    tests = root_tests(subs, arr)
+    for S, size in zip(arr, itertools.chain.from_iterable(subs)):
+        bits, rest = [], S
+        for _ in range(size):  # S's indices as single bits, ascending
+            bits.append(rest & -rest)
+            rest = rest & rest - 1
+        tests += [(operator.ge, S, sum(T)) for k in range(1, size)
+                  for T in itertools.combinations(bits, k)]
+    return tests
+
+
 @lru_cache(maxsize=None)
 def cone_plan(prime):
-    """The chamber-cone tests of an ordered index partition, one term:
-    strictly decreasing block averages, and for every block S every
-    nonempty proper subset T has average <= S's, pairing(S, T) >= 0 (each
-    such T leads some ordered refinement, and those exhaust the refinement
-    weights; the full block passes trivially)."""
-    blocks = [sum(1 << i for i in S) for S in prime.blocks]
-    return SignPlan(prime.n, [root_tests((tuple(map(len, prime.blocks)),), blocks)
-                              + [(operator.ge, S, sum(1 << i for i in T)) for S in blocks
-                                 for k in range(1, S.bit_count())
-                                 for T in itertools.combinations(index_set(S), k)]])
+    """The chamber-cone tests of an ordered index partition, one term."""
+    sizes, sets = tuple(map(len, prime.blocks)), [sum(1 << i for i in S) for S in prime.blocks]
+    return SignPlan(prime.n, [chamber_cone_tests((sizes,), sets)])
+
+
+@lru_cache(maxsize=None)
+def cones_plan(n):
+    """The chamber-cone tests of every ordered partition of n indices, a
+    term each, in semistandard_all order (read from _arranged's masks)."""
+    return SignPlan(n, [chamber_cone_tests(*_arranged(P, group(n)))
+                        for P in refinements_within(group(n))])
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,12 @@ Python ints.
 The sweeps read the same bodies as the public operations (indicators,
 instability), on a tuple of int64 columns, one entry per sample: all
 sampled points at once, the large plans in chunks of at most CHUNK_CELLS
-cells (_chunked).  Value classes are read per row as dense ranks
-(_value_ranks, against roots.pairing_plan's), and the Levi count as chains
-of prefix sets (_levi_counts); scalar calls only word a failing row.
+cells (_chunked).  A plan's verdicts are packed along the samples, 8 per
+byte (verdicts); the bodies unpack them once per chunk, and the slope
+sweep counts its terms on the packed bytes (held_counts).  Value classes
+are read per row as dense ranks (_value_ranks, against
+roots.pairing_plan's), and the Levi count as chains of prefix sets
+(_levi_counts); scalar calls only word a failing row.
 
 Exactness: with M the largest |entry| of a cleared sample, each sign test
 is a form row of absolute sum at most n^2 / 2 (|S| <= n for a lone sum),
@@ -51,7 +54,7 @@ from .instability import (
     _extremal_maximizers,
     _maximal_maximizers,
     _select_pair,
-    cone_tests,
+    all_cone_tests,
     extremal_max_pair,
     maximizer_width,
 )
@@ -64,15 +67,15 @@ from .roots import (
     pairing_plan,
     partition_plan,
     refinements_within,
-    semistandard_all,
     slope_plan,
     standard_parabolics,
     type_plan,
 )
+from .verdicts import held_counts
 
 NUMERATOR_BOUND = 100
 DENOMINATOR_BOUND = 20
-CHUNK_CELLS = 2**18  # bounds the cells a chunk of samples holds at once (_chunked)
+CHUNK_CELLS = 2**17  # bounds the cells of 8 bytes a chunk of samples holds at once (_chunked)
 # a bit per prime power up to DENOMINATOR_BOUND: each d's mask, each mask's primes' product
 _POWERS = [2, 4, 8, 16, 3, 9, 5, 7, 11, 13, 17, 19]
 _PRIMES = [2, 2, 2, 2, 3, 3, 5, 7, 11, 13, 17, 19]
@@ -141,8 +144,10 @@ def _chunked(cols, width, evaluate):
     """evaluate(columns), a tuple of results whose last axis runs over the
     samples, on consecutive slices of the columns (one empty slice when
     there are none); each result concatenated.  A slice holds
-    CHUNK_CELLS // width samples, at least one, width the cells per sample
-    that evaluate holds at once (roots.SignPlan.width)."""
+    CHUNK_CELLS // width samples, at least one, width the cells of 8 bytes
+    per sample that evaluate holds at once (roots.SignPlan.cells: a
+    float64 value per test, a byte or a bit per verdict).  A slice need
+    not fill its last packed byte."""
     rows = max(1, CHUNK_CELLS // width)
     parts = [evaluate(tuple(col[lo:lo + rows] for col in cols))
              for lo in range(0, max(len(cols[0]), 1), rows)]
@@ -324,30 +329,29 @@ def _wall_variants(rng, n, count):
 def verify_cones(n=3, samples=1000, seed=20260816):
     """Chamber-cone partition: every point, walls included, is accepted by
     exactly one ordered index partition, the one the fast path returns.
-    The acceptance tests run on all points at once, and the accepting
-    cone's rank vector must be the point's value-class ranks."""
+    The acceptance tests of every cone run from one plan on all points at
+    once, and the accepting cone's rank vector must be the point's
+    value-class ranks."""
     rng = _generator(seed, samples, sizes=(n,))
-    all_primes = semistandard_all(n)
     points = np.concatenate([_draw_cleared(rng, (samples, n)),
                              _wall_variants(rng, n, max(1, samples // 20))])
     rep = VerifyReport(identity="cone-partition", n=n, samples=len(points))
-    cols = _columns(points, n, n**2)
-    accepted = np.stack([cone_tests(prime, cols) for prime in all_primes], axis=1)
+    accepted = all_cone_tests(n, _columns(points, n, n**2)).T
     member = _one_matches(accepted, pairing_plan(group(n))[0], _value_ranks(points))
     for H, count in zip(points[~member].tolist(), accepted[~member].sum(axis=1)):
         rep.fail(H, "%d cones accept the point" % count if count != 1
                  else "fast membership disagrees")
-    rep.stats["ordered_partitions_checked"] = len(all_primes)
+    rep.stats["ordered_partitions_checked"] = accepted.shape[1]
     return rep
 
 
 def _e_counts(Q, points):
     """(len(e_sum_terms), all(e_subset_tests)) in the type Q for every
     integer row (samples, Q.n), as two columns; e_pair_tests reads the
-    rows in chunks (_chunked)."""
+    rows in chunks (_chunked) and its packed holds are counted there."""
     cols = _columns(points, Q.n, Q.n**2)
-    (counts,) = _chunked(cols, slope_plan(Q).width,
-                         lambda part: (e_pair_tests(Q, part).sum(axis=0),))
+    (counts,) = _chunked(cols, slope_plan(Q).cells(2),
+                         lambda part: (held_counts(e_pair_tests(Q, part), len(part[0])),))
     every = functools.reduce(np.logical_and, e_subset_tests(Q, cols), np.ones(len(points), bool))
     return counts, every
 
@@ -442,7 +446,8 @@ def _partition_values(Q, cols):
         chambers, signs, weights = partition_terms(Q, part)
         return chambers.sum(axis=0), blocks_constant(Q, part), signs @ weights
 
-    return _chunked(cols, partition_plan(Q).width + type_plan(Q, Q, constancy_tests).width, values)
+    plans = partition_plan(Q), type_plan(Q, Q, constancy_tests)
+    return _chunked(cols, sum(plan.cells(8) for plan in plans), values)
 
 
 def verify_partition(max_n=4, samples=1000, seed=20260816):

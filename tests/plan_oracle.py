@@ -13,13 +13,14 @@ this module field for field.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from functools import lru_cache
 
 import numpy as np
 
-from orbitzeta.truncation import roots
+from orbitzeta.truncation import roots, verdicts
 from orbitzeta.truncation.roots import (
     StandardParabolic,
     doubled_relative_rho,
@@ -146,7 +147,13 @@ class SignPlan(roots.SignPlan):
         self._compares = [(compare, len(list(group)))
                           for compare, group in itertools.groupby(t[0] for t in self.tests)]
         self._terms = ragged(self.terms)
-        self.width = width + 2 * len(self.tests) + len(terms)
+        # per test its value, a byte and a bit for its verdict; a bit per term and per
+        # entry of the largest gather of lists of one length, with its reduction: a run
+        # of at most verdicts.GATHER_ROWS rows
+        lengths = collections.Counter(map(len, self.terms))
+        gather = max(((k + 1) * min(count, max(1, verdicts.GATHER_ROWS // max(k, 1)))
+                      for k, count in lengths.items()), default=0)
+        self.width = width + len(self.tests) + -(-(9 * len(self.tests) + len(terms) + gather) // 64)
 
 
 def type_plan(P, Q, tests):
@@ -181,11 +188,18 @@ def ordering_plan(M):
     return SignPlan(orders + [[(operator.eq, S, T)] for S, T in walls])
 
 
+def cone_tests(blocks):
+    return (root_tests((tuple(map(len, blocks)),), blocks)
+            + [(operator.ge, S, T) for S in blocks
+               for k in range(1, len(S)) for T in itertools.combinations(S, k)])
+
+
 def cone_plan(prime):
-    blocks = prime.blocks
-    return SignPlan([root_tests((tuple(map(len, blocks)),), blocks)
-                     + [(operator.ge, S, T) for S in blocks
-                        for k in range(1, len(S)) for T in itertools.combinations(S, k)]])
+    return SignPlan([cone_tests(prime.blocks)])
+
+
+def cones_plan(n):
+    return SignPlan([cone_tests(arr) for _, _, arr in pairs_below(group(n))])
 
 
 def pairing_plan(Q):
@@ -204,3 +218,22 @@ def pair_merges(n):
     return ragged([[at[tuple(map(sum, runs(mask, map(len, subs))))]
                     for _, subs in coarsening_splits(P, P)[:-1]]
                    for (P, _, _), mask in zip(pairs, masks)])
+
+
+def bool_holds(plan, H):
+    """Per term of a roots.SignPlan whether all its tests hold, by a plain
+    bool fold: each test's verdict a bool per sample from exact values
+    (forms @ H in int64 on sample columns, in Python at a point), then per
+    term a logical_and over its tests' rows, one gather per list length,
+    from True (an empty term holds).  An array (terms,) at a point,
+    (terms, samples) on a tuple of int64 columns."""
+    columns = isinstance(H[0], np.ndarray)
+    operand = np.stack(H) if columns else np.array(H, object)[:, None]
+    values = plan.forms @ operand[:plan.forms.shape[1]]
+    verdicts = np.array([compare(row, 0) for (compare, _, _), row in zip(plan.tests, values)],
+                        bool).reshape(len(values), operand.shape[1])
+    size, groups = plan._terms
+    holds = np.ones((size, operand.shape[1]), bool)
+    for at, index in groups:
+        holds[at] = np.logical_and.reduce(verdicts[index], axis=0)
+    return holds if columns else holds[:, 0]

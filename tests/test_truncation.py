@@ -63,7 +63,7 @@ from orbitzeta.truncation import (
     semistandard_all,
     standard_parabolics,
 )
-from orbitzeta.truncation import indicators, instability, roots, sampling
+from orbitzeta.truncation import indicators, instability, roots, sampling, verdicts
 from orbitzeta.truncation.indicators import (
     blocks_constant,
     e_subset_tests,
@@ -85,7 +85,6 @@ from orbitzeta.truncation.roots import (
     weight_tests,
 )
 from orbitzeta.truncation.sampling import (
-    _chunked,
     _columns,
     _draw_cleared,
     _e_counts,
@@ -755,7 +754,7 @@ def test_batched_E_matches_scalar_routes_pointwise(monkeypatch):
         points = _e_rows(n)
         assert points.shape[0] % 64
         for Q in standard_parabolics(n):
-            monkeypatch.setattr(sampling, "CHUNK_CELLS", 64 * slope_plan(Q).width)
+            monkeypatch.setattr(sampling, "CHUNK_CELLS", 64 * slope_plan(Q).cells(2))
             counts, subset_ok = _e_counts(Q, points)
             assert counts.shape == subset_ok.shape == (points.shape[0],)
             for row, got_count, got_ok in zip(points, counts, subset_ok):
@@ -856,8 +855,9 @@ def test_pair_bodies_evaluate_each_subset_entry_once(monkeypatch):
 def _every_plan(n, builders=roots):
     """Every roots.SignPlan the identity bodies build for points of size n:
     the slope, partition and ordering plans per type, the coarsening plans
-    and type plans per nested pair, and the cone plan per ordered partition;
-    with builders=plan_oracle, the oracle's plans in the same order."""
+    and type plans per nested pair, the cone plan per ordered partition and
+    the cones plan of all of them; with builders=plan_oracle, the oracle's
+    plans in the same order."""
     types = standard_parabolics(n)
     nested = [(P, Q) for Q in types for P in refinements_within(Q)]
     yield from (builders.slope_plan(Q) for Q in types)
@@ -868,6 +868,7 @@ def _every_plan(n, builders=roots):
     yield from (builders.type_plan(P, Q, tests) for P, Q in nested
                 for tests in (root_tests, weight_tests, leading_tests, constancy_tests))
     yield from (builders.cone_plan(prime) for prime in semistandard_all(n))
+    yield builders.cones_plan(n)
 
 
 def _dot(forms, H):
@@ -926,8 +927,8 @@ def test_column_route_is_exact_at_the_guard():
         for plan in _every_plan(n):
             values = roots.form_values(plan.forms, cols).T.tolist()
             assert values == [roots.form_values(plan.forms, H).tolist() for H in points], plan.tests
-            want = np.stack([plan.evaluate(H) for H in points], axis=-1)
-            assert np.array_equal(plan.evaluate(cols), want), plan.tests
+            want = np.stack([plan.holds(H) for H in points], axis=-1)
+            assert np.array_equal(plan.holds(cols), want), plan.tests
         _, forms = pairing_plan(group(n))
         assert roots.form_values(forms, cols).T.tolist() == [
             roots.form_values(forms, H).tolist() for H in points], n
@@ -1008,9 +1009,10 @@ def test_pairs_below_the_group_are_the_ordered_set_partitions():
 def test_sweeps_build_no_pair_tuples():
     """The sweeps read plans and bodies as arrays: with every cache of
     roots cleared, verify_E, verify_partition, verify_canonical,
-    verify_langlands, verify_sigma and verify_levi_sum pass at small
-    sample counts and leave roots._pairs_below's cache empty, since only a
-    named pair (e_sum_terms, _select_pair, semistandard_all) needs it."""
+    verify_langlands, verify_sigma, verify_levi_sum and verify_cones pass
+    at small sample counts and leave roots._pairs_below's cache empty,
+    since only a named pair (e_sum_terms, _select_pair, semistandard_all)
+    needs it."""
     for cached in vars(roots).values():
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
@@ -1019,7 +1021,8 @@ def test_sweeps_build_no_pair_tuples():
                + verify_canonical(sample_plan=((2, 100), (3, 100), (4, 100)))
                + verify_langlands(max_n=3, samples=100)
                + verify_sigma(samples=50, focus_samples=100)
-               + verify_levi_sum(max_n=4, samples=100))
+               + verify_levi_sum(max_n=4, samples=100)
+               + [verify_cones(n=n, samples=50) for n in (3, 4)])
     assert all(rep.ok for rep in reports)
     assert roots._pairs_below.cache_info().currsize == 0
 
@@ -1077,18 +1080,133 @@ def test_cold_slope_counts_at_seven_build_their_plan_quickly():
     assert seconds < 0.5, seconds
 
 
-def test_chunk_sizes_stay_as_stated():
-    """The GL(5) slope plan has 221 rows for 541 pairs and width 988, so a
-    sweep reads it 265 rows per chunk, and the canonical-pair oracle reads
-    120: a builder change cannot move the chunking, or the page-fault
-    margin below twice CHUNK_CELLS, unnoticed."""
+def test_chunk_sizes_stay_as_stated(monkeypatch):
+    """The GL(5) slope plan has 221 rows for 541 pairs and width 317, 334
+    with the count's cells, so the slope sweep reads it 392 rows per chunk,
+    and the canonical-pair sweep reads 175: a builder change cannot move
+    the chunking, or the page-fault margin below twice CHUNK_CELLS,
+    unnoticed.  On a 2-vCPU host, in verify_E at n <= 5 with 25,000
+    samples, the GL(5) slope counts took 14-17 ms with 20 minor faults
+    (ru_minflt) on the first sweep and none on a repeat; at twice
+    CHUNK_CELLS, 784 rows per chunk, 12-16 ms with 20-21 faults, then
+    none."""
     plan = slope_plan(group(5))
-    assert (len(plan.tests), len(plan.signs), plan.width) == (221, 541, 988)
-    cols = _columns(np.zeros((700, 5), np.int64), 5, 25)
-    for width, rows in ((plan.width, 265), (instability.maximizer_width(5), 120)):
-        sizes = []
-        _chunked(cols, width, lambda part: (sizes.append(len(part[0])) or part[0],))
-        assert sizes == [rows] * (700 // rows) + [700 % rows], width
+    assert (len(plan.tests), len(plan.signs), plan.width, plan.cells(2)) == (221, 541, 317, 334)
+    for name, sweep, rows in (
+            ("e_pair_tests", lambda: _e_counts(group(5), np.zeros((2000, 5), np.int64)), 392),
+            ("_maximal_maximizers", lambda: verify_canonical(sample_plan=((5, 800),)), 175)):
+        sizes, body = [], getattr(sampling, name)
+        monkeypatch.setattr(sampling, name,
+                            lambda *args: sizes.append(len(args[-1][0])) or body(*args))
+        sweep()
+        total = sum(sizes)
+        assert sizes == [rows] * (total // rows) + [total % rows], name
+
+
+def test_packed_folds_match_the_bool_reference():
+    """Every plan's packed verdicts, unpacked, equal the plain bool fold of
+    tests/plan_oracle.py, for every plan with n <= 4 and the GL(5) slope
+    and partition plans: on 0 samples (no byte), 1, 7, 9 and 67 (a partial
+    last byte), 8 and 64 (whole bytes), and at single exact points; each
+    packed row holds one byte per 8 samples, the last one partial."""
+    plans = [plan for n in range(1, 5) for plan in _every_plan(n)]
+    plans += [slope_plan(group(5)), roots.partition_plan(group(5))]
+    for plan in plans:
+        n = plan.forms.shape[1] or 1
+        rows = _e_rows(n)
+        for samples in (0, 1, 7, 8, 9, 64, 67):
+            cols = _columns(rows[:samples], n, n * n)
+            assert plan.evaluate(cols).shape == (len(plan.signs), -(-samples // 8))
+            assert np.array_equal(plan.holds(cols), plan_oracle.bool_holds(plan, cols)), plan.tests
+        for row in rows[::150]:
+            H = tuple(int(v) for v in row)
+            assert plan.evaluate(H).shape == (len(plan.signs), 1)
+            assert np.array_equal(plan.holds(H), plan_oracle.bool_holds(plan, H)), (plan.tests, H)
+
+
+def _spread(holds):
+    """Each row holding also where the next two rows hold: a row that held
+    alone becomes three where the type has three pairs or more."""
+    return holds | np.roll(holds, 1, axis=0) | np.roll(holds, 2, axis=0)
+
+
+def test_packed_counts_match_the_bool_reference(monkeypatch):
+    """verdicts.held_counts on packed rows equals the bool rows' sums for 0 to 541
+    rows and 0 to 100 samples at densities from none to all, exact past
+    two; _e_counts for every type with n <= 4 equals the plain bool fold's
+    counts: on no sample, and read 13 rows at a time, so every chunk ends
+    inside a byte, with the slope body as it is and with its holding pair
+    spread to the next two (_spread, planted on the packed rows and on the
+    reference alike), so that counts of two and three must come out
+    exactly; at one exact point e_pair_tests holds one byte per pair."""
+    gen = np.random.default_rng(SEED)
+    for terms, samples, density in itertools.product((0, 1, 2, 3, 5, 8, 541), (0, 1, 7, 8, 13, 100),
+                                                     (0.0, 0.01, 0.3, 1.0)):
+        rows = gen.random((terms, samples)) < density
+        assert np.array_equal(verdicts.held_counts(verdicts.packed(rows), samples),
+                              rows.sum(axis=0))
+    body = sampling.e_pair_tests
+    for n in range(1, 5):
+        points = _e_rows(n)
+        cols = _columns(points, n, n * n)
+        for Q in standard_parabolics(n):
+            plan, want = slope_plan(Q), plan_oracle.bool_holds(slope_plan(Q), cols)
+            counts, every = _e_counts(Q, points[:0])
+            assert counts.shape == every.shape == (0,)
+            H = tuple(int(v) for v in points[-2])
+            bits = indicators.e_pair_tests(Q, H)
+            assert bits.shape == (len(plan.signs), 1)
+            assert np.array_equal(verdicts.unpacked(bits, 1)[:, 0], plan_oracle.bool_holds(plan, H))
+            monkeypatch.setattr(sampling, "CHUNK_CELLS", 13 * plan.cells(2))
+            for mutate, reference in ((lambda bits: bits, want), (_spread, _spread(want))):
+                sizes = []
+                monkeypatch.setattr(sampling, "e_pair_tests", lambda Q, H: (
+                    sizes.append(len(H[0])) or mutate(body(Q, H))))
+                counts, _ = _e_counts(Q, points)
+                assert sizes[0] % 8 and sum(sizes) == len(points), sizes
+                assert np.array_equal(counts, reference.sum(axis=0)), Q
+            if len(plan.signs) >= 3:
+                assert counts.max() == 3
+            monkeypatch.undo()
+
+
+def test_cold_slope_counts_at_seven_stay_fast_and_bounded():
+    """A cold 2,000-row _e_counts(group(7), ...) in a fresh interpreter,
+    plan build included, takes under 0.5 s: 0.24 to 0.27 s over 6 runs on
+    a 2-vCPU host, against 2.4 to 2.5 s with one bool per sample and term
+    (26 and 5 rows per chunk).  Its counts equal the plain bool fold's row
+    by row.  Reading 8,000 rows more raises the peak RSS by under 16 MB
+    (by nothing in those runs): the chunks bound it, where the packed fold
+    unchunked reached 614 MB at 8,192 rows."""
+    script = (
+        "import json, resource, time\n"
+        "import numpy as np\n"
+        "from orbitzeta.truncation import roots, sampling\n"
+        "rows = np.random.default_rng(7).integers(-100, 101, size=(2000, 7))\n"
+        "rows[::3] = -np.abs(rows[::3])\n"
+        "start = time.perf_counter()\n"
+        "counts, every = sampling._e_counts(roots.group(7), rows)\n"
+        "seconds = time.perf_counter() - start\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "sampling._e_counts(roots.group(7), np.tile(rows, (4, 1)))\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak\n"
+        "print(json.dumps([seconds, counts.tolist(), every.tolist(), grown]))\n"
+    )
+    src = str(pathlib.Path(roots.__file__).resolve().parents[2])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    seconds, counts, every, grown = json.loads(done.stdout)
+    rows = np.random.default_rng(7).integers(-100, 101, size=(2000, 7))
+    rows[::3] = -np.abs(rows[::3])
+    plan = slope_plan(group(7))
+    want = np.concatenate([plan_oracle.bool_holds(plan, _columns(part, 7, 49)).sum(axis=0)
+                           for part in np.split(rows, 40)])
+    assert counts == want.tolist() == [int(ok) for ok in every]
+    assert sum(counts) >= 600
+    assert grown < 16 * 1024, grown
+    assert seconds < 0.5, seconds
 
 
 def test_E_is_every_coordinate_nonpositive():
@@ -1274,6 +1392,16 @@ def _one_block_negated(body):
     return lambda prime, H: ~body(prime, H) if len(prime.blocks) == 1 else body(prime, H)
 
 
+def _one_block_row_negated(body):
+    """The body of all cones with the verdict of the one-block cone, its
+    first row (semistandard_all order), negated."""
+    def broken(n, H):
+        holds = body(n, H).copy()
+        holds[0] = ~holds[0]
+        return holds
+    return broken
+
+
 def _never_first(holds):
     """The per-term holds with the first term failing on every row."""
     holds = holds.copy()
@@ -1285,16 +1413,19 @@ def test_sweep_failures_match_per_sample_loops(monkeypatch):
     """With a body broken in both its scalar and its column use, each
     column sweep lists the failures a per-sample loop over the scalar
     operation finds: every failing (point, case), same text, in point
-    order, each point a list of Python ints."""
-    for module, name, mutate in (
-        (indicators, "langlands_terms", _drop_first),
-        (indicators, "sigma_terms", _negated),
-        (indicators, "partition_terms", _drop_first),
-        (instability, "cone_tests", _one_block_negated),
+    order, each point a list of Python ints.  The cone sweep reads all
+    cones from one plan (all_cone_tests) and cone_accepts one cone's
+    (cone_tests), so both carry the one-block negation."""
+    for modules, name, mutate in (
+        ((indicators, sampling), "langlands_terms", _drop_first),
+        ((indicators, sampling), "sigma_terms", _negated),
+        ((indicators, sampling), "partition_terms", _drop_first),
+        ((instability, sampling), "all_cone_tests", _one_block_row_negated),
+        ((instability,), "cone_tests", _one_block_negated),
     ):
-        broken = mutate(getattr(module, name))
-        monkeypatch.setattr(module, name, broken)
-        monkeypatch.setattr(sampling, name, broken)
+        broken = mutate(getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, broken)
     seed = 5
     sampled = _draw_cleared(np.random.default_rng(seed), (60, 4)).tolist()
     reports = verify_langlands(max_n=3, samples=60, sampled_n=(4,), seed=seed)
@@ -1344,7 +1475,7 @@ def _first_never(body):
 def _overlapping(body):
     """The body with each pair holding also wherever the one before it
     does, the first wherever the last does (a type with one pair is left
-    as it is)."""
+    as it is), bitwise on its packed rows."""
     def broken(Q, H):
         holds = body(Q, H)
         return holds | np.roll(holds, 1, axis=0)
