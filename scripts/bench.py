@@ -6,10 +6,12 @@ each, and keeps the last two lines of each run's standard output: the
 detail line (digest, environment fingerprint, units) and the result line
 (check counts and metrics).  The file holds the checkout's HEAD commit,
 the git tree hashes of its src/ and perfbench/ as measured, the
-fingerprint, the seed and the run length, and per workload the digest,
-the check counts, the end-to-end medians of the untraced run and the
-per-layer medians of the traced run.  Compare two files only when their
-fingerprints match.
+fingerprint, the seed and the run length, whether src/ or perfbench/
+held compiled __pycache__ files before the runs (they change import times
+and peak RSS; a warning goes to stderr when they did), and per workload
+the digest, the check counts, the end-to-end medians of the untraced run
+and the per-layer medians of the traced run.  Compare two files only when
+their fingerprints match.
 
 Usage: python3 scripts/bench.py --label L [--tree PATH]
 
@@ -96,8 +98,18 @@ def revision(tree):
     return git("rev-parse", "HEAD"), source
 
 
+def held_pycache(tree):
+    """Whether any MEASURED directory of the checkout holds a file under
+    a __pycache__ directory."""
+    return any(p.is_file() for d in MEASURED for p in (tree / d).glob("**/__pycache__/*"))
+
+
 def bench(label, tree, workloads, seconds):
     commit, source = revision(tree)
+    pycache = held_pycache(tree)
+    if pycache:
+        print("warning: %s holds __pycache__ files under %s; results may differ from a "
+              "fresh checkout's" % (tree, " or ".join(MEASURED)), file=sys.stderr)
     entries = {}
     for workload in workloads:
         runs = [run_workload(tree, workload, seconds, trace) for trace in (0, 1)]
@@ -109,7 +121,7 @@ def bench(label, tree, workloads, seconds):
     if any(f != fingerprints[0] for f in fingerprints):
         raise BenchError("fingerprints differ between workloads")
     return {"label": label, "commit": commit, "source": source, "fingerprint": fingerprints[0],
-            "seed": SEED, "seconds": seconds, "workloads": entries}
+            "pycache": pycache, "seed": SEED, "seconds": seconds, "workloads": entries}
 
 
 def main(argv=None):

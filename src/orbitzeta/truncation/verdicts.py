@@ -37,14 +37,21 @@ def fold(ufunc, bits, lists):
     and one reduction of a run of its lists, at most GATHER_ROWS rows at
     once (ufunc.reduceat is several times slower on many short lists).  An
     empty list reads the ufunc's identity on every byte: every bit set for
-    bitwise_and, none for bitwise_or."""
+    bitwise_and, none for bitwise_or.  Each run is written through views
+    of one np.void item per row, which on many narrow rows is several times
+    faster than assigning rows by fancy index; rows of no bytes (no sample)
+    need no write."""
     size, groups = lists
-    out = np.empty((size, *bits.shape[1:]), bits.dtype)
+    out = np.empty((size, bits.shape[1]), bits.dtype)
+    if not out.size:
+        return out
+    row = np.dtype((np.void, bits.shape[1]))
+    items = out.view(row)
     for at, index in groups:
         run = _run(len(index))
         for lo in range(0, len(at), run):
             rows = np.take(bits, index[:, lo:lo + run], axis=0)
-            out[at[lo:lo + run]] = ufunc.reduce(rows, axis=0)
+            items[at[lo:lo + run]] = ufunc.reduce(rows, axis=0).view(row)
     return out
 
 

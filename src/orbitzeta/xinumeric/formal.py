@@ -10,7 +10,13 @@ error) pairs: its windows hold integer numerators over one denominator,
 keyed by monomials packed into one int each, so products and the per-degree
 sum are integer arithmetic, and each output coefficient's monomials and
 Fractions are built once.  SparsePoly's +, * and scale stay
-the definition the tests pin these window operations to.  Checking that
+the definition the tests pin these window operations to.  A formal window
+depends only on its factors and length, so the factor windows and strict
+prefix products are kept across calls in one process-global memo per
+length, cleared whole past WINDOW_ENTRIES monomial entries: the h of
+series-warm's 66 orbits (n <= 8) keep 436 windows of 7,833 entries, about
+0.9 MB, and those of all 138 orbits with n <= 10 keep 1,357 of 65,066,
+about 6.6 MB (tracemalloc).  Checking that
 every s^-k coefficient with k >= 2 is the zero polynomial proves the
 cancellation for every possible value of the underlying transcendental
 constants, not merely to working precision.
@@ -22,6 +28,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from ..xi_algebra import SparsePoly
 from .laurent import expand
@@ -64,16 +71,17 @@ class FormalPoly(SparsePoly):
 
     @staticmethod
     def convolve(a, b):
-        """Native window product: integer numerators over da * db."""
+        """Native window product: integer numerators over da * db, each
+        term of b's entry k added into the output's entries k and up."""
         (da, xs), (db, ys) = a, b
-        out = []
-        for j in range(min(len(xs), len(ys))):
-            terms = defaultdict(int)
-            for x, y in zip(xs[: j + 1], ys[j::-1]):
-                for m2, c2 in y.items():
+        out = [{} for _ in range(min(len(xs), len(ys)))]
+        for k, y in enumerate(ys[: len(out)]):
+            for m2, c2 in y.items():
+                for acc, x in zip(out[k:], xs):
+                    get = acc.get
                     for m1, c1 in x.items():
-                        terms[m1 + m2] += c1 * c2
-            out.append(terms)
+                        m = m1 + m2
+                        acc[m] = get(m, 0) + c1 * c2
         return da * db, out
 
     @classmethod
@@ -125,6 +133,21 @@ def _symbols(a, b, count):
     return [FormalPoly.variable(a, k, b**k) for k in range(count)]
 
 
+# formal_cancellation_check's product memo, {q_max: expand's memo}, kept
+# across calls like laurent._PRODUCTS for its config.  _held counts the
+# monomial entries of the kept windows; a call that leaves more than
+# WINDOW_ENTRIES (about 6.6 MB of windows) clears the memo whole.
+WINDOW_ENTRIES = 2**16
+_WINDOWS = {}
+_held = 0
+
+
+def _clear_windows():
+    global _held
+    _WINDOWS.clear()
+    _held = 0
+
+
 @dataclass(frozen=True)
 class CancellationReport:
     """Formal verdicts per negative degree of an expanded expression.
@@ -168,7 +191,10 @@ def formal_cancellation_check(expression):
     polynomial.  A True verdict holds regardless of the numeric values of
     the symbols; a False verdict names the surviving polynomial.  A
     monomial of more than SLOT_MAX factors raises SlotOverflowError.
+    The windows come from the module's memo (_WINDOWS), and every one is
+    the product a fresh fold makes, so no report depends on earlier calls.
     """
+    global _held
     q_max = expression.max_polar_count()
     if q_max == 0 or expression.is_zero:
         return CancellationReport(
@@ -181,7 +207,13 @@ def formal_cancellation_check(expression):
         )
     if max(map(len, expression.terms)) > SLOT_MAX:
         raise SlotOverflowError("a monomial exceeds %d factors" % SLOT_MAX)
-    acc = expand(expression, q_max, FormalPoly, _symbols)
+    memo = _WINDOWS.setdefault(q_max, {})
+    kept = len(memo)
+    acc = expand(expression, q_max, FormalPoly, _symbols, memo)
+    # expand only adds windows, so this call's are the memo's last ones
+    _held += sum(len(e) for _, (_, window) in islice(memo.values(), kept, None) for e in window)
+    if _held > WINDOW_ENTRIES:
+        _clear_windows()
 
     verdicts = []
     formal_pole_order = 0

@@ -181,7 +181,8 @@ def expansion_at(point, config=None):
     The enclosures every point shares are cached per (binary precision,
     cutoff) in _shared_cache.
 
-    The caches, laurent_expand's product memo (one config at a time) and
+    The caches, laurent_expand's product memo (one config at a time),
+    formal_cancellation_check's window memo (one per window length) and
     mpmath's working precision are process-global, so the numeric layer is
     for single-threaded use.
     """

@@ -13,7 +13,9 @@ the exact midpoint of an enclosure of the coefficient, and an error, its
 radius rounded up to a float, so every coefficient lies within its error of
 its value; a coefficient is exact exactly when its error is 0.
 formal_cancellation_check (formal.py) runs it over FormalPoly, with the
-Taylor coefficients left symbolic.
+Taylor coefficients left symbolic, and keeps its own process-global memo,
+one per window length, cleared whole when it holds more than a cap of
+monomial entries.
 
 Ring contract.  A coefficient ring gives constant(q) and zero() as ring
 elements, and three operations on native windows, the form expand works in

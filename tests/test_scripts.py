@@ -166,3 +166,32 @@ def test_bench_reads_a_saved_pair_of_runs(tmp_path, monkeypatch):
         assert payload["source"][d] == git("rev-parse", "HEAD:" + d).strip()
     assert git("status", "--porcelain") == "?? BENCH_saved.json\n"
     assert bench.main(["--label", "no/label"]) == 2
+
+
+def test_bench_records_leftover_bytecode_caches(tmp_path, monkeypatch, capsys):
+    """scripts/bench.py records whether src/ or perfbench/ of the measured
+    checkout held __pycache__ files before the runs, and warns on stderr
+    when they did; caches elsewhere, or empty cache directories, do not
+    count."""
+    bench = load_script("bench")
+    untraced, traced = (
+        bench.parse_run((DATA / ("series_warm_trace%d.out" % t)).read_text()) for t in (0, 1)
+    )
+    monkeypatch.setattr(bench, "run_workload", lambda tree, w, s, trace: (untraced, traced)[trace])
+    monkeypatch.setattr(bench, "revision", lambda tree: ("0" * 40, {}))
+    for name in ("src/pkg/a.py", "perfbench/run.py", "scripts/__pycache__/x.cpython-311.pyc"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("x = 1\n")
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir()
+    assert not bench.held_pycache(tmp_path)
+    payload = bench.bench("clean", tmp_path, ["series-warm"], 20)
+    assert payload["pycache"] is False
+    assert "warning" not in capsys.readouterr().err
+    for name in ("src/pkg/__pycache__/a.cpython-311.pyc", "perfbench/__pycache__/run.pyc"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(b"")
+        assert bench.held_pycache(tmp_path)
+        payload = bench.bench("cached", tmp_path, ["series-warm"], 20)
+        assert payload["pycache"] is True
+        assert "warning: %s holds __pycache__ files" % tmp_path in capsys.readouterr().err
+        (tmp_path / name).unlink()
