@@ -568,10 +568,11 @@ def test_formal_memo_changes_no_report(monkeypatch):
 
 def test_formal_checks_through_ten_take_under_half_a_second():
     """The formal checks of h for all 138 orbits with n <= 10, in a fresh
-    interpreter with h built beforehand, take under 0.5 s: 0.16 to 0.21 s
-    over 6 runs on a 2-vCPU host, against 0.24 s with a fresh memo and the
-    per-degree convolve.  Every deep coefficient vanishes, and the memo is
-    left within its cap."""
+    interpreter with h built beforehand, take under 0.5 s: 0.16 to 0.26 s
+    over 12 runs on a 2-vCPU host, 10 of them under 0.18 s, against 0.24
+    to 0.26 s with a fresh memo per call and the per-degree convolve.
+    Every deep coefficient vanishes, and the memo is left within its
+    cap."""
     script = (
         "import json, time\n"
         "from orbitzeta.partitions import partitions_of\n"
