@@ -314,8 +314,7 @@ def build_parser():
             sp.add_argument("--max-n", type=int, default=6, dest="max_n",
                             help="size bound for exhaustive checks")
         if numeric:
-            sp.add_argument("--digits", type=int, default=None,
-                            help="working digits (overrides ORBITZETA_DIGITS)")
+            sp.add_argument("--digits", type=int, default=None, help="working digits")
             sp.add_argument("--order", type=int, default=None,
                             help="series expansion order")
         if sampled:

@@ -60,9 +60,6 @@ class Partition:
             tuple(sum(1 for p in self.parts if p >= k) for k in range(1, self.parts[0] + 1))
         )
 
-    def to_json(self):
-        return list(self.parts)
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -216,13 +213,6 @@ class LeviOrbitClass:
     @property
     def induced(self):
         return induce(self.levi, self.orbits)
-
-    def to_json(self):
-        return {
-            "levi": list(self.levi),
-            "orbits": [o.to_json() for o in self.orbits],
-            "weight": {"num": self.weight.numerator, "den": self.weight.denominator},
-        }
 
 
 @lru_cache(maxsize=None)

@@ -127,13 +127,6 @@ class CanonicalPair:
     def blocks(self):
         return tuple(runs(self.weyl, self.parabolic.blocks))
 
-    def to_json(self):
-        return {
-            "type": list(self.parabolic.blocks),
-            "weyl": list(self.weyl),
-            "degree": {"num": self.degree.numerator, "den": self.degree.denominator},
-        }
-
 
 def canonical_pair(H):
     """The unique maximal maximizing pair, built from value classes.
@@ -243,13 +236,6 @@ class ExtremalPair:
     parabolic: StandardParabolic
     first_block: tuple
     value: Fraction
-
-    def to_json(self):
-        return {
-            "type": list(self.parabolic.blocks),
-            "first_block": list(self.first_block),
-            "value": {"num": self.value.numerator, "den": self.value.denominator},
-        }
 
 
 def _extremal_maximizers(H, top):

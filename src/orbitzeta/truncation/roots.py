@@ -203,9 +203,6 @@ class SemiStandardParabolic:
     def n(self):
         return sum(len(b) for b in self.blocks)
 
-    def to_json(self):
-        return {"blocks": [list(b) for b in self.blocks]}
-
     def __str__(self):
         return "|".join("{%s}" % ",".join(str(i) for i in blk) for blk in self.blocks)
 

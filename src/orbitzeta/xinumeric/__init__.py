@@ -1,7 +1,6 @@
 """Numeric layer: evaluation, Laurent expansion, residues, formal certificates."""
 
 from .config import (
-    ENV_DIGITS,
     ExpansionOrderError,
     GUARD_DIGITS,
     PrecisionConfig,
@@ -30,7 +29,6 @@ from .laurent import (
 )
 
 __all__ = [
-    "ENV_DIGITS",
     "GUARD_DIGITS",
     "ExpansionOrderError",
     "PrecisionConfig",

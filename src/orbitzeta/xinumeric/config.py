@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-ENV_DIGITS = "ORBITZETA_DIGITS"
 
 # extra decimal digits carried internally beyond the requested working digits
 GUARD_DIGITS = 15
@@ -53,11 +50,7 @@ class PrecisionConfig:
 
     @classmethod
     def default(cls, **overrides):
-        """Default config; ORBITZETA_DIGITS overrides working_digits if set."""
-        if "working_digits" not in overrides:
-            env = os.environ.get(ENV_DIGITS)
-            if env is not None:
-                overrides["working_digits"] = int(env)
+        """Default config with the given fields overridden."""
         return cls(**overrides)
 
     @property

@@ -8,10 +8,11 @@ once per degree, keeping each factor's window and each product that is a
 strict prefix of a monomial in a memo keyed by factor tuple.  laurent_expand
 holds one process-global memo for the last config it expanded at (a window
 depends only on the config and the factors), single-threaded like the
-kernel's tables.  laurent_expand runs it over Ball coefficients: a value,
-the exact midpoint of an enclosure of the coefficient, and an error, its
-radius rounded up to a float, so every coefficient lies within its error of
-its value; a coefficient is exact exactly when its error is 0.
+kernel's tables.  laurent_expand runs it over the kernel's int enclosures
+and reads each returned coefficient once as a Ball: a value, the exact
+midpoint of its enclosure, and an error, its radius rounded up to a float,
+so every coefficient lies within its error of its value; a coefficient is
+exact exactly when its error is 0.
 formal_cancellation_check (formal.py) runs it over FormalPoly, with the
 Taylor coefficients left symbolic, and keeps its own process-global memo,
 one per window length, cleared whole when it holds more than a cap of
@@ -28,14 +29,14 @@ from the lifted factor series to the last sum:
       [lo, hi]: the fold with + of each window's entry scaled by its
       coefficient, a degree below a window adding an exact zero.
 Each ring has a reference the tests pin its window operations to.  For
-Ball it is exact rational arithmetic on box corners: a native entry is the
-int enclosure (lo, hi, e) of .intervals at the working precision, lift
-widens each ball to its box [value - error, value + error] rounded outward,
-and every entry of convolve and weighted_sum is intervals.exact_dot, the
-exact sum of its products' exact hulls rounded outward once.  For
-FormalPoly it is SparsePoly's +, * and scale; its native window is one
-integer denominator and, per coefficient, a dict from packed monomials
-(one int, a 6-bit exponent slot per symbol) to integer numerators.
+Enclosures it is exact rational arithmetic on box corners: an element is
+the int enclosure (lo, hi, e) of .intervals at the working precision, a
+native window is a sequence of them, so lift is the identity, and every
+entry of convolve and weighted_sum is intervals.exact_dot, the exact sum of
+its products' exact hulls rounded outward once.  For FormalPoly it is
+SparsePoly's +, * and scale; its native window is one integer denominator
+and, per coefficient, a dict from packed monomials (one int, a 6-bit
+exponent slot per symbol) to integer numerators.
 
 Series windows: a series stores a contiguous block of coefficients starting
 at min_degree.  Products of series with the same relative length keep that
@@ -62,7 +63,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 from .config import ExpansionOrderError, PrecisionConfig
-from .intervals import _outward, div, exact_dot, ival, mul
+from .intervals import ZERO, div, exact_dot, ival, mul
 from .kernel import expansion_at
 
 # pole-order detection: coefficients below 10^3 * error are cancellation noise
@@ -75,44 +76,49 @@ JSON_DIGITS = 30
 
 class Ball(NamedTuple):
     """Numeric series coefficient: an mpf value and a float error such that
-    the coefficient lies in [value - error, value + error].
-
-    lift, convolve and weighted_sum are the ring's window operations (see
-    the module docstring), on int enclosures at the working precision.
-    """
+    the coefficient lies in [value - error, value + error].  laurent_expand
+    reads each coefficient it returns from its enclosure by _ball."""
 
     value: object
     error: float
 
     @classmethod
-    def constant(cls, q):
-        return _ball(_quotient(Fraction(q), mp.prec))
-
-    @classmethod
     def zero(cls):
         return cls(mpf(0), 0.0)
 
+
+class Enclosures:
+    """The numeric ring over the int enclosures (lo, hi, e) of .intervals
+    at the working precision (see the module docstring)."""
+
+    @staticmethod
+    def constant(q):
+        return _quotient(q, mp.prec)
+
+    @staticmethod
+    def zero():
+        return ZERO
+
     @staticmethod
     def lift(coeffs):
-        """Native window: each ball's box, rounded outward."""
-        return [_box(c, mp.prec) for c in coeffs]
+        return coeffs
 
     @staticmethod
     def convolve(a, b):
-        """Native window product: entry j encloses a[0]*b[j] + ... +
-        a[j]*b[0], rounded once, for each j below the shorter window."""
+        """Entry j encloses a[0]*b[j] + ... + a[j]*b[0], rounded once, for
+        each j below the shorter window."""
         prec = mp.prec
         return [exact_dot(zip(a[: j + 1], b[j::-1]), prec) for j in range(min(len(a), len(b)))]
 
     @staticmethod
     def weighted_sum(terms, lo, hi):
-        """Balls lo..hi of the sum of the (coefficient, min_degree, native
+        """Enclosures lo..hi of the sum of the (coefficient, min_degree,
         window) terms: each degree encloses the sum of every window's entry
         times an enclosure of its coefficient, rounded once."""
         prec = mp.prec
         weights = [(_quotient(c, prec), m, w) for c, m, w in terms]
         return [
-            _ball(exact_dot(((w[d - m], c) for c, m, w in weights if d >= m), prec))
+            exact_dot(((w[d - m], c) for c, m, w in weights if d >= m), prec)
             for d in range(lo, hi + 1)
         ]
 
@@ -120,17 +126,6 @@ class Ball(NamedTuple):
 def _quotient(q, prec):
     """Enclosure of a Fraction."""
     return div(ival(q.numerator, prec), ival(q.denominator, prec), prec)
-
-
-def _box(ball, prec):
-    """Enclosure of [value - error, value + error], rounded outward."""
-    (sign, man, e, _), (r, d) = ball.value._mpf_, ball.error.as_integer_ratio()
-    man, f = -man if sign else man, 1 - d.bit_length()  # error = r 2^f
-    if e > f:
-        man, e = man << e - f, f
-    else:
-        r <<= f - e
-    return _outward(man - r, man + r, e, prec)
 
 
 def _ball(x):
@@ -151,9 +146,10 @@ def _ball(x):
 class LaurentSeries:
     """Finite block of Laurent coefficients over one coefficient ring.
 
-    coeffs[i] is the coefficient of s^(min_degree + i).  The numeric ring's
-    coefficients are Balls, (value, error) pairs; classify,
-    is_zero_to_precision and to_json apply to that ring only.
+    coeffs[i] is the coefficient of s^(min_degree + i): a FormalPoly, an
+    enclosure as expand returns it over Enclosures, or a Ball as
+    laurent_expand returns it.  classify, is_zero_to_precision and to_json
+    apply to Balls only.
     """
 
     min_degree: int
@@ -362,7 +358,8 @@ def laurent_expand(expression, config=None):
     The certified window is [-q, K - q] where q is the largest polar-factor
     count of any monomial and K the configured expansion order; the order
     must exceed q by at least 2 or the expansion is refused outright.
-    Products come from the memo of the last config expanded (see expand).
+    Products over Enclosures come from the memo of the last config
+    expanded (see expand); each returned coefficient is read as a Ball.
     """
     config = config or PrecisionConfig.default()
     length = config.expansion_order + 1
@@ -378,9 +375,10 @@ def laurent_expand(expression, config=None):
     def taylor(a, b, count):
         prec = mp.prec
         enclosures = expansion_at(a, config).enclosures[:count]
-        return [_ball(mul(c, ival(b**k, prec), prec)) for k, c in enumerate(enclosures)]
+        return [mul(c, ival(b**k, prec), prec) for k, c in enumerate(enclosures)]
 
     if config not in _PRODUCTS:
         _PRODUCTS.clear()
     with mp.workdps(config.internal_dps):
-        return expand(expression, length, Ball, taylor, _PRODUCTS.setdefault(config, {}))
+        series = expand(expression, length, Enclosures, taylor, _PRODUCTS.setdefault(config, {}))
+    return LaurentSeries(series.min_degree, tuple(map(_ball, series.coeffs)))

@@ -104,6 +104,34 @@ def test_residues_gate_fires_on_a_residue_just_off_its_anchor(capsys, monkeypatc
     assert failed == ["1,1,1", "2,1"]
 
 
+@pytest.mark.parametrize("broken", ["pole order", "formal"])
+def test_residues_gate_fires_on_a_pole_order_or_a_deep_coefficient(capsys, monkeypatch, broken):
+    """A numeric pole order of 2, or a formal report with a deep coefficient
+    that does not vanish, for every orbit of a gated size: `residues --n 2`
+    exits 1, prints one GATE FAIL line per orbit and lists the same
+    failures in the JSON gate_failures."""
+    import dataclasses
+
+    from orbitzeta import cli
+
+    if broken == "pole order":
+        real, name, change = cli.residue_at_zero, "residue_at_zero", {"pole_order": 2}
+        messages = ["2: pole order 2", "1,1: pole order 2"]
+    else:
+        real, name = cli.formal_cancellation_check, "formal_cancellation_check"
+        change = {"all_deep_vanish": False}
+        messages = ["%s: deep coefficient not formally zero" % p for p in ("2", "1,1")]
+    monkeypatch.setattr(cli, name, lambda x: dataclasses.replace(real(x), **change))
+    code, out, _ = run(capsys, "residues", "--n", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if "GATE FAIL" in line] == [
+        "GATE FAIL: %s" % m for m in messages
+    ]
+    code, out, _ = run(capsys, "residues", "--n", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["gate_failures"] == messages
+
+
 def test_residues_requires_n(capsys):
     code, _, err = run(capsys, "residues")
     assert code == 2
@@ -268,16 +296,25 @@ def test_digits_flag_reaches_report(capsys):
     assert json.loads(out)["precision"]["working_digits"] == 20
 
 
-def test_env_digits_override(capsys, monkeypatch):
-    monkeypatch.setenv("ORBITZETA_DIGITS", "25")
-    code, out, _ = run(capsys, "expand", "--partition", "2", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["precision"]["working_digits"] == 25
-    # explicit flag wins over the environment
-    code, out, _ = run(
-        capsys, "expand", "--partition", "2", "--digits", "35", "--format", "json"
-    )
-    assert json.loads(out)["precision"]["working_digits"] == 35
+@pytest.mark.parametrize(
+    "argv, code, needle",
+    [
+        ("residues --n 2 --digits 400", 2, "precision error: errors at 415 digits underflow"),
+        ("expand --partition 2,1 --format csv", 2, "error: no CSV layout for this command"),
+        ("verify-identity --max-n 7", 2, "needs --max-n between 1 and 6"),
+        ("verify-cones --n 6", 2, "needs --n between 1 and 5"),
+        ("residues --n 2 --order 12 --format json", 0, '"expansion_order": 12,'),
+    ],
+    ids=["digits-underflow", "no-csv-layout", "identity-size", "cones-size", "order"],
+)
+def test_cli_paths_exit_with_their_codes(capsys, argv, code, needle):
+    """A PrecisionError from the Euler-Maclaurin plan, a format with no CSV
+    layout and sizes out of range for the verify commands exit 2 with
+    their message on stderr; --order sets the expansion order the report
+    records."""
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    assert needle in (out if code == 0 else err)
 
 
 def test_version_flag(capsys):

@@ -35,7 +35,7 @@ from orbitzeta.xinumeric.formal import SLOT_MAX, SlotOverflowError, _symbols, _u
 from orbitzeta.xinumeric.intervals import ival, mul
 from orbitzeta.xinumeric.kernel import expansion_at
 from orbitzeta.xinumeric.laurent import (
-    _PRODUCTS, Ball, _ball, _box, _quotient, expand, factor_series,
+    _PRODUCTS, Ball, Enclosures, _ball, _quotient, expand, factor_series,
 )
 
 CFG = PrecisionConfig.default(working_digits=30, expansion_order=8)
@@ -149,6 +149,25 @@ def test_zero_expression_is_flagged():
     assert rr.residue == Fraction(0)
 
 
+def test_coefficients_near_their_noise_floor_are_indeterminate():
+    """A coefficient within a decade of its noise floor, 10^3 times its
+    error, edges included, is indeterminate; one float step above the band
+    it is nonzero and one below it zero.  An indeterminate deep coefficient
+    leaves the pole order uncertified: residue_at_zero reports None, lists
+    the degree, and to_json writes null."""
+    error = 2.0**-60
+    floor = 1e3 * error
+    low, high = floor / 10, floor * 10
+    values = [low, -floor, math.nextafter(low, 0.0), -math.nextafter(high, math.inf), high]
+    series = LaurentSeries(-4, tuple(Ball(mpmath.mpf(v), error) for v in values))
+    classes = [series.classify(d) for d in series.degrees()]
+    assert classes == ["indeterminate", "indeterminate", "zero", "nonzero", "indeterminate"]
+    rr = residue_at_zero(series)
+    assert (rr.pole_order, rr.indeterminate_degrees, rr.audit) == (None, (-4, -3), ())
+    text = json.dumps(rr.to_json())
+    assert '"pole_order": null' in text and '"indeterminate_degrees": [-4, -3]' in text
+
+
 def test_insufficient_order_is_refused():
     # three polar factors need expansion_order >= 5
     tight = PrecisionConfig.default(working_digits=20, expansion_order=4)
@@ -158,11 +177,12 @@ def test_insufficient_order_is_refused():
 
 def test_series_scale_and_add_error_tracking():
     """A series weighted by 2 and by -2 and summed: every ball holds 0."""
-    series = laurent_expand(single_factor(1, 1), CFG)
+    ring = Enclosures
     with mp.workdps(CFG.internal_dps):
-        window = Ball.lift(series.coeffs)
-        total = Ball.weighted_sum([(Fraction(2), -1, window), (Fraction(-2), -1, window)], -1, 7)
-    assert all(abs(value) <= error < 1e-30 for value, error in total)
+        series = expand(single_factor(1, 1), CFG.expansion_order + 1, ring, numeric_taylor(CFG))
+        window = ring.lift(series.coeffs)
+        total = ring.weighted_sum([(Fraction(2), -1, window), (Fraction(-2), -1, window)], -1, 7)
+    assert all(abs(value) <= error < 1e-30 for value, error in map(_ball, total))
 
 
 def test_residue_balls_contain_their_anchors():
@@ -363,10 +383,12 @@ def naive_expand(expression, length, ring, taylor):
     return acc
 
 
-def fresh_expand(expression, length, ring, taylor):
-    """Oracle for expand's memo over Ball, which has no scalar operations:
-    every monomial's lifted factor windows convolved afresh from the left,
-    then one weighted_sum in the sorted term order."""
+def fresh_expand(expression, length, taylor):
+    """Oracle for expand's memo over Enclosures, which has no scalar
+    operations: every monomial's lifted factor windows convolved afresh
+    from the left, then one weighted_sum in the sorted term order, each
+    coefficient read as a Ball."""
+    ring = Enclosures
     unit = LaurentSeries(0, (ring.constant(Fraction(1)),) + (ring.zero(),) * (length - 1))
     terms = []
     for monomial, coeff in expression.sorted_terms():
@@ -374,7 +396,7 @@ def fresh_expand(expression, length, ring, taylor):
         window = reduce(ring.convolve, [ring.lift(f.coeffs) for f in factors])
         terms.append((coeff, sum(f.min_degree for f in factors), window))
     lo = min(degree for _, degree, _ in terms)
-    return LaurentSeries(lo, tuple(ring.weighted_sum(terms, lo, lo + length - 1)))
+    return LaurentSeries(lo, tuple(map(_ball, ring.weighted_sum(terms, lo, lo + length - 1))))
 
 
 def numeric_taylor(config):
@@ -382,7 +404,7 @@ def numeric_taylor(config):
 
     def taylor(a, b, count):
         enclosures = expansion_at(a, config).enclosures[:count]
-        return [_ball(mul(c, ival(b**k, mp.prec), mp.prec)) for k, c in enumerate(enclosures)]
+        return [mul(c, ival(b**k, mp.prec), mp.prec) for k, c in enumerate(enclosures)]
 
     return taylor
 
@@ -425,7 +447,7 @@ def _expressions_through(n):
 def test_shared_products_equal_the_naive_fold():
     """expand shares factor-prefix products across monomials and sums each
     degree once on native windows; the result is bit-identical to folding
-    each monomial afresh, with the window operations over Ball and with
+    each monomial afresh, with the window operations over Enclosures and with
     the scalar operations over FormalPoly, for every h and z with n <= 7
     (about 2.5 s on one CPU)."""
     for expr in _expressions_through(7) + list(SYNTHETIC):
@@ -434,7 +456,7 @@ def test_shared_products_equal_the_naive_fold():
             working_digits=30, expansion_order=max(8, expr.max_polar_count() + 2)
         )
         with mp.workdps(cfg.internal_dps):
-            want = bits(fresh_expand(expr, cfg.expansion_order + 1, Ball, numeric_taylor(cfg)))
+            want = bits(fresh_expand(expr, cfg.expansion_order + 1, numeric_taylor(cfg)))
         assert bits(laurent_expand(expr, cfg)) == want, expr
         length = expr.max_polar_count() + 2
         formal = expand(expr, length, FormalPoly, _symbols)
@@ -464,7 +486,7 @@ def test_shared_products_do_not_depend_on_term_order():
 def count_convolves(monkeypatch):
     """Count every native window product of either ring in calls[0]."""
     calls = [0]
-    for ring in (Ball, FormalPoly):
+    for ring in (Enclosures, FormalPoly):
 
         def counting(a, b, convolve=ring.convolve):
             calls[0] += 1
@@ -513,7 +535,7 @@ def test_switching_config_and_back_keeps_the_naive_bits():
     for cfg in (CFG, other, CFG, other):
         for expr in exprs:
             with mp.workdps(cfg.internal_dps):
-                want = fresh_expand(expr, cfg.expansion_order + 1, Ball, numeric_taylor(cfg))
+                want = fresh_expand(expr, cfg.expansion_order + 1, numeric_taylor(cfg))
             assert bits(laurent_expand(expr, cfg)) == bits(want), (cfg, expr)
         assert list(_PRODUCTS) == [cfg]
 
@@ -599,7 +621,7 @@ def test_formal_checks_through_ten_take_under_half_a_second():
 def test_expand_refuses_an_expression_with_no_terms():
     """expand has no series to return for the zero expression; both callers
     answer it before expanding."""
-    for ring, taylor in ((Ball, numeric_taylor(CFG)), (FormalPoly, _symbols)):
+    for ring, taylor in ((Enclosures, numeric_taylor(CFG)), (FormalPoly, _symbols)):
         with pytest.raises(ValueError, match="no terms"):
             expand(XiExpression.zero(), 4, ring, taylor)
     zero = XiExpression.zero()
@@ -623,19 +645,10 @@ def assert_ball_of(ball, lo, hi):
     assert error == 0.0 or Fraction(math.nextafter(error, 0.0)) < half, (ball, lo, hi)
 
 
-def assert_box_of(box, ball, prec):
-    """box is ball's box: [value - error, value + error] rounded outward to
-    prec bits."""
-    value, error = exact(ball.value), Fraction(ball.error)
-    want = interval_oracle.rounded_out(value - error, value + error, prec)
-    assert interval_oracle.endpoints(box) == want, (ball, box)
-
-
 def test_ball_and_box_conversions_enclose():
     """Boxes of every sign, width and exponent, subnormal radii included,
     read back as the ball of their exact midpoint and half-width rounded
-    up; balls with full-precision values and errors above, at and far
-    below an ulp lift to their outward-rounded boxes, which contain them."""
+    up."""
     rng = random.Random(3)
     boxes = [(0, 0, 0), (5, 5, -3), (-7, -7, 40), (0, 3, -1100), (-1, 1, -1074)]
     for _ in range(400):
@@ -643,42 +656,40 @@ def test_ball_and_box_conversions_enclose():
         boxes.append((lo, lo + rng.getrandbits(rng.randint(0, 120)), rng.randint(-400, 200)))
     for box in boxes:
         assert_ball_of(_ball(box), *interval_oracle.endpoints(box))
-    for dps in (15, 40):
-        with mp.workdps(dps):
-            balls = [Ball.zero(), Ball(mpmath.mpf(1), 0.0), Ball(mpmath.mpf(1), 1e-300)]
-            for _ in range(400):
-                value = _ball_entry(rng).value
-                ulp = float(abs(value)) * 2.0**-mp.prec
-                error = rng.choice((0.0, ulp, rng.uniform(0, 1e6) * ulp, rng.uniform(0, 1e-6) * ulp))
-                balls.append(Ball(value, error))
-            lifted = Ball.lift(balls)
-            for ball, box in zip(balls, lifted):
-                assert_box_of(box, ball, mp.prec)
-                assert_ball_of(_ball(box), *interval_oracle.endpoints(box))
 
 
-def _ball_entry(rng):
-    """A Fraction's ball (dyadic or not), a zero, or a full-precision mpf
-    over a wide exponent range, with a zero or nonzero error."""
+def _enclosure(value, error):
+    """The int enclosure of [value - error, value + error], an mpf and a
+    float, rounded outward to the working precision in Fractions."""
+    value, error = exact(value), Fraction(error)
+    lo, hi = interval_oracle.rounded_out(value - error, value + error, mp.prec)
+    e = 1 - max(lo.denominator, hi.denominator).bit_length()
+    return int(lo * 2**-e), int(hi * 2**-e), e
+
+
+def _entry(rng):
+    """A Fraction's enclosure (dyadic or not), or the box of a zero or of
+    a full-precision mpf over a wide exponent range, with a zero or
+    nonzero radius."""
     M = mpmath.mpf
     kind = rng.randrange(4)
     if kind == 0:
-        return Ball.constant(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+        return Enclosures.constant(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
     if kind == 1:
         value = M(0)
     else:
         value = mpmath.ldexp(M(rng.randint(-(10**60), 10**60)) / rng.randint(1, 10**40), -rng.randint(0, 300))
-    return Ball(value, rng.choice((0.0, rng.uniform(0, 1e-30), rng.uniform(0, 1e-60))))
+    return _enclosure(value, rng.choice((0.0, rng.uniform(0, 1e-30), rng.uniform(0, 1e-60))))
 
 
 def _numeric_windows(rng):
-    """Windows of Fraction balls (zero included), full-precision mpfs over
-    a wide exponent range, zero mpfs and mixes, with zero and nonzero
-    errors and unequal lengths; built at the working precision.  Fixed
-    cases, in products with each other and with the random windows:
-    summands whose tops lie more than prec + 100 bits apart, in both
-    orders and signs; odd prec-bit integers; and sums cancelling to
-    zero."""
+    """Windows of Fraction enclosures (zero included), boxes of
+    full-precision mpfs over a wide exponent range, of zero mpfs and
+    mixes, with zero and nonzero radii and unequal lengths; built at the
+    working precision.  Fixed cases, in products with each other and with
+    the random windows: summands whose tops lie more than prec + 100 bits
+    apart, in both orders and signs; odd prec-bit integers; and sums
+    cancelling to zero."""
     F, M = Fraction, mpmath.mpf
     half = 2 ** (mp.prec - 1)
     tiny = mpmath.ldexp(M(1) / 7, -(mp.prec + 150))
@@ -695,26 +706,26 @@ def _numeric_windows(rng):
         [M(1) / 3, M(1) / 3, M(2) / 7, M(-2) / 7],
     ]
 
-    def ball(v, error=0.0):
-        return Ball.constant(v) if isinstance(v, Fraction) else Ball(v, error)
+    def entry(v, error=0.0):
+        return Enclosures.constant(v) if isinstance(v, Fraction) else _enclosure(v, error)
 
-    windows = [[ball(v) for v in w] for w in fixed]
-    windows.append([ball(v, 1e-40 * k) for k, v in enumerate(fixed[2])])
-    windows += [[_ball_entry(rng) for _ in range(rng.randint(1, 8))] for _ in range(25)]
+    windows = [[entry(v) for v in w] for w in fixed]
+    windows.append([entry(v, 1e-40 * k) for k, v in enumerate(fixed[2])])
+    windows += [[_entry(rng) for _ in range(rng.randint(1, 8))] for _ in range(25)]
     return windows
 
 
 @pytest.mark.parametrize("dps", [15, 40])
 def test_numeric_convolve_equals_the_scalar_double_loop(dps):
-    """Ball.convolve on lifted windows against the double loop of exact
-    rational arithmetic on box corners (interval_oracle.exact_dot), bit for
-    bit, for every ordered pair of windows."""
+    """Enclosures.convolve on lifted windows against the double loop of
+    exact rational arithmetic on box corners (interval_oracle.exact_dot),
+    bit for bit, for every ordered pair of windows."""
     with mp.workdps(dps):
         windows = _numeric_windows(random.Random(dps))
-        lifted = [Ball.lift(w) for w in windows]
+        lifted = [Enclosures.lift(w) for w in windows]
         for a in lifted:
             for b in lifted:
-                got = Ball.convolve(a, b)
+                got = Enclosures.convolve(a, b)
                 assert len(got) == min(len(a), len(b))
                 for j, box in enumerate(got):
                     want = interval_oracle.exact_dot(zip(a[: j + 1], b[j::-1]), mp.prec)
@@ -733,19 +744,19 @@ def _weighted_terms(rng, lo, hi, window, coeffs):
 
 @pytest.mark.parametrize("dps", [15, 40])
 def test_numeric_weighted_sum_equals_the_scalar_fold(dps):
-    """Ball.weighted_sum on lifted windows against the fold of exact
+    """Enclosures.weighted_sum on lifted windows against the fold of exact
     rational arithmetic on box corners, each entry times the enclosure of
-    its weight, read back as a ball, bit for bit: windows starting above lo
-    (an exact zero below them), the unit monomial's window, Fraction-only
-    windows, zero mpfs, Fraction/mpf mixes, zero and nonzero errors, and
-    weights wider than the precision."""
+    its weight, bit for bit: windows starting above lo (an exact zero below
+    them), the unit monomial's window, Fraction-only windows, boxes of
+    zero mpfs, Fraction/mpf mixes, zero and nonzero radii, and weights
+    wider than the precision."""
     F, M = Fraction, mpmath.mpf
     rng = random.Random(100 + dps)
     kinds = [
-        lambda k: [Ball.constant(F(1))] + [Ball.zero()] * (k - 1),
-        lambda k: [Ball.constant(F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(k)],
-        lambda k: [Ball(M(0), rng.choice((0.0, 1e-35))) for _ in range(k)],
-        lambda k: [_ball_entry(rng) for _ in range(k)],
+        lambda k: [Enclosures.constant(F(1))] + [Enclosures.zero()] * (k - 1),
+        lambda k: [Enclosures.constant(F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(k)],
+        lambda k: [_enclosure(M(0), rng.choice((0.0, 1e-35))) for _ in range(k)],
+        lambda k: [_entry(rng) for _ in range(k)],
     ]
     coeffs = [F(1), F(-1), F(3, 7), F(-22, 5), F(10**12, 7), F(1, 3**40)]
     checked = 0
@@ -754,12 +765,14 @@ def test_numeric_weighted_sum_equals_the_scalar_fold(dps):
             lo = rng.randint(-3, 0)
             hi = lo + rng.randint(0, 5)
             kind = kinds[case % len(kinds)] if case < 40 else (lambda k: rng.choice(kinds)(k))
-            terms = [(c, m, Ball.lift(w)) for c, m, w in _weighted_terms(rng, lo, hi, kind, coeffs)]
-            got = Ball.weighted_sum(terms, lo, hi)
+            terms = [
+                (c, m, Enclosures.lift(w)) for c, m, w in _weighted_terms(rng, lo, hi, kind, coeffs)
+            ]
+            got = Enclosures.weighted_sum(terms, lo, hi)
             assert len(got) == hi - lo + 1
-            for d, ball in zip(range(lo, hi + 1), got):
+            for d, box in zip(range(lo, hi + 1), got):
                 pairs = [(w[d - m], _quotient(c, mp.prec)) for c, m, w in terms if d >= m]
-                assert_ball_of(ball, *interval_oracle.exact_dot(pairs, mp.prec))
+                assert interval_oracle.endpoints(box) == interval_oracle.exact_dot(pairs, mp.prec)
             checked += sum(m > lo for _, m, _ in terms)
     assert checked > 100
 
@@ -771,12 +784,13 @@ def exact(value):
 
 @pytest.mark.parametrize("dps", [15, 40])
 def test_numeric_window_errors_bound_every_rounding(dps):
-    """Every entry of convolve and weighted_sum on lifted windows encloses
-    the exact result at any point of the input balls: for random windows
-    of Fraction balls (dyadic or not), full-precision mpfs and zeros, each
-    with its error, and rational weights (dyadic or not), the exact
-    products and weighted sums at the values and at random ends of every
-    input ball lie within the output's error of its value."""
+    """Every entry of convolve and weighted_sum on lifted windows, read as
+    a Ball, encloses the exact result at any point of the input
+    enclosures: for random windows of Fraction enclosures (dyadic or not)
+    and boxes of full-precision mpfs and zeros, and rational weights
+    (dyadic or not), the exact products and weighted sums at the midpoints
+    and at random ends of every input lie within the output's error of its
+    value."""
     F = Fraction
     rng = random.Random(70 + dps)
     with mp.workdps(dps):
@@ -784,10 +798,12 @@ def test_numeric_window_errors_bound_every_rounding(dps):
         inside = 0
 
         def points(window):
-            """The values, then two random choices of an end of each ball."""
-            yield [exact(v) for v, _ in window]
+            """The midpoints, then two random choices of an end of each
+            enclosure."""
+            ends = [interval_oracle.endpoints(x) for x in window]
+            yield [(lo + hi) / 2 for lo, hi in ends]
             for _ in range(2):
-                yield [exact(v) + rng.choice((-1, 1)) * F(e) for v, e in window]
+                yield [rng.choice(pair) for pair in ends]
 
         def check(ball, want):
             nonlocal inside
@@ -797,7 +813,7 @@ def test_numeric_window_errors_bound_every_rounding(dps):
 
         for a in windows:
             for b in windows:
-                got = Ball.convolve(Ball.lift(a), Ball.lift(b))
+                got = Enclosures.convolve(Enclosures.lift(a), Enclosures.lift(b))
                 for x, y in zip(points(a), points(b)):
                     for j, box in enumerate(got):
                         check(_ball(box), sum(x[i] * y[j - i] for i in range(j + 1)))
@@ -808,25 +824,26 @@ def test_numeric_window_errors_bound_every_rounding(dps):
             terms = [(c, m, w) for c, m, w in terms if len(w) > hi - m]
             if not terms:
                 continue
-            got = Ball.weighted_sum([(c, m, Ball.lift(w)) for c, m, w in terms], lo, hi)
+            got = Enclosures.weighted_sum([(c, m, Enclosures.lift(w)) for c, m, w in terms], lo, hi)
             for xs in zip(*(points(w) for _, _, w in terms)):
-                for d, ball in zip(range(lo, hi + 1), got):
-                    check(ball, sum(c * x[d - m] for (c, m, _), x in zip(terms, xs) if d >= m))
+                for d, box in zip(range(lo, hi + 1), got):
+                    want = sum(c * x[d - m] for (c, m, _), x in zip(terms, xs) if d >= m)
+                    check(_ball(box), want)
     assert inside > 5000
 
 
 def test_fraction_summand_error_covers_its_conversion():
     """An mpf and a Fraction, -1/25 and 1/25 at 53 bits, cancel, whether the
-    Fraction enters as a constant ball or as a weight, and the error still
+    Fraction enters as a constant or as a weight, and the error still
     covers the exact sum's distance."""
     with mp.workdps(15):
-        x = Ball(-mpmath.mpf(1) / 25, 0.0)
-        want = exact(x.value) + Fraction(1, 25)
+        x = _enclosure(-mpmath.mpf(1) / 25, 0.0)
+        want = interval_oracle.endpoints(x)[0] + Fraction(1, 25)
         for terms in (
-            [(Fraction(1), 0, Ball.lift([x])), (Fraction(1), 0, Ball.lift([Ball.constant(Fraction(1, 25))]))],
-            [(Fraction(1), 0, Ball.lift([x])), (Fraction(1, 25), 0, Ball.lift([Ball.constant(1)]))],
+            [(Fraction(1), 0, [x]), (Fraction(1), 0, [Enclosures.constant(Fraction(1, 25))])],
+            [(Fraction(1), 0, [x]), (Fraction(1, 25), 0, [Enclosures.constant(1)])],
         ):
-            (value, error), = Ball.weighted_sum(terms, 0, 0)
+            (value, error), = map(_ball, Enclosures.weighted_sum(terms, 0, 0))
             assert error > 0 and abs(exact(value) - want) <= Fraction(error)
 
 
