@@ -177,11 +177,12 @@ def test_insufficient_order_is_refused():
 
 def test_series_scale_and_add_error_tracking():
     """A series weighted by 2 and by -2 and summed: every ball holds 0."""
-    ring = Enclosures
+    length = CFG.expansion_order + 1
     with mp.workdps(CFG.internal_dps):
-        series = expand(single_factor(1, 1), CFG.expansion_order + 1, ring, numeric_taylor(CFG))
-        window = ring.lift(series.coeffs)
-        total = ring.weighted_sum([(Fraction(2), -1, window), (Fraction(-2), -1, window)], -1, 7)
+        series = expand(single_factor(1, 1), length, Enclosures, numeric_taylor(CFG))
+        window = Enclosures.lift(series.coeffs)
+        terms = [(Fraction(2), -1, window), (Fraction(-2), -1, window)]
+        total = Enclosures.weighted_sum(terms, -1, 7)
     assert all(abs(value) <= error < 1e-30 for value, error in map(_ball, total))
 
 
