@@ -8,7 +8,12 @@ detail line (digest, environment fingerprint, units) and the result line
 the git tree hashes of its src/ and perfbench/ as measured, the
 fingerprint, the seed and the run length, whether src/ or perfbench/
 held compiled __pycache__ files before the runs (they change import times
-and peak RSS; a warning goes to stderr when they did), and per workload
+and peak RSS; a warning goes to stderr when they did), the parser tokens
+of each module under src/ (the tokenize tokens but comments, blank lines
+and line breaks inside brackets; a warning goes to stderr for a module at
+or above TOKEN_STEP, past which CPython 3.11's parser allocates twice the
+token records and the compile's peak memory, and so peak RSS, jumps), and
+per workload
 the digest, the check counts, the end-to-end medians of the untraced run
 and the per-layer medians of the traced run.  Compare two files only when
 their fingerprints match.
@@ -28,10 +33,14 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
 MEASURED = ("src", "perfbench")
+TOKEN_STEP = 4096
+# tokenize's tokens that CPython's parser never sees
+UNPARSED = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
 
 
 class BenchError(RuntimeError):
@@ -104,12 +113,27 @@ def held_pycache(tree):
     return any(p.is_file() for d in MEASURED for p in (tree / d).glob("**/__pycache__/*"))
 
 
+def parser_tokens(tree):
+    """{path under the checkout: parser tokens} for each module under src/."""
+    counts = {}
+    for path in sorted((tree / "src").glob("**/*.py")):
+        with path.open("rb") as fh:
+            tokens = tokenize.tokenize(fh.readline)
+            counts[path.relative_to(tree).as_posix()] = sum(t.type not in UNPARSED for t in tokens)
+    return counts
+
+
 def bench(label, tree, workloads, seconds):
     commit, source = revision(tree)
     pycache = held_pycache(tree)
     if pycache:
         print("warning: %s holds __pycache__ files under %s; results may differ from a "
               "fresh checkout's" % (tree, " or ".join(MEASURED)), file=sys.stderr)
+    tokens = parser_tokens(tree)
+    for path, count in tokens.items():
+        if count >= TOKEN_STEP:
+            print("warning: %s holds %d parser tokens, at or above CPython 3.11's %d-token "
+                  "step; its compile raises peak RSS" % (path, count, TOKEN_STEP), file=sys.stderr)
     entries = {}
     for workload in workloads:
         runs = [run_workload(tree, workload, seconds, trace) for trace in (0, 1)]
@@ -121,7 +145,8 @@ def bench(label, tree, workloads, seconds):
     if any(f != fingerprints[0] for f in fingerprints):
         raise BenchError("fingerprints differ between workloads")
     return {"label": label, "commit": commit, "source": source, "fingerprint": fingerprints[0],
-            "pycache": pycache, "seed": SEED, "seconds": seconds, "workloads": entries}
+            "pycache": pycache, "tokens": tokens, "seed": SEED, "seconds": seconds,
+            "workloads": entries}
 
 
 def main(argv=None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from mpmath.libmp import from_man_exp, mpi_exp
+from mpmath.libmp import from_man_exp
 
 ONE, ZERO = (1, 1, 0), (0, 0, 0)
 
@@ -118,27 +118,14 @@ def exact_dot(pairs, prec):
     return _outward(lo, hi, e, prec)
 
 
-def series_mul(a, b, prec):
-    """Truncated product of two series of enclosures, to the shorter length."""
-    return [dot(a[:k + 1], b[k::-1], prec) for k in range(min(len(a), len(b)))]
-
-
-def series_exp(c, prec):
-    """exp of a series of enclosures: exp(c_0) by mpmath, then k g_k = sum_j (j c_j) g_(k-j)."""
-    scaled = [mul(ival(j, prec), x, prec) for j, x in enumerate(c)]
-    g = [from_mpi(mpi_exp(to_mpi(c[0]), prec))]
-    for k in range(1, len(c)):
-        g.append(div(dot(scaled[1:k + 1], g[::-1], prec), ival(k, prec), prec))
-    return g
-
-
-def exp_terms(c, step, count, prec):
-    """c step^m / m! for m < count, each term as (term * step) / m, for
-    enclosures c > 0 >= step: the signs alternate, so |term| is kept."""
-    (a, b, e), (p, q, f) = c, neg(step)
-    terms = [c]
-    for m in range(1, count):
-        a, b, e = _outward(a * p, b * q, e + f, prec)
-        a, b, e = div((a, b, e), (m, m, 0), prec)
-        terms.append((-b, -a, e) if m % 2 else (a, b, e))
-    return terms
+def exp_terms(terms, logs, m, prec):
+    """Term m of each series c (-log)^m / m! of c exp(-u log), from its term
+    m - 1 in terms, as (term * -log) / m, for enclosures c > 0 and
+    log >= 0: the signs alternate, so |term| is kept."""
+    odd, out = m % 2, []
+    for (a, b, e), (p, q, f) in zip(terms, logs):
+        if not odd:
+            a, b = -b, -a
+        a, b, e = div(_outward(a * p, b * q, e + f, prec), (m, m, 0), prec)
+        out.append((-b, -a, e) if odd else (a, b, e))
+    return out

@@ -9,12 +9,13 @@ Routes kept deliberately independent:
 - zeta values come from an Euler-Maclaurin summation implemented here (the
   Gamma factor and the underlying big-float arithmetic come from mpmath);
 - Taylor coefficients at integer points come from the same summation in
-  power-series mode (F. Johansson, "Rigorous high-precision computation of
-  the Hurwitz zeta function and its derivatives", Numer. Algorithms 69
-  (2015)): real interval arithmetic on plain ints (.intervals), with the
-  bits of mpmath's mpi_* functions, one log per summed term, the values
-  that do not depend on the point shared per precision and cutoff, and a
-  bound on the error of every coefficient.
+  power-series mode (.tables, after F. Johansson, "Rigorous high-precision
+  computation of the Hurwitz zeta function and its derivatives", Numer.
+  Algorithms 69 (2015)): real interval arithmetic on plain ints
+  (.intervals), with the bits of mpmath's mpi_* functions, one log per
+  summed term, the values that do not depend on the point shared per
+  precision and cutoff, a bound on the error of every coefficient, and
+  each table grown in place to the order asked.
   Trapezoid quadrature of the Cauchy integral on a small circle is its
   accuracy oracle (tests/contour_oracle.py), and the same build in
   mpmath's iv context its bit-for-bit oracle (tests/interval_oracle.py);
@@ -31,24 +32,14 @@ principal part 1/(z-1) is carried exactly and never enters a series.
 
 from __future__ import annotations
 
-import functools
-import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    from_float, mpf_euler, mpf_pi, mpi_delta, mpi_log, mpi_loggamma, mpi_mid, round_ceiling,
-    round_floor, to_float,
-)
 
 from .config import GUARD_DIGITS, ExpansionOrderError, PrecisionConfig, PrecisionError
-from .intervals import (
-    ONE, ZERO, add, div, dot, exp_terms, fold_sum, from_mpi, ival, mul, neg, series_exp, series_mul,
-    to_mpi,
-)
+from .tables import _bernoulli_ratio, xi_series
 
 
 class ValueWithError(NamedTuple):
@@ -112,19 +103,6 @@ def _euler_maclaurin_once(s, cutoff, target):
     return None
 
 
-_bernoulli_ratios = {}
-
-
-def _bernoulli_ratio(k):
-    """B_2k/(2k)! at the current working precision, from one table per
-    binary precision shared by the scalar and the power-series sums."""
-    table = _bernoulli_ratios.setdefault(mp.prec, [])
-    while len(table) < k:
-        j = 2 * len(table) + 2
-        table.append(mpmath.bernoulli(j) / mpmath.factorial(j))
-    return table[k - 1]
-
-
 def xi_point(z, digits):
     """xi(z) = pi^(-z/2) Gamma(z/2) zeta(z) away from the poles 0 and 1."""
     with mp.workdps(digits + 10):
@@ -158,28 +136,18 @@ class XiPointExpansion:
 
 
 _expansion_cache = {}
-_series_cache = {}
-
-# one pass over j builds at least this many coefficients
-_MIN_TERMS = 16
-# the Euler-Maclaurin cutoff starts here and doubles at most this often
-_FIRST_CUTOFF = 8
-_CUTOFF_DOUBLINGS = 6
-# the remainder bound's circles r = 1/4..4 with their logs, and constants of its terms
-_RADII = [(i / 4, math.log(i / 4)) for i in range(1, 17)]
-_LOG_PI2_3, _LOG_2PI = math.log(math.pi**2 / 3), math.log(2 * math.pi)
 
 
 def expansion_at(point, config=None):
     """Cached Taylor expansion of (the regular part of) xi at an integer >= 1.
 
-    Returns one memoised table per (config, point), carrying that config.
-    Behind it sits a series cache keyed by (point, internal digits) only:
-    one pass over j builds max(order + 1, _MIN_TERMS) coefficients.
-    Coefficient k and its error do not depend on how many are built, so a
-    higher order is a slice of what is there or a rebuild with that prefix.
-    The enclosures every point shares are cached per (binary precision,
-    cutoff) in _shared_cache.
+    Returns one memoised table per (config, point), carrying that config,
+    with exactly expansion_order + 1 coefficients.  Behind it sits the
+    table of .tables at (point, internal digits), grown in place by only
+    the coefficients a higher order adds; coefficient k and its error do
+    not depend on how many are built, so every order reads a prefix of one
+    table.  The enclosures every point shares are cached per (binary
+    precision, cutoff) there too.
 
     The caches, laurent_expand's product memo (one config at a time),
     formal_cancellation_check's window memo (one per window length) and
@@ -192,209 +160,14 @@ def expansion_at(point, config=None):
     key = (config, point)
     hit = _expansion_cache.get(key)
     if hit is None:
-        size = config.expansion_order + 1
-        series_key = (point, config.internal_dps)
-        built = _series_cache.get(series_key, ((), (), ()))
-        if len(built[0]) < size:
-            built = _series_cache[series_key] = _xi_series(
-                point, config.internal_dps, max(size, _MIN_TERMS)
-            )
+        values, errors, enclosures = xi_series(
+            point, config.internal_dps, config.expansion_order + 1
+        )
         hit = _expansion_cache[key] = XiPointExpansion(
-            point=point, coefficients=built[0][:size], errors=built[1][:size], config=config,
-            enclosures=built[2][:size],
+            point=point, coefficients=values, errors=errors, config=config,
+            enclosures=enclosures,
         )
     return hit
-
-
-def _xi_series(point, digits, size):
-    """Coefficients 0..size-1 of xi(point + u), or of xi(1 + u) - 1/u at
-    point 1, as (values, errors, enclosures).
-
-    Everything runs on the int enclosures of .intervals at mp.prec, so
-    rounding is enclosed; the value is an enclosure's midpoint and the
-    error its width, both taken through mpmath.libmp's mpi_mid and mpi_delta.
-    The Gamma factor pi^(-s/2) Gamma(s/2) is exp of its log series at
-    x = point/2: loggamma(x) - x log pi, then (digamma(x) - log pi) u/2,
-    then polygamma(m-1, x) (u/2)^m/m! = (-1)^m/m sum_{i>=point,
-    i=point mod 2} i^-m u^m, whose tail is a multiple of zeta(m).  mpmath's
-    zeta(m) is taken as accurate to 16 units in the last place.
-    """
-    cutoff, terms = _em_plan(point, digits)
-    with mp.workdps(digits + 10):
-        prec = mp.prec
-        shared = _shared(prec, cutoff, size, terms)
-        ints, two = shared.ints, shared.ints[2]
-        x = div(ival(point, prec), two, prec)
-        odd = point % 2
-        below = range(2 - odd, point, 2)
-        log_pi = shared.log_pi
-        first = fold_sum((div(two, ival(i, prec), prec) for i in below), prec)
-        for term in (shared.euler, mul(ival(2 * odd, prec), shared.log_two, prec), log_pi):
-            first = add(first, neg(term), prec)
-        logs = [
-            add(from_mpi(mpi_loggamma(to_mpi(x), prec)), neg(mul(x, log_pi, prec)), prec)
-            if point > 1 else ZERO,
-            div(first, two, prec),
-        ]
-        for m in range(2, size + 1):
-            half = div(ONE, ival(2**m, prec), prec)
-            tail = mul(shared.zetas[m], add(ONE, neg(half), prec) if odd else half, prec)
-            part = fold_sum((div(ONE, ival(i**m, prec), prec) for i in below), prec)
-            signed = mul(ival((-1) ** m, prec), add(tail, neg(part), prec), prec)
-            logs.append(div(signed, ints[m], prec))
-        gamma = series_exp(logs, prec)
-        xi = series_mul(gamma, _zeta_series(point, cutoff, terms, size), prec)
-        if point == 1:
-            # xi(1 + u) - 1/u = (G(u) - 1)/u + G(u) zeta_reg(1 + u), as G(0) = 1
-            xi = [add(c, g, prec) for c, g in zip(xi, gamma[1:])]
-        return (tuple(mpf(mpi_mid(to_mpi(c), prec)) for c in xi),
-                tuple(to_float(mpi_delta(to_mpi(c), prec)) for c in xi), tuple(xi))
-
-
-def _zeta_series(point, cutoff, terms, size):
-    """Int enclosures of coefficients 0..size-1 of zeta(point + u), or of
-    zeta(1 + u) - 1/u at point 1, at mp.prec, by Euler-Maclaurin in
-    power-series mode (F. Johansson, Numer. Algorithms 69 (2015)):
-
-        zeta(s) = sum_{j<N} j^-s + N^(1-s) [1/(s-1) + 1/(2N)
-                  + sum_{k<=M} B_2k/(2k)! (s)_(2k-1) N^-2k] + R(s),
-
-    with j^-s = j^-point exp(-u log j), N^(1-s) = N^(1-point) N^-u, and
-    (s)_(2k-1) a polynomial in u with integer coefficients.
-    """
-    prec = mp.prec
-    shared = _shared(prec, cutoff, size, terms)
-    # sums[m] is one fold over j and bracket[m] one over k, each in the order of the sum
-    sums = [fold_sum(column, prec) for column in zip(*(
-        exp_terms(div(ONE, ival(j**point, prec), prec), shared.steps[j - 1], size, prec)
-        for j in range(1, cutoff)))]
-    columns, rising = [], [point, 1] + [0] * (size - 2)
-    for k in range(1, terms + 1):
-        columns.append([ival(r, prec) for r in rising])
-        for c in (point + 2 * k - 1, point + 2 * k):
-            rising = [c * rising[0]] + [c * r + lower for r, lower in zip(rising[1:], rising)]
-    bracket = [dot(shared.weights[1:], column, prec, start) for start, column in zip(
-        [div(ONE, ival(2 * cutoff, prec), prec)] + [ZERO] * (size - 1), zip(*columns))]
-    decay = shared.decay  # N^-u, one coefficient longer for the shift at 1
-    if point == 1:
-        # N^-u/u = 1/u + sum_m decay[m+1] u^m, and the 1/u is the pole, kept exact
-        tail = [add(t, d, prec) for t, d in zip(series_mul(decay, bracket, prec), decay[1:])]
-    else:
-        pole = [div(ival((-1) ** m, prec), ival((point - 1) ** (m + 1), prec), prec)
-                for m in range(size)]
-        bracket = [add(b, p, prec) for b, p in zip(bracket, pole)]
-        scale = ival(cutoff ** (point - 1), prec)
-        tail = [div(t, scale, prec) for t in series_mul(decay, bracket, prec)]
-    radii = [math.exp(b) for b in _remainder_log_bounds(point, cutoff, terms, size)]
-    return [add(add(s, t, prec), from_mpi((from_float(-r), from_float(r))), prec)
-            for s, t, r in zip(sums, tail, radii)]
-
-
-def _em_plan(point, digits):
-    """Cutoff N and correction count M for the power-series sum at a point:
-    the least M whose remainder bound at coefficient 0 reaches
-    10^-(digits + 2).  When the bound turns upward first, the corrections
-    cannot reach it at this N, and N doubles.  Errors are floats, so a
-    target below the least normal float is refused."""
-    log_target = -(digits + 2) * math.log(10)
-    if log_target < math.log(sys.float_info.min):
-        raise PrecisionError("errors at %d digits underflow a float" % digits)
-    circles = functools.cache(functools.partial(_circles, point))  # shared by the cutoffs
-    cutoff = _FIRST_CUTOFF
-    for _ in range(_CUTOFF_DOUBLINGS + 1):
-        previous, terms = math.inf, 1
-        while (bound := _log_bounds(circles(terms), cutoff, 1)[0]) < previous:
-            if bound <= log_target:
-                return cutoff, terms
-            previous, terms = bound, terms + 1
-        cutoff *= 2
-    raise PrecisionError("Euler-Maclaurin series cannot reach %d digits at %d" % (digits, point))
-
-
-def _remainder_log_bounds(point, cutoff, terms, size):
-    """Logs of bounds on the u^k coefficients, k < size, of R(point + u),
-    the remainder after M = terms corrections at cutoff N.
-
-    Backlund's bound |R| <= |s + 2M + 1|/(Re s + 2M + 1) |T_(M+1)(s)| holds
-    for Re s > -2M - 1; with |B_2k|/(2k)! <= (pi^2/3)/(2 pi)^2k it is at most
-    (h + 2M + 1)/(l + 2M + 1) (pi^2/3)/(2 pi)^(2M+2) Gamma(h + 2M + 1)/Gamma(h)
-    N^-(l + 2M + 1) on the circle |s - point| = r, h = point + r, l = point - r.
-    Cauchy's estimate divides by r^k; the least over r = 1/4..4 is taken.
-    """
-    return _log_bounds(_circles(point, terms), cutoff, size)
-
-
-def _log_bounds(circles, cutoff, size):
-    """_remainder_log_bounds from the _circles of its point and term count."""
-    log_n = math.log(cutoff)
-    on_circles = [(prefix - power * log_n, log_r) for prefix, power, log_r in circles]
-    return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
-
-
-def _circles(point, terms):
-    """Per circle of _remainder_log_bounds: the log of its bound but the
-    N^-(l + 2M + 1) factor, the power l + 2M + 1, and log r.  Python sums
-    left to right, so the bound minus power * log N has the bits of the
-    whole sum."""
-    return [
-        (
-            math.log((point + r + 2 * terms + 1) / (point - r + 2 * terms + 1))
-            + _LOG_PI2_3
-            - (2 * terms + 2) * _LOG_2PI
-            + math.lgamma(point + r + 2 * terms + 1)
-            - math.lgamma(point + r),
-            point - r + 2 * terms + 1,
-            log_r,
-        )
-        for r, log_r in _RADII
-        if r < point + 2 * terms
-    ]
-
-
-class _Shared:
-    """Enclosures at one precision and cutoff N that every point's table
-    uses: small integers, -log j for 1 <= j <= N, log pi, Euler's gamma,
-    log 2, zeta(m) for m >= 2, the N^-u series and the correction weights
-    B_2k/(2k)! N^-2k.  The lists grow on demand, and an entry comes from
-    the same calls whenever it is made, so no table's bits depend on which
-    tables were built before it.  Built inside mp.workdps at prec."""
-
-    def __init__(self, prec, cutoff):
-        self.prec, self.cutoff = prec, cutoff
-        logs = [from_mpi(mpi_log(to_mpi(ival(j, prec)), prec)) for j in range(1, cutoff + 1)]
-        self.steps = [neg(log) for log in logs]
-        pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
-        self.log_pi = from_mpi(mpi_log(pi, prec))
-        self.euler = from_mpi((mpf_euler(prec, round_floor), mpf_euler(prec, round_ceiling)))
-        self.log_two = logs[1]
-        self.slack = add(ONE, (-1, 1, 4 - prec), prec)  # mpmath's values: accurate to 16 ulps
-        self.ints, self.zetas, self.decay, self.weights = [], [None, None], [], [None]
-
-    def enclose(self, value):
-        return mul(from_mpi((value._mpf_, value._mpf_)), self.slack, self.prec)
-
-    def grow(self, size, terms):
-        prec, ints = self.prec, self.ints
-        ints.extend(ival(i, prec) for i in range(len(ints), size + 1))
-        self.zetas.extend(self.enclose(mpmath.zeta(m)) for m in range(len(self.zetas), size + 1))
-        if len(self.decay) <= size:
-            self.decay = exp_terms(ONE, self.steps[-1], size + 1, prec)
-        for k in range(len(self.weights), terms + 1):
-            power = ival(self.cutoff ** (2 * k), prec)
-            self.weights.append(div(self.enclose(_bernoulli_ratio(k)), power, prec))
-
-
-_shared_cache = {}
-
-
-def _shared(prec, cutoff, size, terms):
-    """The _Shared enclosures at (prec, cutoff), grown to a table of size
-    coefficients with terms corrections."""
-    shared = _shared_cache.get((prec, cutoff))
-    if shared is None:
-        shared = _shared_cache[prec, cutoff] = _Shared(prec, cutoff)
-    shared.grow(size, terms)
-    return shared
 
 
 def xi_value(point, derivative_order=0, config=None):

@@ -163,9 +163,11 @@ class LaurentSeries:
         return range(self.min_degree, self.top_degree + 1)
 
     def coefficient(self, degree):
-        """Coefficient at a degree; degrees below the window are exact zero."""
+        """Coefficient at a degree; degrees below the window are the exact
+        zero of the coefficients' ring (an enclosure's is Enclosures.zero())."""
         if degree < self.min_degree:
-            return type(self.coeffs[0]).zero()
+            first = self.coeffs[0]
+            return Enclosures.zero() if type(first) is tuple else type(first).zero()
         if degree > self.top_degree:
             raise IndexError(
                 "degree %d above certified window (top %d)" % (degree, self.top_degree)

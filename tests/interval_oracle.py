@@ -1,16 +1,16 @@
 """The Taylor-table build in mpmath's iv context: the oracle for the int
-endpoint route of kernel._xi_series; and exact_dot in Fractions, the
+endpoint route of tables.xi_series; and exact_dot in Fractions, the
 oracle for intervals.exact_dot and the Laurent ring built on it.
 
 The same power-series Euler-Maclaurin sum, written with iv.mpf operators.
 Each iv operator calls one mpmath.libmp mpi_* function at iv.prec, and
-each int operation of the kernel's route has the bits of that call, so the
-kernel, making its operations in the same order, must agree with this one
-bit for bit.  The plan and the remainder bounds are
+each int operation of the tables' route has the bits of that call, so a
+table, fresh or grown, making its operations in the same order, must
+agree with this one bit for bit.  The plan and the remainder bounds are
 written out here too, as plain float expressions evaluated term by term, so
-the kernel's plan, which hoists what does not depend on the term count, is
-pinned to them; the Bernoulli table and the cutoff constants are the
-kernel's own.
+the tables' plan, which hoists what does not depend on the term count or
+the cutoff, is pinned to them; the Bernoulli table and the cutoff
+constants are the tables' own.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv, mp, mpf
 
-from orbitzeta.xinumeric import kernel
+from orbitzeta.xinumeric import tables
 from orbitzeta.xinumeric.config import PrecisionError
-from orbitzeta.xinumeric.kernel import _bernoulli_ratio
+from orbitzeta.xinumeric.tables import _bernoulli_ratio
 
 
 def xi_series(point, digits, size):
     """Coefficients 0..size-1 of xi(point + u), or of xi(1 + u) - 1/u at
-    point 1, with errors: kernel._xi_series in the iv context."""
+    point 1, with errors: the tables' build in the iv context."""
     cutoff, terms = em_plan(point, digits)
     saved = iv.prec
     try:
@@ -60,8 +60,8 @@ def xi_series(point, digits, size):
 
 def zeta_series(point, cutoff, terms, size):
     """Enclosures of coefficients 0..size-1 of zeta(point + u), or of
-    zeta(1 + u) - 1/u at point 1, at iv.prec: kernel._zeta_series in the
-    iv context."""
+    zeta(1 + u) - 1/u at point 1, at iv.prec: the tables' zeta series in
+    the iv context."""
     sums = [iv.mpf(1)] + [iv.mpf(0)] * (size - 1)
     for j in range(2, cutoff):
         term, step = iv.mpf(1) / j**point, -iv.log(j)
@@ -96,8 +96,8 @@ def em_plan(point, digits):
     log_target = -(digits + 2) * math.log(10)
     if log_target < math.log(sys.float_info.min):
         raise PrecisionError("errors at %d digits underflow a float" % digits)
-    cutoff = kernel._FIRST_CUTOFF
-    for _ in range(kernel._CUTOFF_DOUBLINGS + 1):
+    cutoff = tables._FIRST_CUTOFF
+    for _ in range(tables._CUTOFF_DOUBLINGS + 1):
         previous, terms = math.inf, 1
         while (bound := remainder_log_bounds(point, cutoff, terms, 1)[0]) < previous:
             if bound <= log_target:

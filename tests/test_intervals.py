@@ -139,13 +139,16 @@ def test_folds_match_the_mpi_calls_in_order(prec):
             want = mpi_add(want, mpi_mul(x, y, prec), prec)
         got = ia.dot(map(enc, xs), map(enc, ys), prec, enc(start))
         assert ia.to_mpi(got) == want
-        # exp_terms: c step^m / m! by (term * step) / m, for c > 0 >= step
+        # exp_terms: c step^m / m! by (term * step) / m, for c > 0 >= step = -log
         c, step = interval(rng, prec, "pos"), interval(rng, prec, rng.choice(("neg", "zero_hi")))
         terms, term = [], c
         for m in range(1, 12):
             terms.append(term)
             term = mpi_div(mpi_mul(term, step, prec), (from_int(m), from_int(m)), prec)
-        assert [ia.to_mpi(t) for t in ia.exp_terms(enc(c), enc(step), 11, prec)] == terms
+        got = [enc(c)]
+        for m in range(1, 11):
+            got += ia.exp_terms(got[-1:], [ia.neg(enc(step))], m, prec)
+        assert [ia.to_mpi(t) for t in got] == terms
 
 
 @pytest.mark.parametrize("prec", (53, 150, 333))

@@ -87,6 +87,31 @@ def test_coefficients_below_window_are_exact_zero():
         series.coefficient(series.top_degree + 1)
 
 
+def test_every_ring_answers_below_its_window_with_its_exact_zero():
+    """Below the window an enclosure series answers Enclosures.zero(), a
+    ball series Ball.zero() and a formal series FormalPoly.zero(), each of
+    its own ring's type."""
+
+    def taylor(a, b, count):
+        prec = mp.prec
+        enclosures = expansion_at(a, CFG).enclosures[:count]
+        return [mul(c, ival(b**k, prec), prec) for k, c in enumerate(enclosures)]
+
+    polar = single_factor(1, 1)
+    with mp.workdps(CFG.internal_dps):
+        enclosed = expand(XiExpression.monomial([XiFactor(1, 1)]), 4, Enclosures, taylor)
+        for degree in (-2, -3):
+            zero = enclosed.coefficient(degree)
+            assert type(zero) is tuple and zero == Enclosures.zero() == (0, 0, 0)
+        assert enclosed.coefficient(-1) == Enclosures.constant(Fraction(1))
+    for series, ring in ((laurent_expand(polar, CFG), Ball),
+                         (expand(polar, 4, FormalPoly, _symbols), FormalPoly)):
+        for degree in (-2, -3):
+            zero = series.coefficient(degree)
+            assert type(zero) is ring and zero == ring.zero()
+    assert FormalPoly.zero().is_zero and Ball.zero() == (0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # residues of the benchmark expressions
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Smoke runs of the survey scripts, loaded by path from scripts/."""
 
 import importlib.util
+import io
 import json
 import pathlib
 import subprocess
+import tokenize
 
 import mpmath
 import pytest
@@ -195,3 +197,40 @@ def test_bench_records_leftover_bytecode_caches(tmp_path, monkeypatch, capsys):
         assert payload["pycache"] is True
         assert "warning: %s holds __pycache__ files" % tmp_path in capsys.readouterr().err
         (tmp_path / name).unlink()
+
+
+def test_bench_records_parser_tokens_per_module(tmp_path, monkeypatch, capsys):
+    """scripts/bench.py records the parser tokens of every module under
+    src/, as many as tokenize gives less comments and non-logical line
+    breaks, and warns on stderr for a module at or above 4,096 tokens, the
+    step at which CPython 3.11's parser doubles its token records."""
+    bench = load_script("bench")
+
+    def independent(text):
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        return sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+
+    counts = bench.parser_tokens(ROOT)
+    sources = sorted((ROOT / "src").glob("**/*.py"))
+    assert sorted(counts) == [p.relative_to(ROOT).as_posix() for p in sources]
+    for path in sources:
+        assert counts[path.relative_to(ROOT).as_posix()] == independent(path.read_text()), path
+
+    # a comment, a blank line, a line of six tokens around a bracketed line
+    # break, 1,022 of four, the end marker: 4,095; one minus sign more: 4,096
+    below = "# a comment\n\nx = (\n    1)\n" + "x = 1\n" * 1022
+    at = below.replace("x = 1\n", "x = -1\n", 1)
+    for name, text in (("below.py", below), ("at.py", at)):
+        (tmp_path / "src" / name).parent.mkdir(exist_ok=True)
+        (tmp_path / "src" / name).write_text(text)
+    assert bench.parser_tokens(tmp_path) == {"src/at.py": 4096, "src/below.py": 4095}
+    assert (independent(below), independent(at)) == (4095, 4096)
+    untraced, traced = (
+        bench.parse_run((DATA / ("series_warm_trace%d.out" % t)).read_text()) for t in (0, 1)
+    )
+    monkeypatch.setattr(bench, "run_workload", lambda tree, w, s, trace: (untraced, traced)[trace])
+    monkeypatch.setattr(bench, "revision", lambda tree: ("0" * 40, {}))
+    payload = bench.bench("tokens", tmp_path, ["series-warm"], 20)
+    assert payload["tokens"] == {"src/at.py": 4096, "src/below.py": 4095}
+    err = capsys.readouterr().err
+    assert "warning: src/at.py holds 4096 parser tokens" in err and "below.py" not in err

@@ -26,6 +26,7 @@ from orbitzeta.xinumeric import (
     expansion_at,
     kernel,
     residue_anchor,
+    tables,
     xi_expansion_at_one,
     xi_one_correction_limit,
     xi_point,
@@ -233,21 +234,21 @@ def test_tables_are_prefixes_across_orders(monkeypatch):
 
 
 def test_series_tables_are_prefixes_across_orders(monkeypatch):
-    # order 20 lies beyond one pass's minimum, so the rising sequence
-    # builds 16 coefficients and then 21, the falling one 21 at once
+    # the rising sequence builds 10 coefficients and grows them in place
+    # to 21, the falling one builds 21 at once
     def build(orders):
         monkeypatch.setattr(kernel, "_expansion_cache", {})
-        monkeypatch.setattr(kernel, "_series_cache", {})
+        monkeypatch.setattr(tables, "_series_cache", {})
         cfgs = {o: PrecisionConfig(working_digits=20, expansion_order=o) for o in orders}
         return {(o, point): expansion_at(point, cfgs[o]) for o in orders for point in (1, 2, 5)}
 
     rising = build((9, 20))
     falling = build((20, 9))
     for point in (1, 2, 5):
-        tables = [t[o, point] for t in (rising, falling) for o in (9, 20)]
-        assert [len(t.coefficients) for t in tables] == [10, 21, 10, 21]
-        assert len({t.coefficients[:10] for t in tables}) == 1
-        assert len({t.errors[:10] for t in tables}) == 1
+        found = [t[o, point] for t in (rising, falling) for o in (9, 20)]
+        assert [len(t.coefficients) for t in found] == [10, 21, 10, 21]
+        assert len({t.coefficients[:10] for t in found}) == 1
+        assert len({t.errors[:10] for t in found}) == 1
         assert rising[20, point].coefficients == falling[20, point].coefficients
         assert rising[20, point].errors == falling[20, point].errors
 
@@ -281,34 +282,36 @@ def test_raising_the_order_evaluates_no_node(monkeypatch):
 
 
 def test_raising_the_order_makes_no_pass_over_j(monkeypatch):
-    passes = []
-    original = kernel._zeta_series
+    """A table is built to the order asked and grown by only the
+    coefficients a higher order adds: each coefficient is computed once."""
+    built = []
+    original = tables._Table._coefficient
 
-    def counting(point, cutoff, terms, size):
-        passes.append(size)
-        return original(point, cutoff, terms, size)
+    def counting(table, k, shared):
+        built.append((table.point, table.digits, k))
+        return original(table, k, shared)
 
-    monkeypatch.setattr(kernel, "_zeta_series", counting)
+    monkeypatch.setattr(tables._Table, "_coefficient", counting)
+    monkeypatch.setattr(kernel, "_expansion_cache", {})
+    monkeypatch.setattr(tables, "_series_cache", {})
     base = PrecisionConfig(working_digits=12, expansion_order=3)
+    digits = base.internal_dps
 
-    def new_passes(cfg):
-        before = len(passes)
+    def new_coefficients(cfg):
+        before = len(built)
         table = expansion_at(3, cfg)
         assert table.config is cfg
-        assert len(table.coefficients) == cfg.expansion_order + 1
-        return len(passes) - before
+        assert len(table.coefficients) == len(table.errors) == cfg.expansion_order + 1
+        assert len(table.enclosures) == cfg.expansion_order + 1
+        return built[before:]
 
-    assert new_passes(base) == 1
-    assert passes[-1] == kernel._MIN_TERMS
-    assert new_passes(replace(base, expansion_order=7)) == 0
-    assert new_passes(replace(base, expansion_order=2)) == 0
-    assert new_passes(replace(base, expansion_order=kernel._MIN_TERMS - 1)) == 0
-    # the contour knobs no longer reach the tables
-    assert new_passes(replace(base, contour_nodes=24, contour_radius=0.2)) == 0
-    assert new_passes(replace(base, working_digits=13)) == 1
-    # beyond the coefficients built, one new pass builds the order asked for
-    assert new_passes(replace(base, expansion_order=kernel._MIN_TERMS)) == 1
-    assert passes[-1] == kernel._MIN_TERMS + 1
+    assert new_coefficients(base) == [(3, digits, k) for k in range(4)]
+    assert new_coefficients(replace(base, expansion_order=7)) == [(3, digits, k) for k in range(4, 8)]
+    assert new_coefficients(replace(base, expansion_order=2)) == []
+    # the contour knobs do not reach the tables
+    assert new_coefficients(replace(base, contour_nodes=24, contour_radius=0.2)) == []
+    assert new_coefficients(replace(base, working_digits=13)) == [(3, digits + 1, k) for k in range(4)]
+    assert len(set(built)) == len(built) == 12
 
 
 def test_series_errors_bound_the_oracle():
@@ -356,7 +359,7 @@ def test_bernoulli_table_keeps_xi_point_bits(monkeypatch):
 
 
 def test_raw_endpoint_route_matches_the_iv_oracle_bit_for_bit(monkeypatch):
-    """Every coefficient and error of kernel._xi_series equals the iv-context
+    """Every coefficient and error of tables.xi_series equals the iv-context
     build of interval_oracle exactly: points 1..10, internal digits 35, 45,
     60 and 95, sizes 16 and 17, in two shuffled orders from empty caches.
     About 13 s on one CPU of a 2-vCPU host; the bound leaves wide headroom."""
@@ -364,10 +367,10 @@ def test_raw_endpoint_route_matches_the_iv_oracle_bit_for_bit(monkeypatch):
     start = time.perf_counter()
     for seed in (1, 2):
         random.Random(seed).shuffle(cases)
-        monkeypatch.setattr(kernel, "_series_cache", {})
-        monkeypatch.setattr(kernel, "_shared_cache", {})
+        monkeypatch.setattr(tables, "_series_cache", {})
+        monkeypatch.setattr(tables, "_shared_cache", {})
         for digits, size, point in cases:
-            values, errors, _ = kernel._xi_series(point, digits, size)
+            values, errors, _ = tables.xi_series(point, digits, size)
             want_values, want_errors = interval_oracle.xi_series(point, digits, size)
             assert [v._mpf_ for v in values] == [v._mpf_ for v in want_values], (digits, size, point)
             assert errors == want_errors, (digits, size, point)
@@ -380,12 +383,12 @@ def test_raw_endpoint_route_matches_the_iv_oracle_at_high_precision(monkeypatch)
     2 and 9, size 16: cutoff 128 with 93 to 181 corrections, whose weights
     divide by enclosures of cutoff^(2k) wider than the precision.  About
     2 s on one CPU of a 2-vCPU host; the bound leaves wide headroom."""
-    monkeypatch.setattr(kernel, "_series_cache", {})
-    monkeypatch.setattr(kernel, "_shared_cache", {})
+    monkeypatch.setattr(tables, "_series_cache", {})
+    monkeypatch.setattr(tables, "_shared_cache", {})
     start = time.perf_counter()
     for digits in (200, 280):
         for point in (1, 2, 9):
-            values, errors, _ = kernel._xi_series(point, digits, 16)
+            values, errors, _ = tables.xi_series(point, digits, 16)
             want_values, want_errors = interval_oracle.xi_series(point, digits, 16)
             assert [v._mpf_ for v in values] == [v._mpf_ for v in want_values], (digits, point)
             assert errors == want_errors, (digits, point)
@@ -393,26 +396,57 @@ def test_raw_endpoint_route_matches_the_iv_oracle_at_high_precision(monkeypatch)
     assert elapsed < 40.0, elapsed
 
 
+def test_grown_tables_match_the_iv_oracle_bit_for_bit(monkeypatch):
+    """Tables grown in place to 4, then 10, 11 and 17 coefficients, at
+    points 1..10 and internal digits 35 and 60, from empty caches and in a
+    new shuffled order at each step, hold exactly the coefficients asked
+    and equal the iv-context build of interval_oracle at each size bit for
+    bit.  About 1.5 s on one CPU of a 2-vCPU host; the bound leaves wide
+    headroom."""
+    monkeypatch.setattr(tables, "_series_cache", {})
+    monkeypatch.setattr(tables, "_shared_cache", {})
+    cases = [(digits, point) for digits in (35, 60) for point in range(1, 11)]
+    rng = random.Random(4)
+    start = time.perf_counter()
+    for size in (4, 10, 11, 17):
+        rng.shuffle(cases)
+        for digits, point in cases:
+            values, errors, enclosures = tables.xi_series(point, digits, size)
+            assert len(tables._series_cache[point, digits].enclosures) == len(enclosures) == size
+            want_values, want_errors = interval_oracle.xi_series(point, digits, size)
+            assert [v._mpf_ for v in values] == [v._mpf_ for v in want_values], (digits, size, point)
+            assert errors == want_errors, (digits, size, point)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0, elapsed
+
+
 def test_em_plan_matches_the_oracle_plan(monkeypatch):
-    """The kernel's plan, with what does not depend on the term count
-    hoisted, gives the (cutoff, terms) of the oracle's term-by-term plan and
-    the bits of its 16 remainder bounds and radii, at points 1..12 and
-    internal digits 20 to 280; both refuse the same plans."""
-    for point in range(1, 13):
-        for digits in (20, 35, 45, 60, 95, 150, 200, 280):
-            plan = kernel._em_plan(point, digits)
+    """The tables' plan, with what does not depend on the term count or the
+    cutoff hoisted, gives the (cutoff, terms) of the oracle's term-by-term
+    plan and the bits of its 16 remainder bounds and radii, at points 1..20
+    and internal digits 20 to 100 in steps of 5, 100 to 300 in steps of 20,
+    150 and 305 (the most above the float floor); both refuse the same
+    plans.  About 5 s on one CPU of a 2-vCPU host; the bound
+    leaves wide headroom."""
+    grid = sorted({*range(20, 100, 5), *range(100, 306, 20), 150, 305})
+    start = time.perf_counter()
+    for point in range(1, 21):
+        for digits in grid:
+            plan = tables._em_plan(point, digits)
             assert plan == interval_oracle.em_plan(point, digits), (point, digits)
-            got = kernel._remainder_log_bounds(point, *plan, 16)
+            got = tables._remainder_log_bounds(point, *plan, 16)
             want = interval_oracle.remainder_log_bounds(point, *plan, 16)
             assert [b.hex() for b in got] == [b.hex() for b in want], (point, digits)
             assert [math.exp(b).hex() for b in got] == [math.exp(b).hex() for b in want]
-    for plan in (kernel._em_plan, interval_oracle.em_plan):
+    for plan in (tables._em_plan, interval_oracle.em_plan):
         with pytest.raises(PrecisionError, match="underflow"):
             plan(2, 320 + GUARD_DIGITS)
-    monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 1)
-    for plan in (kernel._em_plan, interval_oracle.em_plan):
+    monkeypatch.setattr(tables, "_CUTOFF_DOUBLINGS", 1)
+    for plan in (tables._em_plan, interval_oracle.em_plan):
         with pytest.raises(PrecisionError, match="cannot reach"):
             plan(2, 40 + GUARD_DIGITS)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0, elapsed
 
 
 def test_table_build_is_independent_of_iv_precision(monkeypatch):
@@ -421,10 +455,11 @@ def test_table_build_is_independent_of_iv_precision(monkeypatch):
     with PrecisionError leaves iv.prec and mp.prec as they were too."""
 
     def build():
-        for cache in ("_expansion_cache", "_series_cache", "_shared_cache"):
-            monkeypatch.setattr(kernel, cache, {})
-        tables = [expansion_at(point, CFG30) for point in (1, 2, 5)]
-        return [([c._mpf_ for c in t.coefficients], t.errors) for t in tables]
+        monkeypatch.setattr(kernel, "_expansion_cache", {})
+        for cache in ("_series_cache", "_shared_cache"):
+            monkeypatch.setattr(tables, cache, {})
+        built = [expansion_at(point, CFG30) for point in (1, 2, 5)]
+        return [([c._mpf_ for c in t.coefficients], t.errors) for t in built]
 
     def no_iv(*args):
         raise AssertionError("iv-context conversion during a table build")
@@ -441,7 +476,7 @@ def test_table_build_is_independent_of_iv_precision(monkeypatch):
         mp_prec = mp.prec
         with pytest.raises(PrecisionError):
             expansion_at(2, PrecisionConfig(working_digits=320, expansion_order=3))
-        monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 1)
+        monkeypatch.setattr(tables, "_CUTOFF_DOUBLINGS", 1)
         with pytest.raises(PrecisionError):
             expansion_at(2, PrecisionConfig.default(working_digits=40))
         assert (iv.prec, mp.prec) == (61, mp_prec)
@@ -477,14 +512,14 @@ def test_exhausted_cutoff_escalation_raises(monkeypatch):
     # 40 + guard digits need a cutoff of 32: two doublings from 8, not one
     cfg = PrecisionConfig.default(working_digits=40)
     monkeypatch.setattr(kernel, "_expansion_cache", {})
-    monkeypatch.setattr(kernel, "_series_cache", {})
-    monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 1)
+    monkeypatch.setattr(tables, "_series_cache", {})
+    monkeypatch.setattr(tables, "_CUTOFF_DOUBLINGS", 1)
     for point in (1, 2, 8):
         with pytest.raises(PrecisionError):
             expansion_at(point, cfg)
-    assert kernel._series_cache == {}
-    monkeypatch.setattr(kernel, "_CUTOFF_DOUBLINGS", 2)
-    assert kernel._em_plan(2, cfg.internal_dps)[0] == 32
+    assert tables._series_cache == {}
+    monkeypatch.setattr(tables, "_CUTOFF_DOUBLINGS", 2)
+    assert tables._em_plan(2, cfg.internal_dps)[0] == 32
 
 
 def test_errors_below_float_range_raise():
