@@ -73,7 +73,11 @@ def xi_series(point, digits, size):
     table = _series_cache.get((point, digits))
     if table is None:
         table = _series_cache[point, digits] = _Table(point, digits)
-    table.grow(size)
+    try:
+        table.grow(size)
+    except BaseException:
+        del _series_cache[point, digits]  # its state may be part of one coefficient
+        raise
     return (tuple(table.values[:size]), tuple(table.errors[:size]),
             tuple(table.enclosures[:size]))
 
@@ -145,7 +149,7 @@ class _Table:
         """Append u^m of the Gamma factor's log series and of its exp, where
         m g_m = sum_j (j c_j) g_(m-j)."""
         point, prec, ints, logs = self.point, shared.prec, shared.ints, self.logs
-        two, log_pi, odd = ints[2], shared.log_pi, point % 2
+        two, log_pi, odd = ival(2, prec), shared.log_pi, point % 2
         below = range(2 - odd, point, 2)
         if m == 0:
             x = div(ival(point, prec), two, prec)

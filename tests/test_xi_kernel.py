@@ -397,7 +397,7 @@ def test_raw_endpoint_route_matches_the_iv_oracle_at_high_precision(monkeypatch)
 
 
 def test_grown_tables_match_the_iv_oracle_bit_for_bit(monkeypatch):
-    """Tables grown in place to 4, then 10, 11 and 17 coefficients, at
+    """Tables grown in place to 1, then 4, 10, 11 and 17 coefficients, at
     points 1..10 and internal digits 35 and 60, from empty caches and in a
     new shuffled order at each step, hold exactly the coefficients asked
     and equal the iv-context build of interval_oracle at each size bit for
@@ -408,7 +408,7 @@ def test_grown_tables_match_the_iv_oracle_bit_for_bit(monkeypatch):
     cases = [(digits, point) for digits in (35, 60) for point in range(1, 11)]
     rng = random.Random(4)
     start = time.perf_counter()
-    for size in (4, 10, 11, 17):
+    for size in (1, 4, 10, 11, 17):
         rng.shuffle(cases)
         for digits, point in cases:
             values, errors, enclosures = tables.xi_series(point, digits, size)
@@ -418,6 +418,30 @@ def test_grown_tables_match_the_iv_oracle_bit_for_bit(monkeypatch):
             assert errors == want_errors, (digits, size, point)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, elapsed
+
+
+def test_a_build_cut_short_leaves_no_half_made_table(monkeypatch):
+    """An exception in the middle of a coefficient drops the table it was
+    growing, so the next call builds it afresh with the bits of an
+    unbroken build."""
+    monkeypatch.setattr(tables, "_series_cache", {})
+    want = tables.xi_series(4, 35, 8)
+    monkeypatch.setattr(tables, "_series_cache", {})
+    tables.xi_series(4, 35, 3)
+    original, calls = tables.from_float, []
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) == 3:  # in coefficient 4, after its sums are kept
+            raise KeyboardInterrupt
+        return original(x)
+
+    monkeypatch.setattr(tables, "from_float", failing)
+    with pytest.raises(KeyboardInterrupt):
+        tables.xi_series(4, 35, 8)
+    assert (4, 35) not in tables._series_cache
+    monkeypatch.setattr(tables, "from_float", original)
+    assert tables.xi_series(4, 35, 8) == want
 
 
 def test_em_plan_matches_the_oracle_plan(monkeypatch):
