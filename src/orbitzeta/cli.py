@@ -352,9 +352,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code, text = DISPATCH[args.command](args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (PrecisionError, ExpansionOrderError) as exc:
         print("precision error: %s" % exc, file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ from .kernel import (
     XiPointExpansion,
     expansion_at,
     residue_anchor,
-    xi_expansion_at_one,
     xi_one_correction_limit,
     xi_point,
     xi_value,
@@ -40,7 +39,6 @@ __all__ = [
     "XiPointExpansion",
     "expansion_at",
     "residue_anchor",
-    "xi_expansion_at_one",
     "xi_one_correction_limit",
     "xi_point",
     "xi_value",

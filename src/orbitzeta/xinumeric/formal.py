@@ -152,23 +152,41 @@ def _clear_windows():
 class CancellationReport:
     """Formal verdicts per negative degree of an expanded expression.
 
-    verdicts maps each degree in [-pole_bound, -1] to (is_zero, polynomial
-    text).  all_deep_vanish is the headline: every s^-k with k >= 2 is the
-    identically-zero polynomial.
+    coefficients[d + pole_bound] is the polynomial of s^d, for every d in
+    [-pole_bound, -1], and every view below reads them; a text is made
+    only when one is asked for.  all_deep_vanish is the headline: every
+    s^-k with k >= 2 is the identically-zero polynomial.
     """
 
     pole_bound: int
-    verdicts: tuple  # ((degree, is_zero, poly_text), ...) ascending by degree
-    residue_text: str
-    residue_is_zero: bool
-    formal_pole_order: int
-    all_deep_vanish: bool
+    coefficients: tuple  # FormalPoly per degree -pole_bound..-1
+
+    @property
+    def verdicts(self):
+        """((degree, is_zero, poly_text), ...) ascending by degree."""
+        return tuple((i - self.pole_bound, p.is_zero, str(p))
+                     for i, p in enumerate(self.coefficients))
 
     def verdict(self, degree):
-        for d, ok, text in self.verdicts:
-            if d == degree:
-                return ok, text
-        raise KeyError(degree)
+        if not -self.pole_bound <= degree < 0:
+            raise KeyError(degree)
+        poly = self.coefficients[degree + self.pole_bound]
+        return poly.is_zero, str(poly)
+
+    @property
+    def residue(self):
+        """The s^-1 polynomial."""
+        return self.coefficients[-1] if self.coefficients else FormalPoly.zero()
+
+    @property
+    def formal_pole_order(self):
+        """-d for the lowest degree d whose polynomial is not zero, else 0."""
+        nonzero = (self.pole_bound - i for i, p in enumerate(self.coefficients) if not p.is_zero)
+        return next(nonzero, 0)
+
+    @property
+    def all_deep_vanish(self):
+        return all(p.is_zero for p in self.coefficients[:-1])
 
     def to_json(self):
         return {
@@ -177,7 +195,7 @@ class CancellationReport:
                 {"degree": d, "formally_zero": ok, "coefficient": text}
                 for d, ok, text in self.verdicts
             ],
-            "residue": self.residue_text,
+            "residue": str(self.residue),
             "formal_pole_order": self.formal_pole_order,
             "all_deep_vanish": self.all_deep_vanish,
         }
@@ -197,14 +215,7 @@ def formal_cancellation_check(expression):
     global _held
     q_max = expression.max_polar_count()
     if q_max == 0 or expression.is_zero:
-        return CancellationReport(
-            pole_bound=0,
-            verdicts=(),
-            residue_text="0",
-            residue_is_zero=True,
-            formal_pole_order=0,
-            all_deep_vanish=True,
-        )
+        return CancellationReport(pole_bound=0, coefficients=())
     if max(map(len, expression.terms)) > SLOT_MAX:
         raise SlotOverflowError("a monomial exceeds %d factors" % SLOT_MAX)
     memo = _WINDOWS.setdefault(q_max, {})
@@ -214,20 +225,4 @@ def formal_cancellation_check(expression):
     _held += sum(len(e) for _, (_, window) in islice(memo.values(), kept, None) for e in window)
     if _held > WINDOW_ENTRIES:
         _clear_windows()
-
-    verdicts = []
-    formal_pole_order = 0
-    for degree in range(-q_max, 0):
-        poly = acc.coefficient(degree)
-        verdicts.append((degree, poly.is_zero, str(poly)))
-        if not poly.is_zero and formal_pole_order == 0:
-            formal_pole_order = -degree
-    residue_poly = acc.coefficient(-1)
-    return CancellationReport(
-        pole_bound=q_max,
-        verdicts=tuple(verdicts),
-        residue_text=str(residue_poly),
-        residue_is_zero=residue_poly.is_zero,
-        formal_pole_order=formal_pole_order,
-        all_deep_vanish=all(ok for d, ok, _ in verdicts if d <= -2),
-    )
+    return CancellationReport(q_max, tuple(acc.coefficient(d) for d in range(-q_max, 0)))

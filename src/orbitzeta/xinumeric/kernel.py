@@ -135,21 +135,18 @@ class XiPointExpansion:
     enclosures: tuple
 
 
-_expansion_cache = {}
-
-
 def expansion_at(point, config=None):
-    """Cached Taylor expansion of (the regular part of) xi at an integer >= 1.
+    """Taylor expansion of (the regular part of) xi at an integer >= 1.
 
-    Returns one memoised table per (config, point), carrying that config,
-    with exactly expansion_order + 1 coefficients.  Behind it sits the
-    table of .tables at (point, internal digits), grown in place by only
-    the coefficients a higher order adds; coefficient k and its error do
-    not depend on how many are built, so every order reads a prefix of one
-    table.  The enclosures every point shares are cached per (binary
-    precision, cutoff) there too.
+    Returns a fresh XiPointExpansion carrying config, with exactly
+    expansion_order + 1 coefficients read from the table of .tables at
+    (point, internal digits).  That table is grown in place by only the
+    coefficients a higher order adds, and by none on a repeated call;
+    coefficient k and its error do not depend on how many are built, so
+    every order reads a prefix of one table.  The enclosures every point
+    shares are cached per (binary precision, cutoff) there too.
 
-    The caches, laurent_expand's product memo (one config at a time),
+    The tables, laurent_expand's product memo (one config at a time),
     formal_cancellation_check's window memo (one per window length) and
     mpmath's working precision are process-global, so the numeric layer is
     for single-threaded use.
@@ -157,17 +154,10 @@ def expansion_at(point, config=None):
     config = config or PrecisionConfig.default()
     if point < 1:
         raise ValueError("expansion point must be an integer >= 1")
-    key = (config, point)
-    hit = _expansion_cache.get(key)
-    if hit is None:
-        values, errors, enclosures = xi_series(
-            point, config.internal_dps, config.expansion_order + 1
-        )
-        hit = _expansion_cache[key] = XiPointExpansion(
-            point=point, coefficients=values, errors=errors, config=config,
-            enclosures=enclosures,
-        )
-    return hit
+    values, errors, enclosures = xi_series(point, config.internal_dps, config.expansion_order + 1)
+    return XiPointExpansion(
+        point=point, coefficients=values, errors=errors, config=config, enclosures=enclosures
+    )
 
 
 def xi_value(point, derivative_order=0, config=None):
@@ -179,7 +169,7 @@ def xi_value(point, derivative_order=0, config=None):
     """
     config = config or PrecisionConfig.default()
     if point < 2:
-        raise ValueError("xi_value needs point >= 2; use xi_expansion_at_one at the pole")
+        raise ValueError("xi_value needs point >= 2; use expansion_at(1, config) at the pole")
     if derivative_order < 0:
         raise ValueError("derivative order must be >= 0")
     if derivative_order > config.expansion_order:
@@ -198,15 +188,6 @@ def xi_value(point, derivative_order=0, config=None):
             % (error, config.target_abs_error, point, derivative_order)
         )
     return ValueWithError(value=value, error=error)
-
-
-def xi_expansion_at_one(config=None):
-    """Expansion of the regular part xi(z) - 1/(z-1) at z = 1.
-
-    The pole itself is exact data: simple, residue 1.  Only the regular part
-    is computed numerically.
-    """
-    return expansion_at(1, config or PrecisionConfig.default())
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +246,7 @@ def xi_value_fd(point, derivative_order, config=None, levels=6):
 def xi_one_correction_limit(config=None, levels=12):
     """Finite part of xi at 1 by a direct Richardson limit of xi(1+u) - 1/u.
 
-    Cross-check for coefficient 0 of xi_expansion_at_one.  Steps are powers
+    Cross-check for coefficient 0 of expansion_at(1, config).  Steps are powers
     of two so 1/u is exact and the subtraction loses only a few digits.
     """
     config = config or PrecisionConfig.default()

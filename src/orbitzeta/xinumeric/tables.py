@@ -99,7 +99,21 @@ class _Table:
         self.logs, self.scaled, self.gamma = [], [ZERO], []
         self.values, self.errors, self.enclosures = [], [], []
 
+    def remainder_log_bound(self, k):
+        """The log of a bound on the u^k coefficient of R(point + u), the
+        remainder after M = terms corrections at cutoff N.
+
+        Backlund's bound |R| <= |s + 2M + 1|/(Re s + 2M + 1) |T_(M+1)(s)| holds
+        for Re s > -2M - 1; with |B_2k|/(2k)! <= (pi^2/3)/(2 pi)^2k it is at most
+        (h + 2M + 1)/(l + 2M + 1) (pi^2/3)/(2 pi)^(2M+2) Gamma(h + 2M + 1)/Gamma(h)
+        N^-(l + 2M + 1) on the circle |s - point| = r, h = point + r, l = point - r.
+        Cauchy's estimate divides by r^k; the least over r = 1/4..4 is taken.
+        """
+        return min(bound - k * log_r for bound, log_r in self.log_bounds)
+
     def grow(self, size):
+        if len(self.enclosures) >= size:
+            return
         with mp.workdps(self.digits + 10):
             shared = _shared(mp.prec, self.cutoff, size, self.terms)
             for k in range(len(self.enclosures), size):
@@ -135,7 +149,7 @@ class _Table:
             bracket.append(add(entry, pole, prec))
             scale = ival(self.cutoff ** (point - 1), prec)
             tail = div(dot(decay[:k + 1], bracket[::-1], prec), scale, prec)
-        r = math.exp(min(bound - k * log_r for bound, log_r in self.log_bounds))
+        r = math.exp(self.remainder_log_bound(k))
         zeta.append(add(add(total, tail, prec), from_mpi((from_float(-r), from_float(r))), prec))
         xi = dot(gamma[:k + 1], zeta[::-1], prec)
         if point == 1:
@@ -197,20 +211,6 @@ def _em_plan(point, digits):
     raise PrecisionError("Euler-Maclaurin series cannot reach %d digits at %d" % (digits, point))
 
 
-def _remainder_log_bounds(point, cutoff, terms, size):
-    """Logs of bounds on the u^k coefficients, k < size, of R(point + u),
-    the remainder after M = terms corrections at cutoff N.
-
-    Backlund's bound |R| <= |s + 2M + 1|/(Re s + 2M + 1) |T_(M+1)(s)| holds
-    for Re s > -2M - 1; with |B_2k|/(2k)! <= (pi^2/3)/(2 pi)^2k it is at most
-    (h + 2M + 1)/(l + 2M + 1) (pi^2/3)/(2 pi)^(2M+2) Gamma(h + 2M + 1)/Gamma(h)
-    N^-(l + 2M + 1) on the circle |s - point| = r, h = point + r, l = point - r.
-    Cauchy's estimate divides by r^k; the least over r = 1/4..4 is taken.
-    """
-    on_circles = _log_bounds(_circles(point, terms, _radii(point)), cutoff)
-    return [min(bound - k * log_r for bound, log_r in on_circles) for k in range(size)]
-
-
 def _log_bounds(circles, cutoff):
     """Per circle: the log of its bound on coefficient 0 at cutoff N, and log r."""
     log_n = math.log(cutoff)
@@ -218,13 +218,13 @@ def _log_bounds(circles, cutoff):
 
 
 def _radii(point):
-    """Per circle of _remainder_log_bounds: r, point + r, point - r,
+    """Per circle of _Table.remainder_log_bound: r, point + r, point - r,
     lgamma(point + r) and log r."""
     return [(r, point + r, point - r, math.lgamma(point + r), log_r) for r, log_r in _RADII]
 
 
 def _circles(point, terms, radii):
-    """Per circle of _remainder_log_bounds, from the _radii of its point:
+    """Per circle of _Table.remainder_log_bound, from the _radii of its point:
     the log of its bound but the N^-(l + 2M + 1) factor, the power
     l + 2M + 1, and log r.  Python sums left to right, so the bound minus
     power * log N has the bits of the whole sum."""

@@ -8,9 +8,10 @@ power-series arithmetic.  The stated error per coefficient adds the
 aliasing estimate (full rule against the half-node rule), rounding, the
 propagated sample error and the imaginary leak.
 
-At point 1 the sampled function is the regular part xi(z) - 1/(z-1).  Like
-kernel.expansion_at, tables are memoised per (config, point) over a cache
-keyed without the expansion order, so a higher order evaluates no node.
+At point 1 the sampled function is the regular part xi(z) - 1/(z-1).
+Tables are memoised per (config, point) over a cache of samples keyed
+without the expansion order, so a higher order evaluates no node (the
+kernel's expansion_at keeps no such memo: it reads its tables' prefixes).
 """
 
 from __future__ import annotations

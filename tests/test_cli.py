@@ -113,15 +113,27 @@ def test_residues_gate_fires_on_a_pole_order_or_a_deep_coefficient(capsys, monke
     import dataclasses
 
     from orbitzeta import cli
+    from orbitzeta.xinumeric import FormalPoly
 
     if broken == "pole order":
-        real, name, change = cli.residue_at_zero, "residue_at_zero", {"pole_order": 2}
+        real, name = cli.residue_at_zero, "residue_at_zero"
+
+        def change(report):
+            return dataclasses.replace(report, pole_order=2)
+
         messages = ["2: pole order 2", "1,1: pole order 2"]
     else:
         real, name = cli.formal_cancellation_check, "formal_cancellation_check"
-        change = {"all_deep_vanish": False}
+
+        def change(report):
+            # a nonzero polynomial at a new degree -pole_bound, deep even
+            # where the true pole bound is 1
+            planted = (FormalPoly.constant(1),) + report.coefficients
+            return dataclasses.replace(report, pole_bound=report.pole_bound + 1,
+                                       coefficients=planted)
+
         messages = ["%s: deep coefficient not formally zero" % p for p in ("2", "1,1")]
-    monkeypatch.setattr(cli, name, lambda x: dataclasses.replace(real(x), **change))
+    monkeypatch.setattr(cli, name, lambda x: change(real(x)))
     code, out, _ = run(capsys, "residues", "--n", "2")
     assert code == 1
     assert [line for line in out.splitlines() if "GATE FAIL" in line] == [

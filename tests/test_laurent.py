@@ -252,7 +252,7 @@ def test_formal_subregular_deep_coefficient_vanishes():
     assert ok, text
     assert report.all_deep_vanish
     assert report.formal_pole_order <= 1
-    assert not report.residue_is_zero
+    assert not report.residue.is_zero
 
 
 def test_formal_plain_product_keeps_its_double_pole():
@@ -358,6 +358,46 @@ def test_formal_matches_numeric_on_random_substitution():
                     assert ok == (total.get(d, F(0)) == 0), (p, d, text)
                     checked += 1
     assert checked > 50
+
+
+def test_formal_report_reads_its_polynomials():
+    """A report keeps the polynomial of each degree -pole_bound..-1 as a
+    fresh expand returns it, its residue is the s^-1 one, and its verdicts,
+    pole order, headline and JSON equal a reference made eagerly from the
+    same polynomials: every h and z with n <= 6, and an expression whose
+    s^-2 coefficient 1/2*t[2;0] - t[3;0] survives."""
+    from orbitzeta.partitions import partitions_of
+
+    def reference(polys, q):
+        verdicts = tuple((d, p.is_zero, str(p)) for d, p in zip(range(-q, 0), polys))
+        order = next((-d for d, ok, _ in verdicts if not ok), 0)
+        deep = all(ok for d, ok, _ in verdicts if d <= -2)
+        return verdicts, order, deep, {
+            "pole_bound": q,
+            "verdicts": [{"degree": d, "formally_zero": ok, "coefficient": text}
+                         for d, ok, text in verdicts],
+            "residue": str(polys[-1]),
+            "formal_pole_order": order,
+            "all_deep_vanish": deep,
+        }
+
+    surviving = (XiExpression.monomial([(1, 1), (1, 2), (2, 1)])
+                 - XiExpression.monomial([(1, 1), (1, 1), (3, 2)]))
+    exprs = [e for n in range(1, 7) for p in partitions_of(n) for e in (h_orbit(p), z_orbit(p))]
+    for expr in exprs + [surviving]:
+        q = expr.max_polar_count()
+        report = formal_cancellation_check(expr)
+        series = expand(expr, q, FormalPoly, _symbols)
+        polys = [series.coefficient(d) for d in range(-q, 0)]
+        assert report.pole_bound == q and len(report.coefficients) == q, expr
+        for d in range(-q, 0):
+            assert report.coefficients[d + q] == series.coefficient(d), (expr, d)
+        assert report.residue == series.coefficient(-1), expr
+        got = (report.verdicts, report.formal_pole_order, report.all_deep_vanish,
+               report.to_json())
+        assert got == reference(polys, q), expr
+    assert str(report.coefficients[0]) == "1/2*t[2;0] - t[3;0]"
+    assert (report.formal_pole_order, report.all_deep_vanish) == (2, False)
 
 
 # ---------------------------------------------------------------------------

@@ -234,3 +234,13 @@ def test_bench_records_parser_tokens_per_module(tmp_path, monkeypatch, capsys):
     assert payload["tokens"] == {"src/at.py": 4096, "src/below.py": 4095}
     err = capsys.readouterr().err
     assert "warning: src/at.py holds 4096 parser tokens" in err and "below.py" not in err
+
+
+def test_every_src_module_stays_below_the_token_step():
+    """No module under src/ holds TOKEN_STEP (4,096) parser tokens or more,
+    as scripts/bench.py counts them: past that step CPython 3.11's parser
+    doubles its token records, and compiling the module raises peak RSS."""
+    bench = load_script("bench")
+    over = {path: count for path, count in bench.parser_tokens(ROOT).items()
+            if count >= bench.TOKEN_STEP}
+    assert over == {}, over

@@ -27,7 +27,6 @@ from orbitzeta.xinumeric import (
     kernel,
     residue_anchor,
     tables,
-    xi_expansion_at_one,
     xi_one_correction_limit,
     xi_point,
     xi_value,
@@ -187,7 +186,7 @@ def test_second_derivative_routes_agree():
 
 
 def test_expansion_at_one_constant_term_two_routes():
-    exp1 = xi_expansion_at_one(CFG30)
+    exp1 = expansion_at(1, CFG30)
     assert exp1.point == 1  # the series at 1 is xi's with its principal part taken off
     limit = xi_one_correction_limit(CFG30)
     with mp.workdps(45):
@@ -197,14 +196,14 @@ def test_expansion_at_one_constant_term_two_routes():
         assert abs(c0 - closed) < mpmath.mpf(10) ** (-25)
 
 
-def test_expansion_cache_is_config_keyed():
+def test_expansion_reads_are_config_keyed():
     a = expansion_at(2, CFG30)
-    b = expansion_at(2, CFG30)
-    assert a is b
+    assert expansion_at(2, CFG30) == a
     other = expansion_at(2, PrecisionConfig.default(working_digits=20))
-    assert other is not a
+    assert other != a
+    assert other.coefficients != a.coefficients
     longer = expansion_at(2, CFG30.for_orbit_size(8))
-    assert longer is not a
+    assert longer != a
     assert longer.config.expansion_order == 11
     assert len(longer.coefficients) == 12
     assert longer.coefficients[:10] == a.coefficients
@@ -237,7 +236,6 @@ def test_series_tables_are_prefixes_across_orders(monkeypatch):
     # the rising sequence builds 10 coefficients and grows them in place
     # to 21, the falling one builds 21 at once
     def build(orders):
-        monkeypatch.setattr(kernel, "_expansion_cache", {})
         monkeypatch.setattr(tables, "_series_cache", {})
         cfgs = {o: PrecisionConfig(working_digits=20, expansion_order=o) for o in orders}
         return {(o, point): expansion_at(point, cfgs[o]) for o in orders for point in (1, 2, 5)}
@@ -292,7 +290,6 @@ def test_raising_the_order_makes_no_pass_over_j(monkeypatch):
         return original(table, k, shared)
 
     monkeypatch.setattr(tables._Table, "_coefficient", counting)
-    monkeypatch.setattr(kernel, "_expansion_cache", {})
     monkeypatch.setattr(tables, "_series_cache", {})
     base = PrecisionConfig(working_digits=12, expansion_order=3)
     digits = base.internal_dps
@@ -456,9 +453,10 @@ def test_em_plan_matches_the_oracle_plan(monkeypatch):
     start = time.perf_counter()
     for point in range(1, 21):
         for digits in grid:
-            plan = tables._em_plan(point, digits)
+            table = tables._Table(point, digits)
+            plan = table.cutoff, table.terms
             assert plan == interval_oracle.em_plan(point, digits), (point, digits)
-            got = tables._remainder_log_bounds(point, *plan, 16)
+            got = [table.remainder_log_bound(k) for k in range(16)]
             want = interval_oracle.remainder_log_bounds(point, *plan, 16)
             assert [b.hex() for b in got] == [b.hex() for b in want], (point, digits)
             assert [math.exp(b).hex() for b in got] == [math.exp(b).hex() for b in want]
@@ -479,7 +477,6 @@ def test_table_build_is_independent_of_iv_precision(monkeypatch):
     with PrecisionError leaves iv.prec and mp.prec as they were too."""
 
     def build():
-        monkeypatch.setattr(kernel, "_expansion_cache", {})
         for cache in ("_series_cache", "_shared_cache"):
             monkeypatch.setattr(tables, cache, {})
         built = [expansion_at(point, CFG30) for point in (1, 2, 5)]
@@ -535,7 +532,6 @@ def test_unreachable_precision_raises(monkeypatch):
 def test_exhausted_cutoff_escalation_raises(monkeypatch):
     # 40 + guard digits need a cutoff of 32: two doublings from 8, not one
     cfg = PrecisionConfig.default(working_digits=40)
-    monkeypatch.setattr(kernel, "_expansion_cache", {})
     monkeypatch.setattr(tables, "_series_cache", {})
     monkeypatch.setattr(tables, "_CUTOFF_DOUBLINGS", 1)
     for point in (1, 2, 8):
