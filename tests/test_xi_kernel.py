@@ -442,13 +442,13 @@ def test_a_build_cut_short_leaves_no_half_made_table(monkeypatch):
 
 
 def test_em_plan_matches_the_oracle_plan(monkeypatch):
-    """The tables' plan, with what does not depend on the term count or the
+    """A table's plan, with what does not depend on the term count or the
     cutoff hoisted, gives the (cutoff, terms) of the oracle's term-by-term
-    plan and the bits of its 16 remainder bounds and radii, at points 1..20
-    and internal digits 20 to 100 in steps of 5, 100 to 300 in steps of 20,
-    150 and 305 (the most above the float floor); both refuse the same
-    plans.  About 5 s on one CPU of a 2-vCPU host; the bound
-    leaves wide headroom."""
+    plan, and the table's remainder_log_bound the bits of its 16 remainder
+    bounds and radii, at points 1..20 and internal digits 20 to 100 in
+    steps of 5, 100 to 300 in steps of 20, 150 and 305 (the most above the
+    float floor); both refuse the same plans.  About 5 s on one CPU of a
+    2-vCPU host; the bound leaves wide headroom."""
     grid = sorted({*range(20, 100, 5), *range(100, 306, 20), 150, 305})
     start = time.perf_counter()
     for point in range(1, 21):
